@@ -24,7 +24,6 @@ from .fields import (
     TensorField2,
     gradient,
     divergence,
-    tensor_apply,
 )
 from .io import FieldFormatError, read_field, write_field
 
@@ -36,7 +35,6 @@ __all__ = [
     "TensorField2",
     "gradient",
     "divergence",
-    "tensor_apply",
     "FieldFormatError",
     "read_field",
     "write_field",

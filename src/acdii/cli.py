@@ -34,22 +34,18 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    GRID_SIZE,
     DataError,
     AdmissibleTriplet,
     compute_a,
+    compute_current,
     load_triplet,
+    read_matching,
     save_triplet,
     solve_truth,
     synthesize_triplet,
 )
-from .fields import (
-    Grid2D,
-    GridError,
-    ScalarField,
-    TensorField2,
-    VectorField2,
-    gradient,
-)
+from .fields import Grid2D, GridError, ScalarField, TensorField2, rel_l2
 from .forward import (
     AssemblyError,
     ConvergenceError,
@@ -69,6 +65,8 @@ from .geometry import (
     truncation_limit_audit,
 )
 from .inverse import (
+    ALGORITHMS,
+    TV_SCHEMA,
     TVConfigError,
     TVProblem,
     coarea_audit,
@@ -76,354 +74,98 @@ from .inverse import (
     minimality_audit,
     reconstruct,
     recover_c,
+    sine_perturbations,
 )
-from .io import FieldFormatError, read_field_file, write_field_file
+from .io import FieldFormatError, write_field_file
+from .schema import Key, read_json, validate
 
 
 class ConfigError(ValueError):
     """Raised for malformed, unknown, or missing configuration entries."""
 
 
-# -- strict config parsing -----------------------------------------------------
+# -- the config schema -----------------------------------------------------------
+
+_POSITIVE = "(0, inf)"
+_NONNEGATIVE = "[0, inf)"
+_AT_LEAST_ONE = "[1, inf)"
 
 
-def _expect_dict(v, path):
-    if not isinstance(v, dict):
-        raise ConfigError(f"config entry '{path}' must be an object")
-    return v
+def _num(default, interval=None):
+    return Key("num", default, interval)
 
 
-def _allow_keys(d, allowed, path):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config key '{path}.{unknown[0]}'")
+def _int(default, interval=None):
+    return Key("int", default, interval)
 
 
-def _num(v, path, positive=False, nonneg=False):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config entry '{path}' must be a number")
-    v = float(v)
-    if positive and not v > 0.0:
-        raise ConfigError(f"config entry '{path}' must be positive")
-    if nonneg and v < 0.0:
-        raise ConfigError(f"config entry '{path}' must be nonnegative")
-    return v
+def _pair(default):
+    return Key("list", list(default), "[2, 2]", spec=Key("num", required=True))
 
 
-def _int(v, path, minimum=None):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config entry '{path}' must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"config entry '{path}' must be at least {minimum}")
-    return v
+_INCLUSION_TYPE = Key("str", required=True, choices=("perfect", "insulating"))
+GATES = ("minimality", "duality", "coarea", "area_minimality")
 
-
-def _pair(v, path):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"config entry '{path}' must be a pair of numbers")
-    return (_num(v[0], path + "[0]"), _num(v[1], path + "[1]"))
-
-
-def _choice(v, path, choices):
-    if v not in choices:
-        raise ConfigError(f"config entry '{path}' must be one of {sorted(choices)}")
-    return v
-
-
-def _opt(d, key, default=None):
-    return d[key] if key in d else default
-
-
-def _parse_grid(d):
-    d = _expect_dict(d, "grid")
-    _allow_keys(d, {"nx", "ny", "lx", "ly"}, "grid")
-    if "nx" not in d or "ny" not in d:
-        raise ConfigError("config section 'grid' needs both 'nx' and 'ny'")
-    nx = _int(d["nx"], "grid.nx", minimum=2)
-    ny = _int(d["ny"], "grid.ny", minimum=2)
-    lx = _num(_opt(d, "lx", 1.0), "grid.lx", positive=True)
-    ly = _num(_opt(d, "ly", 1.0), "grid.ly", positive=True)
-    return {"nx": nx, "ny": ny, "lx": lx, "ly": ly}
-
-
-def _parse_c(d):
-    d = _expect_dict(d, "truth.c")
-    kind = _choice(_opt(d, "kind"), "truth.c.kind", {"constant", "gaussian_bump"})
-    if kind == "constant":
-        _allow_keys(d, {"kind", "value"}, "truth.c")
-        return {"kind": kind, "value": _num(_opt(d, "value", 1.0), "truth.c.value", positive=True)}
-    _allow_keys(d, {"kind", "base", "amplitude", "center", "width"}, "truth.c")
-    return {
-        "kind": kind,
-        "base": _num(_opt(d, "base", 1.0), "truth.c.base", positive=True),
-        "amplitude": _num(_opt(d, "amplitude", 0.5), "truth.c.amplitude"),
-        "center": _pair(_opt(d, "center", (0.5, 0.5)), "truth.c.center"),
-        "width": _num(_opt(d, "width", 0.15), "truth.c.width", positive=True),
-    }
-
-
-def _parse_sigma0(d):
-    d = _expect_dict(d, "truth.sigma0")
-    kind = _choice(
-        _opt(d, "kind"), "truth.sigma0.kind", {"identity", "constant", "rotated_diag"}
-    )
-    if kind == "identity":
-        _allow_keys(d, {"kind"}, "truth.sigma0")
-        return {"kind": kind}
-    if kind == "constant":
-        _allow_keys(d, {"kind", "s11", "s12", "s22"}, "truth.sigma0")
-        return {
-            "kind": kind,
-            "s11": _num(_opt(d, "s11", 1.0), "truth.sigma0.s11", positive=True),
-            "s12": _num(_opt(d, "s12", 0.0), "truth.sigma0.s12"),
-            "s22": _num(_opt(d, "s22", 1.0), "truth.sigma0.s22", positive=True),
-        }
-    _allow_keys(d, {"kind", "angle", "d1", "d2"}, "truth.sigma0")
-    return {
-        "kind": kind,
-        "angle": _num(_opt(d, "angle", 0.0), "truth.sigma0.angle"),
-        "d1": _num(_opt(d, "d1", 2.0), "truth.sigma0.d1", positive=True),
-        "d2": _num(_opt(d, "d2", 1.0), "truth.sigma0.d2", positive=True),
-    }
-
-
-def _parse_f(d):
-    d = _expect_dict(d, "truth.f")
-    kind = _choice(_opt(d, "kind"), "truth.f.kind", {"linear", "sinusoid"})
-    if kind == "linear":
-        _allow_keys(d, {"kind", "gx", "gy", "offset"}, "truth.f")
-        return {
-            "kind": kind,
-            "gx": _num(_opt(d, "gx", 1.0), "truth.f.gx"),
-            "gy": _num(_opt(d, "gy", 0.0), "truth.f.gy"),
-            "offset": _num(_opt(d, "offset", 0.0), "truth.f.offset"),
-        }
-    _allow_keys(d, {"kind", "amplitude", "kx", "ky", "offset"}, "truth.f")
-    return {
-        "kind": kind,
-        "amplitude": _num(_opt(d, "amplitude", 1.0), "truth.f.amplitude"),
-        "kx": _int(_opt(d, "kx", 1), "truth.f.kx"),
-        "ky": _int(_opt(d, "ky", 0), "truth.f.ky"),
-        "offset": _num(_opt(d, "offset", 0.0), "truth.f.offset"),
-    }
-
-
-def _parse_truth(d):
-    d = _expect_dict(d, "truth")
-    _allow_keys(d, {"c", "sigma0", "f"}, "truth")
-    for key in ("c", "sigma0", "f"):
-        if key not in d:
-            raise ConfigError(f"config section 'truth' needs '{key}'")
-    return {"c": _parse_c(d["c"]), "sigma0": _parse_sigma0(d["sigma0"]), "f": _parse_f(d["f"])}
-
-
-def _parse_inclusions(v):
-    if not isinstance(v, list):
-        raise ConfigError("config section 'inclusions' must be a list")
-    out = []
-    for idx, d in enumerate(v):
-        path = f"inclusions[{idx}]"
-        d = _expect_dict(d, path)
-        typ = _choice(_opt(d, "type"), path + ".type", {"perfect", "insulating"})
-        shape = _choice(_opt(d, "shape"), path + ".shape", {"disk", "rect"})
-        if shape == "disk":
-            _allow_keys(d, {"type", "shape", "center", "radius"}, path)
-            out.append(
-                {
-                    "type": typ,
-                    "shape": shape,
-                    "center": _pair(_opt(d, "center", (0.5, 0.5)), path + ".center"),
-                    "radius": _num(_opt(d, "radius", 0.2), path + ".radius", positive=True),
-                }
-            )
-        else:
-            _allow_keys(d, {"type", "shape", "lo", "hi"}, path)
-            out.append(
-                {
-                    "type": typ,
-                    "shape": shape,
-                    "lo": _pair(_opt(d, "lo", (0.3, 0.3)), path + ".lo"),
-                    "hi": _pair(_opt(d, "hi", (0.7, 0.7)), path + ".hi"),
-                }
-            )
-    return out
-
-
-def _parse_noise(d):
-    d = _expect_dict(d, "noise")
-    _allow_keys(d, {"level", "seed"}, "noise")
-    return {
-        "level": _num(_opt(d, "level", 0.0), "noise.level", nonneg=True),
-        "seed": _int(_opt(d, "seed", 0), "noise.seed"),
-    }
-
-
-def _parse_inverse(d):
-    d = _expect_dict(d, "inverse")
-    _allow_keys(
-        d,
-        {
-            "algorithm",
-            "eps0",
-            "eps_ratio",
-            "eps_stages",
-            "fp_tol",
-            "max_inner",
-            "cg_tol",
-            "pd_tau",
-            "pd_sigma",
-            "pd_iterations",
-            "delta_grad",
-            "delta_a",
-            "void_floor",
-        },
-        "inverse",
-    )
-    out = {
-        "algorithm": _choice(
-            _opt(d, "algorithm", "fixedpoint"),
-            "inverse.algorithm",
-            {"fixedpoint", "primaldual", "both"},
-        ),
-        "eps_ratio": _num(_opt(d, "eps_ratio", 0.5), "inverse.eps_ratio", positive=True),
-        "eps_stages": _int(_opt(d, "eps_stages", 8), "inverse.eps_stages", minimum=1),
-        "fp_tol": _num(_opt(d, "fp_tol", 1e-8), "inverse.fp_tol", positive=True),
-        "max_inner": _int(_opt(d, "max_inner", 50), "inverse.max_inner", minimum=1),
-        "cg_tol": _num(_opt(d, "cg_tol", 1e-10), "inverse.cg_tol", positive=True),
-        "void_floor": _num(_opt(d, "void_floor", 0.0), "inverse.void_floor", nonneg=True),
-    }
-    for key in ("eps0", "pd_tau", "pd_sigma", "delta_grad", "delta_a"):
-        out[key] = None if _opt(d, key) is None else _num(d[key], f"inverse.{key}", positive=True)
-    out["pd_iterations"] = (
-        None
-        if _opt(d, "pd_iterations") is None
-        else _int(d["pd_iterations"], "inverse.pd_iterations", minimum=1)
-    )
-    return out
-
-
-def _parse_geometry(d):
-    d = _expect_dict(d, "geometry")
-    _allow_keys(d, {"metric_dimension"}, "geometry")
-    return {
-        "metric_dimension": _int(_opt(d, "metric_dimension", 2), "geometry.metric_dimension", minimum=2)
-    }
-
-
-def _parse_verify(d):
-    d = _expect_dict(d, "verify")
-    _allow_keys(
-        d,
-        {
-            "trials",
-            "seed",
-            "amplitude",
-            "coarea_levels",
-            "area_levels",
-            "competitors",
-            "curve_levels",
-            "truncation_level",
-            "k_ladder",
-            "margin_rel_tol",
-            "duality_tol",
-            "coarea_tol",
-            "area_tol_rel",
-            "gates",
-        },
-        "verify",
-    )
-    out = {
-        "trials": _int(_opt(d, "trials", 20), "verify.trials", minimum=1),
-        "seed": _int(_opt(d, "seed", 0), "verify.seed"),
-        "amplitude": _num(_opt(d, "amplitude", 0.05), "verify.amplitude", positive=True),
-        "coarea_levels": _int(_opt(d, "coarea_levels", 200), "verify.coarea_levels", minimum=1),
-        "area_levels": _int(_opt(d, "area_levels", 20), "verify.area_levels", minimum=1),
-        "competitors": _int(_opt(d, "competitors", 5), "verify.competitors", minimum=1),
-        "curve_levels": _int(_opt(d, "curve_levels", 9), "verify.curve_levels", minimum=1),
-        "margin_rel_tol": _num(_opt(d, "margin_rel_tol", 1e-8), "verify.margin_rel_tol", nonneg=True),
-        "duality_tol": _num(_opt(d, "duality_tol", 1e-3), "verify.duality_tol", positive=True),
-        "coarea_tol": _num(_opt(d, "coarea_tol", 0.02), "verify.coarea_tol", positive=True),
-        "area_tol_rel": _num(_opt(d, "area_tol_rel", 0.01), "verify.area_tol_rel", positive=True),
-    }
-    out["truncation_level"] = (
-        None
-        if _opt(d, "truncation_level") is None
-        else _num(d["truncation_level"], "verify.truncation_level")
-    )
-    ladder = _opt(d, "k_ladder")
-    if ladder is None:
-        out["k_ladder"] = None
-    else:
-        if not isinstance(ladder, list) or not ladder:
-            raise ConfigError("config entry 'verify.k_ladder' must be a nonempty list")
-        out["k_ladder"] = [
-            _num(k, f"verify.k_ladder[{i}]", positive=True) for i, k in enumerate(ladder)
-        ]
-    gates = _opt(d, "gates", ["minimality", "area_minimality"])
-    if not isinstance(gates, list):
-        raise ConfigError("config entry 'verify.gates' must be a list")
-    known = {"minimality", "duality", "coarea", "area_minimality"}
-    for g in gates:
-        if g not in known:
-            raise ConfigError(f"config entry 'verify.gates' has unknown gate {g!r}")
-    out["gates"] = gates
-    return out
-
-
-def _parse_output(d):
-    d = _expect_dict(d, "output")
-    _allow_keys(d, {"directory"}, "output")
-    directory = _opt(d, "directory")
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError("config entry 'output.directory' must be a string")
-    return {"directory": directory}
-
-
-def _parse_input(d):
-    d = _expect_dict(d, "input")
-    _allow_keys(d, {"triplet", "recon", "results"}, "input")
-    out = {}
-    for key in ("triplet", "recon", "results"):
-        v = _opt(d, key)
-        if v is not None and not isinstance(v, str):
-            raise ConfigError(f"config entry 'input.{key}' must be a string")
-        out[key] = v
-    return out
-
-
-_SECTION_PARSERS = {
-    "grid": _parse_grid,
-    "truth": _parse_truth,
-    "inclusions": _parse_inclusions,
-    "noise": _parse_noise,
-    "inverse": _parse_inverse,
-    "geometry": _parse_geometry,
-    "verify": _parse_verify,
-    "output": _parse_output,
-    "input": _parse_input,
+# A section without a default (grid, truth) stays None when absent; the
+# commands that need it say so.
+CONFIG = {
+    "grid": Key("obj", spec={
+        "nx": GRID_SIZE, "ny": GRID_SIZE, "lx": _num(1.0, _POSITIVE), "ly": _num(1.0, _POSITIVE),
+    }),
+    "truth": Key("obj", spec={
+        "c": Key("obj", required=True, tag="kind", spec={
+            "constant": {"value": _num(1.0, _POSITIVE)},
+            "gaussian_bump": {
+                "base": _num(1.0, _POSITIVE),
+                "amplitude": _num(0.5),
+                "center": _pair((0.5, 0.5)),
+                "width": _num(0.15, _POSITIVE),
+            },
+        }),
+        "sigma0": Key("obj", required=True, tag="kind", spec={
+            "identity": {},
+            "constant": {"s11": _num(1.0, _POSITIVE), "s12": _num(0.0), "s22": _num(1.0, _POSITIVE)},
+            "rotated_diag": {"angle": _num(0.0), "d1": _num(2.0, _POSITIVE), "d2": _num(1.0, _POSITIVE)},
+        }),
+        "f": Key("obj", required=True, tag="kind", spec={
+            "linear": {"gx": _num(1.0), "gy": _num(0.0), "offset": _num(0.0)},
+            "sinusoid": {"amplitude": _num(1.0), "kx": _int(1), "ky": _int(0), "offset": _num(0.0)},
+        }),
+    }),
+    "inclusions": Key("list", [], spec=Key("obj", required=True, tag="shape", spec={
+        "disk": {"type": _INCLUSION_TYPE, "center": _pair((0.5, 0.5)), "radius": _num(0.2, _POSITIVE)},
+        "rect": {"type": _INCLUSION_TYPE, "lo": _pair((0.3, 0.3)), "hi": _pair((0.7, 0.7))},
+    })),
+    "noise": Key("obj", {}, spec={"level": _num(0.0, _NONNEGATIVE), "seed": _int(0, _NONNEGATIVE)}),
+    "inverse": Key("obj", {}, spec={
+        "algorithm": Key("str", "fixedpoint", choices=ALGORITHMS),
+        **TV_SCHEMA,
+    }),
+    "verify": Key("obj", {}, spec={
+        "trials": _int(20, _AT_LEAST_ONE),
+        "seed": _int(0, _NONNEGATIVE),
+        "amplitude": _num(0.05, _POSITIVE),
+        "coarea_levels": _int(200, _AT_LEAST_ONE),
+        "area_levels": _int(20, _AT_LEAST_ONE),
+        "competitors": _int(5, _AT_LEAST_ONE),
+        "curve_levels": _int(9, _AT_LEAST_ONE),
+        "truncation_level": _num(None),
+        "k_ladder": Key("list", None, _AT_LEAST_ONE, spec=Key("num", required=True, range="(0, 1]")),
+        "margin_rel_tol": _num(1e-8, _NONNEGATIVE),
+        "duality_tol": _num(1e-3, _POSITIVE),
+        "coarea_tol": _num(0.02, _POSITIVE),
+        "area_tol_rel": _num(0.01, _POSITIVE),
+        "gates": Key("list", ["minimality", "area_minimality"],
+                     spec=Key("str", required=True, choices=GATES)),
+    }),
+    "output": Key("obj", {}, spec={"directory": Key("str")}),
+    "input": Key("obj", {}, spec={"triplet": Key("str"), "recon": Key("str"), "results": Key("str")}),
 }
 
 
 def parse_config(raw: dict) -> dict:
-    raw = _expect_dict(raw, "<root>")
-    unknown = sorted(set(raw) - set(_SECTION_PARSERS))
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}'")
-    cfg = {}
-    for key, parser in _SECTION_PARSERS.items():
-        if key in raw:
-            cfg[key] = parser(raw[key])
-    for key, default in (
-        ("noise", {"level": 0.0, "seed": 0}),
-        ("inverse", _parse_inverse({})),
-        ("geometry", {"metric_dimension": 2}),
-        ("verify", _parse_verify({})),
-        ("output", {"directory": None}),
-        ("input", {"triplet": None, "recon": None, "results": None}),
-    ):
-        cfg.setdefault(key, default)
-    cfg.setdefault("inclusions", [])
-    return cfg
+    """The checked config, defaults filled; ConfigError names the first bad key."""
+    return validate(CONFIG, raw, ConfigError)
 
 
 def config_hash(raw: dict) -> str:
@@ -434,8 +176,14 @@ def config_hash(raw: dict) -> str:
 # -- builders -------------------------------------------------------------------
 
 
+def _section(cfg, name):
+    if cfg[name] is None:
+        raise ConfigError(f"this command needs the config section '{name}'")
+    return cfg[name]
+
+
 def build_grid(cfg) -> Grid2D:
-    g = cfg["grid"]
+    g = _section(cfg, "grid")
     return Grid2D(g["nx"], g["ny"], g["lx"] / (g["nx"] - 1), g["ly"] / (g["ny"] - 1))
 
 
@@ -494,30 +242,6 @@ def build_inclusions(cfg, grid: Grid2D):
     return InclusionSet(grid, perfect=perfect, insulating=insulating)
 
 
-def _sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float):
-    """Zero-trace smooth bumps, the same family the minimality audit draws."""
-    grid = u.grid
-    rng = np.random.default_rng(seed)
-    urange = float(np.nanmax(u.values)) - float(np.nanmin(u.values))
-    x, y = grid.node_coords()
-    lx = (grid.nx - 1) * grid.hx
-    ly = (grid.ny - 1) * grid.hy
-    out = []
-    for _ in range(count):
-        coef = rng.standard_normal((3, 3))
-        w = np.zeros(grid.shape)
-        for p in range(1, 4):
-            for q in range(1, 4):
-                w += coef[p - 1, q - 1] * np.sin(p * np.pi * x / lx) * np.sin(q * np.pi * y / ly)
-        w.ravel()[grid.boundary_ids] = 0.0
-        w[~grid.mask] = 0.0
-        wmax = float(np.max(np.abs(w)))
-        if wmax > 0.0:
-            w *= amplitude * max(urange, 1e-300) / wmax
-        out.append(ScalarField(grid, np.where(grid.mask, u.values + w, np.nan), location="node"))
-    return out
-
-
 # -- serialization helpers -------------------------------------------------------
 
 
@@ -571,9 +295,7 @@ def cmd_forward(cfg, args, chash) -> int:
     sigma0 = build_sigma0(cfg, grid)
     f = build_f(cfg, grid)
     inclusions = build_inclusions(cfg, grid)
-    sigma = TensorField2(
-        grid, c.values * sigma0.s11, c.values * sigma0.s12, c.values * sigma0.s22
-    )
+    sigma = sigma0.scaled(c.values)
     u, current = solve_truth(c, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
     avals = a.values.copy()
@@ -624,7 +346,7 @@ def cmd_synth(cfg, args, chash) -> int:
     )
     out = _out_dir(cfg, args)
     save_triplet(triplet, out)
-    amax = float(np.max(np.where(grid.cells_in_domain(), triplet.a.values, 0.0)))
+    amax = float(np.max(triplet.a.values))
     report = {
         "command": "synth",
         "version": __version__,
@@ -641,23 +363,9 @@ def cmd_synth(cfg, args, chash) -> int:
 
 def cmd_invert(cfg, args, chash) -> int:
     triplet = load_triplet(_require_triplet(cfg))
-    inv = cfg["inverse"]
-    problem = TVProblem(
-        triplet=triplet,
-        eps0=inv["eps0"],
-        eps_ratio=inv["eps_ratio"],
-        eps_stages=inv["eps_stages"],
-        fp_tol=inv["fp_tol"],
-        max_inner=inv["max_inner"],
-        cg_tol=inv["cg_tol"],
-        pd_tau=inv["pd_tau"],
-        pd_sigma=inv["pd_sigma"],
-        pd_iterations=inv["pd_iterations"],
-        delta_grad=inv["delta_grad"],
-        delta_a=inv["delta_a"],
-        void_floor=inv["void_floor"],
-    )
-    report = reconstruct(problem, algorithm=inv["algorithm"])
+    settings = dict(cfg["inverse"])
+    algorithm = settings.pop("algorithm")
+    report = reconstruct(TVProblem(triplet=triplet, **settings), algorithm=algorithm)
     grid = triplet.grid
     out = _out_dir(cfg, args)
     write_field_file(report.u_star, out / "u_star.field")
@@ -670,7 +378,7 @@ def cmd_invert(cfg, args, chash) -> int:
         "command": "invert",
         "version": __version__,
         "config_hash": chash,
-        "algorithm": inv["algorithm"],
+        "algorithm": algorithm,
         "grid": {"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy},
         "labels": report.labels,
         "diagnostics": report.diagnostics,
@@ -696,10 +404,7 @@ def cmd_verify(cfg, args, chash) -> int:
 
     recon_dir = cfg["input"]["recon"]
     if recon_dir is not None:
-        u_raw = read_field_file(Path(recon_dir) / "u_star.field")
-        if u_raw.values.shape != grid.shape:
-            raise DataError("u_star plane does not match the triplet grid")
-        u = ScalarField(grid, u_raw.values, location="node")
+        u = read_matching(Path(recon_dir) / "u_star.field", grid, location="node")
         u_source = "recon"
     elif triplet.provenance.get("u_true") is not None:
         u = ScalarField(grid, triplet.provenance["u_true"], location="node")
@@ -708,12 +413,7 @@ def cmd_verify(cfg, args, chash) -> int:
         raise ConfigError("verify needs input.recon or a triplet with a stored potential")
 
     c_rec, mask_z, _ = recover_c(u, triplet.a, triplet.sigma0)
-    gr_cells = grid.cells_in_domain() & ~mask_z
-    gr = gradient(u)
-    w1, w2 = triplet.sigma0.apply(gr.v1, gr.v2)
-    j1 = np.where(gr_cells, -c_rec.values * w1, 0.0)
-    j2 = np.where(gr_cells, -c_rec.values * w2, 0.0)
-    current = VectorField2(grid, j1, j2)
+    current = compute_current(u, c_rec, triplet.sigma0, dead=mask_z)
 
     audits = {}
     audits["minimality"] = minimality_audit(
@@ -732,12 +432,12 @@ def cmd_verify(cfg, args, chash) -> int:
         k: v for k, v in audits["coarea"].items() if k not in ("levels", "perimeters")
     }
 
-    metric = build_metric(triplet.a, triplet.sigma0, n=cfg["geometry"]["metric_dimension"])
+    metric = build_metric(triplet.a, triplet.sigma0)
     _, rms = curvature_residual(u, metric)
     swapped = TensorField2(grid, triplet.sigma0.s22, triplet.sigma0.s12, triplet.sigma0.s11)
     control_rms = rms
     if not np.array_equal(triplet.sigma0.s11, triplet.sigma0.s22):
-        metric_sw = build_metric(triplet.a, swapped, n=cfg["geometry"]["metric_dimension"])
+        metric_sw = build_metric(triplet.a, swapped)
         _, control_rms = curvature_residual(u, metric_sw)
     audits["curvature"] = {
         "rms": rms,
@@ -745,7 +445,10 @@ def cmd_verify(cfg, args, chash) -> int:
         "control": "axis-swapped sigma0",
     }
 
-    competitors = _sine_perturbations(u, vcfg["competitors"], seed + 1, vcfg["amplitude"])
+    competitors = [
+        ScalarField(grid, u.values + w, location="node")
+        for w in sine_perturbations(u, vcfg["competitors"], seed + 1, vcfg["amplitude"])
+    ]
     audits["area_minimality"] = area_minimality_audit(
         u,
         competitors,
@@ -754,11 +457,10 @@ def cmd_verify(cfg, args, chash) -> int:
         tol_rel=vcfg["area_tol_rel"],
     )
 
-    umask = u.values[grid.mask]
     level = (
         vcfg["truncation_level"]
         if vcfg["truncation_level"] is not None
-        else float(np.median(umask))
+        else float(np.median(u.values))
     )
     audits["truncation"] = truncation_limit_audit(u, triplet.a, triplet.sigma0, level)
 
@@ -789,13 +491,13 @@ def cmd_verify(cfg, args, chash) -> int:
     out = _out_dir(cfg, args)
     _write_json(out / "audits.json", doc)
 
-    qs = np.quantile(umask, [(j + 1) / (vcfg["curve_levels"] + 1) for j in range(vcfg["curve_levels"])])
+    qs = np.quantile(u.values, [(j + 1) / (vcfg["curve_levels"] + 1) for j in range(vcfg["curve_levels"])])
     curves = []
     for lam in qs:
         curves.extend(extract_level_set(u, float(lam)))
     (out / "curves.csv").write_text(curves_to_csv(curves))
 
-    for name in ("minimality", "duality", "coarea", "area_minimality"):
+    for name in GATES:
         status = "PASS" if gates[name] else "FAIL"
         gate_note = "" if name in enabled else " (not gated)"
         if name == "minimality":
@@ -828,17 +530,13 @@ def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:
         return {"skipped": True, "reason": "needs perfect inclusions and the stored truth"}
     c_arr = np.asarray(prov["c_true"], dtype=np.float64)
     sigma0 = triplet.sigma0
-    sigma = TensorField2(
-        grid, c_arr * sigma0.s11, c_arr * sigma0.s12, c_arr * sigma0.s22
-    )
+    sigma = sigma0.scaled(c_arr)
     u0 = solve_inclusion_limit(sigma, triplet.f, grid, triplet.inclusions)
     i0 = energy(u0, sigma, triplet.inclusions)
-    ref = float(np.sqrt(np.sum(u0.values[grid.mask] ** 2)))
     rows = []
     for k in sorted(ks, reverse=True):
         uk = solve_penalized(k, sigma0, sigma, triplet.f, grid, triplet.inclusions)
-        d = (uk.values - u0.values)[grid.mask]
-        dist = float(np.sqrt(np.sum(d * d))) / max(ref, 1e-300)
+        dist = rel_l2(uk.values, u0.values)
         ik = energy(uk, sigma, triplet.inclusions, k=k, sigma1=sigma0)
         rows.append({"k": k, "distance_rel": dist, "energy": ik})
     dists = [r["distance_rel"] for r in rows]
@@ -866,7 +564,7 @@ def cmd_report(cfg, args, chash) -> int:
     for name in ("forward", "synth", "recon", "audits"):
         path = rdir / f"{name}.json"
         if path.exists():
-            sections[name] = json.loads(path.read_text())
+            sections[name] = read_json(path, DataError)
     if not sections:
         raise ConfigError(f"no result JSON files found in {rdir}")
     doc = {
@@ -927,12 +625,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        raw = read_json(args.config, ConfigError)
         cfg = parse_config(raw)
         chash = config_hash(raw)
         return _COMMANDS[args.command](cfg, args, chash)

@@ -27,6 +27,7 @@ from .forward import (
     solve_penalized,
 )
 from .io import read_field_file, write_field_file
+from .schema import Key, read_json, validate
 
 
 class DataError(ValueError):
@@ -52,22 +53,21 @@ class AdmissibleTriplet:
     def __post_init__(self):
         if self.a.location != "cell":
             raise DataError("a must be cell-located")
-        cells = self.grid.cells_in_domain()
         avals = self.a.values
-        if (cells & (avals < 0.0)).any():
+        if (avals < 0.0).any():
             raise DataError("a must be nonnegative")
         if self.inclusions is not None:
             ins = self.inclusions.insulating_mask()
-            if (cells & ins & (avals != 0.0)).any():
+            if (ins & (avals != 0.0)).any():
                 raise DataError("a must vanish exactly on insulating cells")
 
     def zero_cells(self, tol: float = 0.0) -> np.ndarray:
-        """In-domain cells where the measured magnitude is (numerically) zero."""
-        return self.grid.cells_in_domain() & (self.a.values <= tol)
+        """Cells where the measured magnitude is (numerically) zero."""
+        return self.a.values <= tol
 
 
-def compute_current(u: ScalarField, c, sigma0: TensorField2, inclusions=None) -> VectorField2:
-    """J = -c sigma0 grad u per cell, zeroed on insulating cells."""
+def compute_current(u: ScalarField, c, sigma0: TensorField2, dead=None) -> VectorField2:
+    """Ohm's law J = -c sigma0 grad u per cell, zeroed on the `dead` cells."""
     if isinstance(c, ScalarField):
         c = c.values
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), u.grid.cell_shape)
@@ -75,18 +75,15 @@ def compute_current(u: ScalarField, c, sigma0: TensorField2, inclusions=None) ->
     w1, w2 = sigma0.apply(gr.v1, gr.v2)
     j1 = -c * w1
     j2 = -c * w2
-    if inclusions is not None:
-        ins = inclusions.insulating_mask()
-        j1 = np.where(ins, 0.0, j1)
-        j2 = np.where(ins, 0.0, j2)
+    if dead is not None:
+        j1 = np.where(dead, 0.0, j1)
+        j2 = np.where(dead, 0.0, j2)
     return VectorField2(u.grid, j1, j2)
 
 
 def compute_a(current: VectorField2, sigma0: TensorField2) -> ScalarField:
     """a = (sigma0^{-1} J . J)^{1/2} per cell."""
     vals = sigma0.inv_norm(current.v1, current.v2)
-    cells = current.grid.cells_in_domain()
-    vals = np.where(cells, vals, np.nan)
     return ScalarField(current.grid, vals, location="cell")
 
 
@@ -124,17 +121,15 @@ def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None,
 
     has_inclusions = inclusions is not None and (inclusions.perfect or inclusions.insulating)
     if has_inclusions:
-        sigma = TensorField2(
-            grid, c_arr * sigma0.s11, c_arr * sigma0.s12, c_arr * sigma0.s22
-        )
+        sigma = sigma0.scaled(c_arr)
         u = solve_inclusion_limit(sigma, f_field, grid, inclusions, tol=tol)
     else:
         system = assemble(c_arr, sigma0, grid)
         u = solve_dirichlet(system, f_field, tol=tol)
 
-    current = compute_current(u, c_arr, sigma0, inclusions)
+    dead = inclusions.insulating_mask() if inclusions is not None else None
+    current = compute_current(u, c_arr, sigma0, dead)
     if has_inclusions and inclusions.perfect:
-        sigma = TensorField2(grid, c_arr * sigma0.s11, c_arr * sigma0.s12, c_arr * sigma0.s22)
         u_k = solve_penalized(penalized_k, sigma0, sigma, f_field, grid, inclusions, tol=tol)
         gr_k = gradient(u_k)
         w1, w2 = sigma0.apply(gr_k.v1, gr_k.v2)
@@ -188,6 +183,26 @@ def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions
 
 TRIPLET_SCHEMA = "acdii-triplet/1"
 
+GRID_SIZE = Key("int", required=True, range="[3, inf)")  # Grid2D's lower bound
+_SPACING = Key("num", required=True, range="(0, inf)")
+_REQUIRED_FILE = Key("str", required=True)
+MANIFEST = {
+    "schema": Key("str", required=True, choices=(TRIPLET_SCHEMA,)),
+    "grid": Key("obj", required=True, spec={
+        "nx": GRID_SIZE, "ny": GRID_SIZE, "hx": _SPACING, "hy": _SPACING,
+    }),
+    "files": Key("obj", required=True, spec={
+        "sigma0": _REQUIRED_FILE, "a": _REQUIRED_FILE, "f": _REQUIRED_FILE,
+        "inclusions": Key("str"), "c_true": Key("str"), "u_true": Key("str"),
+    }),
+    "noise": Key("obj", {}, spec={
+        "level": Key("num", 0.0, "[0, inf)"), "seed": Key("int", 0),
+    }),
+    "provenance": Key("obj", {}, spec={
+        "inverse_crime": Key("bool", False), "penalized_k": Key("num", None, "(0, 1]"),
+    }),
+}
+
 
 def save_triplet(triplet: AdmissibleTriplet, directory) -> Path:
     """Write triplet.json plus one field file per payload; returns manifest path."""
@@ -231,59 +246,58 @@ def save_triplet(triplet: AdmissibleTriplet, directory) -> Path:
     return path
 
 
+def read_matching(path, grid: Grid2D, kind=ScalarField, location: str = "cell"):
+    """Read a scalar or tensor field file laid out on `grid`; DataError names the file.
+
+    A scalar file stores its plane size as the node count, so a cell
+    plane reads back one node smaller per direction than its grid.
+    """
+    raw = read_field_file(path)
+    if not isinstance(raw, kind):
+        raise DataError(f"{path} holds a {type(raw).__name__}, expected a {kind.__name__}")
+    shrink = 1 if kind is ScalarField and location == "cell" else 0
+    g = raw.grid
+    if (g.nx + shrink, g.ny + shrink, g.hx, g.hy) != (grid.nx, grid.ny, grid.hx, grid.hy):
+        raise DataError(
+            f"{path} does not match the grid of {grid.nx}x{grid.ny} nodes "
+            f"at hx={grid.hx!r}, hy={grid.hy!r}"
+        )
+    if kind is TensorField2:
+        return TensorField2(grid, raw.s11, raw.s12, raw.s22)
+    return ScalarField(grid, raw.values, location=location)
+
+
 def load_triplet(directory) -> AdmissibleTriplet:
     directory = Path(directory)
     mpath = directory / "triplet.json"
-    if not mpath.exists():
-        raise DataError(f"missing manifest: {mpath}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("schema") != TRIPLET_SCHEMA:
-        raise DataError(f"unsupported triplet schema {manifest.get('schema')!r}")
+    manifest = validate(MANIFEST, read_json(mpath, DataError), DataError, where=str(mpath))
     g = manifest["grid"]
     grid = Grid2D(g["nx"], g["ny"], g["hx"], g["hy"])
     files = manifest["files"]
 
-    def load(name):
-        if name not in files:
+    def load(name, kind=ScalarField, location="cell"):
+        if files[name] is None:
             return None
         path = directory / files[name]
         if not path.exists():
-            raise DataError(f"missing field: {name}")
-        return read_field_file(path)
+            raise DataError(f"missing field {name}: {path}")
+        return read_matching(path, grid, kind, location)
 
-    sigma0_raw = load("sigma0")
-    a_raw = load("a")
-    f_raw = load("f")
-    for name, raw in (("sigma0", sigma0_raw), ("a", a_raw), ("f", f_raw)):
-        if raw is None:
-            raise DataError(f"missing field: {name}")
-    if sigma0_raw.grid.cell_shape != grid.cell_shape:
-        raise DataError("sigma0 plane does not match the manifest grid")
-    sigma0 = TensorField2(grid, sigma0_raw.s11, sigma0_raw.s12, sigma0_raw.s22)
-    if a_raw.values.shape != grid.cell_shape:
-        raise DataError("a plane does not match the manifest grid")
-    a = ScalarField(grid, a_raw.values, location="cell")
-    if f_raw.values.shape != grid.shape:
-        raise DataError("f plane does not match the manifest grid")
-    f = ScalarField(grid, f_raw.values, location="node")
-
-    inclusions = None
-    inc_raw = load("inclusions")
-    if inc_raw is not None:
-        inclusions = InclusionSet.from_labels(grid, inc_raw.values)
-
+    sigma0 = load("sigma0", TensorField2)
+    a = load("a")
+    f = load("f", location="node")
+    labels = load("inclusions")
+    inclusions = None if labels is None else InclusionSet.from_labels(grid, labels.values)
     provenance = {
-        "inverse_crime": manifest.get("provenance", {}).get("inverse_crime", False),
-        "penalized_k": manifest.get("provenance", {}).get("penalized_k"),
-        "noise_level": manifest.get("noise", {}).get("level", 0.0),
-        "seed": manifest.get("noise", {}).get("seed", 0),
+        "inverse_crime": manifest["provenance"]["inverse_crime"],
+        "penalized_k": manifest["provenance"]["penalized_k"],
+        "noise_level": manifest["noise"]["level"],
+        "seed": manifest["noise"]["seed"],
     }
-    c_raw = load("c_true")
-    if c_raw is not None:
-        provenance["c_true"] = c_raw.values.copy()
-    u_raw = load("u_true")
-    if u_raw is not None:
-        provenance["u_true"] = u_raw.values.copy()
+    for name, location in (("c_true", "cell"), ("u_true", "node")):
+        stored = load(name, location=location)
+        if stored is not None:
+            provenance[name] = stored.values.copy()
     return AdmissibleTriplet(
         f=f, sigma0=sigma0, a=a, grid=grid, inclusions=inclusions, provenance=provenance
     )

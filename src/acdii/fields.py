@@ -20,13 +20,12 @@ All field values are float64 and frozen after construction.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 class GridError(ValueError):
-    """Raised when a grid, mask, or field container violates its contract."""
+    """Raised when a grid or field container violates its contract."""
 
 
 def _as_float64(values, shape, what):
@@ -39,14 +38,12 @@ def _as_float64(values, shape, what):
 class Grid2D:
     """Uniform rectangular grid of nx*ny nodes with spacing (hx, hy).
 
-    `mask` marks nodes belonging to the closed computational domain.
-    Boundary nodes are masked nodes with at least one unmasked or
-    out-of-range 4-neighbor; their sorted row-major ids are kept in
-    `boundary_ids`.  Interior nodes (mask true with all four neighbors
-    masked) must form a single nonempty 4-connected component.
+    Boundary nodes are the nodes on the rim of the rectangle; their sorted
+    row-major ids are kept in `boundary_ids`.  Every other node is
+    interior.
     """
 
-    def __init__(self, nx: int, ny: int, hx: float, hy: float, mask=None):
+    def __init__(self, nx: int, ny: int, hx: float, hy: float):
         nx, ny = int(nx), int(ny)
         if nx < 3 or ny < 3:
             raise GridError(f"grid needs at least 3 nodes per direction, got {nx}x{ny}")
@@ -56,37 +53,12 @@ class Grid2D:
         self.ny = ny
         self.hx = float(hx)
         self.hy = float(hy)
-        if mask is None:
-            mask = np.ones((ny, nx), dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (ny, nx):
-                raise GridError(f"mask has shape {mask.shape}, expected {(ny, nx)}")
-        self.mask = mask.copy()
-        self.mask.setflags(write=False)
-
-        padded = np.pad(self.mask, 1, constant_values=False)
-        neighbors_in = (
-            padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-        )
-        interior = self.mask & neighbors_in
-        boundary = self.mask & ~neighbors_in
+        interior = np.zeros((ny, nx), dtype=bool)
+        interior[1:-1, 1:-1] = True
         self._interior = interior
         self._interior.setflags(write=False)
-        self.boundary_ids = np.flatnonzero(boundary.ravel())
+        self.boundary_ids = np.flatnonzero(~interior.ravel())
         self.boundary_ids.setflags(write=False)
-
-        if not interior.any():
-            raise GridError("grid mask has no interior nodes")
-        _, ncomp = ndimage.label(interior, structure=_CROSS)
-        if ncomp != 1:
-            raise GridError(f"interior nodes split into {ncomp} components, expected 1")
-
-        cells = (
-            self.mask[:-1, :-1] & self.mask[:-1, 1:] & self.mask[1:, :-1] & self.mask[1:, 1:]
-        )
-        self._cells_in = cells
-        self._cells_in.setflags(write=False)
 
     # -- shapes and coordinates -------------------------------------------
 
@@ -109,10 +81,6 @@ class Grid2D:
     def interior_mask(self):
         return self._interior
 
-    def cells_in_domain(self):
-        """Boolean (ny-1, nx-1) mask of cells whose four corners are all masked in."""
-        return self._cells_in
-
     def node_coords(self):
         x = np.arange(self.nx) * self.hx
         y = np.arange(self.ny) * self.hy
@@ -129,38 +97,29 @@ class Grid2D:
             and self.ny == other.ny
             and self.hx == other.hx
             and self.hy == other.hy
-            and np.array_equal(self.mask, other.mask)
         )
 
 
-def _check_finite(values, where, what):
-    bad = where & ~np.isfinite(values)
+def _check_finite(values, what):
+    bad = ~np.isfinite(values)
     if bad.any():
         j, i = np.argwhere(bad)[0]
-        raise GridError(f"{what} has a non-finite value at index ({j}, {i}) inside the domain")
+        raise GridError(f"{what} has a non-finite value at index ({j}, {i})")
 
 
 class ScalarField:
-    """Float64 samples on grid nodes (location='node') or cells ('cell').
-
-    Values must be finite wherever the location is inside the domain;
-    NaN is allowed only on masked-out entries.
-    """
+    """Float64 samples on grid nodes (location='node') or cells ('cell'); all finite."""
 
     def __init__(self, grid: Grid2D, values, location: str = "node"):
         if location not in ("node", "cell"):
             raise GridError(f"unknown scalar location {location!r}")
         shape = grid.shape if location == "node" else grid.cell_shape
         arr = _as_float64(values, shape, f"{location} scalar field")
-        where = grid.mask if location == "node" else grid.cells_in_domain()
-        _check_finite(arr, where, f"{location} scalar field")
+        _check_finite(arr, f"{location} scalar field")
         self.grid = grid
         self.location = location
         self.values = arr.copy()
         self.values.setflags(write=False)
-
-    def in_domain(self):
-        return self.grid.mask if self.location == "node" else self.grid.cells_in_domain()
 
 
 class VectorField2:
@@ -170,9 +129,8 @@ class VectorField2:
         shape = grid.cell_shape
         v1 = _as_float64(v1, shape, "vector component v1")
         v2 = _as_float64(v2, shape, "vector component v2")
-        where = grid.cells_in_domain()
-        _check_finite(v1, where, "vector component v1")
-        _check_finite(v2, where, "vector component v2")
+        _check_finite(v1, "vector component v1")
+        _check_finite(v2, "vector component v2")
         self.grid = grid
         self.v1 = v1.copy()
         self.v2 = v2.copy()
@@ -183,9 +141,9 @@ class VectorField2:
 class TensorField2:
     """Cell-centered symmetric positive definite 2x2 tensor field.
 
-    Entries (s11, s12, s22) must make every in-domain cell SPD.  The
-    uniform ellipticity constants are recorded at construction:
-    `m` and `M` are the extreme eigenvalues over in-domain cells, so
+    Entries (s11, s12, s22) must make every cell SPD.  The uniform
+    ellipticity constants are recorded at construction: `m` and `M` are
+    the extreme eigenvalues over all cells, so
 
         m^(1/2) |xi| <= |xi|_S <= M^(1/2) |xi|
 
@@ -197,18 +155,17 @@ class TensorField2:
         s11 = _as_float64(s11, shape, "tensor entry s11")
         s12 = _as_float64(s12, shape, "tensor entry s12")
         s22 = _as_float64(s22, shape, "tensor entry s22")
-        where = grid.cells_in_domain()
         for name, arr in (("s11", s11), ("s12", s12), ("s22", s22)):
-            _check_finite(arr, where, f"tensor entry {name}")
+            _check_finite(arr, f"tensor entry {name}")
         det = s11 * s22 - s12 * s12
-        bad = where & ((s11 <= 0.0) | (det <= 0.0))
+        bad = (s11 <= 0.0) | (det <= 0.0)
         if bad.any():
             j, i = np.argwhere(bad)[0]
             raise GridError(f"tensor field is not SPD at cell ({j}, {i})")
         half_tr = 0.5 * (s11 + s22)
         rad = np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 * s12)
-        self.m = float(np.min((half_tr - rad)[where]))
-        self.M = float(np.max((half_tr + rad)[where]))
+        self.m = float(np.min(half_tr - rad))
+        self.M = float(np.max(half_tr + rad))
         self.grid = grid
         self.s11 = s11.copy()
         self.s12 = s12.copy()
@@ -225,6 +182,10 @@ class TensorField2:
             np.full(shape, float(s12)),
             np.full(shape, float(s22)),
         )
+
+    def scaled(self, c):
+        """The tensor field c * self for a cell scalar (or number) c."""
+        return TensorField2(self.grid, c * self.s11, c * self.s12, c * self.s22)
 
     @property
     def entries(self):
@@ -273,58 +234,67 @@ def sym2_sqrt(s11, s12, s22):
     return (s11 + s) / t, s12 / t, (s22 + s) / t
 
 
-def tensor_apply(tensor: TensorField2, vec: VectorField2) -> VectorField2:
-    """Apply a cell tensor field to a cell vector field: w = S xi per cell."""
-    w1, w2 = tensor.apply(vec.v1, vec.v2)
-    return VectorField2(tensor.grid, w1, w2)
-
-
 # -- staggered calculus -----------------------------------------------------
 
 
-def gradient(u: ScalarField) -> VectorField2:
-    """Cell-centered gradient of a node scalar.
+def grad(grid: Grid2D, vals):
+    """Cell gradient arrays (v1, v2) of a node array.
 
     Per cell, each component is the average of the two one-sided
     differences in that direction divided by the spacing; this equals
     the gradient of the bilinear interpolant at the cell center and is
     exact for affine nodal data.
     """
-    if u.location != "node":
-        raise GridError("gradient expects a node-located scalar field")
-    g = u.grid
-    vals = u.values
-    v1 = ((vals[:-1, 1:] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[1:, :-1])) / (2.0 * g.hx)
-    v2 = ((vals[1:, :-1] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[:-1, 1:])) / (2.0 * g.hy)
-    out = g.cells_in_domain()
-    if not out.all():
-        v1 = np.where(out, v1, np.nan)
-        v2 = np.where(out, v2, np.nan)
-    return VectorField2(g, v1, v2)
+    v1 = ((vals[:-1, 1:] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[1:, :-1])) / (2.0 * grid.hx)
+    v2 = ((vals[1:, :-1] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[:-1, 1:])) / (2.0 * grid.hy)
+    return v1, v2
 
 
-def divergence(w: VectorField2) -> ScalarField:
-    """Node divergence defined as the exact negative transpose of `gradient`.
-
-    Out-of-domain cell values are treated as zero, which realizes the
-    compact-support convention for dual fields.
-    """
-    g = w.grid
-    cells = g.cells_in_domain()
-    b1 = np.where(cells, w.v1, 0.0) / (2.0 * g.hx)
-    b2 = np.where(cells, w.v2, 0.0) / (2.0 * g.hy)
-    out = np.zeros(g.shape)
+def grad_adjoint(grid: Grid2D, w1, w2):
+    """G^T w on nodes: sum_cells (grad u . w) == sum_nodes u * grad_adjoint(w)."""
+    b1 = w1 / (2.0 * grid.hx)
+    b2 = w2 / (2.0 * grid.hy)
+    out = np.zeros(grid.shape)
     out[:-1, :-1] += -b1 - b2
     out[:-1, 1:] += b1 - b2
     out[1:, :-1] += -b1 + b2
     out[1:, 1:] += b1 + b2
-    return ScalarField(g, -out, location="node")
+    return out
+
+
+def gradient(u: ScalarField) -> VectorField2:
+    """Cell-centered gradient of a node scalar (see `grad`)."""
+    if u.location != "node":
+        raise GridError("gradient expects a node-located scalar field")
+    return VectorField2(u.grid, *grad(u.grid, u.values))
+
+
+def divergence(w: VectorField2) -> ScalarField:
+    """Node divergence defined as the exact negative transpose of `gradient`."""
+    return ScalarField(w.grid, -grad_adjoint(w.grid, w.v1, w.v2), location="node")
+
+
+def nodes_of_cells(cells) -> np.ndarray:
+    """Boolean node mask of all corners of the selected (ny-1, nx-1) cells."""
+    nodes = np.zeros((cells.shape[0] + 1, cells.shape[1] + 1), dtype=bool)
+    nodes[:-1, :-1] |= cells
+    nodes[:-1, 1:] |= cells
+    nodes[1:, :-1] |= cells
+    nodes[1:, 1:] |= cells
+    return nodes
 
 
 def cell_integral(grid: Grid2D, cell_values, cells=None) -> float:
     """Midpoint quadrature: sum of cell values times cell area over selected cells."""
-    sel = grid.cells_in_domain() if cells is None else cells
-    return float(np.sum(np.where(sel, cell_values, 0.0))) * grid.cell_area
+    vals = cell_values if cells is None else np.where(cells, cell_values, 0.0)
+    return float(np.sum(vals)) * grid.cell_area
+
+
+def rel_l2(x, ref) -> float:
+    """Relative l2 distance |x - ref| / |ref| of two arrays."""
+    d = (x - ref).ravel()
+    r = np.ravel(ref)
+    return float(np.sqrt(np.sum(d * d))) / max(float(np.sqrt(np.sum(r * r))), 1e-300)
 
 
 def sample_cell_field(grid: Grid2D, cell_values, x, y):

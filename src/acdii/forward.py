@@ -29,11 +29,11 @@ from scipy import ndimage, sparse
 from .fields import (
     _CROSS,
     Grid2D,
-    GridError,
     ScalarField,
     TensorField2,
     cell_integral,
     gradient,
+    nodes_of_cells,
 )
 
 
@@ -53,16 +53,6 @@ class ConvergenceError(RuntimeError):
 # -- inclusion bookkeeping ---------------------------------------------------
 
 
-def _nodes_of_cells(grid: Grid2D, cells) -> np.ndarray:
-    """Boolean node mask of all corners of the selected cells."""
-    nodes = np.zeros(grid.shape, dtype=bool)
-    nodes[:-1, :-1] |= cells
-    nodes[:-1, 1:] |= cells
-    nodes[1:, :-1] |= cells
-    nodes[1:, 1:] |= cells
-    return nodes
-
-
 def disk_cells(grid: Grid2D, center, radius) -> np.ndarray:
     """Cells whose center lies inside the disk."""
     cx, cy = grid.cell_centers()
@@ -79,7 +69,7 @@ class InclusionSet:
     """Disjoint perfectly-conducting and insulating cell components.
 
     Each component must be a nonempty, 4-connected, hole-free set of
-    in-domain cells whose closure (its corner nodes) stays away from the
+    cells whose closure (its corner nodes) stays away from the
     outer boundary and from every other component; the remaining cells
     must stay 4-connected.
     """
@@ -98,7 +88,6 @@ class InclusionSet:
 
     def _validate(self):
         grid = self.grid
-        cells_in = grid.cells_in_domain()
         boundary = np.zeros(grid.shape, dtype=bool)
         boundary.ravel()[grid.boundary_ids] = True
         comps = [("perfect", m) for m in self.perfect] + [
@@ -108,15 +97,13 @@ class InclusionSet:
         for kind, m in comps:
             if not m.any():
                 raise AssemblyError(f"empty {kind} component")
-            if (m & ~cells_in).any():
-                raise AssemblyError(f"{kind} component uses cells outside the domain")
             _, ncomp = ndimage.label(m, structure=_CROSS)
             if ncomp != 1:
                 raise AssemblyError(f"{kind} component is not 4-connected")
             _, nholes = ndimage.label(~m, structure=_CROSS)
             if nholes != 1:
                 raise AssemblyError(f"{kind} component is not simply connected")
-            nodes = _nodes_of_cells(grid, m)
+            nodes = nodes_of_cells(m)
             if (nodes & boundary).any():
                 raise AssemblyError(f"{kind} component closure touches the outer boundary")
             node_sets.append(nodes)
@@ -124,7 +111,7 @@ class InclusionSet:
             for j in range(i + 1, len(node_sets)):
                 if (node_sets[i] & node_sets[j]).any():
                     raise AssemblyError("inclusion closures overlap")
-        rest = cells_in & ~self.union_mask()
+        rest = ~self.union_mask()
         if not rest.any():
             raise AssemblyError("inclusions cover the whole domain")
         _, ncomp = ndimage.label(rest, structure=_CROSS)
@@ -242,7 +229,7 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     if not sigma0.grid.same_layout(grid):
         raise AssemblyError("sigma0 grid does not match")
 
-    contributing = grid.cells_in_domain().copy()
+    contributing = np.ones(grid.cell_shape, dtype=bool)
     if inclusions is not None:
         contributing &= ~inclusions.union_mask()
     if exclude_cells is not None:
@@ -272,9 +259,8 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     n = grid.n_nodes
     a_full = sparse.coo_matrix((kcell.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
-    # node -> reduced column map: -1 Dirichlet, -2 outside mask
-    node_dof = np.full(n, -2, dtype=np.int64)
-    node_dof[grid.mask.ravel()] = 0
+    # node -> reduced column map: -1 Dirichlet
+    node_dof = np.zeros(n, dtype=np.int64)
     node_dof[grid.boundary_ids] = -1
     free = node_dof == 0
 
@@ -282,7 +268,7 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     groups = []
     if inclusions is not None:
         for m in inclusions.perfect:
-            g_nodes = np.flatnonzero(_nodes_of_cells(grid, m).ravel())
+            g_nodes = np.flatnonzero(nodes_of_cells(m).ravel())
             if np.intersect1d(g_nodes, grid.boundary_ids).size:
                 raise AssemblyError("perfectly conducting component touches the outer boundary")
             groups.append(g_nodes)
@@ -374,7 +360,7 @@ def _boundary_values(grid: Grid2D, f) -> np.ndarray:
 
 
 def _shift_sum(values, valid):
-    """Sum and count of finite masked 4-neighbors, for NaN fill."""
+    """Sum and count of finite 4-neighbors, for NaN fill."""
     s = np.zeros_like(values)
     cnt = np.zeros(values.shape)
     vv = np.where(valid, values, 0.0)
@@ -390,13 +376,13 @@ def _shift_sum(values, valid):
 
 
 def _fill_isolated(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """Replace NaNs on masked nodes by iterated neighbor means (deterministic)."""
+    """Replace NaNs by iterated neighbor means (deterministic)."""
     out = values.copy()
     for _ in range(grid.nx + grid.ny):
-        need = grid.mask & ~np.isfinite(out)
+        need = ~np.isfinite(out)
         if not need.any():
             return out
-        have = grid.mask & np.isfinite(out)
+        have = np.isfinite(out)
         s, cnt = _shift_sum(out, have)
         ok = need & (cnt > 0)
         out[ok] = s[ok] / cnt[ok]
@@ -420,8 +406,9 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     guess = None
     if x0 is not None:
         x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=np.float64)
-        full = np.where(np.isfinite(x0v), x0v, 0.0).ravel()
-        guess = (system.restriction.T @ full) / self_counts_of(system)
+        # a tied component starts from the mean of its nodes' guesses
+        counts = system.restriction.T @ np.ones(grid.n_nodes)
+        guess = (system.restriction.T @ x0v.ravel()) / counts
         if system.keep is not None:
             guess = guess[system.keep]
     x, _, _ = _pcg(system.matrix, b, tol, max_iter, x0=guess)
@@ -434,17 +421,10 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     u = lift
     freem = system.node_dof >= 0
     u[freem] = xd[system.node_dof[freem]]
-    u[system.node_dof == -2] = np.nan
     u2 = u.reshape(grid.shape)
-    if (grid.mask & ~np.isfinite(u2)).any():
+    if not np.isfinite(u2).all():
         u2 = _fill_isolated(grid, u2)
     return ScalarField(grid, u2, location="node")
-
-
-def self_counts_of(system: LinearSystem) -> np.ndarray:
-    ones = np.ones(system.grid.n_nodes)
-    c = system.restriction.T @ ones
-    return np.maximum(c, 1.0)
 
 
 def solve_penalized(k: float, sigma1: TensorField2, sigma: TensorField2, f, grid: Grid2D,
@@ -477,42 +457,21 @@ def solve_inclusion_limit(sigma: TensorField2, f, grid: Grid2D, inclusions: Incl
 def energy(u: ScalarField, sigma: TensorField2, inclusions=None, k=None, sigma1=None) -> float:
     """Midpoint-quadrature Dirichlet energy.
 
-    Without k: (1/2) integral of |grad u|^2_sigma over in-domain cells
-    outside all inclusions.  With k: adds (1/2k) integral of
+    Without k: (1/2) integral of |grad u|^2_sigma over the cells outside
+    all inclusions.  With k: adds (1/2k) integral of
     |grad u|^2_sigma1 over the perfect components (the penalized energy).
     """
     grid = u.grid
     gr = gradient(u)
-    cells = grid.cells_in_domain()
-    outside = cells.copy()
-    if inclusions is not None:
-        outside &= ~inclusions.union_mask()
+    outside = None if inclusions is None else ~inclusions.union_mask()
     w1, w2 = sigma.apply(gr.v1, gr.v2)
     q = w1 * gr.v1 + w2 * gr.v2
     total = 0.5 * cell_integral(grid, q, outside)
     if k is not None:
         if inclusions is None or sigma1 is None:
             raise AssemblyError("penalized energy needs inclusions and sigma1")
-        perf = cells & inclusions.perfect_mask()
+        perf = inclusions.perfect_mask()
         p1, p2 = sigma1.apply(gr.v1, gr.v2)
         qp = p1 * gr.v1 + p2 * gr.v2
         total += 0.5 / k * cell_integral(grid, qp, perf)
     return total
-
-
-def h1_seminorm_sq(u: ScalarField, grid: Grid2D, cells=None) -> float:
-    """Gauss-quadrature integral of |grad u|^2 over selected cells.
-
-    This is the quadrature the stiffness matrix uses, so discrete energy
-    inequalities that come from minimization arguments hold exactly here.
-    """
-    sel = grid.cells_in_domain() if cells is None else cells
-    kxx, _, kyy = element_templates(grid.hx, grid.hy)
-    kiso = kxx + kyy
-    jj, ii = np.nonzero(sel)
-    vals = u.values
-    n0 = np.stack(
-        [vals[jj, ii], vals[jj, ii + 1], vals[jj + 1, ii + 1], vals[jj + 1, ii]], axis=1
-    )
-    per_cell = np.einsum("ca,ab,cb->c", n0, kiso, n0)
-    return float(np.sum(per_cell))

@@ -34,6 +34,7 @@ from .fields import (
     TensorField2,
     divergence,
     gradient,
+    nodes_of_cells,
     sample_cell_field,
     sym2_det,
     sym2_inv,
@@ -70,8 +71,7 @@ def build_metric(a: ScalarField, sigma0: TensorField2, n: int = 2) -> MetricFiel
     if a.location != "cell":
         raise GridError("metric expects cell-located data a")
     grid = a.grid
-    cells = grid.cells_in_domain()
-    avals = np.where(cells, a.values, 0.0)
+    avals = a.values
     det0 = sigma0.det()
     factor = (det0 * avals**2) ** (1.0 / (n - 1))
     i11, i12, i22 = sym2_inv(sigma0.s11, sigma0.s12, sigma0.s22)
@@ -79,7 +79,7 @@ def build_metric(a: ScalarField, sigma0: TensorField2, n: int = 2) -> MetricFiel
     g12 = factor * i12
     g22 = factor * i22
     det = factor**2 / det0
-    degenerate = cells & ~(avals > 0.0)
+    degenerate = ~(avals > 0.0)
     return MetricField(grid, g11, g12, g22, det, degenerate, int(n))
 
 
@@ -109,8 +109,7 @@ def curvature_residual(u: ScalarField, metric: MetricField, grad_floor: float = 
     w1 = gi11 * gr.v1 + gi12 * gr.v2
     w2 = gi12 * gr.v1 + gi22 * gr.v2
     q = np.maximum(w1 * gr.v1 + w2 * gr.v2, 0.0)  # = ||g^{-1} grad u||_g^2
-    cells = grid.cells_in_domain()
-    ok = cells & ~metric.degenerate
+    ok = ~metric.degenerate
     qmax = float(np.max(np.where(ok, q, 0.0))) if ok.any() else 0.0
     usable = ok & (q > grad_floor * max(qmax, 1e-300))
     scale = np.where(usable, np.sqrt(np.maximum(metric.det, 0.0)) / np.sqrt(np.where(usable, q, 1.0)), 0.0)
@@ -119,13 +118,7 @@ def curvature_residual(u: ScalarField, metric: MetricField, grad_floor: float = 
     resid = divergence(VectorField2(grid, v1, v2))
 
     # a node enters the summary when none of its incident cells is unusable
-    bad_cells = cells & ~usable
-    incid = np.zeros(grid.shape, dtype=bool)
-    incid[:-1, :-1] |= bad_cells
-    incid[:-1, 1:] |= bad_cells
-    incid[1:, :-1] |= bad_cells
-    incid[1:, 1:] |= bad_cells
-    good = grid.interior_mask() & ~incid
+    good = grid.interior_mask() & ~nodes_of_cells(~usable)
 
     if collar is None:
         collar = 0.1 * min((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
@@ -197,7 +190,7 @@ def _edge_key(j, i, edge, nx):
 
 
 def extract_level_set(u: ScalarField, level: float) -> list[LevelSetCurve]:
-    """Marching-squares contour of {u = level} over in-domain cells.
+    """Marching-squares contour of {u = level} over the grid cells.
 
     Returns chained curves, each closed or terminating on the domain
     boundary, in a deterministic order (sorted by first edge key).
@@ -207,7 +200,6 @@ def extract_level_set(u: ScalarField, level: float) -> list[LevelSetCurve]:
     grid = u.grid
     vals = u.values
     level = float(level)
-    cells = grid.cells_in_domain()
 
     above = vals > level
     a_bl = above[:-1, :-1]
@@ -220,7 +212,6 @@ def extract_level_set(u: ScalarField, level: float) -> list[LevelSetCurve]:
         + 4 * a_tr.astype(np.int8)
         + 8 * a_tl.astype(np.int8)
     )
-    code = np.where(cells, code, 0)
     jj, ii = np.nonzero((code > 0) & (code < 15))
 
     def cross(j, i, edge):
@@ -361,10 +352,8 @@ def sample_levels(u: ScalarField, n_levels: int, grad_floor_rel: float = 1e-6,
     candidates = np.quantile(inner, qs)
     gr = gradient(u)
     mag = np.hypot(gr.v1, gr.v2)
-    cells = grid.cells_in_domain()
-    mag = np.where(cells, mag, np.nan)
-    gmax = float(np.nanmax(mag))
-    crit_cells = cells & (mag <= grad_floor_rel * gmax)
+    gmax = float(np.max(mag))
+    crit_cells = mag <= grad_floor_rel * gmax
     if not crit_cells.any():
         return candidates
     umid = 0.25 * (
@@ -387,7 +376,7 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField,
     level where area(u) exceeds area(v) by more than tol_rel * area(u).
     """
     grid = u.grid
-    rng_u = float(np.nanmax(u.values)) - float(np.nanmin(u.values))
+    rng_u = float(np.max(u.values)) - float(np.min(u.values))
     for idx, v in enumerate(competitors):
         diff = np.abs(v.values.ravel()[grid.boundary_ids] - u.values.ravel()[grid.boundary_ids])
         if float(np.max(diff)) > 1e-10 * max(rng_u, 1.0):
@@ -430,15 +419,14 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     from .inverse import weighted_tv
 
     grid = u.grid
-    umin = float(np.nanmin(u.values))
-    umax = float(np.nanmax(u.values))
+    umin = float(np.min(u.values))
+    umax = float(np.max(u.values))
     rng = umax - umin
     if eps_ladder is None:
         eps_ladder = [rng * s for s in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]
     values = []
     for eps in eps_ladder:
         w = np.clip((u.values - level) / eps, 0.0, 1.0)
-        w = np.where(grid.mask, w, np.nan)
         values.append(weighted_tv(ScalarField(grid, w, location="node"), a, sigma0))
     curves = extract_level_set(u, level)
     plain = area_functional(curves, a)

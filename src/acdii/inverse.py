@@ -30,27 +30,35 @@ small to divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
 
-from .data import AdmissibleTriplet
+from .data import AdmissibleTriplet, compute_current
 from .fields import (
     _CROSS,
     Grid2D,
     ScalarField,
     TensorField2,
     VectorField2,
+    grad,
+    grad_adjoint,
     gradient,
+    nodes_of_cells,
+    rel_l2,
     sym2_sqrt,
 )
-from .forward import _nodes_of_cells, assemble, solve_dirichlet
+from .forward import assemble, solve_dirichlet
 from .geometry import extract_level_set, weighted_perimeter
+from .schema import Key, validate
 
 
 class TVConfigError(ValueError):
     pass
+
+
+ALGORITHMS = ("fixedpoint", "primaldual", "both")
 
 
 @dataclass
@@ -63,7 +71,7 @@ class TVProblem:
     bound of sigma0.  delta_grad and delta_a are the degeneracy cutoffs
     of the pointwise recovery; when None, delta_grad defaults to three
     times the final smoothing of the eps schedule and delta_a to 1e-8
-    times max(a).
+    times max(a).  `TV_SCHEMA` holds the type and range of every setting.
     """
 
     triplet: AdmissibleTriplet
@@ -81,98 +89,79 @@ class TVProblem:
     void_floor: float = 0.0
 
     def __post_init__(self):
-        if self.eps0 is not None and not self.eps0 > 0.0:
-            raise TVConfigError(f"eps0 must be positive, got {self.eps0}")
-        if not 0.0 < self.eps_ratio < 1.0:
-            raise TVConfigError(f"eps_ratio must lie in (0, 1), got {self.eps_ratio}")
-        if self.eps_stages < 1:
-            raise TVConfigError("eps_stages must be at least 1")
-        if not self.fp_tol > 0.0:
-            raise TVConfigError("fp_tol must be positive")
-        if self.max_inner < 1:
-            raise TVConfigError("max_inner must be at least 1")
-        for name in ("pd_tau", "pd_sigma", "delta_grad", "delta_a"):
-            v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise TVConfigError(f"{name} must be positive when given, got {v}")
-        if self.pd_iterations is not None and self.pd_iterations < 1:
-            raise TVConfigError("pd_iterations must be at least 1")
-        if self.void_floor < 0.0:
-            raise TVConfigError("void_floor must be nonnegative")
+        settings = {name: getattr(self, name) for name in TV_SCHEMA}
+        validate(TV_SCHEMA, settings, TVConfigError, where="TVProblem")
+
+    def eps_start(self) -> float:
+        """The first smoothing of the eps schedule, eps0 or its default."""
+        return self.eps0 if self.eps0 is not None else 0.1 / np.sqrt(self.triplet.sigma0.m)
+
+
+# type and range of each setting; the defaults are TVProblem's, and the
+# config's inverse section is this table plus the algorithm
+_TV_RULES = {
+    "eps0": ("num", "(0, inf)"),
+    "eps_ratio": ("num", "(0, 1)"),
+    "eps_stages": ("int", "[1, inf)"),
+    "fp_tol": ("num", "(0, inf)"),
+    "max_inner": ("int", "[1, inf)"),
+    "cg_tol": ("num", "(0, inf)"),
+    "pd_tau": ("num", "(0, inf)"),
+    "pd_sigma": ("num", "(0, inf)"),
+    "pd_iterations": ("int", "[1, inf)"),
+    "delta_grad": ("num", "(0, inf)"),
+    "delta_a": ("num", "(0, inf)"),
+    "void_floor": ("num", "[0, inf)"),
+}
+TV_SCHEMA = {
+    f.name: Key(_TV_RULES[f.name][0], f.default, _TV_RULES[f.name][1])
+    for f in fields(TVProblem)
+    if f.name != "triplet"
+}
 
 
 # -- the functional -----------------------------------------------------------
 
 
+def tv_density(g1, g2, sigma0: TensorField2, eps: float = 0.0):
+    """Per-cell (|g|^2_{sigma0} + eps^2)^(1/2) of cell gradient arrays (g1, g2)."""
+    w1, w2 = sigma0.apply(g1, g2)
+    q = np.maximum(w1 * g1 + w2 * g2, 0.0)
+    return np.sqrt(q + eps * eps) if eps else np.sqrt(q)
+
+
+def smoothed_tv(grid: Grid2D, avals, sigma0: TensorField2, uvals, eps: float = 0.0) -> float:
+    """Midpoint quadrature of integral a (|grad u|^2_{sigma0} + eps^2)^(1/2) on raw arrays."""
+    density = tv_density(*grad(grid, uvals), sigma0, eps)
+    return float(np.sum(avals * density)) * grid.cell_area
+
+
 def weighted_tv(v: ScalarField, a: ScalarField, sigma0: TensorField2) -> float:
-    """Midpoint quadrature of integral a |grad v|_{sigma0} over in-domain cells."""
-    grid = v.grid
-    gr = gradient(v)
-    nrm = sigma0.norm(gr.v1, gr.v2)
-    cells = grid.cells_in_domain()
-    terms = np.where(cells, a.values * nrm, 0.0)
-    return float(np.sum(terms)) * grid.cell_area
-
-
-def _smoothed_tv(grid, avals, sigma0, uvals, eps) -> float:
-    gr = _grad_arrays(grid, uvals)
-    w1, w2 = sigma0.apply(gr[0], gr[1])
-    q = np.maximum(w1 * gr[0] + w2 * gr[1], 0.0)
-    cells = grid.cells_in_domain()
-    terms = np.where(cells, avals * np.sqrt(q + eps * eps), 0.0)
-    return float(np.sum(terms)) * grid.cell_area
+    """Midpoint quadrature of integral a |grad v|_{sigma0}: the functional F."""
+    return smoothed_tv(v.grid, a.values, sigma0, v.values)
 
 
 def dual_feasibility(B: VectorField2, a: ScalarField, sigma0: TensorField2) -> float:
     """Worst violation max over cells of (|B|_{sigma0^{-1}} - a)_+ ; 0 means feasible."""
-    nrm = sigma0.inv_norm(B.v1, B.v2)
-    cells = B.grid.cells_in_domain()
-    excess = np.where(cells, nrm - a.values, 0.0)
+    excess = sigma0.inv_norm(B.v1, B.v2) - a.values
     return float(np.max(np.maximum(excess, 0.0)))
-
-
-# -- raw array calculus (no field containers inside hot loops) -----------------
-
-
-def _grad_arrays(grid, vals):
-    v1 = ((vals[:-1, 1:] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[1:, :-1])) / (2.0 * grid.hx)
-    v2 = ((vals[1:, :-1] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[:-1, 1:])) / (2.0 * grid.hy)
-    return v1, v2
-
-
-def _adjoint_grad_arrays(grid, w1, w2):
-    """G^T w on nodes; sum_cells (grad u . w) == sum_nodes u * (G^T w)."""
-    b1 = w1 / (2.0 * grid.hx)
-    b2 = w2 / (2.0 * grid.hy)
-    out = np.zeros(grid.shape)
-    out[:-1, :-1] += -b1 - b2
-    out[:-1, 1:] += b1 - b2
-    out[1:, :-1] += -b1 + b2
-    out[1:, 1:] += b1 + b2
-    return out
 
 
 def _normalized_data(problem: TVProblem):
     t = problem.triplet
-    grid = t.grid
-    cells = grid.cells_in_domain()
-    a = np.where(cells, t.a.values, 0.0)
-    amax = float(np.max(a))
+    amax = float(np.max(t.a.values))
     if amax <= 0.0:
         raise TVConfigError("data a vanishes identically; nothing to minimize")
-    a_hat = a / amax
-    void = cells & (a_hat <= problem.void_floor)
-    active = cells & ~void
-    if not active.any():
-        raise TVConfigError("all in-domain cells fall below the void floor")
-    return grid, t.sigma0, a, amax, a_hat, void
+    a_hat = t.a.values / amax
+    void = a_hat <= problem.void_floor
+    if void.all():
+        raise TVConfigError("all cells fall below the void floor")
+    return t.grid, t.sigma0, amax, a_hat, void
 
 
-def _masked_rel_change(grid, new, old):
-    d = (new - old)[grid.mask]
-    n = new[grid.mask]
-    denom = float(np.sqrt(np.sum(n * n)))
-    return float(np.sqrt(np.sum(d * d))) / max(denom, 1e-300)
+def _masked_rel_change(new, old):
+    # its own function so that a tracer can hook the change that ends a stage
+    return rel_l2(old, new)
 
 
 def minimize_tv_fixedpoint(problem: TVProblem):
@@ -183,20 +172,19 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     the stage decreased monotonically; an increase beyond round-off is
     flagged but not fatal.
     """
-    grid, sigma0, a_abs, amax, a_hat, void = _normalized_data(problem)
+    grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     # eps lives in |grad u|_{sigma0} units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
     # a -> alpha a (the effective coefficient just rescales, which CG
     # relative tolerances and Jacobi scaling cannot see).
-    eps0_hat = problem.eps0 if problem.eps0 is not None else 0.1 / np.sqrt(sigma0.m)
+    eps0_hat = problem.eps_start()
     schedule = [eps0_hat * problem.eps_ratio**s for s in range(problem.eps_stages)]
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
     u = solve_dirichlet(system, t.f, tol=problem.cg_tol)
     uvals = u.values.copy()
 
-    cells = grid.cells_in_domain()
     stages = []
     flagged = False
     total_inner = 0
@@ -204,16 +192,13 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         hist = []
         inner = 0
         for _ in range(problem.max_inner):
-            g1, g2 = _grad_arrays(grid, uvals)
-            w1, w2 = sigma0.apply(g1, g2)
-            q = np.maximum(w1 * g1 + w2 * g2, 0.0)
-            weight = np.sqrt(q + eps_hat * eps_hat)
-            c_eff = np.where(cells & ~void, a_hat / weight, 1.0)
+            weight = tv_density(*grad(grid, uvals), sigma0, eps_hat)
+            c_eff = np.where(~void, a_hat / weight, 1.0)
             system = assemble(c_eff, sigma0, grid, exclude_cells=void)
             u_new = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals)
-            rel = _masked_rel_change(grid, u_new.values, uvals)
+            rel = _masked_rel_change(u_new.values, uvals)
             uvals = u_new.values.copy()
-            hist.append(amax * _smoothed_tv(grid, a_hat, sigma0, uvals, eps_hat))
+            hist.append(amax * smoothed_tv(grid, a_hat, sigma0, uvals, eps_hat))
             inner += 1
             if rel <= problem.fp_tol:
                 break
@@ -250,7 +235,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     tau sigma L^2 <= 1 are a configuration error.  Dirichlet values are
     re-imposed after every primal step.
     """
-    grid, sigma0, a_abs, amax, a_hat, void = _normalized_data(problem)
+    grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
     tau = problem.pd_tau if problem.pd_tau is not None else 1.0 / np.sqrt(l2)
@@ -266,12 +251,10 @@ def minimize_tv_primal_dual(problem: TVProblem):
     )
 
     r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
-    cells = grid.cells_in_domain()
-    active = cells & ~void
+    active = ~void
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
-    u0 = solve_dirichlet(system, t.f, tol=problem.cg_tol)
-    uv = np.where(grid.mask, u0.values, 0.0)
+    uv = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.copy()
     fvals = t.f.values.ravel()[grid.boundary_ids]
     ubar = uv.copy()
     b1 = np.zeros(grid.cell_shape)
@@ -280,7 +263,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     f_hist = []
     record_every = max(iters // 50, 1)
     for it in range(iters):
-        g1, g2 = _grad_arrays(grid, ubar)
+        g1, g2 = grad(grid, ubar)
         p1 = r11 * g1 + r12 * g2
         p2 = r12 * g1 + r22 * g2
         b1 += sig * np.where(active, p1, 0.0)
@@ -291,27 +274,24 @@ def minimize_tv_primal_dual(problem: TVProblem):
         b2 *= scale
         q1 = r11 * b1 + r12 * b2
         q2 = r12 * b1 + r22 * b2
-        u_new = uv - tau * _adjoint_grad_arrays(grid, q1, q2)
+        u_new = uv - tau * grad_adjoint(grid, q1, q2)
         u_new.ravel()[grid.boundary_ids] = fvals
-        u_new[~grid.mask] = 0.0
         ubar = 2.0 * u_new - uv
         uv = u_new
         if (it + 1) % record_every == 0:
-            f_hist.append(amax * _smoothed_tv(grid, a_hat, sigma0, uv, 0.0))
+            f_hist.append(amax * smoothed_tv(grid, a_hat, sigma0, uv))
 
-    out = np.where(grid.mask, uv, np.nan)
-    u_final = ScalarField(grid, out, location="node")
+    u_final = ScalarField(grid, uv, location="node")
     bb1 = amax * (r11 * b1 + r12 * b2)
     bb2 = amax * (r12 * b1 + r22 * b2)
     B = VectorField2(grid, bb1, bb2)
 
     primal = weighted_tv(u_final, t.a, sigma0)
-    g1, g2 = _grad_arrays(grid, np.where(grid.mask, uv, 0.0))
-    pairing = float(np.sum(np.where(cells, g1 * bb1 + g2 * bb2, 0.0))) * grid.cell_area
+    g1, g2 = grad(grid, uv)
+    pairing = float(np.sum(g1 * bb1 + g2 * bb2)) * grid.cell_area
     gap = abs(primal - pairing) / max(primal, tiny)
-    div_full = _adjoint_grad_arrays(grid, np.where(cells, bb1, 0.0), np.where(cells, bb2, 0.0))
-    inter = grid.interior_mask()
-    div_rms = float(np.sqrt(np.mean(div_full[inter] ** 2))) if inter.any() else 0.0
+    div_full = grad_adjoint(grid, bb1, bb2)
+    div_rms = float(np.sqrt(np.mean(div_full[grid.interior_mask()] ** 2)))
     info = {
         "algorithm": "primaldual",
         "iterations": iters,
@@ -333,35 +313,23 @@ def minimize_tv_primal_dual(problem: TVProblem):
 def boundary_flux_integral(f: ScalarField, current: VectorField2) -> float:
     """Trapezoid quadrature of the outer-boundary integral of f (J . n).
 
-    Each open side of the in-domain cell complex contributes the node
-    average of f times the adjacent-cell normal flux times edge length.
+    Each outer edge of a rim cell contributes the node average of f on
+    that edge times the cell's normal flux times the edge length.
     """
     grid = current.grid
-    cells = grid.cells_in_domain()
-    fv = f.values
-    j1 = np.where(cells, current.v1, 0.0)
-    j2 = np.where(cells, current.v2, 0.0)
+    fv, j1, j2 = f.values, current.v1, current.v2
+    sides = (  # (rim cells, per-cell term, edge length): south, north, west, east
+        (np.s_[0, :], -0.5 * (fv[:-1, :-1] + fv[:-1, 1:]) * j2, grid.hx),
+        (np.s_[-1, :], 0.5 * (fv[1:, :-1] + fv[1:, 1:]) * j2, grid.hx),
+        (np.s_[:, 0], -0.5 * (fv[:-1, :-1] + fv[1:, :-1]) * j1, grid.hy),
+        (np.s_[:, -1], 0.5 * (fv[:-1, 1:] + fv[1:, 1:]) * j1, grid.hy),
+    )
     total = 0.0
-
-    south = cells.copy()
-    south[1:, :] &= ~cells[:-1, :]
-    favg = 0.5 * (fv[:-1, :-1] + fv[:-1, 1:])
-    total += float(np.sum(np.where(south, -favg * j2, 0.0))) * grid.hx
-
-    north = cells.copy()
-    north[:-1, :] &= ~cells[1:, :]
-    favg = 0.5 * (fv[1:, :-1] + fv[1:, 1:])
-    total += float(np.sum(np.where(north, favg * j2, 0.0))) * grid.hx
-
-    west = cells.copy()
-    west[:, 1:] &= ~cells[:, :-1]
-    favg = 0.5 * (fv[:-1, :-1] + fv[1:, :-1])
-    total += float(np.sum(np.where(west, -favg * j1, 0.0))) * grid.hy
-
-    east = cells.copy()
-    east[:, :-1] &= ~cells[:, 1:]
-    favg = 0.5 * (fv[:-1, 1:] + fv[1:, 1:])
-    total += float(np.sum(np.where(east, favg * j1, 0.0))) * grid.hy
+    for rim, term, h in sides:
+        # summed over the whole zero-padded cell array: a fixed summation order
+        on_rim = np.zeros(grid.cell_shape, dtype=bool)
+        on_rim[rim] = True
+        total += float(np.sum(np.where(on_rim, term, 0.0))) * h
     return total
 
 
@@ -377,45 +345,53 @@ def duality_gap(u: ScalarField, f: ScalarField, current: VectorField2,
     return abs(fval + flux) / max(fval, 1e-300)
 
 
-def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
-                     trials: int = 20, seed: int = 0, amplitude: float = 0.05,
-                     f: ScalarField | None = None,
-                     current: VectorField2 | None = None) -> dict:
-    """Functional margins F[u +/- w] - F[u] over seeded smooth zero-trace w.
+def sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float) -> list:
+    """Seeded smooth zero-trace node arrays w, the competitors u +/- w of the audits.
 
-    Each trial draws random coefficients on the first 3x3 sine modes of
-    the bounding box, scales to `amplitude` times the range of u, and
-    evaluates both signs; the reported margin is the worse of the two.
-    A candidate far from the minimizer shows negative margins, while at
-    the minimizer every margin is nonnegative up to quadrature round-off.
-    The duality identity is reported alongside when f and the current
-    are supplied.
+    Each draw takes random coefficients on the first 3x3 sine modes of
+    the bounding box and scales the sum to `amplitude` times the range
+    of u.
     """
     grid = u.grid
     rng = np.random.default_rng(seed)
-    f0 = weighted_tv(u, a, sigma0)
-    urange = float(np.nanmax(u.values)) - float(np.nanmin(u.values))
+    urange = float(np.max(u.values)) - float(np.min(u.values))
     x, y = grid.node_coords()
     lx = (grid.nx - 1) * grid.hx
     ly = (grid.ny - 1) * grid.hy
-    margins = []
-    for _ in range(trials):
+    out = []
+    for _ in range(count):
         coef = rng.standard_normal((3, 3))
         w = np.zeros(grid.shape)
         for p in range(1, 4):
             for q in range(1, 4):
                 w += coef[p - 1, q - 1] * np.sin(p * np.pi * x / lx) * np.sin(q * np.pi * y / ly)
         w.ravel()[grid.boundary_ids] = 0.0
-        w[~grid.mask] = 0.0
         wmax = float(np.max(np.abs(w)))
-        if wmax == 0.0:
-            margins.append(0.0)
-            continue
-        w *= amplitude * max(urange, 1e-300) / wmax
-        up = ScalarField(grid, np.where(grid.mask, u.values + w, np.nan), location="node")
-        um = ScalarField(grid, np.where(grid.mask, u.values - w, np.nan), location="node")
-        m = min(weighted_tv(up, a, sigma0) - f0, weighted_tv(um, a, sigma0) - f0)
-        margins.append(m)
+        if wmax > 0.0:
+            w *= amplitude * max(urange, 1e-300) / wmax
+        out.append(w)
+    return out
+
+
+def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
+                     trials: int = 20, seed: int = 0, amplitude: float = 0.05,
+                     f: ScalarField | None = None,
+                     current: VectorField2 | None = None) -> dict:
+    """Functional margins F[u +/- w] - F[u] over `sine_perturbations` w.
+
+    The reported margin of a trial is the worse of its two signs.  A
+    candidate far from the minimizer shows negative margins, while at
+    the minimizer every margin is nonnegative up to quadrature round-off.
+    The duality identity is reported alongside when f and the current
+    are supplied.
+    """
+    grid = u.grid
+    f0 = weighted_tv(u, a, sigma0)
+    margins = []
+    for w in sine_perturbations(u, trials, seed, amplitude):
+        up = ScalarField(grid, u.values + w, location="node")
+        um = ScalarField(grid, u.values - w, location="node")
+        margins.append(min(weighted_tv(up, a, sigma0) - f0, weighted_tv(um, a, sigma0) - f0))
     report = {
         "tv_value": f0,
         "margins": margins,
@@ -441,25 +417,24 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     (the interface-like set the recovery never divides on).
     """
     grid = u_star.grid
-    cells = grid.cells_in_domain()
     gr = gradient(u_star)
     nrm = sigma0.norm(gr.v1, gr.v2)
-    nrm = np.where(cells, nrm, 0.0)
-    avals = np.where(cells, a.values, 0.0)
+    avals = a.values
     nmax = float(np.max(nrm))
     amax = float(np.max(avals))
     dg = delta_grad if delta_grad is not None else 1e-6 * max(nmax, 1e-300)
     da = delta_a if delta_a is not None else 1e-8 * max(amax, 1e-300)
-    ok = cells & (nrm > dg) & (avals > da)
+    ok = (nrm > dg) & (avals > da)
     cvals = np.where(ok, avals / np.where(ok, nrm, 1.0), 0.0)
-    mask_z = cells & ~ok
+    mask_z = ~ok
+    small = nrm <= dg
     diagnostics = {
         "delta_grad": dg,
         "delta_a": da,
         "masked_cells": int(mask_z.sum()),
-        "small_gradient_cells": int((cells & (nrm <= dg)).sum()),
-        "interface_cells": int((cells & (avals <= da) & (nrm > dg)).sum()),
-        "small_gradient_measure": float((cells & (nrm <= dg)).sum()) * grid.cell_area,
+        "small_gradient_cells": int(small.sum()),
+        "interface_cells": int(((avals <= da) & ~small).sum()),
+        "small_gradient_measure": float(small.sum()) * grid.cell_area,
     }
     return ScalarField(grid, cvals, location="cell"), mask_z, diagnostics
 
@@ -504,14 +479,13 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
     4 max(hx, hy) max|grad u*|, the size of the discrete trace wiggle a
     smooth equipotential rim produces.
     """
-    cells = grid.cells_in_domain()
-    mask = np.asarray(mask_z, dtype=bool) & cells
+    mask = np.asarray(mask_z, dtype=bool)
     gr = gradient(u_star)
-    gmag = np.where(cells, np.hypot(gr.v1, gr.v2), 0.0)
-    avals = np.where(cells, a.values, 0.0)
+    gmag = np.hypot(gr.v1, gr.v2)
+    avals = a.values
     # Scales come from the cells where u* is meaningful: on a masked
     # insulating component the nodal values are fill, not physics.
-    live = cells & ~mask
+    live = ~mask
     scale_g = float(np.max(gmag[live])) if np.any(live) else float(np.max(gmag))
     scale_a = float(np.max(avals))
     tg = tol_grad if tol_grad is not None else 1e-6 * max(scale_g, 1e-300)
@@ -526,14 +500,9 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
         comp = comp_map == ci
         max_grad = float(np.max(gmag[comp]))
         max_a = float(np.max(avals[comp]))
-        inner_nodes = _nodes_of_cells(grid, comp)
-        outer_nodes = _nodes_of_cells(grid, cells & ~comp)
-        rim = inner_nodes & outer_nodes
-        uv = u_star.values.ravel()
-        rim_vals = uv[np.flatnonzero(rim.ravel())]
-        rim_vals = rim_vals[np.isfinite(rim_vals)]
+        rim_vals = u_star.values[nodes_of_cells(comp) & nodes_of_cells(~comp)]
         osc = float(np.max(rim_vals) - np.min(rim_vals)) if rim_vals.size else 0.0
-        quot = _holder_quotient(avals, comp, cells & ~comp, grid.hx, grid.hy, holder_alpha)
+        quot = _holder_quotient(avals, comp, ~comp, grid.hx, grid.hy, holder_alpha)
         if max_grad <= tg and max_a > ta:
             label = "perfect"
         elif max_a <= ta and osc > to:
@@ -568,10 +537,8 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     levels carry half weight and typically contribute nothing (the set
     {u > umax} is empty), so the endpoint bias is one interior sample.
     """
-    grid = u.grid
-    vals = u.values[grid.mask]
-    umin = float(np.min(vals))
-    umax = float(np.max(vals))
+    umin = float(np.min(u.values))
+    umax = float(np.max(u.values))
     tv = weighted_tv(u, a, sigma0)
     if umax <= umin or n_levels < 2:
         return {
@@ -624,7 +591,7 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
     triplet's provenance carries the synthetic truth, relative errors
     against it are included.
     """
-    if algorithm not in ("fixedpoint", "primaldual", "both"):
+    if algorithm not in ALGORITHMS:
         raise TVConfigError(f"unknown algorithm {algorithm!r}")
     t = problem.triplet
     grid = t.grid
@@ -638,18 +605,13 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
         diagnostics["primaldual"] = info_pd
     u_star = u_fp if u_fp is not None else u_pd
     if u_fp is not None and u_pd is not None:
-        d = (u_fp.values - u_pd.values)[grid.mask]
-        ref = u_fp.values[grid.mask]
-        diagnostics["cross_algorithm_rel_l2"] = float(
-            np.sqrt(np.sum(d * d)) / max(np.sqrt(np.sum(ref * ref)), 1e-300)
-        )
+        diagnostics["cross_algorithm_rel_l2"] = rel_l2(u_pd.values, u_fp.values)
 
     delta_grad = problem.delta_grad
     if delta_grad is None:
         # the fixed-point scheme cannot push a gradient much below its
         # final smoothing, so that is the natural degeneracy cutoff
-        eps0 = problem.eps0 if problem.eps0 is not None else 0.1 / np.sqrt(t.sigma0.m)
-        delta_grad = 3.0 * eps0 * problem.eps_ratio ** (problem.eps_stages - 1)
+        delta_grad = 3.0 * problem.eps_start() * problem.eps_ratio ** (problem.eps_stages - 1)
     c_rec, mask_z, rec_diag = recover_c(
         u_star, t.a, t.sigma0, delta_grad=delta_grad, delta_a=problem.delta_a
     )
@@ -663,32 +625,21 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
         tol_a=rec_diag["delta_a"],
     )
 
-    gr = gradient(u_star)
-    w1, w2 = t.sigma0.apply(gr.v1, gr.v2)
-    cells = grid.cells_in_domain()
-    j1 = np.where(cells & ~mask_z, -c_rec.values * w1, 0.0)
-    j2 = np.where(cells & ~mask_z, -c_rec.values * w2, 0.0)
-    current = VectorField2(grid, j1, j2)
+    current = compute_current(u_star, c_rec, t.sigma0, dead=mask_z)
     diagnostics["duality_gap"] = duality_gap(u_star, t.f, current, t.a, t.sigma0)
 
     prov = t.provenance or {}
     if prov.get("c_true") is not None:
         c_true = np.asarray(prov["c_true"], dtype=np.float64)
-        ok = cells & ~mask_z
+        ok = ~mask_z
         denom = np.where(ok, np.abs(c_true), 1.0)
         err = np.where(ok, np.abs(c_rec.values - c_true) / denom, 0.0)
         diagnostics["c_rel_linf_off_mask"] = float(np.max(err))
     if prov.get("u_true") is not None:
         u_true = np.asarray(prov["u_true"], dtype=np.float64)
-        d = (u_star.values - u_true)[grid.mask]
-        ref = u_true[grid.mask]
-        diagnostics["u_rel_l2"] = float(
-            np.sqrt(np.sum(d * d)) / max(np.sqrt(np.sum(ref * ref)), 1e-300)
-        )
+        diagnostics["u_rel_l2"] = rel_l2(u_star.values, u_true)
 
-    s11 = np.where(cells & ~mask_z, c_rec.values * t.sigma0.s11, 0.0)
-    s12 = np.where(cells & ~mask_z, c_rec.values * t.sigma0.s12, 0.0)
-    s22 = np.where(cells & ~mask_z, c_rec.values * t.sigma0.s22, 0.0)
+    s11, s12, s22 = (np.where(mask_z, 0.0, c_rec.values * s) for s in t.sigma0.entries)
     return ReconReport(
         u_star=u_star,
         c_rec=c_rec,

@@ -237,7 +237,7 @@ def test_criterion_11_inclusion_classification():
     u_r = ScalarField(grid, r)
     gr = gradient(u_r)
     amag = np.hypot(gr.v1, gr.v2)
-    av = np.where(disk, 0.0, np.where(grid.cells_in_domain(), amag, 0.0))
+    av = np.where(disk, 0.0, amag)
     a_r = ScalarField(grid, av, location="cell")
     _, mask_r, diag_r = recover_c(u_r, a_r, sigma0)
     lab_r = classify_inclusions(u_r, a_r, mask_r, grid, tol_a=diag_r["delta_a"])

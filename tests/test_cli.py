@@ -1,12 +1,17 @@
 """Command-line driver: config validation, pipeline, determinism, exit codes."""
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from acdii.cli import ConfigError, config_hash, main, parse_config
+from acdii.cli import CONFIG, ConfigError, config_hash, main, parse_config
 from acdii.io import read_field_file, write_field_file
+from acdii.schema import Key
 
 
 def _base_config(out_dir, n=17, noise=0.0):
@@ -220,3 +225,137 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["synth", "--config", path, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+# -- the input contract: every malformed input exits 2 with one JSON error ------
+
+
+def _single_error(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["message"]
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth") / "out"
+    cfg = _base_config(out, n=9)
+    path = tmp_path_factory.mktemp("cfg") / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--quiet"]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        # the field files were written at hx = 1/8, the manifest claims 0.5
+        ({"grid": {"hx": 0.5}}, "sigma0.field"),
+        ({"grid": {"nx": "9"}}, "grid.nx"),
+        # a node plane where the cell data a belongs
+        ({"files": {"a": "f.field"}}, "f.field"),
+        ({"grid": None}, "grid"),
+        ({"files": None}, "files"),
+        ("{not json", "triplet.json"),
+    ],
+    ids=["hx-mismatch", "string-nx", "node-plane-as-cells", "missing-grid",
+         "missing-files", "invalid-json"],
+)
+def test_malformed_manifest_exits_2_naming_it(tmp_path, capsys, synth_dir, edit, named):
+    """`edit` is the manifest text, or per section an update (None drops the section)."""
+    trip = tmp_path / "trip"
+    shutil.copytree(synth_dir, trip)
+    if isinstance(edit, str):
+        text = edit
+    else:
+        manifest = json.loads((trip / "triplet.json").read_text())
+        for section, change in edit.items():
+            if change is None:
+                del manifest[section]
+            else:
+                manifest[section].update(change)
+        text = json.dumps(manifest)
+    (trip / "triplet.json").write_text(text)
+    cfg = _base_config(tmp_path / "out", n=9)
+    cfg["input"] = {"triplet": str(trip)}
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 2
+    assert named in _single_error(capsys)
+    assert not (tmp_path / "out" / "recon.json").exists()
+
+
+def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "recon.json").write_text('{"diagnostics": ')
+    cfg = _base_config(tmp_path / "out")
+    cfg["input"] = {"results": str(results)}
+    assert main(["report", "--config", _write(tmp_path, cfg)]) == 2
+    assert "recon.json" in _single_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("inverse", "eps_ratio", 1.5, "inverse.eps_ratio"),
+        ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
+        ("grid", "nx", 2, "grid.nx"),
+    ],
+)
+def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, section, key, value, named):
+    cfg = _base_config(tmp_path / "out")
+    cfg[section][key] = value
+    assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
+    assert named in _single_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out", noise=0.05)
+    assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2
+    assert "--seed" in _single_error(capsys)
+
+
+def _number_slots(key, path="", steps=()):
+    """(key path as errors name it, steps to reach it) for every number the schema takes."""
+    if key.type == "num":
+        yield path, steps
+    elif key.type == "list":
+        count = int(key.range[1]) if key.range else 1  # "[2, 2]" for pairs
+        yield from _number_slots(key.spec, f"{path}[0]", steps + (("list", count),))
+    elif key.type == "obj":
+        variants = key.spec.items() if key.tag else [(None, key.spec)]
+        for variant, table in variants:
+            fixed = {key.tag: variant} if key.tag else {}
+            fixed.update({n: k.choices[0] for n, k in table.items() if k.required and k.choices})
+            for name, sub in table.items():
+                sub_path = f"{path}.{name}" if path else name
+                yield from _number_slots(sub, sub_path, steps + (("obj", fixed, name),))
+
+
+def _put(current, steps, value):
+    """`current` with `value` placed where steps lead; variants start from their tag."""
+    if not steps:
+        return value
+    step, rest = steps[0], steps[1:]
+    if step[0] == "list":
+        return [_put(None, rest, value) for _ in range(step[1])]
+    _, fixed, name = step
+    obj = dict(fixed) if fixed else dict(current or {})
+    obj[name] = _put(obj.get(name), rest, value)
+    return obj
+
+
+_SLOTS = list(_number_slots(Key("obj", spec=CONFIG)))
+
+
+@pytest.mark.parametrize("named, steps", _SLOTS, ids=[p for p, _ in _SLOTS])
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_number_exits_2_naming_key(tmp_path, capsys, named, steps, bad):
+    cfg = _put(_base_config(tmp_path / "out"), steps, bad)
+    capsys.readouterr()
+    assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
+    assert f"'{named}'" in _single_error(capsys)

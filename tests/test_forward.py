@@ -18,7 +18,6 @@ from acdii.forward import (
     disk_cells,
     element_templates,
     energy,
-    h1_seminorm_sq,
     rect_cells,
     solve_dirichlet,
     solve_inclusion_limit,
@@ -297,22 +296,6 @@ def test_energy_and_h1_seminorm_known_values():
     u = ScalarField(grid, x)
     sigma = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     assert energy(u, sigma) == pytest.approx(0.5, rel=1e-12)
-    assert h1_seminorm_sq(u, grid) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_h1_seminorm_matches_oracle_quadratic_form():
-    grid = Grid2D(7, 6, 1.0 / 6.0, 0.2)
-    rng = np.random.default_rng(5)
-    uv = rng.standard_normal((6, 7))
-    K = dense_stiffness(
-        grid,
-        np.ones(grid.cell_shape),
-        np.ones(grid.cell_shape),
-        np.zeros(grid.cell_shape),
-        np.ones(grid.cell_shape),
-    )
-    quad = float(uv.ravel() @ K @ uv.ravel())
-    assert h1_seminorm_sq(ScalarField(grid, uv), grid) == pytest.approx(quad, rel=1e-12)
 
 
 def test_disk_and_rect_cell_selectors():
