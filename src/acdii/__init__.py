@@ -6,7 +6,7 @@ positive tensors on cells.  The package is organized as
 
 - fields:   grids, field containers, tensor algebra, gradient/divergence
 - io:       bit-exact binary field serialization
-- forward:  anisotropic bilinear-quad assembly and conjugate-gradient solves,
+- forward:  anisotropic bilinear-quad assembly and multigrid-preconditioned CG,
             perfectly conducting and insulating inclusions
 - data:     interior data synthesis (current, magnitude, noise, triplets)
 - inverse:  weighted total-variation minimization and its audits

@@ -195,6 +195,12 @@ def build_c(cfg, grid: Grid2D) -> ScalarField:
         cx, cy = grid.cell_centers()
         r2 = (cx - c["center"][0]) ** 2 + (cy - c["center"][1]) ** 2
         vals = c["base"] + c["amplitude"] * np.exp(-r2 / (2.0 * c["width"] ** 2))
+        # a cross-key rule the per-key schema cannot state
+        if not (vals > 0.0).all():
+            raise ConfigError(
+                f"config entry 'truth.c' must be positive on every cell; the gaussian_bump "
+                f"reaches {float(vals.min()):.6g} (base + amplitude must stay above 0)"
+            )
     return ScalarField(grid, vals, location="cell")
 
 

@@ -249,15 +249,16 @@ def save_triplet(triplet: AdmissibleTriplet, directory) -> Path:
 def read_matching(path, grid: Grid2D, kind=ScalarField, location: str = "cell"):
     """Read a scalar or tensor field file laid out on `grid`; DataError names the file.
 
-    A scalar file stores its plane size as the node count, so a cell
-    plane reads back one node smaller per direction than its grid.
+    A scalar file stores only its plane size, not where the values sit,
+    so its plane is checked against the node or cell shape of `grid`
+    that `location` asks for.
     """
     raw = read_field_file(path)
     if not isinstance(raw, kind):
         raise DataError(f"{path} holds a {type(raw).__name__}, expected a {kind.__name__}")
-    shrink = 1 if kind is ScalarField and location == "cell" else 0
-    g = raw.grid
-    if (g.nx + shrink, g.ny + shrink, g.hx, g.hy) != (grid.nx, grid.ny, grid.hx, grid.hy):
+    plane = raw.values if kind is ScalarField else raw.s11
+    want = grid.shape if kind is ScalarField and location == "node" else grid.cell_shape
+    if (plane.shape, raw.grid.hx, raw.grid.hy) != (want, grid.hx, grid.hy):
         raise DataError(
             f"{path} does not match the grid of {grid.nx}x{grid.ny} nodes "
             f"at hx={grid.hx!r}, hy={grid.hy!r}"

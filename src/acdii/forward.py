@@ -17,8 +17,19 @@ k -> 0, with energies increasing monotonically toward the limit energy
 (each smaller k enlarges the quadratic form, and the tied solution is
 feasible at every k).
 
-The linear solver is Jacobi-preconditioned conjugate gradients with a
-fixed summation order, so repeated runs are bit-identical.
+Assembly has a fixed pattern.  A `Layout` (the grid, the contributing
+cells and the perfect components) fixes the dof maps, the CSR pattern of
+the reduced matrix and the multigrid prolongations once; each `assemble`
+on it only refills values, by 9-point stencil arithmetic on the per-cell
+tensor entries plus fixed index gathers.
+
+Every reduced system is solved by conjugate gradients preconditioned with
+a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
+own tying and dropping of unknowns, damped Jacobi smoothing weighted by
+the Gershgorin bound of D^-1 A, and a dense Cholesky solve on the
+coarsest level.  Its CG iteration count stays roughly flat under
+refinement.  Every step has a fixed operation order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -178,44 +189,312 @@ def element_templates(hx: float, hy: float):
     return kxx, kxy, kyy
 
 
-# -- assembled reduced system -----------------------------------------------
+# -- fixed-pattern assembly ----------------------------------------------------
+
+# The ten distinct entries of the symmetric 4x4 cell matrix, as corner pairs.
+_CORNER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (3, 2), (0, 3), (1, 2), (0, 2), (1, 3))
+
+
+def _node_couplings(grid: Grid2D, k) -> np.ndarray:
+    """Node-graph values of the 9-point stencil from per-cell entries.
+
+    `k` holds one (ny-1, nx-1) array per pair of `_CORNER_PAIRS`.  The
+    result is one flat vector: every node's diagonal, then every node's
+    coupling to its east, north, northeast and northwest neighbor, each
+    block row-major (the order of `_coupling_ends`).
+    """
+    ny, nx = grid.shape
+    k00, k11, k22, k33, k01, k32, k03, k12, k02, k13 = k
+    center = np.zeros((ny, nx))
+    center[:-1, :-1] += k00
+    center[:-1, 1:] += k11
+    center[1:, 1:] += k22
+    center[1:, :-1] += k33
+    east = np.zeros((ny, nx - 1))
+    east[:-1] += k01
+    east[1:] += k32
+    north = np.zeros((ny - 1, nx))
+    north[:, :-1] += k03
+    north[:, 1:] += k12
+    return np.concatenate([center.ravel(), east.ravel(), north.ravel(), k02.ravel(), k13.ravel()])
+
+
+def _coupling_ends(grid: Grid2D):
+    """The two end nodes of every entry of `_node_couplings`."""
+    ids = np.arange(grid.n_nodes, dtype=np.int32).reshape(grid.shape)
+    first = [ids, ids[:, :-1], ids[:-1, :], ids[:-1, :-1], ids[:-1, 1:]]
+    second = [ids, ids[:, 1:], ids[1:, :], ids[1:, 1:], ids[1:, :-1]]
+    return (np.concatenate([a.ravel() for a in first]),
+            np.concatenate([a.ravel() for a in second]))
+
+
+class _SummingPattern:
+    """A fixed CSR pattern plus the gathers that fill it from stencil values.
+
+    Entry i of the data is values[first[i]] plus the values[extra_src]
+    whose extra_dst is i.  Terms are ordered by (entry, source), so the
+    two mirror entries of a symmetric matrix add the same terms in the
+    same order; only tied unknowns have extra terms.
+    """
+
+    def __init__(self, rows, cols, src, shape):
+        order = np.lexsort((src, cols, rows))
+        rows, cols, src = rows[order], cols[order], src[order]
+        lead = np.ones(rows.size, dtype=bool)
+        lead[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self.first = src[lead].astype(np.intp)
+        self.extra_dst = np.cumsum(lead)[~lead] - 1
+        self.extra_src = src[~lead].astype(np.intp)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[lead], minlength=shape[0]))])
+        # scipy's own index dtype, so refills construct without a copy
+        template = sparse.csr_matrix((np.zeros(self.first.size), cols[lead], indptr), shape=shape)
+        self.indices, self.indptr, self.shape = template.indices, template.indptr, shape
+
+    def fill(self, values: np.ndarray):
+        data = values[self.first]
+        np.add.at(data, self.extra_dst, values[self.extra_src])
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _dof_matrix(node_dof, ndof):
+    """Sparse (nodes x dofs) 0/1 matrix putting each dof's value on its nodes."""
+    free = np.flatnonzero(node_dof >= 0)
+    return sparse.csr_matrix(
+        (np.ones(free.size), (free, node_dof[free])), shape=(node_dof.size, ndof)
+    )
+
+
+# -- multigrid transfers -------------------------------------------------------
+
+# unknowns at or below which the V-cycle solves its level densely
+_COARSEST = 64
+
+
+def _coarse_index(n: int) -> np.ndarray:
+    """Indices of the nodes one direction keeps: every second one plus the last.
+
+    A direction of 3 or fewer nodes is not coarsened further.
+    """
+    if n <= 3:
+        return np.arange(n)
+    return np.unique(np.concatenate([np.arange(0, n, 2), [n - 1]]))
+
+
+def _interpolation(n: int, kept: np.ndarray):
+    """Linear interpolation (n x kept.size) from the nodes `kept` to all n nodes."""
+    pos = np.arange(n)
+    left = np.clip(np.searchsorted(kept, pos, side="right") - 1, 0, kept.size - 2)
+    w = (pos - kept[left]) / (kept[left + 1] - kept[left])
+    mat = sparse.csr_matrix(
+        (np.concatenate([1.0 - w, w]), (np.tile(pos, 2), np.concatenate([left, left + 1]))),
+        shape=(n, kept.size),
+    )
+    mat.eliminate_zeros()
+    return mat
+
+
+def _prolongations(shape, node_dof, ndof, keep):
+    """Bilinear prolongations of the reduced unknowns, finest first.
+
+    A coarse grid keeps every second node (plus the last) of the grid
+    below it, and each coarse node inherits the unknown of the node it
+    sits on, so a tied component stays tied on every level and Dirichlet
+    nodes stay fixed at zero.  The prolongation interpolates bilinearly
+    onto the nodes, averages over the nodes of each unknown and keeps the
+    rows of the unknowns that level keeps; coarse unknowns whose column
+    comes out zero (nothing below them has stiffness) are dropped.
+    Returns a list of (P, P^T) pairs.
+    """
+    out = []
+    while keep.size > _COARSEST:
+        ny, nx = shape
+        iy, ix = _coarse_index(ny), _coarse_index(nx)
+        if iy.size == ny and ix.size == nx:
+            break
+        counts = np.bincount(node_dof[node_dof >= 0], minlength=ndof)
+        average = sparse.diags(1.0 / counts[keep]) @ _dof_matrix(node_dof, ndof)[:, keep].T
+        interp = sparse.kron(_interpolation(ny, iy), _interpolation(nx, ix), format="csr")
+        below = node_dof[(iy[:, None] * nx + ix).ravel()]
+        coarse_dof = np.full(below.size, -1, dtype=np.int64)
+        free = below >= 0
+        owners, coarse_dof[free] = np.unique(below[free], return_inverse=True)
+        ndof = owners.size
+        p = (average @ interp @ _dof_matrix(coarse_dof, ndof)).tocsc()
+        keep = np.flatnonzero(np.diff(p.indptr) > 0)
+        p = p[:, keep].tocsr()
+        out.append((p, p.T.tocsr()))
+        shape, node_dof = (iy.size, ix.size), coarse_dof
+    return out
+
+
+class Multigrid:
+    """A reduced SPD matrix with its Galerkin V(1,1)-cycle preconditioner.
+
+    `levels[0]` is the matrix and `matrix @ x` multiplies by it; each
+    coarser level is P^T A P.  Smoothing is damped Jacobi with weight
+    4 / (3 g), g the Gershgorin bound of D^-1 A on that level, so the
+    smoother contracts in the energy norm and the symmetric cycle is an
+    SPD preconditioner.  The coarsest level is solved by dense Cholesky.
+    """
+
+    def __init__(self, matrix, prolongations):
+        self.levels = [matrix]
+        for p, pt in prolongations:
+            self.levels.append((pt @ (self.levels[-1] @ p)).tocsr())
+        self.prolongations = prolongations
+        self.smoothers = []
+        for a in self.levels[:-1]:
+            diag = a.diagonal()
+            # every kept row holds its diagonal, so no row is empty
+            bound = float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1]) / diag))
+            self.smoothers.append((4.0 / (3.0 * bound)) / diag)
+        # the coarsest solve applies 2^-e L^-T L^-1 with 2^-e A = L L^T: a
+        # power-of-two scale is exact, so the cycle stays bit-for-bit
+        # equivariant under doubling the coefficient
+        dense = self.levels[-1].toarray()
+        self.coarse_scale = np.ldexp(1.0, -int(np.frexp(dense.diagonal().max())[1]))
+        try:
+            factor = np.linalg.cholesky(self.coarse_scale * dense)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError("coarsest multigrid operator is not positive definite") from exc
+        self.coarse_inverse_factor = np.linalg.inv(factor)
+
+    def __matmul__(self, x):
+        return self.levels[0] @ x
+
+    def vcycle(self, r: np.ndarray) -> np.ndarray:
+        """One V(1,1)-cycle from a zero guess: the preconditioned residual."""
+        residuals, smoothed = [r], []
+        for a, jac, (_, pt) in zip(self.levels, self.smoothers, self.prolongations):
+            x = jac * residuals[-1]
+            smoothed.append(x)
+            residuals.append(pt @ (residuals[-1] - a @ x))
+        li = self.coarse_inverse_factor
+        e = self.coarse_scale * (li.T @ (li @ residuals[-1]))
+        for level in reversed(range(len(self.smoothers))):
+            a, jac = self.levels[level], self.smoothers[level]
+            x = smoothed[level] + self.prolongations[level][0] @ e
+            e = x + jac * (residuals[level] - a @ x)
+        return e
+
+
+class Layout:
+    """What a reduced system keeps across coefficient refills.
+
+    A layout is fixed by the grid, the contributing cells and the
+    perfectly conducting components.  Dirichlet nodes are eliminated by
+    lifting, each perfect component is aggregated to one unknown, and
+    unknowns with no stiffness (nodes fully surrounded by deleted cells)
+    are dropped and later filled by neighbor averaging.  The layout holds
+    those dof maps, the CSR patterns of the reduced matrix and of its
+    coupling to the Dirichlet nodes with the index maps that fill them
+    from 9-point stencil values, and the multigrid prolongations.
+    """
+
+    def __init__(self, grid: Grid2D, contributing: np.ndarray, perfect=()):
+        n = grid.n_nodes
+        self.grid = grid
+        self.contributing = contributing
+        self.perfect = list(perfect)
+
+        # node -> reduced column map: -1 Dirichlet; tied components first
+        node_dof = np.full(n, -1, dtype=np.int64)
+        free = np.ones(n, dtype=bool)
+        free[grid.boundary_ids] = False
+        ndof = 0
+        for m in self.perfect:
+            g_nodes = np.flatnonzero(nodes_of_cells(m).ravel())
+            if (~free[g_nodes]).any():
+                raise AssemblyError("perfectly conducting component touches the outer boundary")
+            node_dof[g_nodes] = ndof
+            ndof += 1
+        singles = np.flatnonzero(free & (node_dof < 0))
+        node_dof[singles] = ndof + np.arange(singles.size)
+        ndof += singles.size
+        self.node_dof = node_dof
+        self.restriction = _dof_matrix(node_dof, ndof)
+
+        # an entry has a structural nonzero iff a contributing cell touches it
+        live = _node_couplings(grid, [contributing.astype(np.float64)] * 10) > 0.0
+        stiff = np.zeros(ndof, dtype=bool)
+        stiff[node_dof[live[:n] & free]] = True
+        self.keep = np.flatnonzero(stiff)
+        if self.keep.size == 0:
+            raise AssemblyError("assembled system is empty")
+        self.n_unknowns = self.keep.size
+        # the pattern is built in int32, which halves its transient memory
+        kept = np.full(ndof, -1, dtype=np.int32)
+        kept[self.keep] = np.arange(self.keep.size)
+        node_kept = np.where(node_dof >= 0, kept[node_dof], -1).astype(np.int32)
+        boundary = np.full(n, -1, dtype=np.int32)
+        boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
+
+        first, second = _coupling_ends(grid)
+        e = np.flatnonzero(live).astype(np.int32)
+        p, q = first[e], second[e]
+        rp, rq = node_kept[p], node_kept[q]
+        both = (rp >= 0) & (rq >= 0)
+        mirror = both & (p != q)
+        m = self.n_unknowns
+        self.pattern = _SummingPattern(
+            np.concatenate([rp[both], rq[mirror]]),
+            np.concatenate([rq[both], rp[mirror]]),
+            np.concatenate([e[both], e[mirror]]),
+            (m, m),
+        )
+        to_q = (rp >= 0) & (boundary[q] >= 0)
+        to_p = (rq >= 0) & (boundary[p] >= 0)
+        self.coupling = _SummingPattern(
+            np.concatenate([rp[to_q], rq[to_p]]),
+            np.concatenate([boundary[q[to_q]], boundary[p[to_p]]]),
+            np.concatenate([e[to_q], e[to_p]]),
+            (m, grid.boundary_ids.size),
+        )
+        self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
+
+    def fits(self, grid: Grid2D, contributing: np.ndarray, perfect) -> bool:
+        return (
+            self.grid.same_layout(grid)
+            and np.array_equal(self.contributing, contributing)
+            and len(self.perfect) == len(perfect)
+            and all(np.array_equal(a, b) for a, b in zip(self.perfect, perfect))
+        )
 
 
 class LinearSystem:
-    """Reduced SPD system for one coefficient layout.
+    """Reduced SPD system for one coefficient field on one `Layout`.
 
-    Dirichlet nodes are eliminated by lifting, perfectly conducting
-    components are aggregated to a single column each, and unknowns with
-    no stiffness (nodes fully surrounded by deleted cells) are dropped
-    and later filled by neighbor averaging.
+    `matrix` is a `Multigrid`: the reduced matrix with its V-cycle.
+    `coupling` maps Dirichlet values to the right-hand side.  The latest
+    `solve_dirichlet` on this system leaves its CG iteration count and
+    relative residual in `cg_iterations` and `cg_residual`.
     """
 
-    def __init__(self, grid, a_full, restriction, node_dof, keep, matrix, contributing):
-        self.grid = grid
-        self.a_full = a_full
-        self.restriction = restriction
-        self.node_dof = node_dof
-        self.keep = keep
+    def __init__(self, layout: Layout, matrix: Multigrid, coupling):
+        self.grid = layout.grid
+        self.layout = layout
         self.matrix = matrix
-        self.contributing = contributing
-        self.n_unknowns = matrix.shape[0]
+        self.coupling = coupling
+        self.n_unknowns = layout.n_unknowns
+        self.cg_iterations = None
+        self.cg_residual = None
 
     def rhs(self, boundary_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
         lift = np.zeros(grid.n_nodes)
         lift[grid.boundary_ids] = boundary_values
-        b = self.restriction.T @ (-(self.a_full @ lift))
-        if self.keep is not None:
-            b = b[self.keep]
-        return b, lift
+        return -(self.coupling @ boundary_values), lift
 
 
-def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cells=None):
+def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cells=None,
+             layout: Layout | None = None):
     """Assemble the stiffness system for coefficient c * sigma0.
 
     `c` is a cell scalar (ScalarField or array) and must be positive on
     every contributing cell; insulating and perfect inclusion cells and
-    any `exclude_cells` are left out of the quadrature.
+    any `exclude_cells` are left out of the quadrature.  Passing the
+    `layout` of an earlier system with the same grid, cells and
+    inclusions skips rebuilding it: only the values are refilled.
     """
     if isinstance(c, ScalarField):
         if c.location != "cell":
@@ -241,64 +520,19 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
         raise AssemblyError(
             f"conductivity must be positive outside inclusions; {int(bad.sum())} violating cell(s)"
         )
+    perfect = inclusions.perfect if inclusions is not None else []
+    if layout is None:
+        layout = Layout(grid, contributing, perfect)
+    elif not layout.fits(grid, contributing, perfect):
+        raise AssemblyError("layout was built for another grid, cell set or inclusion set")
 
     kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
-    jj, ii = np.nonzero(contributing)
-    s11 = (c * sigma0.s11)[jj, ii]
-    s12 = (c * sigma0.s12)[jj, ii]
-    s22 = (c * sigma0.s22)[jj, ii]
-    kcell = (
-        s11[:, None, None] * kxx[None]
-        + s12[:, None, None] * kxy[None]
-        + s22[:, None, None] * kyy[None]
-    )
-    n0 = jj * grid.nx + ii
-    nodes = np.stack([n0, n0 + 1, n0 + grid.nx + 1, n0 + grid.nx], axis=1)
-    rows = np.repeat(nodes, 4, axis=1).ravel()
-    cols = np.tile(nodes, (1, 4)).ravel()
-    n = grid.n_nodes
-    a_full = sparse.coo_matrix((kcell.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    # node -> reduced column map: -1 Dirichlet
-    node_dof = np.zeros(n, dtype=np.int64)
-    node_dof[grid.boundary_ids] = -1
-    free = node_dof == 0
-
-    tied = np.zeros(n, dtype=bool)
-    groups = []
-    if inclusions is not None:
-        for m in inclusions.perfect:
-            g_nodes = np.flatnonzero(nodes_of_cells(m).ravel())
-            if np.intersect1d(g_nodes, grid.boundary_ids).size:
-                raise AssemblyError("perfectly conducting component touches the outer boundary")
-            groups.append(g_nodes)
-            tied[g_nodes] = True
-
-    ndof = 0
-    dof = np.full(n, -9, dtype=np.int64)
-    for g_nodes in groups:
-        dof[g_nodes] = ndof
-        ndof += 1
-    singles = np.flatnonzero(free & ~tied)
-    dof[singles] = ndof + np.arange(singles.size)
-    ndof += singles.size
-    node_dof[free] = dof[free]
-
-    which = np.flatnonzero(free)
-    restriction = sparse.coo_matrix(
-        (np.ones(which.size), (which, node_dof[which])), shape=(n, ndof)
-    ).tocsr()
-    reduced = (restriction.T @ a_full @ restriction).tocsr()
-
-    keep = None
-    diag = reduced.diagonal()
-    if np.any(diag <= 0.0):
-        keep = np.flatnonzero(diag > 0.0)
-        if keep.size == 0:
-            raise AssemblyError("assembled system is empty")
-        reduced = reduced[keep][:, keep].tocsr()
-
-    return LinearSystem(grid, a_full, restriction, node_dof, keep, reduced, contributing)
+    cm = np.where(contributing, c, 0.0)
+    s11, s12, s22 = cm * sigma0.s11, cm * sigma0.s12, cm * sigma0.s22
+    k = [s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b] for a, b in _CORNER_PAIRS]
+    values = _node_couplings(grid, k)
+    matrix = Multigrid(layout.pattern.fill(values), layout.prolongations)
+    return LinearSystem(layout, matrix, layout.coupling.fill(values))
 
 
 # -- conjugate gradients -------------------------------------------------------
@@ -309,19 +543,23 @@ def _dot(a, b):
     return float(np.sum(a * b))
 
 
-def _pcg(matrix, b, tol, max_iter, x0=None):
-    diag = matrix.diagonal()
+def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
+    """CG on `matrix` preconditioned by its V-cycle.
+
+    Stops when the relative residual |b - A x| / |b| meets tol and
+    returns (x, relative residual, iterations).
+    """
     x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
     bnorm = np.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     r = b - matrix @ x if x0 is not None else b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = _dot(r, z)
     res = np.sqrt(_dot(r, r)) / bnorm
     if res <= tol:
         return x, res, 0
+    z = matrix.vcycle(r)
+    p = z.copy()
+    rz = _dot(r, z)
     for it in range(1, max_iter + 1):
         ap = matrix @ p
         alpha = rz / _dot(p, ap)
@@ -330,7 +568,7 @@ def _pcg(matrix, b, tol, max_iter, x0=None):
         res = np.sqrt(_dot(r, r)) / bnorm
         if res <= tol:
             return x, res, it
-        z = r / diag
+        z = matrix.vcycle(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -403,24 +641,20 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     b, lift = system.rhs(vals)
     if max_iter is None:
         max_iter = max(10 * system.n_unknowns, 50)
+    layout = system.layout
     guess = None
     if x0 is not None:
         x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=np.float64)
         # a tied component starts from the mean of its nodes' guesses
-        counts = system.restriction.T @ np.ones(grid.n_nodes)
-        guess = (system.restriction.T @ x0v.ravel()) / counts
-        if system.keep is not None:
-            guess = guess[system.keep]
-    x, _, _ = _pcg(system.matrix, b, tol, max_iter, x0=guess)
+        counts = layout.restriction.T @ np.ones(grid.n_nodes)
+        guess = ((layout.restriction.T @ x0v.ravel()) / counts)[layout.keep]
+    x, system.cg_residual, system.cg_iterations = _pcg(system.matrix, b, tol, max_iter, x0=guess)
 
-    xd = np.full(system.restriction.shape[1], np.nan)
-    if system.keep is None:
-        xd[:] = x
-    else:
-        xd[system.keep] = x
+    xd = np.full(layout.restriction.shape[1], np.nan)
+    xd[layout.keep] = x
     u = lift
-    freem = system.node_dof >= 0
-    u[freem] = xd[system.node_dof[freem]]
+    freem = layout.node_dof >= 0
+    u[freem] = xd[layout.node_dof[freem]]
     u2 = u.reshape(grid.shape)
     if not np.isfinite(u2).all():
         u2 = _fill_isolated(grid, u2)

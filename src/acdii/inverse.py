@@ -168,22 +168,25 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     """Lagged-diffusivity minimization with eps-continuation.
 
     Returns (u, info).  info records, per stage, the smoothed functional
-    history (in absolute units), the inner iteration count, and whether
-    the stage decreased monotonically; an increase beyond round-off is
-    flagged but not fatal.
+    history (in absolute units), the inner iteration and CG iteration
+    counts, the last relative change of u, whether that change met
+    fp_tol (`converged`), and whether the stage decreased monotonically;
+    an increase beyond round-off is flagged but not fatal.  The run's
+    CG total also counts the initial solve.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     # eps lives in |grad u|_{sigma0} units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
     # a -> alpha a (the effective coefficient just rescales, which CG
-    # relative tolerances and Jacobi scaling cannot see).
+    # relative tolerances and the multigrid cycle cannot see).
     eps0_hat = problem.eps_start()
     schedule = [eps0_hat * problem.eps_ratio**s for s in range(problem.eps_stages)]
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
     u = solve_dirichlet(system, t.f, tol=problem.cg_tol)
     uvals = u.values.copy()
+    total_cg = system.cg_iterations
 
     stages = []
     flagged = False
@@ -191,11 +194,13 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     for eps_hat in schedule:
         hist = []
         inner = 0
+        cg = 0
         for _ in range(problem.max_inner):
             weight = tv_density(*grad(grid, uvals), sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
-            system = assemble(c_eff, sigma0, grid, exclude_cells=void)
+            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout)
             u_new = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals)
+            cg += system.cg_iterations
             rel = _masked_rel_change(u_new.values, uvals)
             uvals = u_new.values.copy()
             hist.append(amax * smoothed_tv(grid, a_hat, sigma0, uvals, eps_hat))
@@ -203,6 +208,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             if rel <= problem.fp_tol:
                 break
         total_inner += inner
+        total_cg += cg
         drops = np.diff(np.asarray(hist))
         monotone = bool(np.all(drops <= 1e-10 * (1.0 + abs(hist[0]))))
         if not monotone:
@@ -211,6 +217,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             {
                 "eps": eps_hat,
                 "inner_iterations": inner,
+                "cg_iterations": cg,
+                "converged": rel <= problem.fp_tol,
+                "final_rel_change": rel,
                 "smoothed_history": hist,
                 "monotone": monotone,
             }
@@ -221,6 +230,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         "algorithm": "fixedpoint",
         "stages": stages,
         "total_inner_iterations": total_inner,
+        "total_cg_iterations": total_cg,
         "nonmonotone_flag": flagged,
         "tv_final": weighted_tv(u_final, t.a, sigma0),
     }

@@ -66,10 +66,13 @@ def write_field(field) -> bytes:
 def read_field(data: bytes):
     """Parse field bytes into a ScalarField, VectorField2, or TensorField2.
 
-    Scalar files come back node-located on an (nx, ny)-node grid; vector
-    and tensor planes are cell data, so their grid has one extra node per
-    direction.  The mask information is not part of the format and the
-    reconstructed grid covers the full rectangle.
+    Scalar files come back node-located on an (nx, ny)-node grid, except
+    a plane with fewer than 3 entries in a direction, which is too small
+    for a node plane and so comes back as the cell plane of the grid with
+    one node more per direction.  Vector and tensor planes are cell data,
+    so their grid has one extra node per direction.  The mask information
+    is not part of the format and the reconstructed grid covers the full
+    rectangle.
     """
     nl = data.find(b"\n")
     if nl < 0:
@@ -127,8 +130,9 @@ def read_field(data: bytes):
     arrays = [raw[p * nx * ny : (p + 1) * nx * ny].reshape(ny, nx) for p in range(planes)]
 
     if kind == "scalar":
-        grid = Grid2D(nx, ny, hx, hy)
-        return ScalarField(grid, arrays[0], location="node")
+        if nx >= 3 and ny >= 3:
+            return ScalarField(Grid2D(nx, ny, hx, hy), arrays[0], location="node")
+        return ScalarField(Grid2D(nx + 1, ny + 1, hx, hy), arrays[0], location="cell")
     grid = Grid2D(nx + 1, ny + 1, hx, hy)
     if kind == "vector":
         return VectorField2(grid, arrays[0], arrays[1])

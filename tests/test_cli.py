@@ -311,6 +311,14 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, section, key, v
     assert not (tmp_path / "out").exists()
 
 
+def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["truth"]["c"]["amplitude"] = -2.0
+    assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
+    assert "'truth.c'" in _single_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out", noise=0.05)
     assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2

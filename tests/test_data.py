@@ -177,6 +177,18 @@ def test_save_load_roundtrip_with_inclusions(tmp_path):
     assert np.array_equal(back.inclusions.perfect_mask(), disk)
 
 
+def test_save_load_roundtrip_on_the_smallest_grid(tmp_path):
+    # a 3x3 grid stores 2x2 cell planes, smaller than any node plane
+    grid, c, sigma0, f = bump_problem(3)
+    t = synthesize_triplet(c, sigma0, f, grid)
+    save_triplet(t, tmp_path / "trip")
+    back = load_triplet(tmp_path / "trip")
+    assert back.grid.same_layout(grid)
+    assert back.a.location == "cell" and np.array_equal(back.a.values, t.a.values)
+    assert np.array_equal(back.provenance["c_true"], t.provenance["c_true"])
+    assert np.array_equal(back.f.values, t.f.values)
+
+
 def test_load_missing_field_reports_name(tmp_path, bump33):
     d = tmp_path / "trip"
     save_triplet(bump33, d)

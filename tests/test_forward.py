@@ -8,12 +8,15 @@ package's assembly path, so agreement to 1e-10 pins both sides.
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient
+from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient, nodes_of_cells
 from acdii.forward import (
     AssemblyError,
     ConvergenceError,
     InclusionSet,
+    _pcg,
     assemble,
     disk_cells,
     element_templates,
@@ -306,3 +309,145 @@ def test_disk_and_rect_cell_selectors():
     assert np.array_equal(d, inside)
     r = rect_cells(grid, (0.25, 0.25), (0.75, 0.75))
     assert np.array_equal(r, (xc > 0.25) & (xc < 0.75) & (yc > 0.25) & (yc < 0.75))
+
+
+# -- fixed-pattern assembly and the multigrid solve ------------------------------
+
+
+def coo_reduced_system(c, sigma0, grid, inclusions=None, exclude_cells=None):
+    """Reference reduced matrix and Dirichlet map by COO assembly and R^T A R.
+
+    Assembles every contributing cell's 4x4 matrix into the full node
+    matrix, ties each perfect component to one column, eliminates the
+    boundary and drops unknowns with a zero diagonal.  Returns the
+    reduced matrix and the matrix taking boundary values to the
+    right-hand side.
+    """
+    contributing = np.ones(grid.cell_shape, dtype=bool)
+    if inclusions is not None:
+        contributing &= ~inclusions.union_mask()
+    if exclude_cells is not None:
+        contributing &= ~exclude_cells
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), grid.cell_shape)
+    kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
+    jj, ii = np.nonzero(contributing)
+    s11, s12, s22 = ((c * s)[jj, ii] for s in (sigma0.s11, sigma0.s12, sigma0.s22))
+    kcell = s11[:, None, None] * kxx + s12[:, None, None] * kxy + s22[:, None, None] * kyy
+    n0 = jj * grid.nx + ii
+    nodes = np.stack([n0, n0 + 1, n0 + grid.nx + 1, n0 + grid.nx], axis=1)
+    n = grid.n_nodes
+    a_full = sparse.coo_matrix(
+        (kcell.ravel(), (np.repeat(nodes, 4, axis=1).ravel(), np.tile(nodes, (1, 4)).ravel())),
+        shape=(n, n),
+    ).tocsr()
+    free = np.ones(n, dtype=bool)
+    free[grid.boundary_ids] = False
+    dof = np.full(n, -1)
+    ndof = 0
+    for m in (inclusions.perfect if inclusions is not None else []):
+        dof[nodes_of_cells(m).ravel()] = ndof
+        ndof += 1
+    singles = np.flatnonzero(free & (dof < 0))
+    dof[singles] = ndof + np.arange(singles.size)
+    ndof += singles.size
+    which = np.flatnonzero(free)
+    r = sparse.coo_matrix((np.ones(which.size), (which, dof[which])), shape=(n, ndof)).tocsr()
+    reduced = (r.T @ a_full @ r).tocsr()
+    keep = np.flatnonzero(reduced.diagonal() > 0.0)
+    to_rhs = -(r.T @ a_full[:, grid.boundary_ids]).tocsr()[keep]
+    return reduced[keep][:, keep], to_rhs
+
+
+_LAYOUTS = ("plain", "excluded", "tied+insulating", "penalized")
+# odd and even node counts, each with hx != hy
+_SIZES = ((17, 13), (18, 14), (33, 27))
+
+
+def _layout_case(kind, nx, ny, k=1e-6):
+    """(c, sigma0, grid, inclusions, exclude_cells, f) for one layout kind."""
+    grid = Grid2D(nx, ny, 1.0 / (nx - 1), 0.8 / (ny - 1))
+    xc, yc = grid.cell_centers()
+    c = 1.0 + 0.5 * np.exp(-((xc - 0.5) ** 2 + (yc - 0.4) ** 2) / (2 * 0.15**2))
+    sigma0 = rotated_tensor(grid, np.pi / 6.0, 2.0, 1.0)
+    x, y = grid.node_coords()
+    f = np.sin(np.pi * (x + 0.5 * y)) + 0.3 * x
+    inclusions = exclude = None
+    if kind == "excluded":
+        exclude = rect_cells(grid, (0.55, 0.2), (0.8, 0.45))
+    elif kind in ("tied+insulating", "penalized"):
+        inclusions = InclusionSet(
+            grid,
+            perfect=[disk_cells(grid, (0.3, 0.5), 0.14)],
+            insulating=[disk_cells(grid, (0.7, 0.3), 0.12)],
+        )
+    if kind == "penalized":
+        perf = inclusions.perfect_mask()
+        sigma = sigma0.scaled(c)
+        sigma0 = TensorField2(grid, *(np.where(perf, s0 / k, s) for s0, s in (
+            (sigma0.s11, sigma.s11), (sigma0.s12, sigma.s12), (sigma0.s22, sigma.s22))))
+        c = np.ones(grid.cell_shape)
+        inclusions = InclusionSet(grid, insulating=inclusions.insulating)
+    return c, sigma0, grid, inclusions, exclude, f
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_refilled_matrix_matches_coo_assembly(kind, nx, ny):
+    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
+    first = assemble(c, sigma0, grid, incl, excl)
+    # a second coefficient on the same layout: only the values are refilled
+    c2 = c * (1.5 + np.cos(3.0 * grid.cell_centers()[0]))
+    system = assemble(c2, sigma0, grid, incl, excl, layout=first.layout)
+    ref, to_rhs = coo_reduced_system(c2, sigma0, grid, incl, excl)
+    got = system.matrix.levels[0]
+    assert got.shape == ref.shape
+    assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+    fb = f.ravel()[grid.boundary_ids]
+    b_ref = to_rhs @ fb
+    assert np.max(np.abs(system.rhs(fb)[0] - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_multigrid_cg_matches_sparse_direct_solve(kind, nx, ny):
+    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
+    system = assemble(c, sigma0, grid, incl, excl)
+    b, _ = system.rhs(f.ravel()[grid.boundary_ids])
+    x, res, its = _pcg(system.matrix, b, 1e-12, 1000)
+    ref, to_rhs = coo_reduced_system(c, sigma0, grid, incl, excl)
+    direct = spsolve(ref.tocsc(), to_rhs @ f.ravel()[grid.boundary_ids])
+    assert res <= 1e-12 and its > 0
+    assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_vcycle_is_symmetric(kind):
+    c, sigma0, grid, incl, excl, _ = _layout_case(kind, 33, 27)
+    mg = assemble(c, sigma0, grid, incl, excl).matrix
+    assert len(mg.levels) >= 3
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, mg.levels[0].shape[0]))
+    bu, bv = mg.vcycle(u), mg.vcycle(v)
+    assert abs(u @ bv - v @ bu) <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(bv)
+    assert u @ bu > 0.0 and v @ bv > 0.0
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_cold_cg_iterations_stay_flat_on_the_bump(n):
+    grid, c, sigma0, f = bump_problem(n)
+    system = assemble(c.values, sigma0, grid)
+    b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
+    _, _, its = _pcg(system.matrix, b, 1e-10, 10_000)
+    assert its <= 15
+    u = solve_dirichlet(system, f)
+    assert system.cg_iterations == its and system.cg_residual <= 1e-10
+    assert np.isfinite(u.values).all()
+
+
+def test_layout_of_another_cell_set_is_rejected():
+    grid, c, sigma0, _ = bump_problem(9)
+    excl = np.zeros(grid.cell_shape, dtype=bool)
+    excl[3, 3] = True
+    system = assemble(c.values, sigma0, grid, exclude_cells=excl)
+    with pytest.raises(AssemblyError):
+        assemble(c.values, sigma0, grid, layout=system.layout)

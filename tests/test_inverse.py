@@ -113,6 +113,21 @@ def test_fixedpoint_recovers_linear_potential():
     assert not info["nonmonotone_flag"]
 
 
+def test_fixedpoint_stages_report_cg_work_and_convergence():
+    # at n = 17 and fp_tol 1e-5 the first stage runs out of inner
+    # iterations and the later ones converge
+    problem = TVProblem(bump_triplet(17), fp_tol=1e-5)
+    _, info = minimize_tv_fixedpoint(problem)
+    stages = info["stages"]
+    for st in stages:
+        assert st["converged"] == (st["final_rel_change"] <= problem.fp_tol)
+        assert st["converged"] or st["inner_iterations"] == problem.max_inner
+        assert st["cg_iterations"] > 0
+    assert not stages[0]["converged"] and stages[-1]["converged"]
+    # the run total also counts the initial cold solve
+    assert info["total_cg_iterations"] > sum(st["cg_iterations"] for st in stages)
+
+
 def test_primal_dual_recovers_linear_potential():
     trip, x = _trivial_triplet()
     u, B, info = minimize_tv_primal_dual(TVProblem(trip))

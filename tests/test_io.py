@@ -55,6 +55,16 @@ def test_vector_and_tensor_roundtrip():
     assert np.array_equal(bt.s12, t.s12)
 
 
+def test_plane_too_small_for_nodes_reads_back_as_cells():
+    cells = ScalarField(Grid2D(3, 4, 0.5, 0.25), np.arange(6.0).reshape(3, 2), "cell")
+    blob = write_field(cells)
+    back = read_field(blob)
+    assert back.location == "cell"
+    assert (back.grid.nx, back.grid.ny, back.grid.hx, back.grid.hy) == (3, 4, 0.5, 0.25)
+    assert np.array_equal(back.values, cells.values)
+    assert write_field(back) == blob
+
+
 def test_file_roundtrip(tmp_path):
     f = _scalar(4)
     p = tmp_path / "u.field"
