@@ -8,9 +8,13 @@ minimizer over boundary data f of
 and the factor follows pointwise as c = a / |grad u*|_{sigma0}.  Two
 independent minimizers are provided and kept separate on purpose:
 
-- a lagged-diffusivity fixed point with an eps-continuation schedule,
-  each step solving div(c_eff sigma0 grad u) = 0 with
-  c_eff = a / (|grad u_prev|^2_{sigma0} + eps^2)^(1/2);
+- a lagged-diffusivity fixed point with an eps-continuation schedule:
+  the map Phi solves div(c_eff sigma0 grad u) = 0 with
+  c_eff = a / (|grad u_prev|^2_{sigma0} + eps^2)^(1/2), and each stage
+  iterates it under type-II Anderson mixing over the last five steps
+  (restarted at every stage, reset to the plain step Phi(u) whenever the
+  residual Phi(u) - u grows or the mixing system is singular), which
+  reaches the same fixed point as the plain iteration in fewer solves;
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
   min_u max_B <grad u, B> over the dual ball |B|_{sigma0^{-1}} <= a,
   with a closed-form per-cell projection realized by radial scaling in
@@ -49,7 +53,7 @@ from .fields import (
     rel_l2,
     sym2_sqrt,
 )
-from .forward import assemble, solve_dirichlet
+from .forward import _dot, assemble, solve_dirichlet
 from .geometry import extract_level_set, weighted_perimeter
 from .schema import Key, validate
 
@@ -164,15 +168,88 @@ def _masked_rel_change(new, old):
     return rel_l2(old, new)
 
 
+# history depth m of the Anderson mixing: differences of the last m steps
+_ANDERSON_DEPTH = 5
+
+
+class _Anderson:
+    """Type-II Anderson mixing of one eps-stage (Walker & Ni 2011).
+
+    `step(u, r)` takes the iterate u_k and its residual r_k = Phi(u_k) - u_k
+    and returns u_{k+1} = u_k + r_k - (dU + dR) gamma, where the rows of
+    dU and dR are the differences of the last _ANDERSON_DEPTH iterates and
+    residuals and gamma solves the Gram system (dR^T dR) gamma = dR^T r_k.
+    The plain step u_k + r_k = Phi(u_k) is taken, with the history
+    cleared, at the first step and whenever |r_k| > |r_{k-1}| or the Gram
+    system is singular or yields a non-finite gamma; `restarts` counts
+    these last two resets.  Inner products use the pairwise `_dot`, so a
+    rerun repeats every step bit for bit.
+    """
+
+    def __init__(self, shape):
+        self.du = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.dr = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.reset()
+
+    def reset(self):
+        """Start a new stage: no history, no restarts."""
+        self.pushed = 0  # difference rows stored since the last reset, round-robin
+        self.restarts = 0
+        self._last = None  # (u, r, |r|) of the previous step
+
+    def step(self, u, r):
+        rnorm = np.sqrt(_dot(r, r))
+        last, self._last = self._last, (u, r, rnorm)
+        if last is None:
+            return u + r
+        if rnorm > last[2]:
+            return self._restart(u, r)
+        row = self.pushed % _ANDERSON_DEPTH
+        np.subtract(u, last[0], out=self.du[row])
+        np.subtract(r, last[1], out=self.dr[row])
+        self.pushed += 1
+        k = min(self.pushed, _ANDERSON_DEPTH)
+        gram = np.empty((k, k))
+        for i in range(k):
+            for j in range(i + 1):
+                gram[i, j] = gram[j, i] = _dot(self.dr[i], self.dr[j])
+        rhs = np.array([_dot(self.dr[i], r) for i in range(k)])
+        try:
+            gamma = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            return self._restart(u, r)
+        if not np.all(np.isfinite(gamma)):
+            return self._restart(u, r)
+        out = u + r
+        for i in range(k):
+            out -= gamma[i] * (self.du[i] + self.dr[i])
+        return out
+
+    def _restart(self, u, r):
+        self.pushed = 0
+        self.restarts += 1
+        return u + r
+
+
 def minimize_tv_fixedpoint(problem: TVProblem):
-    """Lagged-diffusivity minimization with eps-continuation.
+    """Anderson-accelerated lagged-diffusivity minimization with eps-continuation.
+
+    The map Phi(u) is one lagged-diffusivity step: assemble with
+    c_eff = a / (|grad u|^2_{sigma0} + eps^2)^(1/2) and solve, warm
+    started at u.  Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k)
+    with `_Anderson`, restarted at the stage, and ends with Phi(u_k) at
+    the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= fp_tol or
+    after max_inner steps.
 
     Returns (u, info).  info records, per stage, the smoothed functional
-    history (in absolute units), the inner iteration and CG iteration
-    counts, the last relative change of u, whether that change met
-    fp_tol (`converged`), and whether the stage decreased monotonically;
-    an increase beyond round-off is flagged but not fatal.  The run's
-    CG total also counts the initial solve.
+    of each Phi(u_k) (in absolute units), the inner and CG iteration
+    counts, the last relative change, whether it met fp_tol
+    (`converged`), the number of Anderson safeguard resets (`restarts`),
+    and whether that functional never rose beyond round-off from one
+    Phi(u_k) to the next (`monotone`).  A mixed iterate carries no descent
+    guarantee, so on hard data (noise, inclusions) a stage can rise
+    slightly; that is flagged in `nonmonotone_flag`, not fatal.  The
+    run's CG total also counts the initial solve.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
@@ -187,26 +264,27 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     u = solve_dirichlet(system, t.f, tol=problem.cg_tol)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
+    mixer = _Anderson(grid.shape)
 
     stages = []
     flagged = False
     total_inner = 0
     for eps_hat in schedule:
+        mixer.reset()
         hist = []
-        inner = 0
         cg = 0
-        for _ in range(problem.max_inner):
+        for inner in range(1, problem.max_inner + 1):
             weight = tv_density(*grad(grid, uvals), sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
             system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout)
-            u_new = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals)
+            phi = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals).values
             cg += system.cg_iterations
-            rel = _masked_rel_change(u_new.values, uvals)
-            uvals = u_new.values.copy()
-            hist.append(amax * smoothed_tv(grid, a_hat, sigma0, uvals, eps_hat))
-            inner += 1
-            if rel <= problem.fp_tol:
+            rel = _masked_rel_change(phi, uvals)
+            hist.append(amax * smoothed_tv(grid, a_hat, sigma0, phi, eps_hat))
+            if rel <= problem.fp_tol or inner == problem.max_inner:
+                uvals = phi
                 break
+            uvals = mixer.step(uvals, phi - uvals)
         total_inner += inner
         total_cg += cg
         drops = np.diff(np.asarray(hist))
@@ -220,6 +298,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
                 "cg_iterations": cg,
                 "converged": rel <= problem.fp_tol,
                 "final_rel_change": rel,
+                "restarts": mixer.restarts,
                 "smoothed_history": hist,
                 "monotone": monotone,
             }
@@ -243,7 +322,10 @@ def minimize_tv_primal_dual(problem: TVProblem):
     Steps default to tau = sigma = 1/L with L^2 = M (4/hx^2 + 4/hy^2) an
     upper bound for the weighted gradient norm; explicit steps violating
     tau sigma L^2 <= 1 are a configuration error.  Dirichlet values are
-    re-imposed after every primal step.
+    re-imposed after every primal step.  Every max(iterations // 50, 1)
+    steps info records the functional (`tv_history`) and the relative
+    primal-dual gap |F[u] - <grad u, B>| / F[u] (`gap_history`), the
+    quantity `pd_gap` reports at the end.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
@@ -271,6 +353,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     b2 = np.zeros(grid.cell_shape)
     tiny = 1e-300
     f_hist = []
+    gap_hist = []
     record_every = max(iters // 50, 1)
     for it in range(iters):
         g1, g2 = grad(grid, ubar)
@@ -289,7 +372,11 @@ def minimize_tv_primal_dual(problem: TVProblem):
         ubar = 2.0 * u_new - uv
         uv = u_new
         if (it + 1) % record_every == 0:
-            f_hist.append(amax * smoothed_tv(grid, a_hat, sigma0, uv))
+            tv_hat = smoothed_tv(grid, a_hat, sigma0, uv)
+            f_hist.append(amax * tv_hat)
+            g1, g2 = grad(grid, uv)
+            pairing_hat = float(np.sum(g1 * q1 + g2 * q2)) * grid.cell_area
+            gap_hist.append(abs(tv_hat - pairing_hat) / max(tv_hat, tiny))
 
     u_final = ScalarField(grid, uv, location="node")
     bb1 = amax * (r11 * b1 + r12 * b2)
@@ -308,6 +395,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
         "tau": tau,
         "sigma_step": sig,
         "tv_history": f_hist,
+        "gap_history": gap_hist,
         "tv_final": primal,
         "pairing": pairing,
         "pd_gap": gap,

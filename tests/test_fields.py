@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acdii.fields import (
     Grid2D,
@@ -11,6 +13,8 @@ from acdii.fields import (
     VectorField2,
     cell_integral,
     divergence,
+    grad,
+    grad_adjoint,
     gradient,
     sample_cell_field,
     sym2_apply,
@@ -77,6 +81,31 @@ def test_divergence_is_exact_negative_adjoint_of_gradient():
         lhs = float(np.sum(gr.v1 * B.v1 + gr.v2 * B.v2))
         rhs = -float(np.sum(u.values * divergence(B).values))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    hx=st.floats(1e-3, 10.0),
+    hy=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grad_adjoint_is_transpose_of_grad(nx, ny, hx, hy, seed):
+    # <grad u, B> over cells equals <u, grad_adjoint B> over nodes for
+    # every zero-trace u; the primal-dual loop relies on it
+    assume(hx != hy)
+    grid = Grid2D(nx, ny, hx, hy)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.shape)
+    u.ravel()[grid.boundary_ids] = 0.0
+    b1 = rng.standard_normal(grid.cell_shape)
+    b2 = rng.standard_normal(grid.cell_shape)
+    g1, g2 = grad(grid, u)
+    lhs = float(np.sum(g1 * b1 + g2 * b2))
+    rhs = float(np.sum(u * grad_adjoint(grid, b1, b2)))
+    scale = float(np.sqrt(np.sum(g1 * g1 + g2 * g2) * np.sum(b1 * b1 + b2 * b2)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_sym2_algebra_roundtrips():

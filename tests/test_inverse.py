@@ -10,12 +10,16 @@ from acdii.fields import (
     TensorField2,
     VectorField2,
     divergence,
+    grad,
     gradient,
+    rel_l2,
 )
 from acdii.forward import InclusionSet, assemble, disk_cells, solve_dirichlet
 from acdii.inverse import (
     TVConfigError,
     TVProblem,
+    _Anderson,
+    _normalized_data,
     boundary_flux_integral,
     classify_inclusions,
     coarea_audit,
@@ -26,6 +30,7 @@ from acdii.inverse import (
     minimize_tv_primal_dual,
     reconstruct,
     recover_c,
+    tv_density,
     weighted_tv,
 )
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
@@ -114,9 +119,9 @@ def test_fixedpoint_recovers_linear_potential():
 
 
 def test_fixedpoint_stages_report_cg_work_and_convergence():
-    # at n = 17 and fp_tol 1e-5 the first stage runs out of inner
-    # iterations and the later ones converge
-    problem = TVProblem(bump_triplet(17), fp_tol=1e-5)
+    # at n = 17, fp_tol 1e-5 and five inner iterations per stage the first
+    # stages run out of inner iterations and the last ones converge
+    problem = TVProblem(bump_triplet(17), fp_tol=1e-5, max_inner=5)
     _, info = minimize_tv_fixedpoint(problem)
     stages = info["stages"]
     for st in stages:
@@ -126,6 +131,72 @@ def test_fixedpoint_stages_report_cg_work_and_convergence():
     assert not stages[0]["converged"] and stages[-1]["converged"]
     # the run total also counts the initial cold solve
     assert info["total_cg_iterations"] > sum(st["cg_iterations"] for st in stages)
+
+
+def test_accelerated_fixedpoint_converges_every_stage(bump33):
+    problem = TVProblem(bump33)
+    u, info = minimize_tv_fixedpoint(problem)
+    assert all(st["converged"] for st in info["stages"])
+    # half of the 8 x 50 budget, which the unmixed lagged iteration uses
+    # up here without meeting fp_tol in any stage
+    assert info["total_inner_iterations"] <= 200
+    # u is a fixed point: one more lagged step at the final eps barely moves it
+    grid, sigma0, _, a_hat, void = _normalized_data(problem)
+    eps = problem.eps_start() * problem.eps_ratio ** (problem.eps_stages - 1)
+    weight = tv_density(*grad(grid, u.values), sigma0, eps)
+    system = assemble(np.where(~void, a_hat / weight, 1.0), sigma0, grid, exclude_cells=void)
+    step = solve_dirichlet(system, bump33.f, tol=problem.cg_tol, x0=u.values)
+    assert rel_l2(u.values, step.values) <= 10.0 * problem.fp_tol
+
+
+def test_anderson_mixing_solves_affine_map_exactly():
+    # on an affine contraction of R^4, type-II mixing with full history is
+    # GMRES in disguise: the residual vanishes after dim + 1 steps
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A = q @ np.diag([0.8, -0.6, 0.3, 0.1]) @ q.T
+    b = rng.standard_normal(4)
+    mixer = _Anderson((2, 2))
+    u = np.zeros((2, 2))
+    for _ in range(5):
+        u = mixer.step(u, (A @ u.ravel() + b).reshape(2, 2) - u)
+    assert mixer.restarts == 0
+    assert np.max(np.abs(u.ravel() - np.linalg.solve(np.eye(4) - A, b))) <= 1e-12
+
+
+def test_anderson_singular_gram_takes_plain_step():
+    mixer = _Anderson((3,))
+    u0, u1, r = np.zeros(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.25])
+    assert np.array_equal(mixer.step(u0, r), u0 + r)
+    # the same residual again: the one difference row is zero, the 1x1
+    # Gram matrix is singular, and the plain step is taken
+    assert np.array_equal(mixer.step(u1, r.copy()), u1 + r)
+    assert mixer.restarts == 1 and mixer.pushed == 0
+
+
+def test_anderson_growing_residual_clears_history():
+    mixer = _Anderson((3,))
+    mixer.step(np.zeros(3), np.array([1.0, -2.0, 0.5]))
+    r1 = np.array([0.5, -1.0, 0.0])
+    mixed = mixer.step(np.ones(3), r1)
+    assert mixer.pushed == 1 and not np.array_equal(mixed, np.ones(3) + r1)
+    # a larger residual, not collinear with the stored difference: the
+    # Gram system would be regular, but the history is cleared instead
+    u2, r2 = np.full(3, 2.0), np.array([0.0, 3.0, 3.0])
+    assert np.array_equal(mixer.step(u2, r2), u2 + r2)
+    assert mixer.restarts == 1 and mixer.pushed == 0
+    mixer.reset()
+    assert mixer.restarts == 0
+
+
+def test_primal_dual_records_gap_at_tv_checkpoints(recon33):
+    info = recon33.diagnostics["primaldual"]
+    gaps = info["gap_history"]
+    assert len(gaps) == len(info["tv_history"]) == 50
+    assert all(np.isfinite(gaps)) and min(gaps) >= 0.0
+    # the last checkpoint is the last iteration, where pd_gap is taken
+    assert gaps[-1] == pytest.approx(info["pd_gap"], abs=1e-12)
+    assert gaps[-1] < gaps[0]
 
 
 def test_primal_dual_recovers_linear_potential():
