@@ -14,12 +14,16 @@ used by the primal-dual scheme are exact discrete duals:
 
     sum_cells (grad u . B) == - sum_nodes u * divergence(B)
 
+`grad_operator` assembles the same stencil, premultiplied by a cell
+tensor, as one sparse matrix for loops that apply it many times.
+
 All field values are float64 and frozen after construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -260,6 +264,29 @@ def grad_adjoint(grid: Grid2D, w1, w2):
     out[1:, :-1] += -b1 + b2
     out[1:, 1:] += b1 + b2
     return out
+
+
+def grad_operator(grid: Grid2D, t11, t12, t22):
+    """CSR matrix of u -> (t11 g1 + t12 g2, t12 g1 + t22 g2) with (g1, g2) = grad(u).
+
+    The cell tensor entries are cell-shaped arrays or numbers.  Rows are
+    the cells in row-major order for the first component, then again for
+    the second; columns are flattened node ids.  Each row holds the
+    sw, se, nw, ne corners of its cell (4 nonzeros, int32 indices), with
+    the `grad` stencil folded into the tensor entries, so the matrix is
+    assembled directly from per-cell coefficients.
+    """
+    ncells = (grid.ny - 1) * (grid.nx - 1)
+    rows, cols = np.indices(grid.cell_shape, dtype=np.int32)
+    sw = (rows * grid.nx + cols).ravel()
+    corners = np.stack([sw, sw + 1, sw + grid.nx, sw + grid.nx + 1], axis=1)
+    d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * grid.hx)
+    d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * grid.hy)
+    t11, t12, t22 = (np.broadcast_to(t, grid.cell_shape).reshape(-1, 1) for t in (t11, t12, t22))
+    data = np.concatenate([t11 * d1 + t12 * d2, t12 * d1 + t22 * d2]).ravel()
+    indices = np.concatenate([corners, corners]).ravel()
+    indptr = np.arange(0, 8 * ncells + 1, 4, dtype=np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(2 * ncells, grid.n_nodes))
 
 
 def gradient(u: ScalarField) -> VectorField2:

@@ -47,10 +47,11 @@ from .fields import (
     TensorField2,
     VectorField2,
     grad,
-    grad_adjoint,
+    grad_operator,
     gradient,
     nodes_of_cells,
     rel_l2,
+    sym2_apply,
     sym2_sqrt,
 )
 from .forward import _dot, assemble, solve_dirichlet
@@ -321,11 +322,26 @@ def minimize_tv_primal_dual(problem: TVProblem):
 
     Steps default to tau = sigma = 1/L with L^2 = M (4/hx^2 + 4/hy^2) an
     upper bound for the weighted gradient norm; explicit steps violating
-    tau sigma L^2 <= 1 are a configuration error.  Dirichlet values are
-    re-imposed after every primal step.  Every max(iterations // 50, 1)
-    steps info records the functional (`tv_history`) and the relative
-    primal-dual gap |F[u] - <grad u, B>| / F[u] (`gap_history`), the
-    quantity `pd_gap` reports at the end.
+    tau sigma L^2 <= 1 are a configuration error.
+
+    The loop runs on two sparse matrices built once per call by
+    `grad_operator`: K = sigma 1_active sigma0^(1/2) grad and the primal
+    step (tau / sigma) K^T with its Dirichlet rows zeroed.  An iteration
+    is the dual ascent b += K ubar, the radial projection of b onto the
+    ball |b| <= a, and the primal step u -= (tau/sigma) K^T b with the
+    extrapolation ubar = 2 u_new - u_old, all on preallocated buffers.
+    The initial solve leaves f on the boundary and the step is zero there,
+    so u keeps its Dirichlet trace.
+
+    Every max(iterations // 50, 1) steps info records the functional F
+    (`tv_history`), the relative primal-dual gap |F_A[u] - <grad u, B>| /
+    F_A[u] (`gap_history`), and the interior rms of div B
+    (`divergence_history`).  F_A is F over the cells the scheme optimizes,
+    the cells above the void floor; B vanishes on the others.  `pd_gap`
+    and `dual_divergence_rms` are the same quantities at the end, and
+    `tv_final` is the full F.  The gap measures complementarity only:
+    once u and B pair up it can vanish while div B, the stationarity of
+    u, is still falling, so a stopping rule needs both numbers.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
@@ -342,53 +358,62 @@ def minimize_tv_primal_dual(problem: TVProblem):
         else 200 * max(grid.nx, grid.ny)
     )
 
-    r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
+    root = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
     active = ~void
+    interior = grid.interior_mask().ravel()
+    k_op = grad_operator(grid, *(sig * np.where(active, r, 0.0) for r in root))
+    k_op.eliminate_zeros()
+    kt_op = k_op.T.tocsr()
+    kt_op.data *= tau / sig
+    kt_op.data[np.repeat(~interior, np.diff(kt_op.indptr))] = 0.0
+    kt_op.eliminate_zeros()
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
-    uv = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.copy()
-    fvals = t.f.values.ravel()[grid.boundary_ids]
-    ubar = uv.copy()
-    b1 = np.zeros(grid.cell_shape)
-    b2 = np.zeros(grid.cell_shape)
-    tiny = 1e-300
+    u = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.ravel().copy()
+    ubar = u.copy()
+    b = np.zeros((2, a_hat.size))
+    b_flat = b.reshape(-1)
+    square = np.empty_like(b)
+    scale = np.empty(a_hat.size)
+    a_cells = a_hat.ravel()
+    a_floor = np.maximum(a_cells, 1e-300)
+    a_active = np.where(active, a_hat, 0.0)
+
+    def gap_and_pairing():
+        # relative gap over the optimized cells and <grad u, B>/amax, from the same K
+        primal = smoothed_tv(grid, a_active, sigma0, u.reshape(grid.shape))
+        pairing = float(np.sum((k_op @ u) * b_flat)) / sig * grid.cell_area
+        return abs(primal - pairing) / max(primal, 1e-300), pairing
+
+    def divergence_rms(step):
+        # the step is tau grad^T sigma0^(1/2) b on interior nodes, and B = amax sigma0^(1/2) b
+        return amax / tau * float(np.sqrt(np.mean(step[interior] ** 2)))
+
     f_hist = []
     gap_hist = []
+    div_hist = []
     record_every = max(iters // 50, 1)
     for it in range(iters):
-        g1, g2 = grad(grid, ubar)
-        p1 = r11 * g1 + r12 * g2
-        p2 = r12 * g1 + r22 * g2
-        b1 += sig * np.where(active, p1, 0.0)
-        b2 += sig * np.where(active, p2, 0.0)
-        nrm = np.hypot(b1, b2)
-        scale = np.where(nrm > a_hat, a_hat / np.maximum(nrm, tiny), 1.0)
-        b1 *= scale
-        b2 *= scale
-        q1 = r11 * b1 + r12 * b2
-        q2 = r12 * b1 + r22 * b2
-        u_new = uv - tau * grad_adjoint(grid, q1, q2)
-        u_new.ravel()[grid.boundary_ids] = fvals
-        ubar = 2.0 * u_new - uv
-        uv = u_new
+        b_flat += k_op @ ubar
+        # scale a / max(|b|, a): exactly 1 inside the ball, a / |b| outside
+        np.multiply(b, b, out=square)
+        np.add(square[0], square[1], out=scale)
+        np.sqrt(scale, out=scale)
+        np.maximum(scale, a_floor, out=scale)
+        np.divide(a_cells, scale, out=scale)
+        b *= scale
+        step = kt_op @ b_flat
+        u -= step
+        np.subtract(u, step, out=ubar)
         if (it + 1) % record_every == 0:
-            tv_hat = smoothed_tv(grid, a_hat, sigma0, uv)
-            f_hist.append(amax * tv_hat)
-            g1, g2 = grad(grid, uv)
-            pairing_hat = float(np.sum(g1 * q1 + g2 * q2)) * grid.cell_area
-            gap_hist.append(abs(tv_hat - pairing_hat) / max(tv_hat, tiny))
+            f_hist.append(amax * smoothed_tv(grid, a_hat, sigma0, u.reshape(grid.shape)))
+            gap_hist.append(gap_and_pairing()[0])
+            div_hist.append(divergence_rms(step))
 
-    u_final = ScalarField(grid, uv, location="node")
-    bb1 = amax * (r11 * b1 + r12 * b2)
-    bb2 = amax * (r12 * b1 + r22 * b2)
-    B = VectorField2(grid, bb1, bb2)
-
-    primal = weighted_tv(u_final, t.a, sigma0)
-    g1, g2 = grad(grid, uv)
-    pairing = float(np.sum(g1 * bb1 + g2 * bb2)) * grid.cell_area
-    gap = abs(primal - pairing) / max(primal, tiny)
-    div_full = grad_adjoint(grid, bb1, bb2)
-    div_rms = float(np.sqrt(np.mean(div_full[grid.interior_mask()] ** 2)))
+    u_final = ScalarField(grid, u.reshape(grid.shape), location="node")
+    b1, b2 = (comp.reshape(grid.cell_shape) for comp in b)
+    B = VectorField2(grid, *(amax * q for q in sym2_apply(*root, b1, b2)))
+    gap, pairing_hat = gap_and_pairing()
     info = {
         "algorithm": "primaldual",
         "iterations": iters,
@@ -396,10 +421,11 @@ def minimize_tv_primal_dual(problem: TVProblem):
         "sigma_step": sig,
         "tv_history": f_hist,
         "gap_history": gap_hist,
-        "tv_final": primal,
-        "pairing": pairing,
+        "divergence_history": div_hist,
+        "tv_final": weighted_tv(u_final, t.a, sigma0),
+        "pairing": amax * pairing_hat,
         "pd_gap": gap,
-        "dual_divergence_rms": div_rms,
+        "dual_divergence_rms": divergence_rms(step),
         "dual_feasibility": dual_feasibility(B, t.a, sigma0),
     }
     return u_final, B, info

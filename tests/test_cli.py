@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import acdii
 from acdii.cli import CONFIG, ConfigError, config_hash, main, parse_config
 from acdii.io import read_field_file, write_field_file
 from acdii.schema import Key
@@ -367,3 +372,15 @@ def test_non_finite_number_exits_2_naming_key(tmp_path, capsys, named, steps, ba
     capsys.readouterr()
     assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
     assert f"'{named}'" in _single_error(capsys)
+
+
+def test_importing_the_cli_loads_no_scipy_linear_algebra():
+    # scipy.linalg alone adds about 80 ms to every command's start-up
+    code = (
+        "import sys, acdii.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

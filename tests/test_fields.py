@@ -15,6 +15,7 @@ from acdii.fields import (
     divergence,
     grad,
     grad_adjoint,
+    grad_operator,
     gradient,
     sample_cell_field,
     sym2_apply,
@@ -106,6 +107,35 @@ def test_grad_adjoint_is_transpose_of_grad(nx, ny, hx, hy, seed):
     rhs = float(np.sum(u * grad_adjoint(grid, b1, b2)))
     scale = float(np.sqrt(np.sum(g1 * g1 + g2 * g2) * np.sum(b1 * b1 + b2 * b2)))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    hx=st.floats(1e-3, 10.0),
+    hy=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grad_operator_is_tensor_times_grad(nx, ny, hx, hy, seed):
+    # K u = T grad u and K^T w = grad_adjoint(T w) for random SPD cell tensors T
+    assume(hx != hy)
+    grid = Grid2D(nx, ny, hx, hy)
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, np.pi, grid.cell_shape)
+    d1, d2 = rng.uniform(0.1, 10.0, (2,) + grid.cell_shape)
+    ct, sn = np.cos(angle), np.sin(angle)
+    t = (d1 * ct * ct + d2 * sn * sn, (d1 - d2) * sn * ct, d1 * sn * sn + d2 * ct * ct)
+    k = grad_operator(grid, *t)
+    assert k.shape == (2 * (nx - 1) * (ny - 1), nx * ny)
+    assert k.indices.dtype == np.int32 and np.all(np.diff(k.indptr) == 4)
+    u = rng.standard_normal(grid.shape)
+    ref = np.concatenate([p.ravel() for p in sym2_apply(*t, *grad(grid, u))])
+    assert np.max(np.abs(k @ u.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    w1, w2 = rng.standard_normal((2,) + grid.cell_shape)
+    ref = grad_adjoint(grid, *sym2_apply(*t, w1, w2)).ravel()
+    out = k.T @ np.concatenate([w1.ravel(), w2.ravel()])
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_sym2_algebra_roundtrips():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acdii.data import compute_a, compute_current, synthesize_triplet
+from acdii.data import AdmissibleTriplet, compute_a, compute_current, synthesize_triplet
 from acdii.fields import (
     Grid2D,
     ScalarField,
@@ -11,8 +11,10 @@ from acdii.fields import (
     VectorField2,
     divergence,
     grad,
+    grad_adjoint,
     gradient,
     rel_l2,
+    sym2_sqrt,
 )
 from acdii.forward import InclusionSet, assemble, disk_cells, solve_dirichlet
 from acdii.inverse import (
@@ -30,6 +32,7 @@ from acdii.inverse import (
     minimize_tv_primal_dual,
     reconstruct,
     recover_c,
+    smoothed_tv,
     tv_density,
     weighted_tv,
 )
@@ -205,6 +208,128 @@ def test_primal_dual_recovers_linear_potential():
     assert np.max(np.abs(u.values - x)) <= 1e-4
     assert info["dual_feasibility"] <= 1e-10
     assert info["pd_gap"] <= 1e-6
+
+
+def _reference_primal_dual(problem):
+    """The primal-dual loop on array slices, one numpy call per term.
+
+    Same iteration as `minimize_tv_primal_dual`, written with `grad` /
+    `grad_adjoint` and the Dirichlet values re-imposed after each primal
+    step; the gap's primal term runs over the cells above the void floor.
+    Returns (u, (B1, B2), histories).
+    """
+    grid, sigma0, amax, a_hat, void = _normalized_data(problem)
+    t = problem.triplet
+    l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
+    tau = problem.pd_tau if problem.pd_tau is not None else 1.0 / np.sqrt(l2)
+    sig = problem.pd_sigma if problem.pd_sigma is not None else 1.0 / np.sqrt(l2)
+    iters = problem.pd_iterations or 200 * max(grid.nx, grid.ny)
+    r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
+    active = ~void
+    a_active = np.where(active, a_hat, 0.0)
+    system = assemble(1.0, sigma0, grid, exclude_cells=void)
+    uv = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.copy()
+    fvals = t.f.values.ravel()[grid.boundary_ids]
+    ubar = uv.copy()
+    b1 = np.zeros(grid.cell_shape)
+    b2 = np.zeros(grid.cell_shape)
+    hist = {"tv_history": [], "gap_history": [], "divergence_history": []}
+    record_every = max(iters // 50, 1)
+    for it in range(iters):
+        g1, g2 = grad(grid, ubar)
+        b1 += sig * np.where(active, r11 * g1 + r12 * g2, 0.0)
+        b2 += sig * np.where(active, r12 * g1 + r22 * g2, 0.0)
+        nrm = np.hypot(b1, b2)
+        scale = np.where(nrm > a_hat, a_hat / np.maximum(nrm, 1e-300), 1.0)
+        b1 *= scale
+        b2 *= scale
+        q1 = r11 * b1 + r12 * b2
+        q2 = r12 * b1 + r22 * b2
+        u_new = uv - tau * grad_adjoint(grid, q1, q2)
+        u_new.ravel()[grid.boundary_ids] = fvals
+        ubar = 2.0 * u_new - uv
+        uv = u_new
+        if (it + 1) % record_every == 0:
+            hist["tv_history"].append(amax * smoothed_tv(grid, a_hat, sigma0, uv))
+            primal = smoothed_tv(grid, a_active, sigma0, uv)
+            g1, g2 = grad(grid, uv)
+            pairing = float(np.sum(g1 * q1 + g2 * q2)) * grid.cell_area
+            hist["gap_history"].append(abs(primal - pairing) / primal)
+            div = grad_adjoint(grid, amax * q1, amax * q2)[grid.interior_mask()]
+            hist["divergence_history"].append(float(np.sqrt(np.mean(div**2))))
+    return uv, (amax * (r11 * b1 + r12 * b2), amax * (r12 * b1 + r22 * b2)), hist
+
+
+def _pd_triplet(void_patch=False):
+    """23x15 cells of a 0.05 x 0.08 grid, sigma0 rotating and stretching per cell."""
+    grid = Grid2D(23, 15, 0.05, 0.08)
+    xc, yc = grid.cell_centers()
+    angle = 0.4 + 0.8 * xc - 0.5 * yc
+    d1 = 2.0 + np.sin(3.0 * xc)
+    d2 = 1.0 + 0.5 * yc
+    ct, st = np.cos(angle), np.sin(angle)
+    sigma0 = TensorField2(
+        grid, d1 * ct * ct + d2 * st * st, (d1 - d2) * st * ct, d1 * st * st + d2 * ct * ct
+    )
+    r2 = (xc - 0.6) ** 2 + (yc - 0.5) ** 2
+    c = ScalarField(grid, 1.0 + 0.5 * np.exp(-r2 / 0.05), location="cell")
+    x, y = grid.node_coords()
+    trip = synthesize_triplet(c, sigma0, ScalarField(grid, x + 0.3 * y), grid)
+    if void_patch:
+        a = trip.a.values.copy()
+        a[5:9, 8:13] = 0.0
+        trip = AdmissibleTriplet(trip.f, sigma0, ScalarField(grid, a, location="cell"), grid)
+    return trip
+
+
+def _array_rel(x, ref):
+    x, ref = np.asarray(x), np.asarray(ref)
+    return float(np.max(np.abs(x - ref))) / float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "void_patch, settings",
+    [
+        (False, {}),
+        (True, {}),
+        (False, {"pd_tau": 0.004, "pd_sigma": 0.02}),
+        (False, {"void_floor": 0.9}),
+    ],
+    ids=["varying-sigma0", "void-patch", "unequal-steps", "void-floor"],
+)
+def test_primal_dual_matches_reference_loop(void_patch, settings):
+    problem = TVProblem(_pd_triplet(void_patch), **settings)
+    u_ref, (b1_ref, b2_ref), hist = _reference_primal_dual(problem)
+    u, B, info = minimize_tv_primal_dual(problem)
+    assert _array_rel(u.values, u_ref) <= 1e-12
+    assert _array_rel(B.v1, b1_ref) <= 1e-12
+    assert _array_rel(B.v2, b2_ref) <= 1e-12
+    assert _array_rel(info["tv_history"], hist["tv_history"]) <= 1e-12
+    assert _array_rel(info["divergence_history"], hist["divergence_history"]) <= 1e-12
+    # the gap is already a fraction of F, so its rounding is absolute
+    gaps = np.asarray(info["gap_history"])
+    assert gaps.size == 50
+    assert np.max(np.abs(gaps - hist["gap_history"])) <= 1e-12
+
+
+def test_primal_dual_gap_closes_above_void_floor():
+    # with void_floor 0.9 most cells are excluded and carry no dual field;
+    # the gap counts only the optimized cells, while tv_final stays the full F
+    trip = _pd_triplet()
+    problem = TVProblem(trip, void_floor=0.9)
+    u, B, info = minimize_tv_primal_dual(problem)
+    assert np.count_nonzero(trip.a.values <= 0.9 * np.max(trip.a.values)) > trip.a.values.size // 2
+    assert info["pd_gap"] <= 1e-3
+    assert info["gap_history"][-1] == info["pd_gap"]
+    assert info["tv_final"] == weighted_tv(u, trip.a, trip.sigma0)
+
+
+def test_primal_dual_records_divergence_at_checkpoints(recon33):
+    info = recon33.diagnostics["primaldual"]
+    divs = info["divergence_history"]
+    assert len(divs) == len(info["tv_history"]) == 50
+    assert divs[-1] == info["dual_divergence_rms"]
+    assert divs[-1] < divs[0]
 
 
 def test_scaling_data_leaves_minimizer_fixed():
