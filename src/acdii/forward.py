@@ -28,8 +28,10 @@ a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
 own tying and dropping of unknowns, damped Jacobi smoothing weighted by
 the Gershgorin bound of D^-1 A, and a dense Cholesky solve on the
 coarsest level.  Its CG iteration count stays roughly flat under
-refinement.  Every step has a fixed operation order, so repeated runs are
-bit-identical.
+refinement.  A refill may keep the coarse levels of an earlier system on
+the same layout and rebuild only the fine level; CG still solves the new
+matrix to its tolerance, only the preconditioner lags.  Every step has a
+fixed operation order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -327,6 +329,14 @@ def _prolongations(shape, node_dof, ndof, keep):
     return out
 
 
+def _jacobi(a):
+    """Damped Jacobi weights 4 / (3 g) / diag(a), g the Gershgorin bound of D^-1 a."""
+    diag = a.diagonal()
+    # every kept row holds its diagonal, so no row is empty
+    bound = float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1]) / diag))
+    return (4.0 / (3.0 * bound)) / diag
+
+
 class Multigrid:
     """A reduced SPD matrix with its Galerkin V(1,1)-cycle preconditioner.
 
@@ -335,19 +345,30 @@ class Multigrid:
     4 / (3 g), g the Gershgorin bound of D^-1 A on that level, so the
     smoother contracts in the energy norm and the symmetric cycle is an
     SPD preconditioner.  The coarsest level is solved by dense Cholesky.
+
+    The hierarchy is every level >= 1 with its Jacobi weights and the
+    coarsest factor.  It is built from `matrix`, or taken unchanged from
+    `hierarchy`, an earlier `Multigrid` on the same prolongations (the
+    same `Layout`).  Level 0 and its weights always come from `matrix`,
+    so a reused hierarchy lags only the preconditioner: the cycle is still
+    SPD, because the smoother contracts in the new energy norm and the
+    coarse correction is an SPD cycle of its own.
     """
 
-    def __init__(self, matrix, prolongations):
+    def __init__(self, matrix, prolongations, hierarchy: Multigrid | None = None):
+        if hierarchy is not None and hierarchy.prolongations is not prolongations:
+            raise AssemblyError("multigrid hierarchy was built on another layout")
         self.levels = [matrix]
+        self.prolongations = prolongations
+        if hierarchy is not None and prolongations:
+            self.levels += hierarchy.levels[1:]
+            self.smoothers = [_jacobi(matrix)] + hierarchy.smoothers[1:]
+            self.coarse_scale = hierarchy.coarse_scale
+            self.coarse_inverse_factor = hierarchy.coarse_inverse_factor
+            return
         for p, pt in prolongations:
             self.levels.append((pt @ (self.levels[-1] @ p)).tocsr())
-        self.prolongations = prolongations
-        self.smoothers = []
-        for a in self.levels[:-1]:
-            diag = a.diagonal()
-            # every kept row holds its diagonal, so no row is empty
-            bound = float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1]) / diag))
-            self.smoothers.append((4.0 / (3.0 * bound)) / diag)
+        self.smoothers = [_jacobi(a) for a in self.levels[:-1]]
         # the coarsest solve applies 2^-e L^-T L^-1 with 2^-e A = L L^T: a
         # power-of-two scale is exact, so the cycle stays bit-for-bit
         # equivariant under doubling the coefficient
@@ -487,7 +508,7 @@ class LinearSystem:
 
 
 def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cells=None,
-             layout: Layout | None = None):
+             layout: Layout | None = None, hierarchy: Multigrid | None = None):
     """Assemble the stiffness system for coefficient c * sigma0.
 
     `c` is a cell scalar (ScalarField or array) and must be positive on
@@ -495,6 +516,9 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     any `exclude_cells` are left out of the quadrature.  Passing the
     `layout` of an earlier system with the same grid, cells and
     inclusions skips rebuilding it: only the values are refilled.
+    Passing that system's `matrix` as `hierarchy` also keeps its coarse
+    multigrid levels, so only the fine level is rebuilt (see `Multigrid`);
+    a hierarchy from another layout raises AssemblyError.
     """
     if isinstance(c, ScalarField):
         if c.location != "cell":
@@ -531,7 +555,7 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     s11, s12, s22 = cm * sigma0.s11, cm * sigma0.s12, cm * sigma0.s22
     k = [s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b] for a, b in _CORNER_PAIRS]
     values = _node_couplings(grid, k)
-    matrix = Multigrid(layout.pattern.fill(values), layout.prolongations)
+    matrix = Multigrid(layout.pattern.fill(values), layout.prolongations, hierarchy)
     return LinearSystem(layout, matrix, layout.coupling.fill(values))
 
 

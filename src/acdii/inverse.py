@@ -15,6 +15,8 @@ independent minimizers are provided and kept separate on purpose:
   (restarted at every stage, reset to the plain step Phi(u) whenever the
   residual Phi(u) - u grows or the mixing system is singular), which
   reaches the same fixed point as the plain iteration in fewer solves;
+  the multigrid coarse levels of those solves are rebuilt once per stage
+  and only the fine level at every step;
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
   min_u max_B <grad u, B> over the dual ball |B|_{sigma0^{-1}} <= a,
   with a closed-form per-cell projection realized by radial scaling in
@@ -240,7 +242,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     started at u.  Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k)
     with `_Anderson`, restarted at the stage, and ends with Phi(u_k) at
     the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= fp_tol or
-    after max_inner steps.
+    after max_inner steps.  Each step refills the matrix on one layout;
+    its multigrid coarse levels are built at a stage's first step and kept
+    for the stage, whose coefficient barely moves (CG still meets cg_tol).
 
     Returns (u, info).  info records, per stage, the smoothed functional
     of each Phi(u_k) (in absolute units), the inner and CG iteration
@@ -277,7 +281,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         for inner in range(1, problem.max_inner + 1):
             weight = tv_density(*grad(grid, uvals), sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
-            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout)
+            # a stage's first step builds the coarse levels; later ones keep them
+            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout,
+                              hierarchy=system.matrix if inner > 1 else None)
             phi = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals).values
             cg += system.cg_iterations
             rel = _masked_rel_change(phi, uvals)

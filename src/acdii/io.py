@@ -7,9 +7,11 @@ float64 planes in row-major order:
      "hx":0.5,"hy":0.5,"order":"row-major","payload":"f64le"}\n<payload>
 
 `nx` and `ny` are the per-plane array dimensions: node counts for scalar
-files, cell counts for vector (2 planes) and tensor (3 planes) files.
-The payload must hold exactly planes*nx*ny float64 values.  Reading a
-file and writing it back reproduces the canonical bytes exactly.
+files, cell counts for vector (2 planes) and tensor (3 planes) files,
+each at least 2; `hx` and `hy` are finite positive floats.  The payload
+must hold exactly planes*nx*ny float64 values.  Reading a file and
+writing it back reproduces the canonical bytes exactly; any other input
+raises `FieldFormatError` naming the field at fault.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, TensorField2, VectorField2
+from .fields import Grid2D, GridError, ScalarField, TensorField2, VectorField2
 
 SCHEMA = "acdii-field/1"
 
@@ -96,7 +98,7 @@ def read_field(data: bytes):
             f"unsupported schema {header['schema']!r}, expected {SCHEMA!r}", field="schema"
         )
     kind = header["kind"]
-    if kind not in _PLANES:
+    if not isinstance(kind, str) or kind not in _PLANES:
         raise FieldFormatError(f"unknown kind {kind!r}", field="kind")
     if header["order"] != "row-major":
         raise FieldFormatError(f"unsupported order {header['order']!r}", field="order")
@@ -105,12 +107,14 @@ def read_field(data: bytes):
 
     nx, ny = header["nx"], header["ny"]
     for name, val in (("nx", nx), ("ny", ny)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise FieldFormatError(f"header field '{name}' must be a positive integer", field=name)
+        # a plane narrower than 2 fits neither a node grid nor a cell grid
+        if not isinstance(val, int) or isinstance(val, bool) or val < 2:
+            raise FieldFormatError(f"header field '{name}' must be an integer >= 2", field=name)
     hx, hy = header["hx"], header["hy"]
     for name, val in (("hx", hx), ("hy", hy)):
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
-            raise FieldFormatError(f"header field '{name}' must be a positive number", field=name)
+        # a float, as write_field writes it, so that the header reads back unchanged
+        if not isinstance(val, float) or not 0.0 < val < float("inf"):
+            raise FieldFormatError(f"header field '{name}' must be a finite float > 0", field=name)
 
     planes = _PLANES[kind]
     body = data[nl + 1 :]
@@ -136,7 +140,10 @@ def read_field(data: bytes):
     grid = Grid2D(nx + 1, ny + 1, hx, hy)
     if kind == "vector":
         return VectorField2(grid, arrays[0], arrays[1])
-    return TensorField2(grid, arrays[0], arrays[1], arrays[2])
+    try:
+        return TensorField2(grid, arrays[0], arrays[1], arrays[2])
+    except GridError as exc:
+        raise FieldFormatError(f"payload is not a tensor field: {exc}", field="payload") from exc
 
 
 def write_field_file(field, path) -> None:

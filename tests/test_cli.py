@@ -290,6 +290,22 @@ def test_malformed_manifest_exits_2_naming_it(tmp_path, capsys, synth_dir, edit,
     assert not (tmp_path / "out" / "recon.json").exists()
 
 
+def test_unhashable_field_kind_exits_2_naming_kind(tmp_path, capsys, synth_dir):
+    trip = tmp_path / "trip"
+    shutil.copytree(synth_dir, trip)
+    blob = (trip / "a.field").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    header["kind"] = []
+    (trip / "a.field").write_bytes(json.dumps(header).encode() + blob[nl:])
+    cfg = _base_config(tmp_path / "out", n=9)
+    cfg["input"] = {"triplet": str(trip)}
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 2
+    assert "kind" in _single_error(capsys)
+
+
 def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()

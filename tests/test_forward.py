@@ -432,6 +432,64 @@ def test_vcycle_is_symmetric(kind):
     assert u @ bu > 0.0 and v @ bv > 0.0
 
 
+def _lagged_case(kind, nx, ny):
+    """A system whose coarse levels were built for another coefficient, and its case."""
+    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
+    first = assemble(c, sigma0, grid, incl, excl)
+    c2 = c * (1.5 + np.cos(3.0 * grid.cell_centers()[0]))
+    system = assemble(c2, sigma0, grid, incl, excl, layout=first.layout, hierarchy=first.matrix)
+    mg = system.matrix
+    assert mg.levels[1] is first.matrix.levels[1]
+    assert abs(mg.levels[0] - first.matrix.levels[0]).max() > 0.1 * abs(mg.levels[0]).max()
+    return system, (c2, sigma0, grid, incl, excl, f)
+
+
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_vcycle_on_a_reused_hierarchy_is_symmetric_and_positive(kind):
+    # the whole operator, densely: a smoother left from the old matrix
+    # passes random-vector checks but makes the cycle indefinite
+    mg = _lagged_case(kind, 33, 27)[0].matrix
+    cycle = np.column_stack([mg.vcycle(e) for e in np.eye(mg.levels[0].shape[0])])
+    assert np.abs(cycle - cycle.T).max() <= 1e-13 * np.abs(cycle).max()
+    assert np.linalg.eigvalsh(cycle).min() > 0.0
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_cg_on_a_reused_hierarchy_matches_sparse_direct_solve(kind, nx, ny):
+    system, (c2, sigma0, grid, incl, excl, f) = _lagged_case(kind, nx, ny)
+    b, _ = system.rhs(f.ravel()[grid.boundary_ids])
+    x, res, _ = _pcg(system.matrix, b, 1e-12, 1000)
+    ref, to_rhs = coo_reduced_system(c2, sigma0, grid, incl, excl)
+    direct = spsolve(ref.tocsc(), to_rhs @ f.ravel()[grid.boundary_ids])
+    assert res <= 1e-12
+    assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_hierarchy_of_another_layout_is_rejected(kind):
+    c, sigma0, grid, incl, excl, _ = _layout_case(kind, 17, 13)
+    other = _layout_case(_LAYOUTS[(_LAYOUTS.index(kind) + 1) % len(_LAYOUTS)], 17, 13)
+    foreign = assemble(*other[:5]).matrix
+    with pytest.raises(AssemblyError, match="another layout"):
+        assemble(c, sigma0, grid, incl, excl, hierarchy=foreign)
+    system = assemble(c, sigma0, grid, incl, excl)
+    with pytest.raises(AssemblyError, match="another layout"):
+        assemble(c, sigma0, grid, incl, excl, layout=system.layout, hierarchy=foreign)
+
+
+def test_single_level_system_rebuilds_its_coarse_solve():
+    # at or below _COARSEST unknowns level 0 is the coarsest level, so it
+    # is factored afresh and the cycle solves the new matrix exactly
+    grid, c, sigma0, f = bump_problem(9)
+    first = assemble(c.values, sigma0, grid)
+    system = assemble(2.0 * c.values, sigma0, grid, layout=first.layout, hierarchy=first.matrix)
+    assert len(system.matrix.levels) == 1
+    b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
+    _, res, its = _pcg(system.matrix, b, 1e-12, 10)
+    assert its == 1 and res <= 1e-12
+
+
 @pytest.mark.parametrize("n", [65, 129])
 def test_cold_cg_iterations_stay_flat_on_the_bump(n):
     grid, c, sigma0, f = bump_problem(n)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acdii import forward
 from acdii.data import AdmissibleTriplet, compute_a, compute_current, synthesize_triplet
 from acdii.fields import (
     Grid2D,
@@ -136,9 +137,22 @@ def test_fixedpoint_stages_report_cg_work_and_convergence():
     assert info["total_cg_iterations"] > sum(st["cg_iterations"] for st in stages)
 
 
-def test_accelerated_fixedpoint_converges_every_stage(bump33):
+def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
+    # count the multigrid hierarchies built: one for the initial solve and
+    # one per stage, whose later steps refill only the fine level
+    builds = []
+
+    class CountingMultigrid(forward.Multigrid):
+        def __init__(self, matrix, prolongations, hierarchy=None):
+            if hierarchy is None:
+                builds.append(matrix.shape)
+            super().__init__(matrix, prolongations, hierarchy)
+
+    monkeypatch.setattr(forward, "Multigrid", CountingMultigrid)
     problem = TVProblem(bump33)
     u, info = minimize_tv_fixedpoint(problem)
+    assert len(builds) == 1 + problem.eps_stages
+    assert info["total_inner_iterations"] > problem.eps_stages
     assert all(st["converged"] for st in info["stages"])
     # half of the 8 x 50 budget, which the unmixed lagged iteration uses
     # up here without meeting fp_tol in any stage

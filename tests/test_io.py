@@ -1,9 +1,12 @@
 """Binary field files: canonical bytes, round trips, strict validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdii.fields import Grid2D, ScalarField, TensorField2, VectorField2
 from acdii.io import FieldFormatError, read_field, read_field_file, write_field, write_field_file
@@ -96,6 +99,12 @@ def _mangle(header_patch=None, payload=None):
         ({"hy": -1.0}, "hy"),
         ({"hx": None}, "hx"),
         ({"extra": 1}, "extra"),
+        ({"kind": []}, "kind"),
+        ({"kind": {"scalar": 1}}, "kind"),
+        ({"hx": math.inf}, "hx"),
+        ({"hy": math.nan}, "hy"),
+        ({"hx": 1}, "hx"),
+        ({"ny": 1}, "ny"),
     ],
 )
 def test_malformed_headers_name_the_field(patch, field):
@@ -138,5 +147,56 @@ def test_tensor_payload_must_be_spd():
     nl = blob.index(b"\n")
     planes = np.frombuffer(blob[nl + 1 :], dtype="<f8").copy().reshape(3, 2, 2)
     planes[1, 0, 0] = 5.0  # s12 > sqrt(s11 s22): not positive definite
-    with pytest.raises((FieldFormatError, Exception)):
+    with pytest.raises(FieldFormatError) as exc:
         read_field(blob[: nl + 1] + planes.tobytes())
+    assert exc.value.field == "payload"
+
+
+def _fields():
+    """One file of every shape the reader returns: node, cell, vector and tensor planes."""
+    g = Grid2D(4, 3, 0.125, 0.3)
+    rng = np.random.default_rng(2)
+    return [
+        ScalarField(g, rng.standard_normal(g.shape)),
+        ScalarField(g, rng.standard_normal(g.cell_shape), "cell"),
+        VectorField2(g, *rng.standard_normal((2,) + g.cell_shape)),
+        rotated_tensor(g, 0.4, 2.0, 0.5),
+    ]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                              max_size=3),
+    max_leaves=6,
+)
+_KEYS = ("schema", "kind", "nx", "ny", "hx", "hy", "order", "payload")
+_EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(_KEYS), _JSON),
+    st.tuples(st.just("drop"), st.sampled_from(_KEYS), st.none()),
+    st.tuples(st.just("add"), st.text(max_size=8).filter(lambda k: k not in _KEYS), _JSON),
+    st.tuples(st.just("payload"), st.integers(-200, -1), st.none()),
+    st.tuples(st.just("payload"), st.binary(min_size=1, max_size=64), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(base=st.sampled_from(range(4)), edit=_EDITS)
+def test_edited_file_reads_back_exactly_or_names_its_field(base, edit):
+    blob = write_field(_fields()[base])
+    nl = blob.index(b"\n")
+    header, body = json.loads(blob[:nl]), blob[nl + 1 :]
+    op, key, value = edit
+    if op in ("replace", "add"):
+        header[key] = value
+    elif op == "drop":
+        del header[key]
+    else:
+        body = body[:key] if isinstance(key, int) else body + key
+    edited = json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+    try:
+        field = read_field(edited)
+    except FieldFormatError as exc:
+        assert exc.field is not None
+    else:
+        assert write_field(field) == edited
