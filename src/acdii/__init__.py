@@ -4,13 +4,14 @@ current-density magnitude, on uniform 2-D grids.
 Scalars live on grid nodes (or cell centers), vectors and symmetric
 positive tensors on cells.  The package is organized as
 
-- fields:   grids, field containers, tensor algebra, gradient/divergence
+- fields:   grids, field containers, tensor algebra, gradient/divergence,
+            the weighted-TV functional and its density
 - io:       bit-exact binary field serialization
 - forward:  anisotropic bilinear-quad assembly and multigrid-preconditioned CG,
             perfectly conducting and insulating inclusions
 - data:     interior data synthesis (current, magnitude, noise, triplets)
 - inverse:  weighted total-variation minimization and its audits
-- geometry: data metric, level sets, weighted areas, truncation limits
+- geometry: data metric, level sets, metric areas, truncation limits
 - cli:      JSON-config command line driver
 """
 

@@ -251,24 +251,11 @@ def build_inclusions(cfg, grid: Grid2D):
 # -- serialization helpers -------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    # numpy integers, booleans and arrays become their Python values
+    # (numpy floats already are floats)
+    text = json.dumps(obj, sort_keys=True, indent=2, default=lambda o: o.tolist())
+    path.write_text(text + "\n")
 
 
 def _out_dir(cfg, args) -> Path:
@@ -304,10 +291,6 @@ def cmd_forward(cfg, args, chash) -> int:
     sigma = sigma0.scaled(c.values)
     u, current = solve_truth(c, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
-    avals = a.values.copy()
-    if inclusions is not None and inclusions.insulating:
-        avals[inclusions.insulating_mask()] = 0.0
-    a = ScalarField(grid, avals, location="cell")
 
     out = _out_dir(cfg, args)
     # magnitude.field, not a.field: synth owns a.field as triplet payload,
@@ -388,8 +371,8 @@ def cmd_invert(cfg, args, chash) -> int:
         "grid": {"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy},
         "labels": report.labels,
         "diagnostics": report.diagnostics,
-        # sigma_rec is c_rec * sigma0 cellwise (zero on the masked cells),
-        # so only the scalar factor and its mask are materialized
+        # the recovered conductivity is c_rec * sigma0 cellwise (zero on the
+        # masked cells), so only the scalar factor and its mask are written
         "files": {
             "u_star": "u_star.field",
             "c_rec": "c_rec.field",
@@ -459,6 +442,7 @@ def cmd_verify(cfg, args, chash) -> int:
         u,
         competitors,
         triplet.a,
+        triplet.sigma0,
         n_levels=vcfg["area_levels"],
         tol_rel=vcfg["area_tol_rel"],
     )
@@ -473,15 +457,8 @@ def cmd_verify(cfg, args, chash) -> int:
     if vcfg["k_ladder"] is not None:
         audits["penalization_ladder"] = _penalization_ladder(triplet, vcfg["k_ladder"])
 
-    gates = {}
-    m = audits["minimality"]
-    gates["minimality"] = bool(
-        m["min_margin"] >= -vcfg["margin_rel_tol"] * max(m["tv_value"], 1e-300)
-    )
-    gates["duality"] = bool(m["duality_gap"] <= vcfg["duality_tol"])
-    gates["coarea"] = bool(audits["coarea"]["rel_discrepancy"] <= vcfg["coarea_tol"])
-    gates["area_minimality"] = bool(audits["area_minimality"]["violations"] == 0)
-
+    rows = _gate_rows(audits, vcfg)
+    gates = {name: bool(ok) for name, (ok, _) in rows.items()}
     enabled = vcfg["gates"]
     passed = all(gates[g] for g in enabled)
     doc = {
@@ -503,26 +480,27 @@ def cmd_verify(cfg, args, chash) -> int:
         curves.extend(extract_level_set(u, float(lam)))
     (out / "curves.csv").write_text(curves_to_csv(curves))
 
-    for name in GATES:
-        status = "PASS" if gates[name] else "FAIL"
+    for name, (ok, detail) in rows.items():
         gate_note = "" if name in enabled else " (not gated)"
-        if name == "minimality":
-            detail = f"min margin {m['min_margin']:.3e}"
-        elif name == "duality":
-            detail = f"gap {m['duality_gap']:.3e}"
-        elif name == "coarea":
-            detail = f"discrepancy {audits['coarea']['rel_discrepancy']:.3e}"
-        else:
-            detail = f"{audits['area_minimality']['violations']} violations"
-        _say(args, f"{name}: {status} ({detail}){gate_note}")
+        _say(args, f"{name}: {'PASS' if ok else 'FAIL'} ({detail}){gate_note}")
     _say(args, f"curvature: rms {rms:.3e} (control {control_rms:.3e})")
     t = audits["truncation"]
-    _say(
-        args,
-        f"truncation: limit {t['limit']:.6e} vs anisotropic {t['anisotropic_perimeter']:.6e} "
-        f"vs euclidean {t['euclidean_weighted_length']:.6e}",
-    )
+    _say(args, f"truncation: limit {t['limit']:.6e} vs anisotropic {t['anisotropic_perimeter']:.6e}")
     return 0 if passed else 1
+
+
+def _gate_rows(audits: dict, vcfg: dict) -> dict:
+    """One row per gate, in GATES order: (passed, detail text)."""
+    m = audits["minimality"]
+    coarea = audits["coarea"]["rel_discrepancy"]
+    violations = audits["area_minimality"]["violations"]
+    return {
+        "minimality": (m["min_margin"] >= -vcfg["margin_rel_tol"] * max(m["tv_value"], 1e-300),
+                       f"min margin {m['min_margin']:.3e}"),
+        "duality": (m["duality_gap"] <= vcfg["duality_tol"], f"gap {m['duality_gap']:.3e}"),
+        "coarea": (coarea <= vcfg["coarea_tol"], f"discrepancy {coarea:.3e}"),
+        "area_minimality": (violations == 0, f"{violations} violations"),
+    }
 
 
 def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:

@@ -26,7 +26,7 @@ from .forward import (
     solve_inclusion_limit,
     solve_penalized,
 )
-from .io import read_field_file, write_field_file
+from .io import FieldFormatError, read_field_file, write_field_file
 from .schema import Key, read_json, validate
 
 
@@ -61,9 +61,9 @@ class AdmissibleTriplet:
             if (ins & (avals != 0.0)).any():
                 raise DataError("a must vanish exactly on insulating cells")
 
-    def zero_cells(self, tol: float = 0.0) -> np.ndarray:
-        """Cells where the measured magnitude is (numerically) zero."""
-        return self.a.values <= tol
+    def zero_cells(self) -> np.ndarray:
+        """Cells where the measured magnitude is zero."""
+        return self.a.values <= 0.0
 
 
 def compute_current(u: ScalarField, c, sigma0: TensorField2, dead=None) -> VectorField2:
@@ -103,66 +103,64 @@ def add_noise(a: ScalarField, level: float, seed: int) -> ScalarField:
     return ScalarField(a.grid, vals, location=a.location)
 
 
-def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None,
-                penalized_k: float = 1e-6, tol: float = 1e-10):
-    """Truth potential and current for the factor c_true.
+# the penalization k of the current over perfect components, and the CG
+# tolerance of every truth solve
+PENALIZED_K = 1e-6
+_TRUTH_TOL = 1e-10
 
-    With inclusions present the tied/deleted limit problem provides the
-    potential, so the gradient is exactly zero on perfect components; the
-    current over them comes from a penalized solve at `penalized_k`,
-    which is what the limiting current actually is there.  Returns
-    (u, current) with the current zeroed on insulating cells.
-    """
+
+def _truth_inputs(c_true, f, grid: Grid2D):
+    """(cell array of c_true, node field of f) from fields, arrays or numbers."""
     if isinstance(c_true, ScalarField):
         c_arr = c_true.values
     else:
         c_arr = np.broadcast_to(np.asarray(c_true, dtype=np.float64), grid.cell_shape)
     f_field = f if isinstance(f, ScalarField) else ScalarField(grid, f, location="node")
+    return c_arr, f_field
 
+
+def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
+    """Truth potential and current for the factor c_true.
+
+    With inclusions present the tied/deleted limit problem provides the
+    potential, so the gradient is exactly zero on perfect components; the
+    current over them comes from a penalized solve at `PENALIZED_K`,
+    which is what the limiting current actually is there.  Returns
+    (u, current) with the current zeroed on insulating cells, so a
+    computed from it is exactly zero there.
+    """
+    c_arr, f_field = _truth_inputs(c_true, f, grid)
     has_inclusions = inclusions is not None and (inclusions.perfect or inclusions.insulating)
     if has_inclusions:
         sigma = sigma0.scaled(c_arr)
-        u = solve_inclusion_limit(sigma, f_field, grid, inclusions, tol=tol)
+        u = solve_inclusion_limit(sigma, f_field, grid, inclusions, tol=_TRUTH_TOL)
     else:
         system = assemble(c_arr, sigma0, grid)
-        u = solve_dirichlet(system, f_field, tol=tol)
+        u = solve_dirichlet(system, f_field, tol=_TRUTH_TOL)
 
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
     if has_inclusions and inclusions.perfect:
-        u_k = solve_penalized(penalized_k, sigma0, sigma, f_field, grid, inclusions, tol=tol)
+        u_k = solve_penalized(PENALIZED_K, sigma0, sigma, f_field, grid, inclusions, tol=_TRUTH_TOL)
         gr_k = gradient(u_k)
         w1, w2 = sigma0.apply(gr_k.v1, gr_k.v2)
         perf = inclusions.perfect_mask()
-        j1 = np.where(perf, -w1 / penalized_k, current.v1)
-        j2 = np.where(perf, -w2 / penalized_k, current.v2)
+        j1 = np.where(perf, -w1 / PENALIZED_K, current.v1)
+        j2 = np.where(perf, -w2 / PENALIZED_K, current.v2)
         current = VectorField2(grid, j1, j2)
     return u, current
 
 
 def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None,
-                       noise_level: float = 0.0, seed: int = 0,
-                       penalized_k: float = 1e-6, tol: float = 1e-10) -> AdmissibleTriplet:
+                       noise_level: float = 0.0, seed: int = 0) -> AdmissibleTriplet:
     """Forward-solve and package an admissible triplet.
 
     The truth current (penalized fill over perfect components included)
     defines a; multiplicative noise (if any) is applied to a last.
     """
-    if isinstance(c_true, ScalarField):
-        c_arr = c_true.values
-    else:
-        c_arr = np.broadcast_to(np.asarray(c_true, dtype=np.float64), grid.cell_shape)
-    f_field = f if isinstance(f, ScalarField) else ScalarField(grid, f, location="node")
-    has_inclusions = inclusions is not None and (inclusions.perfect or inclusions.insulating)
-
-    u, current = solve_truth(
-        c_arr, sigma0, f_field, grid, inclusions, penalized_k=penalized_k, tol=tol
-    )
+    c_arr, f_field = _truth_inputs(c_true, f, grid)
+    u, current = solve_truth(c_arr, sigma0, f_field, grid, inclusions)
     a = compute_a(current, sigma0)
-    avals = a.values.copy()
-    if has_inclusions and inclusions.insulating:
-        avals[inclusions.insulating_mask()] = 0.0
-    a = ScalarField(grid, avals, location="cell")
     if noise_level > 0.0:
         a = add_noise(a, noise_level, seed)
 
@@ -172,7 +170,7 @@ def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions
         "u_true": u.values.copy(),
         "noise_level": float(noise_level),
         "seed": int(seed),
-        "penalized_k": float(penalized_k) if (has_inclusions and inclusions.perfect) else None,
+        "penalized_k": PENALIZED_K if (inclusions is not None and inclusions.perfect) else None,
     }
     return AdmissibleTriplet(
         f=f_field, sigma0=sigma0, a=a, grid=grid, inclusions=inclusions, provenance=provenance
@@ -253,7 +251,10 @@ def read_matching(path, grid: Grid2D, kind=ScalarField, location: str = "cell"):
     so its plane is checked against the node or cell shape of `grid`
     that `location` asks for.
     """
-    raw = read_field_file(path)
+    try:
+        raw = read_field_file(path)
+    except FieldFormatError as exc:
+        raise FieldFormatError(f"{path}: {exc}", field=exc.field) from exc
     if not isinstance(raw, kind):
         raise DataError(f"{path} holds a {type(raw).__name__}, expected a {kind.__name__}")
     plane = raw.values if kind is ScalarField else raw.s11

@@ -17,6 +17,11 @@ used by the primal-dual scheme are exact discrete duals:
 `grad_operator` assembles the same stencil, premultiplied by a cell
 tensor, as one sparse matrix for loops that apply it many times.
 
+The weighted-TV functional F[u] = integral of a |grad u|_{sigma0} lives
+here too, beside the gradient it is built on: `tv_density` is its one
+per-cell density, and the minimizers, the recovery and every audit
+evaluate F through it.
+
 All field values are float64 and frozen after construction.
 """
 
@@ -151,7 +156,8 @@ class TensorField2:
 
         m^(1/2) |xi| <= |xi|_S <= M^(1/2) |xi|
 
-    holds cellwise for the norms computed by `norm`.
+    holds cellwise for |xi|_S = (S xi . xi)^(1/2), the norm `tv_density`
+    evaluates.
     """
 
     def __init__(self, grid: Grid2D, s11, s12, s22):
@@ -200,9 +206,6 @@ class TensorField2:
 
     def apply(self, x1, x2):
         return sym2_apply(self.s11, self.s12, self.s22, x1, x2)
-
-    def norm(self, x1, x2):
-        return sym2_norm(self.s11, self.s12, self.s22, x1, x2)
 
     def inv_norm(self, x1, x2):
         i11, i12, i22 = sym2_inv(self.s11, self.s12, self.s22)
@@ -289,6 +292,27 @@ def grad_operator(grid: Grid2D, t11, t12, t22):
     return sparse.csr_matrix((data, indices, indptr), shape=(2 * ncells, grid.n_nodes))
 
 
+# -- the weighted-TV functional ------------------------------------------------
+
+
+def tv_density(g1, g2, sigma0: TensorField2, eps: float = 0.0):
+    """Per-cell (|g|^2_{sigma0} + eps^2)^(1/2) of cell gradient arrays (g1, g2)."""
+    w1, w2 = sigma0.apply(g1, g2)
+    q = np.maximum(w1 * g1 + w2 * g2, 0.0)
+    return np.sqrt(q + eps * eps) if eps else np.sqrt(q)
+
+
+def smoothed_tv(grid: Grid2D, avals, sigma0: TensorField2, uvals, eps: float = 0.0) -> float:
+    """Midpoint quadrature of integral a (|grad u|^2_{sigma0} + eps^2)^(1/2) on raw arrays."""
+    density = tv_density(*grad(grid, uvals), sigma0, eps)
+    return float(np.sum(avals * density)) * grid.cell_area
+
+
+def weighted_tv(v: ScalarField, a: ScalarField, sigma0: TensorField2) -> float:
+    """Midpoint quadrature of integral a |grad v|_{sigma0}: the functional F."""
+    return smoothed_tv(v.grid, a.values, sigma0, v.values)
+
+
 def gradient(u: ScalarField) -> VectorField2:
     """Cell-centered gradient of a node scalar (see `grad`)."""
     if u.location != "node":
@@ -329,22 +353,25 @@ def sample_cell_field(grid: Grid2D, cell_values, x, y):
 
     Cell centers form the interpolation lattice; query points are clamped
     to it, so the half-cell rim next to the boundary is held constant.
+    `cell_values` may stack several cell planes on leading axes; they
+    share one set of weights.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ncx, ncy = grid.nx - 1, grid.ny - 1
     fx = np.clip(x / grid.hx - 0.5, 0.0, ncx - 1.0)
     fy = np.clip(y / grid.hy - 0.5, 0.0, ncy - 1.0)
-    i0 = np.minimum(fx.astype(np.int64), ncx - 2) if ncx > 1 else np.zeros_like(fx, np.int64)
-    j0 = np.minimum(fy.astype(np.int64), ncy - 2) if ncy > 1 else np.zeros_like(fy, np.int64)
+    # a grid has at least 2 cells per direction, so i0 + 1 and j0 + 1 stay inside
+    i0 = np.minimum(fx.astype(np.int64), ncx - 2)
+    j0 = np.minimum(fy.astype(np.int64), ncy - 2)
     tx = fx - i0
     ty = fy - j0
-    i1 = np.minimum(i0 + 1, ncx - 1)
-    j1 = np.minimum(j0 + 1, ncy - 1)
+    i1 = i0 + 1
+    j1 = j0 + 1
     v = np.asarray(cell_values, dtype=np.float64)
     return (
-        v[j0, i0] * (1 - tx) * (1 - ty)
-        + v[j0, i1] * tx * (1 - ty)
-        + v[j1, i0] * (1 - tx) * ty
-        + v[j1, i1] * tx * ty
+        v[..., j0, i0] * (1 - tx) * (1 - ty)
+        + v[..., j0, i1] * tx * (1 - ty)
+        + v[..., j1, i0] * (1 - tx) * ty
+        + v[..., j1, i1] * tx * ty
     )

@@ -686,7 +686,7 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
 
 
 def solve_penalized(k: float, sigma1: TensorField2, sigma: TensorField2, f, grid: Grid2D,
-                    inclusions: InclusionSet, tol: float = 1e-10, max_iter=None):
+                    inclusions: InclusionSet, tol: float = 1e-10):
     """Penalized approximation: coefficient sigma1/k on perfect components.
 
     Insulating components stay deleted.  k in (0, 1]; k = 1 with
@@ -701,15 +701,15 @@ def solve_penalized(k: float, sigma1: TensorField2, sigma: TensorField2, f, grid
     composite = TensorField2(grid, s11, s12, s22)
     relaxed = InclusionSet(grid, perfect=(), insulating=inclusions.insulating)
     system = assemble(1.0, composite, grid, relaxed)
-    return solve_dirichlet(system, f, tol=tol, max_iter=max_iter)
+    return solve_dirichlet(system, f, tol=tol)
 
 
 def solve_inclusion_limit(sigma: TensorField2, f, grid: Grid2D, inclusions: InclusionSet,
-                          tol: float = 1e-10, max_iter=None):
+                          tol: float = 1e-10):
     """Tied-unknown limit problem: exactly constant potential per perfect
     component, natural Neumann wall on insulating components."""
     system = assemble(1.0, sigma, grid, inclusions)
-    return solve_dirichlet(system, f, tol=tol, max_iter=max_iter)
+    return solve_dirichlet(system, f, tol=tol)
 
 
 def energy(u: ScalarField, sigma: TensorField2, inclusions=None, k=None, sigma1=None) -> float:

@@ -18,6 +18,13 @@ Level sets are extracted by marching squares with linear edge
 interpolation; saddle cells are split by the cell-center mean, which
 makes the extraction deterministic.  Segment normals point from the
 super-level side {u > level} to the sub-level side.
+
+The area element of g on a hypersurface with unit normal nu is
+sqrt(det g) |nu|_{g^{-1}} dS = a |nu|_{sigma0} dS in every dimension, so
+`weighted_perimeter` is the one curve measure: it is the g-area of a
+level curve, the level integrand of the coarea formula for
+F[u] = integral of a |grad u|_{sigma0}, and the limit of the truncation
+ladder.
 """
 
 from __future__ import annotations
@@ -39,7 +46,18 @@ from .fields import (
     sym2_det,
     sym2_inv,
     VectorField2,
+    weighted_tv,
 )
+
+# cells whose metric gradient norm falls below this fraction of its
+# maximum carry no flux in the curvature residual
+_GRAD_FLOOR = 1e-12
+# `sample_levels` drops candidates within _BAND_REL * range(u) of a value
+# taken on a cell whose |grad u| is below _GRAD_FLOOR_REL of its maximum
+_GRAD_FLOOR_REL = 1e-6
+_BAND_REL = 1e-3
+# truncation widths of `truncation_limit_audit`, in units of range(u)
+_TRUNCATION_STEPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
 @dataclass
@@ -83,13 +101,12 @@ def build_metric(a: ScalarField, sigma0: TensorField2, n: int = 2) -> MetricFiel
     return MetricField(grid, g11, g12, g22, det, degenerate, int(n))
 
 
-def curvature_residual(u: ScalarField, metric: MetricField, grad_floor: float = 1e-12,
-                       collar: float | None = None):
+def curvature_residual(u: ScalarField, metric: MetricField, collar: float | None = None):
     """Discrete zero-mean-curvature residual of the equipotential foliation.
 
     Returns (node residual field, rms).  The flux vector is zeroed on
     degenerate cells and on cells where the metric gradient norm falls
-    below grad_floor times its maximum.
+    below _GRAD_FLOOR times its maximum.
 
     The zero-curvature property is an interior statement, and the
     one-sided stencils of the discrete divergence are not consistent on
@@ -111,7 +128,7 @@ def curvature_residual(u: ScalarField, metric: MetricField, grad_floor: float = 
     q = np.maximum(w1 * gr.v1 + w2 * gr.v2, 0.0)  # = ||g^{-1} grad u||_g^2
     ok = ~metric.degenerate
     qmax = float(np.max(np.where(ok, q, 0.0))) if ok.any() else 0.0
-    usable = ok & (q > grad_floor * max(qmax, 1e-300))
+    usable = ok & (q > _GRAD_FLOOR * max(qmax, 1e-300))
     scale = np.where(usable, np.sqrt(np.maximum(metric.det, 0.0)) / np.sqrt(np.where(usable, q, 1.0)), 0.0)
     v1 = np.where(usable, scale * w1, 0.0)
     v2 = np.where(usable, scale * w2, 0.0)
@@ -177,7 +194,7 @@ _SADDLE_HI = {5: [(0, 1), (2, 3)], 10: [(3, 0), (1, 2)]}
 _SADDLE_LO = {5: [(0, 3), (2, 1)], 10: [(3, 2), (1, 0)]}
 
 
-def _edge_key(j, i, edge, nx):
+def _edge_key(j, i, edge):
     # global identity of a cell edge: horizontal edges keyed ('h', j, i),
     # vertical edges ('v', j, i) by their lower-left node
     if edge == 0:
@@ -241,8 +258,8 @@ def extract_level_set(u: ScalarField, level: float) -> list[LevelSetCurve]:
         else:
             pairs = _CASES[c]
         for e_in, e_out in pairs:
-            k_in = _edge_key(j, i, e_in, grid.nx)
-            k_out = _edge_key(j, i, e_out, grid.nx)
+            k_in = _edge_key(j, i, e_in)
+            k_out = _edge_key(j, i, e_out)
             segments[k_in] = (k_out, cross(j, i, e_in), cross(j, i, e_out))
 
     has_pred = {v[0] for v in segments.values()}
@@ -298,52 +315,38 @@ def _make_curve(level, pts, closed):
     return LevelSetCurve(float(level), verts, normals, lengths, bool(closed))
 
 
-# -- weighted lengths and areas -------------------------------------------------
-
-
-def area_functional(curves, a: ScalarField) -> float:
-    """Weighted Euclidean length: integral of a over the curves.
-
-    a is sampled per segment by bilinear interpolation of the
-    cell-centered values at the segment midpoint.  The value is a plain
-    sum over segments, so it is additive over disjoint curves and
-    invariant under regrouping or splitting of polylines at vertices.
-    """
-    if a.location != "cell":
-        raise GridError("area functional expects cell-located a")
-    grid = a.grid
-    total = 0.0
-    for curve in curves:
-        mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
-        av = sample_cell_field(grid, a.values, mids[:, 0], mids[:, 1])
-        total += float(np.sum(av * curve.lengths))
-    return total
+# -- the metric area --------------------------------------------------------------
 
 
 def weighted_perimeter(curves, a: ScalarField, sigma0: TensorField2) -> float:
-    """Anisotropic perimeter: integral of a (sigma0 nu . nu)^(1/2) over curves."""
+    """Metric area: integral of a (sigma0 nu . nu)^(1/2) over the curves.
+
+    a and sigma0 are sampled per segment by bilinear interpolation of the
+    cell-centered values at the segment midpoint, with one set of weights
+    for all four planes.  The value is a plain sum over segments, so it
+    is additive over disjoint curves and invariant under regrouping or
+    splitting of polylines at vertices.
+    """
+    if a.location != "cell":
+        raise GridError("weighted perimeter expects cell-located a")
     grid = a.grid
+    planes = np.stack([a.values, *sigma0.entries])
     total = 0.0
     for curve in curves:
         mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
-        x, y = mids[:, 0], mids[:, 1]
-        av = sample_cell_field(grid, a.values, x, y)
-        s11 = sample_cell_field(grid, sigma0.s11, x, y)
-        s12 = sample_cell_field(grid, sigma0.s12, x, y)
-        s22 = sample_cell_field(grid, sigma0.s22, x, y)
+        av, s11, s12, s22 = sample_cell_field(grid, planes, mids[:, 0], mids[:, 1])
         n1, n2 = curve.normals[:, 0], curve.normals[:, 1]
         w = np.sqrt(np.maximum(s11 * n1 * n1 + 2.0 * s12 * n1 * n2 + s22 * n2 * n2, 0.0))
         total += float(np.sum(av * w * curve.lengths))
     return total
 
 
-def sample_levels(u: ScalarField, n_levels: int, grad_floor_rel: float = 1e-6,
-                  band_rel: float = 1e-3) -> np.ndarray:
+def sample_levels(u: ScalarField, n_levels: int) -> np.ndarray:
     """Evenly spaced interior quantile levels, skipping critical bands.
 
     Candidate levels are the (i+1/2)/n quantiles of u over interior
-    nodes; any candidate within band_rel * range(u) of a value taken on
-    a cell with |grad u| below grad_floor_rel times its maximum is
+    nodes; any candidate within _BAND_REL * range(u) of a value taken on
+    a cell with |grad u| below _GRAD_FLOOR_REL times its maximum is
     dropped (those are the levels the theory excludes).
     """
     grid = u.grid
@@ -353,24 +356,25 @@ def sample_levels(u: ScalarField, n_levels: int, grad_floor_rel: float = 1e-6,
     gr = gradient(u)
     mag = np.hypot(gr.v1, gr.v2)
     gmax = float(np.max(mag))
-    crit_cells = mag <= grad_floor_rel * gmax
+    crit_cells = mag <= _GRAD_FLOOR_REL * gmax
     if not crit_cells.any():
         return candidates
     umid = 0.25 * (
         u.values[:-1, :-1] + u.values[:-1, 1:] + u.values[1:, :-1] + u.values[1:, 1:]
     )
     crit_vals = np.unique(umid[crit_cells])
-    band = band_rel * (float(np.max(inner)) - float(np.min(inner)))
+    band = _BAND_REL * (float(np.max(inner)) - float(np.min(inner)))
     keep = np.array(
         [np.min(np.abs(crit_vals - lv)) > band for lv in candidates], dtype=bool
     )
     return candidates[keep]
 
 
-def area_minimality_audit(u: ScalarField, competitors, a: ScalarField,
+def area_minimality_audit(u: ScalarField, competitors, a: ScalarField, sigma0: TensorField2,
                           n_levels: int = 20, tol_rel: float = 0.01) -> dict:
-    """Check that equipotentials of u carry no more weighted area than the
-    matching level sets of boundary-compatible competitors.
+    """Check that equipotentials of u carry no more metric area
+    (`weighted_perimeter`) than the matching level sets of
+    boundary-compatible competitors.
 
     Every competitor must share u's boundary trace.  A violation is a
     level where area(u) exceeds area(v) by more than tol_rel * area(u).
@@ -385,10 +389,10 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField,
     results = []
     violations = 0
     for lv in levels:
-        area_u = area_functional(extract_level_set(u, lv), a)
+        area_u = weighted_perimeter(extract_level_set(u, lv), a, sigma0)
         row = {"level": float(lv), "area_u": area_u, "margins": []}
         for v in competitors:
-            area_v = area_functional(extract_level_set(v, lv), a)
+            area_v = weighted_perimeter(extract_level_set(v, lv), a, sigma0)
             margin = area_v - area_u
             row["margins"].append(margin)
             if margin < -tol_rel * max(area_u, 1e-300):
@@ -405,33 +409,24 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField,
 
 
 def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
-                           level: float, eps_ladder=None) -> dict:
-    """Weighted TV of sharpening truncations against both candidate limits.
+                           level: float) -> dict:
+    """Weighted TV of sharpening truncations against the metric area.
 
     w_eps = clamp((u - level)/eps, 0, 1) concentrates on the slab
-    {level < u < level + eps}; its weighted TV is compared along the
-    ladder against the plain weighted length (integral of a) and the
-    anisotropic perimeter (integral of a (sigma0 nu.nu)^(1/2)) of the
-    level curve.  Both discrepancies are reported; the functional's own
-    scaling matches the anisotropic one, the plain one is the stated
-    limit, and this audit measures rather than arbitrates.
+    {level < u < level + eps}; along the ladder eps = _TRUNCATION_STEPS
+    times range(u) its weighted TV should converge to the metric area
+    (`weighted_perimeter`) of the level curve, and the relative
+    discrepancy of the last rung is reported as `vs_anisotropic`.
     """
-    from .inverse import weighted_tv
-
     grid = u.grid
-    umin = float(np.min(u.values))
-    umax = float(np.max(u.values))
-    rng = umax - umin
-    if eps_ladder is None:
-        eps_ladder = [rng * s for s in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)]
+    rng = float(np.max(u.values)) - float(np.min(u.values))
+    eps_ladder = [rng * s for s in _TRUNCATION_STEPS]
     values = []
     for eps in eps_ladder:
         w = np.clip((u.values - level) / eps, 0.0, 1.0)
         values.append(weighted_tv(ScalarField(grid, w, location="node"), a, sigma0))
-    curves = extract_level_set(u, level)
-    plain = area_functional(curves, a)
-    aniso = weighted_perimeter(curves, a, sigma0)
-    cauchy = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300) if len(values) > 1 else 0.0
+    aniso = weighted_perimeter(extract_level_set(u, level), a, sigma0)
+    cauchy = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
     limit = values[-1]
     return {
         "level": float(level),
@@ -439,9 +434,7 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
         "tv_values": values,
         "cauchy": cauchy,
         "limit": limit,
-        "euclidean_weighted_length": plain,
         "anisotropic_perimeter": aniso,
-        "vs_euclidean": abs(limit - plain) / max(abs(plain), 1e-300),
         "vs_anisotropic": abs(limit - aniso) / max(abs(aniso), 1e-300),
     }
 

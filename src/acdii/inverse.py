@@ -3,10 +3,11 @@
 Given an admissible triplet (f, sigma0, a), the potential is the unique
 minimizer over boundary data f of
 
-    F[v] = integral of a (sigma0 grad v . grad v)^(1/2),
+    F[v] = integral of a (sigma0 grad v . grad v)^(1/2)
 
-and the factor follows pointwise as c = a / |grad u*|_{sigma0}.  Two
-independent minimizers are provided and kept separate on purpose:
+(`fields.weighted_tv`, with its density `fields.tv_density`), and the
+factor follows pointwise as c = a / |grad u*|_{sigma0}.  Two independent
+minimizers are provided and kept separate on purpose:
 
 - a lagged-diffusivity fixed point with an eps-continuation schedule:
   the map Phi solves div(c_eff sigma0 grad u) = 0 with
@@ -53,8 +54,11 @@ from .fields import (
     gradient,
     nodes_of_cells,
     rel_l2,
+    smoothed_tv,
     sym2_apply,
     sym2_sqrt,
+    tv_density,
+    weighted_tv,
 )
 from .forward import _dot, assemble, solve_dirichlet
 from .geometry import extract_level_set, weighted_perimeter
@@ -128,24 +132,6 @@ TV_SCHEMA = {
 
 
 # -- the functional -----------------------------------------------------------
-
-
-def tv_density(g1, g2, sigma0: TensorField2, eps: float = 0.0):
-    """Per-cell (|g|^2_{sigma0} + eps^2)^(1/2) of cell gradient arrays (g1, g2)."""
-    w1, w2 = sigma0.apply(g1, g2)
-    q = np.maximum(w1 * g1 + w2 * g2, 0.0)
-    return np.sqrt(q + eps * eps) if eps else np.sqrt(q)
-
-
-def smoothed_tv(grid: Grid2D, avals, sigma0: TensorField2, uvals, eps: float = 0.0) -> float:
-    """Midpoint quadrature of integral a (|grad u|^2_{sigma0} + eps^2)^(1/2) on raw arrays."""
-    density = tv_density(*grad(grid, uvals), sigma0, eps)
-    return float(np.sum(avals * density)) * grid.cell_area
-
-
-def weighted_tv(v: ScalarField, a: ScalarField, sigma0: TensorField2) -> float:
-    """Midpoint quadrature of integral a |grad v|_{sigma0}: the functional F."""
-    return smoothed_tv(v.grid, a.values, sigma0, v.values)
 
 
 def dual_feasibility(B: VectorField2, a: ScalarField, sigma0: TensorField2) -> float:
@@ -548,7 +534,7 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     """
     grid = u_star.grid
     gr = gradient(u_star)
-    nrm = sigma0.norm(gr.v1, gr.v2)
+    nrm = tv_density(gr.v1, gr.v2, sigma0)
     avals = a.values
     nmax = float(np.max(nrm))
     amax = float(np.max(avals))
@@ -569,23 +555,30 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     return ScalarField(grid, cvals, location="cell"), mask_z, diagnostics
 
 
-def _holder_quotient(avals, comp, other, hx, hy, alpha):
+# the rim-trace wiggle a smooth equipotential rim produces, in units of
+# max(hx, hy) max|grad u*|
+_OSC_FACTOR = 4.0
+# exponent of the Holder-quotient probe and its threshold in units of
+# max(a) / h^_HOLDER_ALPHA
+_HOLDER_ALPHA = 0.5
+_HOLDER_FACTOR = 0.25
+
+
+def _holder_quotient(avals, comp, other, hx, hy):
     best = 0.0
     pair = (comp[:, :-1] & other[:, 1:]) | (other[:, :-1] & comp[:, 1:])
     if pair.any():
         d = np.abs(avals[:, :-1] - avals[:, 1:])
-        best = max(best, float(np.max(d[pair])) / hx**alpha)
+        best = max(best, float(np.max(d[pair])) / hx**_HOLDER_ALPHA)
     pair = (comp[:-1, :] & other[1:, :]) | (other[:-1, :] & comp[1:, :])
     if pair.any():
         d = np.abs(avals[:-1, :] - avals[1:, :])
-        best = max(best, float(np.max(d[pair])) / hy**alpha)
+        best = max(best, float(np.max(d[pair])) / hy**_HOLDER_ALPHA)
     return best
 
 
 def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2D,
-                        tol_grad: float | None = None, tol_a: float | None = None,
-                        tol_osc: float | None = None, holder_alpha: float = 0.5,
-                        holder_factor: float = 0.25) -> list[dict]:
+                        tol_grad: float | None = None, tol_a: float | None = None) -> list[dict]:
     """Label each 4-connected component of the degenerate set.
 
     - 'perfect': the gradient vanishes on the component while the data
@@ -595,9 +588,9 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
       the component rim (no current crosses, but the potential varies
       along the wall);
     - 'perfect-or-insulating': the data vanishes, the rim trace is
-      constant within tol_osc, and the data fails a Holder-quotient
-      regularity probe across the interface (exponent holder_alpha),
-      which rules out a benign conductivity explaining it;
+      constant within the oscillation tolerance, and the data fails a
+      Holder-quotient regularity probe across the interface (exponent
+      _HOLDER_ALPHA), which rules out a benign conductivity explaining it;
     - 'undetermined': anything else, in particular a constant rim trace
       with data regular across the interface, which one measurement
       genuinely cannot decide.
@@ -605,7 +598,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
     The conservative tol_grad default (1e-6 of the gradient scale)
     expects a potential whose flat regions are exact, as produced by the
     tied forward solve; iterative minimizers stall earlier, so pass the
-    matching recovery cutoff instead.  tol_osc defaults to
+    matching recovery cutoff instead.  The oscillation tolerance is
     4 max(hx, hy) max|grad u*|, the size of the discrete trace wiggle a
     smooth equipotential rim produces.
     """
@@ -620,9 +613,9 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
     scale_a = float(np.max(avals))
     tg = tol_grad if tol_grad is not None else 1e-6 * max(scale_g, 1e-300)
     ta = tol_a if tol_a is not None else 1e-8 * max(scale_a, 1e-300)
-    to = tol_osc if tol_osc is not None else 4.0 * max(grid.hx, grid.hy) * scale_g
+    to = _OSC_FACTOR * max(grid.hx, grid.hy) * scale_g
     h = min(grid.hx, grid.hy)
-    holder_threshold = holder_factor * max(scale_a, 1e-300) / h**holder_alpha
+    holder_threshold = _HOLDER_FACTOR * max(scale_a, 1e-300) / h**_HOLDER_ALPHA
 
     comp_map, ncomp = ndimage.label(mask, structure=_CROSS)
     out = []
@@ -632,7 +625,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
         max_a = float(np.max(avals[comp]))
         rim_vals = u_star.values[nodes_of_cells(comp) & nodes_of_cells(~comp)]
         osc = float(np.max(rim_vals) - np.min(rim_vals)) if rim_vals.size else 0.0
-        quot = _holder_quotient(avals, comp, ~comp, grid.hx, grid.hy, holder_alpha)
+        quot = _holder_quotient(avals, comp, ~comp, grid.hx, grid.hy)
         if max_grad <= tg and max_a > ta:
             label = "perfect"
         elif max_a <= ta and osc > to:
@@ -707,7 +700,6 @@ class ReconReport:
     u_star: ScalarField
     c_rec: ScalarField
     mask_z: np.ndarray
-    sigma_rec: tuple[np.ndarray, np.ndarray, np.ndarray]
     labels: list[dict]
     diagnostics: dict = field(default_factory=dict)
 
@@ -769,12 +761,10 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
         u_true = np.asarray(prov["u_true"], dtype=np.float64)
         diagnostics["u_rel_l2"] = rel_l2(u_star.values, u_true)
 
-    s11, s12, s22 = (np.where(mask_z, 0.0, c_rec.values * s) for s in t.sigma0.entries)
     return ReconReport(
         u_star=u_star,
         c_rec=c_rec,
         mask_z=mask_z,
-        sigma_rec=(s11, s12, s22),
         labels=labels,
         diagnostics=diagnostics,
     )

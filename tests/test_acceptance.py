@@ -177,7 +177,8 @@ def test_criterion_09_area_minimality(bump129):
     for i in range(5):
         w = 0.05 * np.sin(np.pi * x * (i + 1)) * np.sin(np.pi * y * (i % 3 + 1))
         competitors.append(ScalarField(grid, u.values + w))
-    res = area_minimality_audit(u, competitors, bump129.a, n_levels=20, tol_rel=0.01)
+    res = area_minimality_audit(u, competitors, bump129.a, bump129.sigma0, n_levels=20,
+                                tol_rel=0.01)
     ok = res["violations"] == 0 and len(res["levels"]) == 20
     assert _verdict(9, "no competitor level set beats the equipotential area", ok,
                     f"{res['violations']} violations, min margin {res['min_margin']:.2e}")

@@ -303,7 +303,9 @@ def test_unhashable_field_kind_exits_2_naming_kind(tmp_path, capsys, synth_dir):
     path = _write(tmp_path, cfg)
     capsys.readouterr()
     assert main(["invert", "--config", path]) == 2
-    assert "kind" in _single_error(capsys)
+    message = _single_error(capsys)
+    assert "kind" in message
+    assert "a.field" in message
 
 
 def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Measurement synthesis, noise, and triplet persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from acdii.data import (
     compute_a,
     compute_current,
     load_triplet,
+    read_matching,
     save_triplet,
     synthesize_triplet,
 )
-from acdii.fields import ScalarField, TensorField2, gradient
+from acdii.fields import ScalarField, TensorField2, gradient, tv_density
 from acdii.forward import InclusionSet, disk_cells
+from acdii.io import FieldFormatError, write_field_file
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
 
@@ -24,7 +28,7 @@ def test_data_matches_weighted_gradient_identity(bump33):
     u = ScalarField(grid, np.asarray(bump33.provenance["u_true"]))
     c = np.asarray(bump33.provenance["c_true"])
     gr = gradient(u)
-    direct = c * bump33.sigma0.norm(gr.v1, gr.v2)
+    direct = c * tv_density(gr.v1, gr.v2, bump33.sigma0)
     assert np.allclose(direct, bump33.a.values, rtol=1e-12, atol=1e-14)
 
 
@@ -204,3 +208,17 @@ def test_saved_bytes_are_deterministic(tmp_path, bump33):
     save_triplet(bump33, d2)
     for name in ("a.field", "f.field", "sigma0.field", "triplet.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_read_matching_names_the_broken_file(tmp_path, bump33):
+    path = tmp_path / "a.field"
+    write_field_file(bump33.a, path)
+    blob = path.read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    header["kind"] = []
+    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    with pytest.raises(FieldFormatError) as info:
+        read_matching(path, bump33.grid)
+    assert info.value.field == "kind"
+    assert str(path) in str(info.value)

@@ -22,6 +22,7 @@ from acdii.fields import (
     sym2_det,
     sym2_inv,
     sym2_sqrt,
+    tv_density,
 )
 from conftest import make_grid, rotated_tensor
 
@@ -172,7 +173,7 @@ def test_tensor_field_eigen_bounds_bracket_spectrum():
     # norms against explicit eigen-decomposition
     v = np.array([1.0, 2.0])
     mat = np.array([[t.s11[0, 0], t.s12[0, 0]], [t.s12[0, 0], t.s22[0, 0]]])
-    assert t.norm(v[0], v[1])[0, 0] == pytest.approx(np.sqrt(v @ mat @ v), rel=1e-12)
+    assert tv_density(v[0], v[1], t)[0, 0] == pytest.approx(np.sqrt(v @ mat @ v), rel=1e-12)
     assert t.inv_norm(v[0], v[1])[0, 0] == pytest.approx(
         np.sqrt(v @ np.linalg.inv(mat) @ v), rel=1e-12
     )

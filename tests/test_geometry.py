@@ -1,12 +1,17 @@
 """Metric construction, curvature residual, level sets, and the audits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import acdii
 from acdii.data import synthesize_triplet
-from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient
+from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient, sample_cell_field
 from acdii.geometry import (
-    area_functional,
     area_minimality_audit,
     build_metric,
     curvature_residual,
@@ -16,6 +21,7 @@ from acdii.geometry import (
     truncation_limit_audit,
     weighted_perimeter,
 )
+from acdii.inverse import sine_perturbations
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
 
@@ -137,9 +143,12 @@ def test_weighted_perimeter_reduces_to_area_when_isotropic():
     a = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_shape), location="cell")
     s = TensorField2.constant(g, 1.0, 0.0, 1.0)
     curves = extract_level_set(u, 0.09)
-    assert weighted_perimeter(curves, a, s) == pytest.approx(
-        area_functional(curves, a), rel=1e-12
-    )
+    # sigma0 = I: the metric area is the a-weighted Euclidean length
+    length = 0.0
+    for curve in curves:
+        mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
+        length += np.sum(sample_cell_field(g, a.values, mids[:, 0], mids[:, 1]) * curve.lengths)
+    assert weighted_perimeter(curves, a, s) == pytest.approx(length, rel=1e-12)
 
 
 def test_weighted_perimeter_sees_the_normal_direction():
@@ -152,7 +161,7 @@ def test_weighted_perimeter_sees_the_normal_direction():
     level = 0.5 + 0.3 * g.hx
     curves = extract_level_set(u, level)
     assert weighted_perimeter(curves, a, s) == pytest.approx(2.0, rel=1e-12)
-    assert area_functional(curves, a) == pytest.approx(1.0, rel=1e-12)
+    assert sum(curve.length for curve in curves) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_perimeter_linear_in_weight():
@@ -168,6 +177,38 @@ def test_perimeter_linear_in_weight():
     assert weighted_perimeter(curves, both, s) == pytest.approx(
         weighted_perimeter(curves, a1, s) + weighted_perimeter(curves, a2, s), rel=1e-12
     )
+
+
+def test_weighted_perimeter_is_the_length_in_the_data_metric():
+    # in 2-D, sqrt(g(t, t)) = a |nu|_{sigma0} for g = det(sigma0) a^2 sigma0^{-1}
+    # and nu the unit normal of the unit tangent t
+    g = make_grid(33)
+    rng = np.random.default_rng(4)
+    x, y = g.node_coords()
+    u = ScalarField(g, (x - 0.45) ** 2 + 2.0 * (y - 0.55) ** 2)
+    a = ScalarField(g, rng.uniform(0.5, 2.0, g.cell_shape), location="cell")
+    angle = rng.uniform(0.0, np.pi, g.cell_shape)
+    d1 = rng.uniform(0.5, 3.0, g.cell_shape)
+    d2 = rng.uniform(0.5, 3.0, g.cell_shape)
+    ct, st = np.cos(angle), np.sin(angle)
+    sigma0 = TensorField2(g, d1 * ct * ct + d2 * st * st, (d1 - d2) * st * ct,
+                          d1 * st * st + d2 * ct * ct)
+    curves = extract_level_set(u, 0.05)
+    assert len(curves) == 1 and curves[0].closed
+    curve = curves[0]
+    mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
+    # the metric of the data sampled at the segment midpoints, one cell
+    # column per segment (a grid is at least two cells high, so twice)
+    seg_grid = Grid2D(len(curve.lengths) + 1, 3, 1.0, 1.0)
+    sampled = sample_cell_field(g, np.stack([a.values, *sigma0.entries]), mids[:, 0], mids[:, 1])
+    rows = [np.stack([p, p]) for p in sampled]
+    metric = build_metric(ScalarField(seg_grid, rows[0], location="cell"),
+                          TensorField2(seg_grid, *rows[1:]), n=2)
+    t = np.diff(curve.vertices, axis=0) / curve.lengths[:, None]
+    gtt = metric.g11[0] * t[:, 0] ** 2 + 2.0 * metric.g12[0] * t[:, 0] * t[:, 1] \
+        + metric.g22[0] * t[:, 1] ** 2
+    length = float(np.sum(np.sqrt(gtt) * curve.lengths))
+    assert weighted_perimeter(curves, a, sigma0) == pytest.approx(length, rel=1e-12)
 
 
 def test_sample_levels_interior_and_sorted():
@@ -186,16 +227,27 @@ def test_area_minimality_requires_matching_traces():
     u = ScalarField(g, x)
     bad = ScalarField(g, x + 0.1 * y)
     with pytest.raises(GridError):
-        area_minimality_audit(u, [bad], _const_a(g, 1.0))
+        area_minimality_audit(u, [bad], _const_a(g, 1.0), TensorField2.constant(g, 1.0, 0.0, 1.0))
 
 
 def test_area_minimality_accepts_self_competitor():
     g = make_grid(17)
     x, _ = g.node_coords()
     u = ScalarField(g, x)
-    res = area_minimality_audit(u, [u], _const_a(g, 1.0), n_levels=5)
+    s = rotated_tensor(g, 0.4, 2.0, 1.0)
+    res = area_minimality_audit(u, [u], _const_a(g, 1.0), s, n_levels=5)
     assert res["violations"] == 0
     assert res["min_margin"] == 0.0
+
+
+def test_truth_equipotentials_carry_the_least_metric_area(bump33):
+    # verify's default competitors: five sine perturbations, seed 1, amplitude 0.05
+    grid = bump33.grid
+    u = ScalarField(grid, np.asarray(bump33.provenance["u_true"]))
+    competitors = [ScalarField(grid, u.values + w) for w in sine_perturbations(u, 5, 1, 0.05)]
+    res = area_minimality_audit(u, competitors, bump33.a, bump33.sigma0)
+    assert res["violations"] == 0
+    assert res["min_margin"] >= 0.0
 
 
 def test_truncation_ladder_exact_on_anisotropic_slab():
@@ -209,7 +261,6 @@ def test_truncation_ladder_exact_on_anisotropic_slab():
     assert res["cauchy"] == 0.0
     assert res["vs_anisotropic"] == pytest.approx(0.0, abs=1e-12)
     assert res["limit"] == pytest.approx(res["anisotropic_perimeter"], rel=1e-12)
-    assert res["limit"] / res["euclidean_weighted_length"] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_curves_to_csv_layout():
@@ -221,3 +272,12 @@ def test_curves_to_csv_layout():
     lines = text.strip().splitlines()
     assert lines[0] == "level,curve,vertex,x,y"
     assert len(lines) == 1 + sum(len(c.vertices) for c in curves)
+
+
+def test_importing_geometry_loads_no_inverse():
+    # the functional lives in fields, so geometry needs nothing from inverse
+    code = "import sys, acdii.geometry; print('acdii.inverse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

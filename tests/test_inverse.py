@@ -15,7 +15,10 @@ from acdii.fields import (
     grad_adjoint,
     gradient,
     rel_l2,
+    smoothed_tv,
     sym2_sqrt,
+    tv_density,
+    weighted_tv,
 )
 from acdii.forward import InclusionSet, assemble, disk_cells, solve_dirichlet
 from acdii.inverse import (
@@ -33,9 +36,6 @@ from acdii.inverse import (
     minimize_tv_primal_dual,
     reconstruct,
     recover_c,
-    smoothed_tv,
-    tv_density,
-    weighted_tv,
 )
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
