@@ -272,6 +272,19 @@ def _say(args, line: str) -> None:
         print(line)
 
 
+def _pd_status(info: dict) -> str:
+    """The stopping outcome of a primal-dual `recon.json` block, in words."""
+    if info["converged"]:
+        return (
+            f"primal-dual converged after {info['iterations']} of "
+            f"{info['max_iterations']} iterations"
+        )
+    return (
+        f"primal-dual stopped unconverged at {info['iterations']} iterations "
+        f"(gap {info['pd_gap']:.3e}, div B rms {info['dual_divergence_rms']:.3e})"
+    )
+
+
 def _require_triplet(cfg) -> str:
     path = cfg["input"]["triplet"]
     if path is None:
@@ -381,7 +394,10 @@ def cmd_invert(cfg, args, chash) -> int:
     }
     _write_json(out / "recon.json", doc)
     gap = report.diagnostics.get("duality_gap", float("nan"))
-    _say(args, f"invert: duality gap {gap:.3e}, masked cells {int(report.mask_z.sum())} -> {out}")
+    summary = f"invert: duality gap {gap:.3e}, masked cells {int(report.mask_z.sum())}"
+    if "primaldual" in report.diagnostics:
+        summary += ", " + _pd_status(report.diagnostics["primaldual"])
+    _say(args, f"{summary} -> {out}")
     return 0
 
 
@@ -564,8 +580,13 @@ def cmd_report(cfg, args, chash) -> int:
         _say(args, f"verify passed: {sections['audits'].get('passed')}")
     if "recon" in sections:
         diag = sections["recon"].get("diagnostics", {})
-        if "duality_gap" in diag:
-            _say(args, f"recovery duality gap: {diag['duality_gap']:.3e}")
+        try:
+            if "duality_gap" in diag:
+                _say(args, f"recovery duality gap: {diag['duality_gap']:.3e}")
+            if "primaldual" in diag:
+                _say(args, _pd_status(diag["primaldual"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{rdir / 'recon.json'}: malformed diagnostics ({exc!r})") from exc
     return 0
 
 

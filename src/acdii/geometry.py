@@ -318,12 +318,15 @@ def _make_curve(level, pts, closed):
 # -- the metric area --------------------------------------------------------------
 
 
-def weighted_perimeter(curves, a: ScalarField, sigma0: TensorField2) -> float:
-    """Metric area: integral of a (sigma0 nu . nu)^(1/2) over the curves.
+def weighted_perimeter(curve_sets, a: ScalarField, sigma0: TensorField2) -> list[float]:
+    """Metric area, integral of a (sigma0 nu . nu)^(1/2), of each curve set.
 
-    a and sigma0 are sampled per segment by bilinear interpolation of the
-    cell-centered values at the segment midpoint, with one set of weights
-    for all four planes.  The value is a plain sum over segments, so it
+    `curve_sets` is an iterable of curve lists (one per level set, say),
+    read once, so a generator keeps one set in memory at a time; the
+    result holds one area per set.  a and sigma0 are sampled per segment
+    by bilinear interpolation of the cell-centered values at the segment
+    midpoint, with one set of weights for all four planes, which are
+    stacked once per call.  Each area is a plain sum over segments, so it
     is additive over disjoint curves and invariant under regrouping or
     splitting of polylines at vertices.
     """
@@ -331,14 +334,17 @@ def weighted_perimeter(curves, a: ScalarField, sigma0: TensorField2) -> float:
         raise GridError("weighted perimeter expects cell-located a")
     grid = a.grid
     planes = np.stack([a.values, *sigma0.entries])
-    total = 0.0
-    for curve in curves:
-        mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
-        av, s11, s12, s22 = sample_cell_field(grid, planes, mids[:, 0], mids[:, 1])
-        n1, n2 = curve.normals[:, 0], curve.normals[:, 1]
-        w = np.sqrt(np.maximum(s11 * n1 * n1 + 2.0 * s12 * n1 * n2 + s22 * n2 * n2, 0.0))
-        total += float(np.sum(av * w * curve.lengths))
-    return total
+    areas = []
+    for curves in curve_sets:
+        total = 0.0
+        for curve in curves:
+            mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
+            av, s11, s12, s22 = sample_cell_field(grid, planes, mids[:, 0], mids[:, 1])
+            n1, n2 = curve.normals[:, 0], curve.normals[:, 1]
+            w = np.sqrt(np.maximum(s11 * n1 * n1 + 2.0 * s12 * n1 * n2 + s22 * n2 * n2, 0.0))
+            total += float(np.sum(av * w * curve.lengths))
+        areas.append(total)
+    return areas
 
 
 def sample_levels(u: ScalarField, n_levels: int) -> np.ndarray:
@@ -386,13 +392,16 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField, sigma0: T
         if float(np.max(diff)) > 1e-10 * max(rng_u, 1.0):
             raise GridError(f"competitor {idx} does not match the boundary trace")
     levels = sample_levels(u, n_levels)
+    potentials = [u, *competitors]
+    areas = weighted_perimeter(
+        (extract_level_set(w, lv) for lv in levels for w in potentials), a, sigma0
+    )
     results = []
     violations = 0
-    for lv in levels:
-        area_u = weighted_perimeter(extract_level_set(u, lv), a, sigma0)
+    for k, lv in enumerate(levels):
+        area_u, *areas_v = areas[k * len(potentials):(k + 1) * len(potentials)]
         row = {"level": float(lv), "area_u": area_u, "margins": []}
-        for v in competitors:
-            area_v = weighted_perimeter(extract_level_set(v, lv), a, sigma0)
+        for area_v in areas_v:
             margin = area_v - area_u
             row["margins"].append(margin)
             if margin < -tol_rel * max(area_u, 1e-300):
@@ -425,7 +434,7 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     for eps in eps_ladder:
         w = np.clip((u.values - level) / eps, 0.0, 1.0)
         values.append(weighted_tv(ScalarField(grid, w, location="node"), a, sigma0))
-    aniso = weighted_perimeter(extract_level_set(u, level), a, sigma0)
+    (aniso,) = weighted_perimeter([extract_level_set(u, level)], a, sigma0)
     cauchy = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
     limit = values[-1]
     return {

@@ -309,6 +309,11 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     return u_final, info
 
 
+# tolerance of the primal-dual stopping rule, on the relative gap and on
+# the div B rms in units of max(a) / (longer side of the domain)
+_PD_TOL = 1e-6
+
+
 def minimize_tv_primal_dual(problem: TVProblem):
     """Saddle-point minimization; returns (u, B, info) with B dual feasible.
 
@@ -325,15 +330,20 @@ def minimize_tv_primal_dual(problem: TVProblem):
     The initial solve leaves f on the boundary and the step is zero there,
     so u keeps its Dirichlet trace.
 
-    Every max(iterations // 50, 1) steps info records the functional F
+    Every max(pd_iterations // 50, 1) steps info records the functional F
     (`tv_history`), the relative primal-dual gap |F_A[u] - <grad u, B>| /
     F_A[u] (`gap_history`), and the interior rms of div B
     (`divergence_history`).  F_A is F over the cells the scheme optimizes,
-    the cells above the void floor; B vanishes on the others.  `pd_gap`
-    and `dual_divergence_rms` are the same quantities at the end, and
-    `tv_final` is the full F.  The gap measures complementarity only:
-    once u and B pair up it can vanish while div B, the stationarity of
-    u, is still falling, so a stopping rule needs both numbers.
+    the cells above the void floor; B vanishes on the others.  The gap
+    measures complementarity only: once u and B pair up it can vanish
+    while div B, the stationarity of u, is still falling.  So the loop
+    stops at the first checkpoint where both the gap and the div B rms
+    times l / max(a), l the longer side of the domain, are <= _PD_TOL
+    (`converged`); `pd_iterations` (default 200 max(nx, ny)) is only the
+    cap, `max_iterations`, and `iterations` counts the steps run.  Both
+    quantities are scale-free, so the stop, u and B / max(a) do not
+    change when a is scaled.  `pd_gap` and `dual_divergence_rms` are the
+    two at the end, and `tv_final` is the full F.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
@@ -378,13 +388,16 @@ def minimize_tv_primal_dual(problem: TVProblem):
         return abs(primal - pairing) / max(primal, 1e-300), pairing
 
     def divergence_rms(step):
-        # the step is tau grad^T sigma0^(1/2) b on interior nodes, and B = amax sigma0^(1/2) b
-        return amax / tau * float(np.sqrt(np.mean(step[interior] ** 2)))
+        # rms of div(B / amax): the step is tau grad^T sigma0^(1/2) b on
+        # interior nodes, and B = amax sigma0^(1/2) b
+        return float(np.sqrt(np.mean(step[interior] ** 2))) / tau
 
+    length = max((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
     f_hist = []
     gap_hist = []
     div_hist = []
     record_every = max(iters // 50, 1)
+    converged = False
     for it in range(iters):
         b_flat += k_op @ ubar
         # scale a / max(|b|, a): exactly 1 inside the ball, a / |b| outside
@@ -400,7 +413,11 @@ def minimize_tv_primal_dual(problem: TVProblem):
         if (it + 1) % record_every == 0:
             f_hist.append(amax * smoothed_tv(grid, a_hat, sigma0, u.reshape(grid.shape)))
             gap_hist.append(gap_and_pairing()[0])
-            div_hist.append(divergence_rms(step))
+            div_hat = divergence_rms(step)
+            div_hist.append(amax * div_hat)
+            if gap_hist[-1] <= _PD_TOL and div_hat * length <= _PD_TOL:
+                converged = True
+                break
 
     u_final = ScalarField(grid, u.reshape(grid.shape), location="node")
     b1, b2 = (comp.reshape(grid.cell_shape) for comp in b)
@@ -408,7 +425,9 @@ def minimize_tv_primal_dual(problem: TVProblem):
     gap, pairing_hat = gap_and_pairing()
     info = {
         "algorithm": "primaldual",
-        "iterations": iters,
+        "iterations": it + 1,
+        "max_iterations": iters,
+        "converged": converged,
         "tau": tau,
         "sigma_step": sig,
         "tv_history": f_hist,
@@ -417,7 +436,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
         "tv_final": weighted_tv(u_final, t.a, sigma0),
         "pairing": amax * pairing_hat,
         "pd_gap": gap,
-        "dual_divergence_rms": divergence_rms(step),
+        "dual_divergence_rms": amax * divergence_rms(step),
         "dual_feasibility": dual_feasibility(B, t.a, sigma0),
     }
     return u_final, B, info
@@ -673,10 +692,7 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
         }
     delta = (umax - umin) / (n_levels - 1)
     levels = [umin + j * delta for j in range(n_levels)]
-    perims = []
-    for lam in levels:
-        curves = extract_level_set(u, lam)
-        perims.append(weighted_perimeter(curves, a, sigma0))
+    perims = weighted_perimeter((extract_level_set(u, lam) for lam in levels), a, sigma0)
     weights = np.full(n_levels, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5

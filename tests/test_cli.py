@@ -130,6 +130,45 @@ def test_invert_reruns_byte_identical(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+def test_invert_and_report_flag_unconverged_primal_dual(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _base_config(out)
+    cfg["inverse"] = {"algorithm": "primaldual", "pd_iterations": 100}
+    path = _write(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--quiet"]) == 0
+    cfg["input"] = {"triplet": str(out), "results": str(out)}
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 0
+    info = json.loads((out / "recon.json").read_text())["diagnostics"]["primaldual"]
+    assert (info["iterations"], info["max_iterations"], info["converged"]) == (100, 100, False)
+    flag = (
+        f"primal-dual stopped unconverged at 100 iterations "
+        f"(gap {info['pd_gap']:.3e}, div B rms {info['dual_divergence_rms']:.3e})"
+    )
+    assert flag in capsys.readouterr().out
+    assert main(["report", "--config", path]) == 0
+    assert flag in capsys.readouterr().out.splitlines()
+    assert main(["invert", "--config", path, "--quiet"]) == 0
+    assert main(["report", "--config", path, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "diagnostics",
+    ['{"primaldual": {"iterations": 5}}', '{"duality_gap": "small"}'],
+    ids=["primaldual-without-converged", "text-gap"],
+)
+def test_report_on_malformed_diagnostics_exits_2_naming_file(tmp_path, capsys, diagnostics):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "recon.json").write_text(f'{{"diagnostics": {diagnostics}}}')
+    cfg = _base_config(tmp_path / "out")
+    cfg["input"] = {"results": str(results)}
+    assert main(["report", "--config", _write(tmp_path, cfg), "--quiet"]) == 2
+    assert "recon.json" in _single_error(capsys)
+
+
 def test_forward_into_synth_dir_keeps_triplet_intact(tmp_path):
     # forward and synth may share a directory: the truth-solve artifacts
     # must not rewrite the triplet payload (a.field in particular)

@@ -148,7 +148,7 @@ def test_weighted_perimeter_reduces_to_area_when_isotropic():
     for curve in curves:
         mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
         length += np.sum(sample_cell_field(g, a.values, mids[:, 0], mids[:, 1]) * curve.lengths)
-    assert weighted_perimeter(curves, a, s) == pytest.approx(length, rel=1e-12)
+    assert weighted_perimeter([curves], a, s) == pytest.approx([length], rel=1e-12)
 
 
 def test_weighted_perimeter_sees_the_normal_direction():
@@ -160,7 +160,7 @@ def test_weighted_perimeter_sees_the_normal_direction():
     s = TensorField2.constant(g, 4.0, 0.0, 1.0)
     level = 0.5 + 0.3 * g.hx
     curves = extract_level_set(u, level)
-    assert weighted_perimeter(curves, a, s) == pytest.approx(2.0, rel=1e-12)
+    assert weighted_perimeter([curves], a, s) == pytest.approx([2.0], rel=1e-12)
     assert sum(curve.length for curve in curves) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -174,9 +174,9 @@ def test_perimeter_linear_in_weight():
     a2 = ScalarField(g, rng.uniform(0.1, 1.0, g.cell_shape), location="cell")
     s = rotated_tensor(g, 0.5, 2.0, 1.0)
     both = ScalarField(g, a1.values + a2.values, location="cell")
-    assert weighted_perimeter(curves, both, s) == pytest.approx(
-        weighted_perimeter(curves, a1, s) + weighted_perimeter(curves, a2, s), rel=1e-12
-    )
+    (p1,) = weighted_perimeter([curves], a1, s)
+    (p2,) = weighted_perimeter([curves], a2, s)
+    assert weighted_perimeter([curves], both, s) == pytest.approx([p1 + p2], rel=1e-12)
 
 
 def test_weighted_perimeter_is_the_length_in_the_data_metric():
@@ -208,7 +208,22 @@ def test_weighted_perimeter_is_the_length_in_the_data_metric():
     gtt = metric.g11[0] * t[:, 0] ** 2 + 2.0 * metric.g12[0] * t[:, 0] * t[:, 1] \
         + metric.g22[0] * t[:, 1] ** 2
     length = float(np.sum(np.sqrt(gtt) * curve.lengths))
-    assert weighted_perimeter(curves, a, sigma0) == pytest.approx(length, rel=1e-12)
+    assert weighted_perimeter([curves], a, sigma0) == pytest.approx([length], rel=1e-12)
+
+
+def test_weighted_perimeter_gives_one_area_per_curve_set():
+    g = make_grid(33)
+    x, y = g.node_coords()
+    u = ScalarField(g, (x - 0.5) ** 2 + (y - 0.5) ** 2)
+    rng = np.random.default_rng(6)
+    a = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_shape), location="cell")
+    s = rotated_tensor(g, 0.3, 2.0, 1.0)
+    sets = [extract_level_set(u, lv) for lv in (0.02, 0.08, 0.5)]
+    assert sets[-1] == []
+    areas = weighted_perimeter(sets, a, s)
+    assert areas == [weighted_perimeter([curves], a, s)[0] for curves in sets]
+    assert areas[0] < areas[1] and areas[2] == 0.0
+    assert weighted_perimeter([], a, s) == []
 
 
 def test_sample_levels_interior_and_sorted():

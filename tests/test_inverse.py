@@ -25,6 +25,7 @@ from acdii.inverse import (
     TVConfigError,
     TVProblem,
     _Anderson,
+    _PD_TOL,
     _normalized_data,
     boundary_flux_integral,
     classify_inclusions,
@@ -209,11 +210,68 @@ def test_anderson_growing_residual_clears_history():
 def test_primal_dual_records_gap_at_tv_checkpoints(recon33):
     info = recon33.diagnostics["primaldual"]
     gaps = info["gap_history"]
-    assert len(gaps) == len(info["tv_history"]) == 50
+    record_every = max(info["max_iterations"] // 50, 1)
+    assert len(gaps) == len(info["tv_history"]) == info["iterations"] // record_every
     assert all(np.isfinite(gaps)) and min(gaps) >= 0.0
     # the last checkpoint is the last iteration, where pd_gap is taken
     assert gaps[-1] == pytest.approx(info["pd_gap"], abs=1e-12)
     assert gaps[-1] < gaps[0]
+
+
+def _pd_stop_measures(info, trip):
+    """(gap, div B rms l / max a) at each checkpoint: the two the rule gates on."""
+    grid = trip.grid
+    length = max((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
+    amax = float(np.max(trip.a.values))
+    return [(g, d * length / amax) for g, d in zip(info["gap_history"], info["divergence_history"])]
+
+
+def test_primal_dual_stops_at_first_checkpoint_meeting_both_tolerances(bump33, recon33):
+    info = recon33.diagnostics["primaldual"]
+    record_every = max(info["max_iterations"] // 50, 1)
+    assert info["converged"] is True
+    assert info["iterations"] < info["max_iterations"] == 200 * 33
+    assert info["iterations"] % record_every == 0
+    measures = _pd_stop_measures(info, bump33)
+    assert len(measures) == info["iterations"] // record_every
+    gap, div = measures[-1]
+    assert gap <= _PD_TOL and div <= _PD_TOL
+    gap, div = measures[-2]
+    assert gap > _PD_TOL or div > _PD_TOL
+
+
+def test_primal_dual_void_patch_runs_its_cap_unconverged():
+    trip = _pd_triplet(True)
+    u, B, info = minimize_tv_primal_dual(TVProblem(trip))
+    assert info["max_iterations"] == 200 * trip.grid.nx
+    assert info["iterations"] == info["max_iterations"]
+    assert info["converged"] is False
+    assert len(info["gap_history"]) == 50
+    # the last checkpoint, at the cap, still fails the rule
+    gap, div = _pd_stop_measures(info, trip)[-1]
+    assert gap > _PD_TOL or div > _PD_TOL
+
+
+def test_primal_dual_stop_is_invariant_under_doubled_data():
+    # doubling from 1/2 c to c and from c to 2c: a rule on the raw div B
+    # would stop one of the pairs at different checkpoints
+    trip = bump_triplet(17)
+    grid = trip.grid
+    c_true = np.asarray(trip.provenance["c_true"])
+
+    def run(scale):
+        scaled = synthesize_triplet(
+            ScalarField(grid, scale * c_true, location="cell"), trip.sigma0, trip.f, grid
+        )
+        return minimize_tv_primal_dual(TVProblem(scaled))
+
+    runs = [run(scale) for scale in (0.5, 1.0, 2.0)]
+    for (u1, B1, i1), (u2, B2, i2) in zip(runs, runs[1:]):
+        assert i1["converged"] and i2["converged"]
+        assert i1["iterations"] == i2["iterations"] < i1["max_iterations"]
+        assert np.array_equal(u1.values, u2.values)
+        assert np.array_equal(2.0 * B1.v1, B2.v1) and np.array_equal(2.0 * B1.v2, B2.v2)
+        assert i2["tv_final"] == 2.0 * i1["tv_final"]
 
 
 def test_primal_dual_recovers_linear_potential():
@@ -224,12 +282,14 @@ def test_primal_dual_recovers_linear_potential():
     assert info["pd_gap"] <= 1e-6
 
 
-def _reference_primal_dual(problem):
+def _reference_primal_dual(problem, steps):
     """The primal-dual loop on array slices, one numpy call per term.
 
     Same iteration as `minimize_tv_primal_dual`, written with `grad` /
     `grad_adjoint` and the Dirichlet values re-imposed after each primal
     step; the gap's primal term runs over the cells above the void floor.
+    It runs `steps` iterations with the checkpoint spacing of the cap
+    `pd_iterations`, and has no stopping rule of its own.
     Returns (u, (B1, B2), histories).
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
@@ -249,7 +309,7 @@ def _reference_primal_dual(problem):
     b2 = np.zeros(grid.cell_shape)
     hist = {"tv_history": [], "gap_history": [], "divergence_history": []}
     record_every = max(iters // 50, 1)
-    for it in range(iters):
+    for it in range(steps):
         g1, g2 = grad(grid, ubar)
         b1 += sig * np.where(active, r11 * g1 + r12 * g2, 0.0)
         b2 += sig * np.where(active, r12 * g1 + r22 * g2, 0.0)
@@ -313,8 +373,8 @@ def _array_rel(x, ref):
 )
 def test_primal_dual_matches_reference_loop(void_patch, settings):
     problem = TVProblem(_pd_triplet(void_patch), **settings)
-    u_ref, (b1_ref, b2_ref), hist = _reference_primal_dual(problem)
     u, B, info = minimize_tv_primal_dual(problem)
+    u_ref, (b1_ref, b2_ref), hist = _reference_primal_dual(problem, info["iterations"])
     assert _array_rel(u.values, u_ref) <= 1e-12
     assert _array_rel(B.v1, b1_ref) <= 1e-12
     assert _array_rel(B.v2, b2_ref) <= 1e-12
@@ -322,7 +382,7 @@ def test_primal_dual_matches_reference_loop(void_patch, settings):
     assert _array_rel(info["divergence_history"], hist["divergence_history"]) <= 1e-12
     # the gap is already a fraction of F, so its rounding is absolute
     gaps = np.asarray(info["gap_history"])
-    assert gaps.size == 50
+    assert gaps.size == info["iterations"] // max(info["max_iterations"] // 50, 1)
     assert np.max(np.abs(gaps - hist["gap_history"])) <= 1e-12
 
 
@@ -341,7 +401,8 @@ def test_primal_dual_gap_closes_above_void_floor():
 def test_primal_dual_records_divergence_at_checkpoints(recon33):
     info = recon33.diagnostics["primaldual"]
     divs = info["divergence_history"]
-    assert len(divs) == len(info["tv_history"]) == 50
+    record_every = max(info["max_iterations"] // 50, 1)
+    assert len(divs) == len(info["tv_history"]) == info["iterations"] // record_every
     assert divs[-1] == info["dual_divergence_rms"]
     assert divs[-1] < divs[0]
 
