@@ -11,7 +11,8 @@ positive tensors on cells.  The package is organized as
             perfectly conducting and insulating inclusions
 - data:     interior data synthesis (current, magnitude, noise, triplets)
 - inverse:  weighted total-variation minimization and its audits
-- geometry: data metric, level sets, metric areas, truncation limits
+- geometry: data metric g = a^2 adj(sigma0), the curvature audit -div J of
+            the recovered current, level sets, metric areas, truncation limits
 - cli:      JSON-config command line driver
 """
 

@@ -9,10 +9,12 @@ Subcommands:
   recovered potential, factor, conductivity, degenerate-set mask, and a
   recon.json report;
 - verify: run the structural audits (minimality margins, duality
-  identity, coarea reconstruction, level-set area minimality, metric
-  curvature residual with a deliberately mismatched control, truncation
-  limits, and the penalization ladder when the truth is available) and
-  write audits.json plus the level curves as CSV;
+  identity, coarea reconstruction, level-set area minimality, truncation
+  limits, the penalization ladder when the truth is available, and the
+  mean curvature of the equipotentials in the metric g = a^2 adj(sigma0),
+  which is -div J of the recovered current J, against the current
+  recovered under the axis-swapped sigma0 as a control) and write
+  audits.json plus the level curves as CSV;
 - report: aggregate the JSON reports found in a results directory.
 
 All outputs are deterministic: reports are sorted-key JSON with no
@@ -58,7 +60,6 @@ from .forward import (
 )
 from .geometry import (
     area_minimality_audit,
-    build_metric,
     curvature_residual,
     curves_to_csv,
     extract_level_set,
@@ -145,7 +146,7 @@ CONFIG = {
         "trials": _int(20, _AT_LEAST_ONE),
         "seed": _int(0, _NONNEGATIVE),
         "amplitude": _num(0.05, _POSITIVE),
-        "coarea_levels": _int(200, _AT_LEAST_ONE),
+        "coarea_levels": _int(200, "[2, inf)"),
         "area_levels": _int(20, _AT_LEAST_ONE),
         "competitors": _int(5, _AT_LEAST_ONE),
         "curve_levels": _int(9, _AT_LEAST_ONE),
@@ -432,18 +433,13 @@ def cmd_verify(cfg, args, chash) -> int:
         current=current,
     )
     audits["coarea"] = coarea_audit(u, triplet.a, triplet.sigma0, n_levels=vcfg["coarea_levels"])
-    # keep the report compact; the full per-level table stays computable on demand
-    audits["coarea"] = {
-        k: v for k, v in audits["coarea"].items() if k not in ("levels", "perimeters")
-    }
 
-    metric = build_metric(triplet.a, triplet.sigma0)
-    _, rms = curvature_residual(u, metric)
+    # the curvature residual is -div J; the control recovers the current
+    # under the axis-swapped sigma0
+    _, rms = curvature_residual(current, mask_z)
     swapped = TensorField2(grid, triplet.sigma0.s22, triplet.sigma0.s12, triplet.sigma0.s11)
-    control_rms = rms
-    if not np.array_equal(triplet.sigma0.s11, triplet.sigma0.s22):
-        metric_sw = build_metric(triplet.a, swapped)
-        _, control_rms = curvature_residual(u, metric_sw)
+    c_sw, mask_sw, _ = recover_c(u, triplet.a, swapped)
+    _, control_rms = curvature_residual(compute_current(u, c_sw, swapped, dead=mask_sw), mask_sw)
     audits["curvature"] = {
         "rms": rms,
         "control_rms": control_rms,

@@ -201,9 +201,6 @@ class TensorField2:
     def entries(self):
         return self.s11, self.s12, self.s22
 
-    def det(self):
-        return sym2_det(self.s11, self.s12, self.s22)
-
     def apply(self, x1, x2):
         return sym2_apply(self.s11, self.s12, self.s22, x1, x2)
 

@@ -1,30 +1,33 @@
 """Riemannian data metric, level-set extraction, and weighted-area audits.
 
 The interior magnitude a and the background tensor sigma0 define a
-cellwise metric
+cellwise metric, in 2-D
 
-    g = (det(sigma0) a^2)^(1/(n-1)) sigma0^{-1},
+    g = det(sigma0) a^2 sigma0^{-1} = a^2 adj(sigma0),
 
-degenerate where a = 0.  Equipotential surfaces of the potential are
-zero-mean-curvature surfaces of g; the discrete residual evaluates
+degenerate where a = 0.  Equipotential curves of the potential are
+zero-mean-curvature curves of g, and their curvature operator
 
     div( sqrt(det g) g^{-1} grad u / ||g^{-1} grad u||_g )
+        = div( a sigma0 grad u / |grad u|_{sigma0} ) = -div J
 
-with the cell gradient and its exact adjoint divergence, so for matched
-data the residual shrinks under refinement while a mismatched metric
-leaves an O(1) signal.
+is the divergence of the recovered current J = -c sigma0 grad u with
+c = a / |grad u|_{sigma0}: the Euler-Lagrange operator of
+F[u] = integral of a |grad u|_{sigma0}.  `curvature_residual` evaluates
+it with the exact adjoint divergence of the cell gradient, so for
+matched data the residual shrinks under refinement while a mismatched
+sigma0 leaves an O(1) signal.
 
 Level sets are extracted by marching squares with linear edge
 interpolation; saddle cells are split by the cell-center mean, which
 makes the extraction deterministic.  Segment normals point from the
 super-level side {u > level} to the sub-level side.
 
-The area element of g on a hypersurface with unit normal nu is
-sqrt(det g) |nu|_{g^{-1}} dS = a |nu|_{sigma0} dS in every dimension, so
+The area element of g on a curve with unit normal nu is
+sqrt(det g) |nu|_{g^{-1}} dS = a |nu|_{sigma0} dS, so
 `weighted_perimeter` is the one curve measure: it is the g-area of a
-level curve, the level integrand of the coarea formula for
-F[u] = integral of a |grad u|_{sigma0}, and the limit of the truncation
-ladder.
+level curve, the level integrand of the coarea formula for F, and the
+limit of the truncation ladder.
 """
 
 from __future__ import annotations
@@ -32,26 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import (
-    Grid2D,
     GridError,
     ScalarField,
     TensorField2,
-    divergence,
+    VectorField2,
+    grad_adjoint,
     gradient,
     nodes_of_cells,
     sample_cell_field,
-    sym2_det,
-    sym2_inv,
-    VectorField2,
     weighted_tv,
 )
 
-# cells whose metric gradient norm falls below this fraction of its
-# maximum carry no flux in the curvature residual
-_GRAD_FLOOR = 1e-12
 # `sample_levels` drops candidates within _BAND_REL * range(u) of a value
 # taken on a cell whose |grad u| is below _GRAD_FLOOR_REL of its maximum
 _GRAD_FLOOR_REL = 1e-6
@@ -60,89 +56,43 @@ _BAND_REL = 1e-3
 _TRUNCATION_STEPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
-@dataclass
-class MetricField:
-    """Cellwise symmetric metric with recorded determinant and exponent n.
-
-    Not a TensorField2: the metric is allowed to degenerate on cells
-    where the data vanishes (flagged in `degenerate`); it is SPD wherever
-    a > 0.
-    """
-
-    grid: Grid2D
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    det: np.ndarray
-    degenerate: np.ndarray
-    n: int
-
-
-def build_metric(a: ScalarField, sigma0: TensorField2, n: int = 2) -> MetricField:
-    """g = (det(sigma0) a^2)^(1/(n-1)) sigma0^{-1} per cell.
-
-    The dimension enters only through the conformal exponent; the
-    per-cell algebra is always 2x2 here.
-    """
-    if n < 2:
-        raise GridError(f"metric exponent needs n >= 2, got {n}")
+def build_metric(a: ScalarField, sigma0: TensorField2):
+    """The planes (g11, g12, g22) of g = a^2 adj(sigma0) per cell."""
     if a.location != "cell":
         raise GridError("metric expects cell-located data a")
-    grid = a.grid
-    avals = a.values
-    det0 = sigma0.det()
-    factor = (det0 * avals**2) ** (1.0 / (n - 1))
-    i11, i12, i22 = sym2_inv(sigma0.s11, sigma0.s12, sigma0.s22)
-    g11 = factor * i11
-    g12 = factor * i12
-    g22 = factor * i22
-    det = factor**2 / det0
-    degenerate = ~(avals > 0.0)
-    return MetricField(grid, g11, g12, g22, det, degenerate, int(n))
+    a2 = a.values**2
+    return a2 * sigma0.s22, -a2 * sigma0.s12, a2 * sigma0.s11
 
 
-def curvature_residual(u: ScalarField, metric: MetricField, collar: float | None = None):
-    """Discrete zero-mean-curvature residual of the equipotential foliation.
+def curvature_residual(current: VectorField2, dead, collar: float | None = None):
+    """Discrete mean-curvature residual -div J of the equipotentials in g.
 
-    Returns (node residual field, rms).  The flux vector is zeroed on
-    degenerate cells and on cells where the metric gradient norm falls
-    below _GRAD_FLOOR times its maximum.
+    `current` is the recovered current, zero on the `dead` cells.
+    Returns (node residual field, rms).
 
     The zero-curvature property is an interior statement, and the
     one-sided stencils of the discrete divergence are not consistent on
     the outermost node rings, so the rms summary runs over interior
-    nodes farther than `collar` from the boundary (a fixed physical
-    width, default one tenth of the smaller domain extent) whose
-    incident cells are all usable; on that fixed region the residual of
-    matched data shrinks at second order under refinement.  The full
-    residual field is returned unclipped.
+    nodes with no dead incident cell that lie farther than `collar` from
+    the boundary (a fixed physical width, default one tenth of the
+    smaller domain extent; when no node is that deep the collar is
+    dropped).  On that fixed region the residual of matched data shrinks
+    at second order under refinement.  The full residual field is
+    returned unclipped.
     """
-    grid = u.grid
-    gr = gradient(u)
-    # invert only where the metric is nondegenerate; flagged cells are
-    # dropped below, the placeholder determinant just keeps 0/0 out
-    gdet = np.where(metric.degenerate, 1.0, sym2_det(metric.g11, metric.g12, metric.g22))
-    gi11, gi12, gi22 = metric.g22 / gdet, -metric.g12 / gdet, metric.g11 / gdet
-    w1 = gi11 * gr.v1 + gi12 * gr.v2
-    w2 = gi12 * gr.v1 + gi22 * gr.v2
-    q = np.maximum(w1 * gr.v1 + w2 * gr.v2, 0.0)  # = ||g^{-1} grad u||_g^2
-    ok = ~metric.degenerate
-    qmax = float(np.max(np.where(ok, q, 0.0))) if ok.any() else 0.0
-    usable = ok & (q > _GRAD_FLOOR * max(qmax, 1e-300))
-    scale = np.where(usable, np.sqrt(np.maximum(metric.det, 0.0)) / np.sqrt(np.where(usable, q, 1.0)), 0.0)
-    v1 = np.where(usable, scale * w1, 0.0)
-    v2 = np.where(usable, scale * w2, 0.0)
-    resid = divergence(VectorField2(grid, v1, v2))
-
-    # a node enters the summary when none of its incident cells is unusable
-    good = grid.interior_mask() & ~nodes_of_cells(~usable)
+    grid = current.grid
+    # -div is the adjoint of the cell gradient
+    resid = ScalarField(grid, grad_adjoint(grid, current.v1, current.v2), location="node")
+    good = grid.interior_mask() & ~nodes_of_cells(dead)
 
     if collar is None:
         collar = 0.1 * min((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
     if collar > 0.0:
-        seed = np.ones(grid.shape)
-        seed.ravel()[grid.boundary_ids] = 0.0
-        dist = ndimage.distance_transform_edt(seed, sampling=(grid.hy, grid.hx))
+        # distance to the rectangle's rim: the nearest side, in closed form
+        i = np.arange(grid.nx)
+        j = np.arange(grid.ny)
+        dist = np.minimum(np.minimum(i, grid.nx - 1 - i)[None, :] * grid.hx,
+                          np.minimum(j, grid.ny - 1 - j)[:, None] * grid.hy)
         deep = good & (dist > collar)
         if deep.any():
             good = deep

@@ -493,13 +493,16 @@ def sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float) 
     x, y = grid.node_coords()
     lx = (grid.nx - 1) * grid.hx
     ly = (grid.ny - 1) * grid.hy
+    # the 1-D mode tables, broadcast to the grid in the loop
+    sx = [np.sin(p * np.pi * x[:1, :] / lx) for p in range(1, 4)]
+    sy = [np.sin(q * np.pi * y[:, :1] / ly) for q in range(1, 4)]
     out = []
     for _ in range(count):
         coef = rng.standard_normal((3, 3))
         w = np.zeros(grid.shape)
-        for p in range(1, 4):
-            for q in range(1, 4):
-                w += coef[p - 1, q - 1] * np.sin(p * np.pi * x / lx) * np.sin(q * np.pi * y / ly)
+        for p in range(3):
+            for q in range(3):
+                w += coef[p, q] * sx[p] * sy[q]
         w.ravel()[grid.boundary_ids] = 0.0
         wmax = float(np.max(np.abs(w)))
         if wmax > 0.0:
@@ -687,8 +690,6 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
             "tv": tv,
             "level_integral": 0.0,
             "rel_discrepancy": abs(tv) / max(abs(tv), 1e-300),
-            "levels": [],
-            "perimeters": [],
         }
     delta = (umax - umin) / (n_levels - 1)
     levels = [umin + j * delta for j in range(n_levels)]
@@ -701,8 +702,6 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
         "tv": tv,
         "level_integral": integral,
         "rel_discrepancy": abs(tv - integral) / max(tv, 1e-300),
-        "levels": levels,
-        "perimeters": perims,
     }
 
 

@@ -102,8 +102,11 @@ def test_full_pipeline_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", path]) == 0
     lines = capsys.readouterr().out
     assert "minimality: PASS" in lines
-    assert (out / "audits.json").exists()
     assert (out / "curves.csv").exists()
+    # the current recovered under the axis-swapped sigma0 stands clear of
+    # the matched one (criterion 08's ratio)
+    curvature = json.loads((out / "audits.json").read_text())["audits"]["curvature"]
+    assert curvature["control_rms"] >= 5.0 * curvature["rms"]
 
     cfg["input"]["results"] = str(out)
     path = _write(tmp_path, cfg)
@@ -363,6 +366,7 @@ def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
         ("inverse", "eps_ratio", 1.5, "inverse.eps_ratio"),
         ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
         ("grid", "nx", 2, "grid.nx"),
+        ("verify", "coarea_levels", 1, "verify.coarea_levels"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, section, key, value, named):

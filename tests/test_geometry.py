@@ -7,10 +7,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import acdii
-from acdii.data import synthesize_triplet
-from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient, sample_cell_field
+from acdii.data import compute_current, synthesize_triplet
+from acdii.fields import (
+    Grid2D,
+    GridError,
+    ScalarField,
+    TensorField2,
+    VectorField2,
+    divergence,
+    gradient,
+    nodes_of_cells,
+    sample_cell_field,
+    sym2_det,
+)
 from acdii.geometry import (
     area_minimality_audit,
     build_metric,
@@ -21,7 +33,7 @@ from acdii.geometry import (
     truncation_limit_audit,
     weighted_perimeter,
 )
-from acdii.inverse import sine_perturbations
+from acdii.inverse import recover_c, sine_perturbations
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
 
@@ -29,53 +41,97 @@ def _const_a(grid, value=3.0):
     return ScalarField(grid, np.full(grid.cell_shape, value), location="cell")
 
 
+def _random_spd(grid, rng):
+    angle = rng.uniform(0.0, np.pi, grid.cell_shape)
+    d1 = rng.uniform(0.5, 3.0, grid.cell_shape)
+    d2 = rng.uniform(0.5, 3.0, grid.cell_shape)
+    ct, st = np.cos(angle), np.sin(angle)
+    return TensorField2(grid, d1 * ct * ct + d2 * st * st, (d1 - d2) * st * ct,
+                        d1 * st * st + d2 * ct * ct)
+
+
+def _recovered_current(u, a, sigma0):
+    # the current verify audits: J = -(a / |grad u|_{sigma0}) sigma0 grad u
+    c, mask, _ = recover_c(u, a, sigma0)
+    return compute_current(u, c, sigma0, dead=mask), mask
+
+
 def test_metric_closed_form_two_dimensional():
     g = make_grid(5)
     sigma0 = TensorField2.constant(g, 2.0, 0.0, 1.0)
-    met = build_metric(_const_a(g), sigma0, n=2)
-    # weight (det sigma0 * a^2)^{1/(n-1)} = 18, times sigma0^{-1}
-    assert np.allclose(met.g11, 9.0, rtol=1e-12)
-    assert np.allclose(met.g22, 18.0, rtol=1e-12)
-    assert np.allclose(met.g12, 0.0, atol=1e-15)
-    assert np.allclose(met.det, 162.0, rtol=1e-12)
-    assert not met.degenerate.any()
-
-
-def test_metric_closed_form_three_dimensional():
-    g = make_grid(5)
-    sigma0 = TensorField2.constant(g, 2.0, 0.0, 1.0)
-    met = build_metric(_const_a(g), sigma0, n=3)
-    w = np.sqrt(18.0)
-    assert np.allclose(met.g11, w / 2.0, rtol=1e-12)
-    assert np.allclose(met.g22, w, rtol=1e-12)
+    g11, g12, g22 = build_metric(_const_a(g), sigma0)
+    # a^2 adj(sigma0) = 9 diag(1, 2) = det(sigma0) a^2 sigma0^{-1}
+    assert np.allclose(g11, 9.0, rtol=1e-12)
+    assert np.allclose(g22, 18.0, rtol=1e-12)
+    assert np.allclose(g12, 0.0, atol=1e-15)
+    assert np.allclose(sym2_det(g11, g12, g22), 162.0, rtol=1e-12)
 
 
 def test_metric_homogeneity_in_data():
     g = make_grid(5)
     sigma0 = rotated_tensor(g, 0.3, 2.0, 0.7)
     t = 2.5
-    for n, power in ((2, 2.0), (3, 1.0)):
-        m1 = build_metric(_const_a(g, 1.2), sigma0, n=n)
-        m2 = build_metric(_const_a(g, 1.2 * t), sigma0, n=n)
-        assert np.allclose(m2.g11, t**power * m1.g11, rtol=1e-12)
-        assert np.allclose(m2.g12, t**power * m1.g12, rtol=1e-12)
+    m1 = build_metric(_const_a(g, 1.2), sigma0)
+    m2 = build_metric(_const_a(g, 1.2 * t), sigma0)
+    for p1, p2 in zip(m1, m2):
+        assert np.allclose(p2, t**2 * p1, rtol=1e-12)
 
 
-def test_metric_flags_degenerate_cells():
-    g = make_grid(5)
-    av = np.full(g.cell_shape, 2.0)
-    av[1, 1] = 0.0
-    met = build_metric(ScalarField(g, av, location="cell"),
-                       TensorField2.constant(g, 1.0, 0.0, 1.0), n=2)
-    assert met.degenerate[1, 1]
-    assert met.degenerate.sum() == 1
+def test_curvature_residual_is_the_mean_curvature_in_the_data_metric():
+    # div(sqrt(det g) g^{-1} grad u / |g^{-1} grad u|_g) for g = build_metric(a, sigma0),
+    # on per-cell random data, is -div J of the recovered current
+    g = make_grid(33)
+    rng = np.random.default_rng(8)
+    x, y = g.node_coords()
+    u = ScalarField(g, np.sin(2.0 * x + 0.5) * np.exp(y) + 0.3 * x * y)
+    a = ScalarField(g, rng.uniform(0.5, 2.0, g.cell_shape), location="cell")
+    sigma0 = _random_spd(g, rng)
+    current, dead = _recovered_current(u, a, sigma0)
+    assert not dead.any()
+    resid, rms = curvature_residual(current, dead)
+
+    g11, g12, g22 = build_metric(a, sigma0)
+    det = sym2_det(g11, g12, g22)
+    gr = gradient(u)
+    w1 = (g22 * gr.v1 - g12 * gr.v2) / det
+    w2 = (-g12 * gr.v1 + g11 * gr.v2) / det
+    norm = np.sqrt(w1 * gr.v1 + w2 * gr.v2)  # |g^{-1} grad u|_g
+    ref = divergence(VectorField2(g, np.sqrt(det) * w1 / norm, np.sqrt(det) * w2 / norm))
+    scale = float(np.max(np.abs(ref.values)))
+    assert scale > 1.0
+    assert np.max(np.abs(resid.values - ref.values)) <= 1e-12 * scale
+    inner = g.interior_mask()
+    assert rms > 0.1 * float(np.sqrt(np.mean(ref.values[inner] ** 2)))
+
+
+def test_curvature_residual_collar_is_the_euclidean_distance_to_the_rim():
+    # hx != hy, so a distance that mixes the axes or their spacings moves
+    # some node across one of the collars
+    g = Grid2D(23, 15, 0.05, 0.03)
+    rng = np.random.default_rng(12)
+    current = VectorField2(g, rng.standard_normal(g.cell_shape), rng.standard_normal(g.cell_shape))
+    dead = rng.uniform(size=g.cell_shape) < 0.05
+    seed = np.ones(g.shape)
+    seed.ravel()[g.boundary_ids] = 0.0
+    dist = ndimage.distance_transform_edt(seed, sampling=(g.hy, g.hx))
+    good = g.interior_mask() & ~nodes_of_cells(dead)
+    counts = set()
+    for collar in (None, 0.03, 0.06, 0.09, 0.1, 0.12, 0.15, 0.2):
+        resid, rms = curvature_residual(current, dead, collar=collar)
+        width = 0.1 * min(22 * g.hx, 14 * g.hy) if collar is None else collar
+        deep = good & (dist > width)
+        assert deep.any()
+        counts.add(int(deep.sum()))
+        assert rms == float(np.sqrt(np.mean(resid.values[deep] ** 2)))
+    assert len(counts) >= 6
 
 
 def test_curvature_residual_exact_for_slab_flow():
     g = make_grid(17)
     x, _ = g.node_coords()
-    met = build_metric(_const_a(g, 2.0), TensorField2.constant(g, 1.0, 0.0, 1.0))
-    resid, rms = curvature_residual(ScalarField(g, x), met)
+    current, dead = _recovered_current(ScalarField(g, x), _const_a(g, 2.0),
+                                       TensorField2.constant(g, 1.0, 0.0, 1.0))
+    resid, rms = curvature_residual(current, dead)
     assert rms <= 1e-13
     # the constant flux has zero divergence everywhere inside; only the
     # one-sided wall stencils (excluded from the rms) see the field end
@@ -87,8 +143,7 @@ def test_curvature_residual_second_order_on_matched_data():
         grid, c, sigma0, f = bump_problem(n)
         trip = synthesize_triplet(c, sigma0, f, grid)
         u = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
-        met = build_metric(trip.a, sigma0)
-        return curvature_residual(u, met)[1]
+        return curvature_residual(*_recovered_current(u, trip.a, sigma0))[1]
 
     r17, r33 = rms_at(17), rms_at(33)
     assert r17 / r33 >= 2.0
@@ -97,9 +152,10 @@ def test_curvature_residual_second_order_on_matched_data():
 def test_curvature_residual_collar_fallback():
     g = make_grid(9)
     x, _ = g.node_coords()
-    met = build_metric(_const_a(g, 1.0), TensorField2.constant(g, 1.0, 0.0, 1.0))
+    current, dead = _recovered_current(ScalarField(g, x), _const_a(g, 1.0),
+                                       TensorField2.constant(g, 1.0, 0.0, 1.0))
     # a collar wider than the domain keeps the summary nonempty via fallback
-    _, rms = curvature_residual(ScalarField(g, x), met, collar=10.0)
+    _, rms = curvature_residual(current, dead, collar=10.0)
     assert np.isfinite(rms)
 
 
@@ -180,19 +236,14 @@ def test_perimeter_linear_in_weight():
 
 
 def test_weighted_perimeter_is_the_length_in_the_data_metric():
-    # in 2-D, sqrt(g(t, t)) = a |nu|_{sigma0} for g = det(sigma0) a^2 sigma0^{-1}
+    # in 2-D, sqrt(g(t, t)) = a |nu|_{sigma0} for g = a^2 adj(sigma0)
     # and nu the unit normal of the unit tangent t
     g = make_grid(33)
     rng = np.random.default_rng(4)
     x, y = g.node_coords()
     u = ScalarField(g, (x - 0.45) ** 2 + 2.0 * (y - 0.55) ** 2)
     a = ScalarField(g, rng.uniform(0.5, 2.0, g.cell_shape), location="cell")
-    angle = rng.uniform(0.0, np.pi, g.cell_shape)
-    d1 = rng.uniform(0.5, 3.0, g.cell_shape)
-    d2 = rng.uniform(0.5, 3.0, g.cell_shape)
-    ct, st = np.cos(angle), np.sin(angle)
-    sigma0 = TensorField2(g, d1 * ct * ct + d2 * st * st, (d1 - d2) * st * ct,
-                          d1 * st * st + d2 * ct * ct)
+    sigma0 = _random_spd(g, rng)
     curves = extract_level_set(u, 0.05)
     assert len(curves) == 1 and curves[0].closed
     curve = curves[0]
@@ -202,11 +253,10 @@ def test_weighted_perimeter_is_the_length_in_the_data_metric():
     seg_grid = Grid2D(len(curve.lengths) + 1, 3, 1.0, 1.0)
     sampled = sample_cell_field(g, np.stack([a.values, *sigma0.entries]), mids[:, 0], mids[:, 1])
     rows = [np.stack([p, p]) for p in sampled]
-    metric = build_metric(ScalarField(seg_grid, rows[0], location="cell"),
-                          TensorField2(seg_grid, *rows[1:]), n=2)
+    g11, g12, g22 = build_metric(ScalarField(seg_grid, rows[0], location="cell"),
+                                 TensorField2(seg_grid, *rows[1:]))
     t = np.diff(curve.vertices, axis=0) / curve.lengths[:, None]
-    gtt = metric.g11[0] * t[:, 0] ** 2 + 2.0 * metric.g12[0] * t[:, 0] * t[:, 1] \
-        + metric.g22[0] * t[:, 1] ** 2
+    gtt = g11[0] * t[:, 0] ** 2 + 2.0 * g12[0] * t[:, 0] * t[:, 1] + g22[0] * t[:, 1] ** 2
     length = float(np.sum(np.sqrt(gtt) * curve.lengths))
     assert weighted_perimeter([curves], a, sigma0) == pytest.approx([length], rel=1e-12)
 

@@ -16,6 +16,7 @@ from acdii.fields import (
     gradient,
     rel_l2,
     smoothed_tv,
+    sym2_det,
     sym2_sqrt,
     tv_density,
     weighted_tv,
@@ -37,6 +38,7 @@ from acdii.inverse import (
     minimize_tv_primal_dual,
     reconstruct,
     recover_c,
+    sine_perturbations,
 )
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
@@ -423,6 +425,28 @@ def test_scaling_data_leaves_minimizer_fixed():
     assert i2["tv_final"] == pytest.approx(2.0 * i1["tv_final"], rel=1e-12)
 
 
+def test_sine_perturbations_match_the_full_grid_mode_sum():
+    # the draws broadcast 1-D sine tables; the reference sums the nine
+    # full-grid products in the same order, so the bytes agree
+    g = Grid2D(21, 13, 0.05, 0.08)
+    x, y = g.node_coords()
+    u = ScalarField(g, np.sin(3.0 * x) * y)
+    lx, ly = 20 * g.hx, 12 * g.hy
+    urange = float(np.max(u.values)) - float(np.min(u.values))
+    rng = np.random.default_rng(7)
+    draws = sine_perturbations(u, 4, 7, 0.05)
+    assert len(draws) == 4
+    for w in draws:
+        coef = rng.standard_normal((3, 3))
+        ref = np.zeros(g.shape)
+        for p in range(1, 4):
+            for q in range(1, 4):
+                ref += coef[p - 1, q - 1] * np.sin(p * np.pi * x / lx) * np.sin(q * np.pi * y / ly)
+        ref.ravel()[g.boundary_ids] = 0.0
+        ref *= 0.05 * urange / float(np.max(np.abs(ref)))
+        assert np.array_equal(w, ref)
+
+
 def test_minimality_audit_accepts_minimizer(recon33, bump33):
     res = minimality_audit(recon33.u_star, bump33.a, bump33.sigma0, trials=20, seed=0)
     assert res["min_margin"] >= -1e-8 * res["tv_value"]
@@ -508,7 +532,7 @@ def test_gradient_aligns_with_transported_current(recon33, bump33):
             bump33.sigma0.s11,
         )
     )
-    det = bump33.sigma0.det()
+    det = sym2_det(*bump33.sigma0.entries)
     w1 = -(i11 * J.v1 + i12 * J.v2) / det
     w2 = -(i12 * J.v1 + i22 * J.v2) / det
     gr = gradient(recon33.u_star)
