@@ -407,9 +407,10 @@ class Layout:
     lifting, each perfect component is aggregated to one unknown, and
     unknowns with no stiffness (nodes fully surrounded by deleted cells)
     are dropped and later filled by neighbor averaging.  The layout holds
-    those dof maps, the CSR patterns of the reduced matrix and of its
-    coupling to the Dirichlet nodes with the index maps that fill them
-    from 9-point stencil values, and the multigrid prolongations.
+    those dof maps with the node count of each dof, the CSR patterns of
+    the reduced matrix and of its coupling to the Dirichlet nodes with
+    the index maps that fill them from 9-point stencil values, and the
+    multigrid prolongations.
     """
 
     def __init__(self, grid: Grid2D, contributing: np.ndarray, perfect=()):
@@ -434,6 +435,8 @@ class Layout:
         ndof += singles.size
         self.node_dof = node_dof
         self.restriction = _dof_matrix(node_dof, ndof)
+        # nodes per dof: a tied component's warm start is the mean of its nodes
+        self.tie_counts = self.restriction.T @ np.ones(n)
 
         # an entry has a structural nonzero iff a contributing cell touches it
         live = _node_couplings(grid, [contributing.astype(np.float64)] * 10) > 0.0
@@ -670,8 +673,7 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     if x0 is not None:
         x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=np.float64)
         # a tied component starts from the mean of its nodes' guesses
-        counts = layout.restriction.T @ np.ones(grid.n_nodes)
-        guess = ((layout.restriction.T @ x0v.ravel()) / counts)[layout.keep]
+        guess = ((layout.restriction.T @ x0v.ravel()) / layout.tie_counts)[layout.keep]
     x, system.cg_residual, system.cg_iterations = _pcg(system.matrix, b, tol, max_iter, x0=guess)
 
     xd = np.full(layout.restriction.shape[1], np.nan)

@@ -18,16 +18,18 @@ it with the exact adjoint divergence of the cell gradient, so for
 matched data the residual shrinks under refinement while a mismatched
 sigma0 leaves an O(1) signal.
 
-Level sets are extracted by marching squares with linear edge
-interpolation; saddle cells are split by the cell-center mean, which
-makes the extraction deterministic.  Segment normals point from the
-super-level side {u > level} to the sub-level side.
+Level sets are cut by marching squares with linear edge interpolation;
+saddle cells are split by the cell-center mean, which makes the cut
+deterministic.  One array pass builds the segments of many levels at
+once, with {u > level} on the left of each segment.
 
 The area element of g on a curve with unit normal nu is
 sqrt(det g) |nu|_{g^{-1}} dS = a |nu|_{sigma0} dS, so
-`weighted_perimeter` is the one curve measure: it is the g-area of a
-level curve, the level integrand of the coarea formula for F, and the
-limit of the truncation ladder.
+`weighted_perimeter(u, levels, a, sigma0)`, one area per level, is the
+one curve measure: it is the g-area of a level set, the level integrand
+of the coarea formula for F, and the limit of the truncation ladder.
+It sums over segments and never chains them; `extract_level_set` chains
+the segments of one level into curves, for the CSV export.
 """
 
 from __future__ import annotations
@@ -109,13 +111,12 @@ class LevelSetCurve:
     """Chained polyline of one level curve.
 
     vertices has shape (k+1, 2) for k segments (closed curves repeat the
-    first vertex at the end); normals and lengths are per segment, with
-    normals unit and pointing away from {u > level}.
+    first vertex at the end) and lengths are per segment; travel keeps
+    {u > level} on the left.
     """
 
     level: float
     vertices: np.ndarray
-    normals: np.ndarray
     lengths: np.ndarray
     closed: bool
 
@@ -124,176 +125,184 @@ class LevelSetCurve:
         return float(np.sum(self.lengths))
 
 
-# case -> list of (entry edge, exit edge); edges are 0 bottom, 1 right,
-# 2 top, 3 left; orientation keeps {u > level} on the left of travel
-_CASES = {
-    1: [(0, 3)],
-    2: [(1, 0)],
-    3: [(1, 3)],
-    4: [(2, 1)],
-    6: [(2, 0)],
-    7: [(2, 3)],
-    8: [(3, 2)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(3, 1)],
-    13: [(0, 1)],
-    14: [(3, 0)],
+# case -> (entry edge, exit edge) per segment.  Edges are 0 bottom, 1 right,
+# 2 top, 3 left; the case is the corner code bl + 2 br + 4 tr + 8 tl of
+# {u > level}, plus 16 for a saddle (5, 10) whose center mean is not above
+# the level.  Travel keeps {u > level} on the left.
+_CASE_EDGES = {
+    1: [(0, 3)], 2: [(1, 0)], 3: [(1, 3)], 4: [(2, 1)], 6: [(2, 0)], 7: [(2, 3)],
+    8: [(3, 2)], 9: [(0, 2)], 11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
+    5: [(0, 1), (2, 3)], 10: [(3, 0), (1, 2)],
+    5 + 16: [(0, 3), (2, 1)], 10 + 16: [(3, 2), (1, 0)],
 }
-_SADDLE_HI = {5: [(0, 1), (2, 3)], 10: [(3, 0), (1, 2)]}
-_SADDLE_LO = {5: [(0, 3), (2, 1)], 10: [(3, 2), (1, 0)]}
+# the table as an array [case, segment, entry/exit]; -1 marks no segment
+_EDGES = np.full((32, 2, 2), -1, dtype=np.int64)
+for _case, _pairs in _CASE_EDGES.items():
+    _EDGES[_case, :len(_pairs)] = _pairs
+# per edge: the (row, column) offsets of its two end nodes from the cell's
+# lower-left node, whether it runs along x, and its offset across, in cells
+_EDGE_FROM = np.array([(0, 0), (0, 1), (1, 0), (0, 0)])
+_EDGE_TO = np.array([(0, 1), (1, 1), (1, 1), (1, 0)])
+_ALONG_X = np.array([True, False, True, False])
+_EDGE_SIDE = np.array([0.0, 1.0, 1.0, 0.0])
 
 
-def _edge_key(j, i, edge):
-    # global identity of a cell edge: horizontal edges keyed ('h', j, i),
-    # vertical edges ('v', j, i) by their lower-left node
-    if edge == 0:
-        return ("h", j, i)
-    if edge == 2:
-        return ("h", j + 1, i)
-    if edge == 3:
-        return ("v", j, i)
-    return ("v", j, i + 1)
+def _level_segments(u: ScalarField, levels):
+    """Marching-squares segments of the level sets {u = level}, in blocks.
+
+    Yields, per block of levels, the arrays (k, p, e_in, e_out, start,
+    end) over the block's segments: k indexes `levels`, p is the flat
+    index of the cell's lower-left node, e_in/e_out are the entry and
+    exit edges, and start/end, of shape (2, m), the crossings found by
+    linear interpolation along the edges.  A cell crosses a level when
+    its corner minimum is at or below the level and its corner maximum
+    above it, so one search over the sorted levels finds the crossed
+    (cell, level) pairs.
+    """
+    if u.location != "node":
+        raise GridError("level sets are extracted from node scalars")
+    v = u.values
+    levels = np.asarray(levels, dtype=np.float64).ravel()
+    order = np.argsort(levels, kind="stable")
+    sorted_levels = levels[order]
+    # corner extremes: over each pair of rows, then each pair of columns
+    lowest = np.minimum(v[:-1], v[1:])
+    highest = np.maximum(v[:-1], v[1:])
+    first = np.searchsorted(sorted_levels, np.minimum(lowest[:, :-1], lowest[:, 1:]).ravel())
+    stop = np.searchsorted(sorted_levels, np.maximum(highest[:, :-1], highest[:, 1:]).ravel())
+    # the cells crossed by some level; each crosses levels first..stop-1
+    crossed = np.flatnonzero(stop > first)
+    first, stop = first[crossed], stop[crossed]
+    n_levels = levels.size
+    # blocks of levels with at most a quarter cell plane of (cell, level)
+    # pairs, so that the per-segment temporaries (up to two segments per
+    # pair, two points per segment) stay within one cell plane; a level
+    # with more pairs is a block of its own
+    budget = (u.grid.nx - 1) * (u.grid.ny - 1) // 4
+    bounds = [0, n_levels]
+    if np.sum(stop - first) > budget:
+        per_level = np.cumsum(np.bincount(first, minlength=n_levels + 1)
+                              - np.bincount(stop, minlength=n_levels + 1))[:n_levels]
+        ends = np.cumsum(per_level)
+        bounds = [0]
+        while bounds[-1] < n_levels:
+            k0 = bounds[-1]
+            fill = np.searchsorted(ends, ends[k0] - per_level[k0] + budget, side="right")
+            bounds.append(max(k0 + 1, int(fill)))
+    flat = v.ravel()
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        lo = np.clip(first, k0, k1)
+        count = np.clip(stop, k0, k1) - lo
+        # pairs run cell by cell, levels ascending within a cell
+        cell = np.repeat(crossed, count)
+        k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(cell.size)
+        p = cell + cell // (u.grid.nx - 1)
+        yield _cell_segments(u.grid, flat, p, sorted_levels[k], order[k])
+
+
+def _cell_segments(grid, flat, p, level, k):
+    # the segments of the crossed (cell, level) pairs, p the cells'
+    # lower-left nodes.  Each cell places its crossings from its own
+    # corner, so two cells may put a shared crossing one rounding apart.
+    nx = grid.nx
+    bl, br, tl, tr = flat[p], flat[p + 1], flat[p + nx], flat[p + nx + 1]
+    code = (bl > level).astype(np.int64) + 2 * (br > level) + 4 * (tr > level) + 8 * (tl > level)
+    center = 0.25 * (bl + br + tl + tr)
+    edges = _EDGES[code + 16 * (((code == 5) | (code == 10)) & ~(center > level))]
+    # every pair has a first segment; a saddle adds a second
+    second = np.flatnonzero(edges[:, 1, 0] >= 0)
+    seg = np.concatenate([np.arange(p.size), second])
+    e_in = np.concatenate([edges[:, 0, 0], edges[second, 1, 0]])
+    e_out = np.concatenate([edges[:, 0, 1], edges[second, 1, 1]])
+    p, level = p[seg], level[seg]
+    x0 = (p % nx) * grid.hx
+    y0 = (p // nx) * grid.hy
+
+    def cross(e):
+        ua = flat[p + _EDGE_FROM[e] @ (nx, 1)]
+        ub = flat[p + _EDGE_TO[e] @ (nx, 1)]
+        t = (level - ua) / (ub - ua)
+        along = _ALONG_X[e]
+        return np.stack([x0 + np.where(along, t, _EDGE_SIDE[e]) * grid.hx,
+                         y0 + np.where(along, _EDGE_SIDE[e], t) * grid.hy])
+
+    return k[seg], p, e_in, e_out, cross(e_in), cross(e_out)
 
 
 def extract_level_set(u: ScalarField, level: float) -> list[LevelSetCurve]:
     """Marching-squares contour of {u = level} over the grid cells.
 
     Returns chained curves, each closed or terminating on the domain
-    boundary, in a deterministic order (sorted by first edge key).
+    boundary, in a deterministic order: open curves by their first edge,
+    then closed curves by their smallest edge, with horizontal edges
+    before vertical ones and edges ordered by their lower-left node.
     """
-    if u.location != "node":
-        raise GridError("level sets are extracted from node scalars")
-    grid = u.grid
-    vals = u.values
     level = float(level)
-
-    above = vals > level
-    a_bl = above[:-1, :-1]
-    a_br = above[:-1, 1:]
-    a_tr = above[1:, 1:]
-    a_tl = above[1:, :-1]
-    code = (
-        a_bl.astype(np.int8)
-        + 2 * a_br.astype(np.int8)
-        + 4 * a_tr.astype(np.int8)
-        + 8 * a_tl.astype(np.int8)
-    )
-    jj, ii = np.nonzero((code > 0) & (code < 15))
-
-    def cross(j, i, edge):
-        x0, y0 = i * grid.hx, j * grid.hy
-        if edge == 0:
-            ua, ub = vals[j, i], vals[j, i + 1]
-            t = (level - ua) / (ub - ua)
-            return (x0 + t * grid.hx, y0)
-        if edge == 2:
-            ua, ub = vals[j + 1, i], vals[j + 1, i + 1]
-            t = (level - ua) / (ub - ua)
-            return (x0 + t * grid.hx, y0 + grid.hy)
-        if edge == 3:
-            ua, ub = vals[j, i], vals[j + 1, i]
-            t = (level - ua) / (ub - ua)
-            return (x0, y0 + t * grid.hy)
-        ua, ub = vals[j, i + 1], vals[j + 1, i + 1]
-        t = (level - ua) / (ub - ua)
-        return (x0 + grid.hx, y0 + t * grid.hy)
-
-    segments = {}  # entry edge key -> (exit edge key, p_from, p_to)
-    for j, i in zip(jj.tolist(), ii.tolist()):
-        c = int(code[j, i])
-        if c in (5, 10):
-            center = 0.25 * (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1])
-            pairs = _SADDLE_HI[c] if center > level else _SADDLE_LO[c]
-        else:
-            pairs = _CASES[c]
-        for e_in, e_out in pairs:
-            k_in = _edge_key(j, i, e_in)
-            k_out = _edge_key(j, i, e_out)
-            segments[k_in] = (k_out, cross(j, i, e_in), cross(j, i, e_out))
-
-    has_pred = {v[0] for v in segments.values()}
-    starts = sorted(k for k in segments if k not in has_pred)
+    ((_, p, e_in, e_out, start, end),) = _level_segments(u, [level])
+    n = u.grid.n_nodes
+    # an edge's key is its lower-left node, plus n for a vertical edge
+    key_of_edge = np.array([0, n + 1, u.grid.nx, n])
+    key_in = p + key_of_edge[e_in]
+    entry = {key: s for s, key in enumerate(key_in.tolist())}
+    succ = [entry.get(key, -1) for key in (p + key_of_edge[e_out]).tolist()]
+    has_pred = set(succ)
+    by_key = np.argsort(key_in).tolist()
+    done = [False] * len(succ)
     curves = []
-
-    def walk(start):
-        pts = []
-        key = start
-        first = True
-        while key in segments:
-            nxt, p_from, p_to = segments.pop(key)
-            if first:
-                pts.append(p_from)
-                first = False
-            pts.append(p_to)
-            key = nxt
-            if key == start:
-                break
-        return pts, key == start
-
-    for start in starts:
-        pts, closed = walk(start)
-        curve = _make_curve(level, pts, closed)
-        if curve is not None:
-            curves.append(curve)
-    while segments:
-        start = sorted(segments)[0]
-        pts, closed = walk(start)
-        curve = _make_curve(level, pts, closed)
+    # open curves start where no segment leads in; the rest are loops
+    for s0 in [s for s in by_key if s not in has_pred] + by_key:
+        if done[s0]:
+            continue
+        chain = [s0]
+        nxt = succ[s0]
+        while nxt >= 0 and nxt != s0:
+            chain.append(nxt)
+            nxt = succ[nxt]
+        for s in chain:
+            done[s] = True
+        verts = np.concatenate([start[:, chain[:1]], end[:, chain]], axis=1).T
+        curve = _make_curve(level, verts, nxt == s0)
         if curve is not None:
             curves.append(curve)
     return curves
 
 
-def _make_curve(level, pts, closed):
-    verts = np.asarray(pts, dtype=np.float64)
-    if verts.shape[0] < 2:
-        return None
+def _make_curve(level, verts, closed):
     d = np.diff(verts, axis=0)
     lengths = np.hypot(d[:, 0], d[:, 1])
     keepseg = lengths > 0.0
     if not keepseg.any():
         return None
     if not keepseg.all():
-        keepv = np.concatenate([[True], keepseg])
-        verts = verts[keepv]
+        verts = verts[np.concatenate([[True], keepseg])]
         d = np.diff(verts, axis=0)
         lengths = np.hypot(d[:, 0], d[:, 1])
-    # inside {u > level} is on the left of travel; rotating the direction
-    # by -90 degrees points the normal to the sub-level side
-    normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
-    return LevelSetCurve(float(level), verts, normals, lengths, bool(closed))
+    return LevelSetCurve(level, verts, lengths, bool(closed))
 
 
 # -- the metric area --------------------------------------------------------------
 
 
-def weighted_perimeter(curve_sets, a: ScalarField, sigma0: TensorField2) -> list[float]:
-    """Metric area, integral of a (sigma0 nu . nu)^(1/2), of each curve set.
+def weighted_perimeter(u: ScalarField, levels, a: ScalarField, sigma0: TensorField2) -> np.ndarray:
+    """Metric area, integral of a (sigma0 nu . nu)^(1/2) dS, of each level set of u.
 
-    `curve_sets` is an iterable of curve lists (one per level set, say),
-    read once, so a generator keeps one set in memory at a time; the
-    result holds one area per set.  a and sigma0 are sampled per segment
-    by bilinear interpolation of the cell-centered values at the segment
-    midpoint, with one set of weights for all four planes, which are
-    stacked once per call.  Each area is a plain sum over segments, so it
-    is additive over disjoint curves and invariant under regrouping or
-    splitting of polylines at vertices.
+    Returns one area per entry of `levels`.  The marching-squares segments
+    of all levels are built at once (`_level_segments`) and never chained:
+    an area is a plain sum over segments, so it is additive over disjoint
+    curves and blind to how they chain.  A segment (dx, dy) contributes
+    a (s11 dy^2 - 2 s12 dx dy + s22 dx^2)^(1/2), with a and sigma0
+    sampled by bilinear interpolation of the cell-centered values at its
+    midpoint; a zero-length segment contributes 0.
     """
     if a.location != "cell":
         raise GridError("weighted perimeter expects cell-located a")
-    grid = a.grid
     planes = np.stack([a.values, *sigma0.entries])
-    areas = []
-    for curves in curve_sets:
-        total = 0.0
-        for curve in curves:
-            mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
-            av, s11, s12, s22 = sample_cell_field(grid, planes, mids[:, 0], mids[:, 1])
-            n1, n2 = curve.normals[:, 0], curve.normals[:, 1]
-            w = np.sqrt(np.maximum(s11 * n1 * n1 + 2.0 * s12 * n1 * n2 + s22 * n2 * n2, 0.0))
-            total += float(np.sum(av * w * curve.lengths))
-        areas.append(total)
+    areas = np.zeros(np.size(levels))
+    for k, _, _, _, start, end in _level_segments(u, levels):
+        av, s11, s12, s22 = sample_cell_field(a.grid, planes, *(0.5 * (start + end)))
+        dx, dy = end - start
+        w = np.sqrt(np.maximum(s11 * dy * dy - 2.0 * s12 * dx * dy + s22 * dx * dx, 0.0))
+        areas += np.bincount(k, weights=av * w, minlength=areas.size)
     return areas
 
 
@@ -342,14 +351,12 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField, sigma0: T
         if float(np.max(diff)) > 1e-10 * max(rng_u, 1.0):
             raise GridError(f"competitor {idx} does not match the boundary trace")
     levels = sample_levels(u, n_levels)
-    potentials = [u, *competitors]
-    areas = weighted_perimeter(
-        (extract_level_set(w, lv) for lv in levels for w in potentials), a, sigma0
-    )
+    # one row per level: the area of u, then that of each competitor
+    areas = np.stack([weighted_perimeter(w, levels, a, sigma0) for w in [u, *competitors]],
+                     axis=1).tolist()
     results = []
     violations = 0
-    for k, lv in enumerate(levels):
-        area_u, *areas_v = areas[k * len(potentials):(k + 1) * len(potentials)]
+    for lv, (area_u, *areas_v) in zip(levels, areas):
         row = {"level": float(lv), "area_u": area_u, "margins": []}
         for area_v in areas_v:
             margin = area_v - area_u
@@ -384,7 +391,7 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     for eps in eps_ladder:
         w = np.clip((u.values - level) / eps, 0.0, 1.0)
         values.append(weighted_tv(ScalarField(grid, w, location="node"), a, sigma0))
-    (aniso,) = weighted_perimeter([extract_level_set(u, level)], a, sigma0)
+    aniso = float(weighted_perimeter(u, [level], a, sigma0)[0])
     cauchy = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
     limit = values[-1]
     return {

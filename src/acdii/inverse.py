@@ -61,7 +61,7 @@ from .fields import (
     weighted_tv,
 )
 from .forward import _dot, assemble, solve_dirichlet
-from .geometry import extract_level_set, weighted_perimeter
+from .geometry import weighted_perimeter
 from .schema import Key, validate
 
 
@@ -693,11 +693,11 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
         }
     delta = (umax - umin) / (n_levels - 1)
     levels = [umin + j * delta for j in range(n_levels)]
-    perims = weighted_perimeter((extract_level_set(u, lam) for lam in levels), a, sigma0)
+    perims = weighted_perimeter(u, levels, a, sigma0)
     weights = np.full(n_levels, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    integral = float(np.dot(weights, np.asarray(perims)))
+    integral = float(np.dot(weights, perims))
     return {
         "tv": tv,
         "level_integral": integral,

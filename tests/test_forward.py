@@ -173,6 +173,25 @@ def test_tied_component_is_exactly_constant():
     assert np.max(vals) - np.min(vals) == 0.0
 
 
+def test_tied_warm_start_is_the_mean_of_the_component_guess():
+    # the layout counts each dof's nodes once; a tied component's warm
+    # start is then the mean of its nodes' guesses
+    grid = make_grid(25)
+    disk = disk_cells(grid, (0.5, 0.5), 0.2)
+    incl = InclusionSet(grid, perfect=[disk])
+    sigma0 = rotated_tensor(grid, 0.2, 2.0, 1.0)
+    system = assemble(1.0, sigma0, grid, inclusions=incl)
+    layout = system.layout
+    assert layout.tie_counts[0] == nodes_of_cells(disk).sum()
+    assert np.all(layout.tie_counts[1:] == 1.0)
+    x, _ = grid.node_coords()
+    f = ScalarField(grid, x)
+    cold = solve_dirichlet(system, f, tol=1e-12)
+    rng = np.random.default_rng(3)
+    warm = solve_dirichlet(system, f, tol=1e-12, x0=cold.values + 1e-3 * rng.standard_normal(grid.shape))
+    assert np.max(np.abs(cold.values - warm.values)) <= 1e-9
+
+
 def test_gradient_vanishes_on_tied_cells():
     grid = make_grid(25)
     disk = disk_cells(grid, (0.5, 0.5), 0.2)

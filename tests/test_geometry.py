@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import acdii
@@ -191,6 +193,45 @@ def test_saddle_level_splits_into_separate_branches():
     assert [c.vertices.shape for c in curves] == [c.vertices.shape for c in again]
 
 
+def test_saddle_cell_is_split_by_its_center_mean():
+    # cell (0, 0) has corners 1, 0 (bottom) and 0, 1 (top), center mean 0.5.
+    # At level 0.4 the center is above: the cut keeps the 1-corners joined
+    # and cuts off the 0-corners; at 0.6 it cuts off the 1-corners.
+    g = Grid2D(3, 3, 0.5, 0.25)
+    u = ScalarField(g, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+    expected = {
+        0.4: [[(0.3, 0.0), (0.5, 0.1), (1.0, 0.1)], [(0.2, 0.5), (0.2, 0.25), (0.0, 0.15)]],
+        0.6: [[(0.2, 0.0), (0.0, 0.1)], [(0.3, 0.5), (0.3, 0.25), (0.5, 0.15), (1.0, 0.15)]],
+    }
+    for level, want in expected.items():
+        curves = extract_level_set(u, level)
+        assert len(curves) == len(want)
+        for curve, verts in zip(curves, want):
+            assert not curve.closed
+            np.testing.assert_allclose(curve.vertices, verts, rtol=0.0, atol=1e-15)
+    areas = weighted_perimeter(u, list(expected), _const_a(g, 1.0),
+                               TensorField2.constant(g, 1.0, 0.0, 1.0))
+    assert areas == pytest.approx(0.75 + 2.0 * np.hypot(0.2, 0.1), rel=1e-14)
+
+
+def test_loops_come_in_the_order_of_their_lowest_row_crossing():
+    # loops are chained after the open curves, each from its smallest edge:
+    # horizontal edges first, by row and then column, so a loop starts at
+    # its lowest crossing of a grid row and the starts ascend in (y, x)
+    g = make_grid(33)
+    x, y = g.node_coords()
+    u = ScalarField(g, np.sin(3.0 * np.pi * x) * np.sin(3.0 * np.pi * y))
+    curves = extract_level_set(u, 0.5)
+    assert len(curves) == 5 and all(c.closed for c in curves)
+    starts = []
+    for c in curves:
+        rows = c.vertices[c.vertices[:, 1] / g.hy == np.round(c.vertices[:, 1] / g.hy)]
+        lowest = min(map(tuple, rows[:, ::-1]))
+        assert tuple(c.vertices[0, ::-1]) == lowest
+        starts.append(lowest)
+    assert starts == sorted(starts)
+
+
 def test_weighted_perimeter_reduces_to_area_when_isotropic():
     g = make_grid(65)
     x, y = g.node_coords()
@@ -204,7 +245,8 @@ def test_weighted_perimeter_reduces_to_area_when_isotropic():
     for curve in curves:
         mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
         length += np.sum(sample_cell_field(g, a.values, mids[:, 0], mids[:, 1]) * curve.lengths)
-    assert weighted_perimeter([curves], a, s) == pytest.approx([length], rel=1e-12)
+    (area,) = weighted_perimeter(u, [0.09], a, s)
+    assert area == pytest.approx(length, rel=1e-12)
 
 
 def test_weighted_perimeter_sees_the_normal_direction():
@@ -215,24 +257,24 @@ def test_weighted_perimeter_sees_the_normal_direction():
     a = _const_a(g, 1.0)
     s = TensorField2.constant(g, 4.0, 0.0, 1.0)
     level = 0.5 + 0.3 * g.hx
-    curves = extract_level_set(u, level)
-    assert weighted_perimeter([curves], a, s) == pytest.approx([2.0], rel=1e-12)
-    assert sum(curve.length for curve in curves) == pytest.approx(1.0, rel=1e-12)
+    (area,) = weighted_perimeter(u, [level], a, s)
+    assert area == pytest.approx(2.0, rel=1e-12)
+    assert sum(curve.length for curve in extract_level_set(u, level)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_perimeter_linear_in_weight():
     g = make_grid(33)
     x, y = g.node_coords()
     u = ScalarField(g, (x - 0.5) ** 2 + (y - 0.5) ** 2)
-    curves = extract_level_set(u, 0.06)
     rng = np.random.default_rng(8)
     a1 = ScalarField(g, rng.uniform(0.1, 1.0, g.cell_shape), location="cell")
     a2 = ScalarField(g, rng.uniform(0.1, 1.0, g.cell_shape), location="cell")
     s = rotated_tensor(g, 0.5, 2.0, 1.0)
     both = ScalarField(g, a1.values + a2.values, location="cell")
-    (p1,) = weighted_perimeter([curves], a1, s)
-    (p2,) = weighted_perimeter([curves], a2, s)
-    assert weighted_perimeter([curves], both, s) == pytest.approx([p1 + p2], rel=1e-12)
+    (p1,) = weighted_perimeter(u, [0.06], a1, s)
+    (p2,) = weighted_perimeter(u, [0.06], a2, s)
+    (p12,) = weighted_perimeter(u, [0.06], both, s)
+    assert p12 == pytest.approx(p1 + p2, rel=1e-12)
 
 
 def test_weighted_perimeter_is_the_length_in_the_data_metric():
@@ -258,7 +300,8 @@ def test_weighted_perimeter_is_the_length_in_the_data_metric():
     t = np.diff(curve.vertices, axis=0) / curve.lengths[:, None]
     gtt = g11[0] * t[:, 0] ** 2 + 2.0 * g12[0] * t[:, 0] * t[:, 1] + g22[0] * t[:, 1] ** 2
     length = float(np.sum(np.sqrt(gtt) * curve.lengths))
-    assert weighted_perimeter([curves], a, sigma0) == pytest.approx([length], rel=1e-12)
+    (area,) = weighted_perimeter(u, [0.05], a, sigma0)
+    assert area == pytest.approx(length, rel=1e-12)
 
 
 def test_weighted_perimeter_gives_one_area_per_curve_set():
@@ -268,12 +311,62 @@ def test_weighted_perimeter_gives_one_area_per_curve_set():
     rng = np.random.default_rng(6)
     a = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_shape), location="cell")
     s = rotated_tensor(g, 0.3, 2.0, 1.0)
-    sets = [extract_level_set(u, lv) for lv in (0.02, 0.08, 0.5)]
-    assert sets[-1] == []
-    areas = weighted_perimeter(sets, a, s)
-    assert areas == [weighted_perimeter([curves], a, s)[0] for curves in sets]
+    levels = [0.02, 0.08, 0.5]
+    assert extract_level_set(u, levels[-1]) == []
+    areas = weighted_perimeter(u, levels, a, s)
+    # each level's sum runs over its own segments in the same order,
+    # whichever levels share the call and in whatever order they come
+    assert areas.tolist() == [weighted_perimeter(u, [lv], a, s)[0] for lv in levels]
+    assert weighted_perimeter(u, levels[::-1], a, s).tolist() == areas.tolist()[::-1]
     assert areas[0] < areas[1] and areas[2] == 0.0
-    assert weighted_perimeter([], a, s) == []
+    assert weighted_perimeter(u, [], a, s).shape == (0,)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    mx=st.integers(1, 640),
+    my=st.integers(1, 640),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_perimeter_sums_the_chained_curves(nx, ny, mx, my, seed):
+    # the reference measures extract_level_set's chained curves vertex by
+    # vertex.  Spacings are multiples of 1/64, so a node's coordinates are
+    # exact whichever cell computes them and the chained vertices are the
+    # segment ends bit for bit; what remains is rounding of the sums.
+    if mx == my:
+        my += 1
+    g = Grid2D(nx, ny, mx / 64.0, my / 64.0)
+    rng = np.random.default_rng(seed)
+    # small integers make ties with node values, zero-length segments and saddles
+    vals = rng.integers(-2, 3, g.shape) + (rng.uniform(size=g.shape) if seed % 2 else 0.0)
+    j, i = rng.integers(0, ny - 1), rng.integers(0, nx - 1)
+    vals[j:j + 2, i:i + 2] = [[1.0, -1.0], [-1.0, 1.0]]  # a saddle cell at levels in (-1, 1)
+    u = ScalarField(g, vals)
+    a = ScalarField(g, rng.uniform(0.0, 2.0, g.cell_shape) * (rng.uniform(size=g.cell_shape) < 0.8),
+                    location="cell")
+    sigma0 = _random_spd(g, rng)
+    levels = np.concatenate([rng.choice(vals.ravel(), 4), rng.uniform(-1.0, 1.0, 4),
+                             [vals.min() - 1.0, vals.max() + 0.5, vals.max(), 0.0]])
+    levels = levels[: rng.integers(0, levels.size + 1)]  # sometimes no level at all
+    ref = []
+    for lv in levels:
+        total = 0.0
+        for curve in extract_level_set(u, lv):
+            d = np.diff(curve.vertices, axis=0)
+            mids = 0.5 * (curve.vertices[:-1] + curve.vertices[1:])
+            av, s11, s12, s22 = sample_cell_field(g, np.stack([a.values, *sigma0.entries]),
+                                                  mids[:, 0], mids[:, 1])
+            n1, n2 = d[:, 1] / curve.lengths, -d[:, 0] / curve.lengths
+            total += float(np.sum(av * np.sqrt(s11 * n1 * n1 + 2.0 * s12 * n1 * n2 + s22 * n2 * n2)
+                                  * curve.lengths))
+        ref.append(total)
+    areas = weighted_perimeter(u, levels, a, sigma0)
+    assert areas.shape == levels.shape
+    assert np.all(np.abs(areas - ref) <= 1e-12 * np.abs(ref))
+    outside = (levels < vals.min()) | (levels >= vals.max())
+    assert np.all(areas[outside] == 0.0)
 
 
 def test_sample_levels_interior_and_sorted():
