@@ -43,15 +43,17 @@ from .fields import (
     ScalarField,
     TensorField2,
     VectorField2,
+    grad,
     grad_adjoint,
-    gradient,
     nodes_of_cells,
     sample_cell_field,
+    tv_density,
     weighted_tv,
 )
 
 # `sample_levels` drops candidates within _BAND_REL * range(u) of a value
-# taken on a cell whose |grad u| is below _GRAD_FLOOR_REL of its maximum
+# taken on a cell whose |grad u|_{sigma0} is below _GRAD_FLOOR_REL of its
+# maximum
 _GRAD_FLOOR_REL = 1e-6
 _BAND_REL = 1e-3
 # truncation widths of `truncation_limit_audit`, in units of range(u)
@@ -306,20 +308,20 @@ def weighted_perimeter(u: ScalarField, levels, a: ScalarField, sigma0: TensorFie
     return areas
 
 
-def sample_levels(u: ScalarField, n_levels: int) -> np.ndarray:
+def sample_levels(u: ScalarField, sigma0: TensorField2, n_levels: int) -> np.ndarray:
     """Evenly spaced interior quantile levels, skipping critical bands.
 
     Candidate levels are the (i+1/2)/n quantiles of u over interior
     nodes; any candidate within _BAND_REL * range(u) of a value taken on
-    a cell with |grad u| below _GRAD_FLOOR_REL times its maximum is
-    dropped (those are the levels the theory excludes).
+    a cell with |grad u|_{sigma0} (`tv_density`) below _GRAD_FLOOR_REL
+    times its maximum is dropped (those are the levels the theory
+    excludes).
     """
     grid = u.grid
     inner = u.values[grid.interior_mask()]
     qs = (np.arange(n_levels) + 0.5) / n_levels
     candidates = np.quantile(inner, qs)
-    gr = gradient(u)
-    mag = np.hypot(gr.v1, gr.v2)
+    mag = tv_density(*grad(grid, u.values), sigma0)
     gmax = float(np.max(mag))
     crit_cells = mag <= _GRAD_FLOOR_REL * gmax
     if not crit_cells.any():
@@ -350,7 +352,7 @@ def area_minimality_audit(u: ScalarField, competitors, a: ScalarField, sigma0: T
         diff = np.abs(v.values.ravel()[grid.boundary_ids] - u.values.ravel()[grid.boundary_ids])
         if float(np.max(diff)) > 1e-10 * max(rng_u, 1.0):
             raise GridError(f"competitor {idx} does not match the boundary trace")
-    levels = sample_levels(u, n_levels)
+    levels = sample_levels(u, sigma0, n_levels)
     # one row per level: the area of u, then that of each competitor
     areas = np.stack([weighted_perimeter(w, levels, a, sigma0) for w in [u, *competitors]],
                      axis=1).tolist()
@@ -410,5 +412,5 @@ def curves_to_csv(curves) -> str:
     lines = ["level,curve,vertex,x,y"]
     for ci, curve in enumerate(curves):
         for vi, (x, y) in enumerate(curve.vertices):
-            lines.append(f"{curve.level!r},{ci},{vi},{x!r},{y!r}")
+            lines.append(f"{curve.level!r},{ci},{vi},{float(x)!r},{float(y)!r}")
     return "\n".join(lines) + "\n"

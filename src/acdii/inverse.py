@@ -45,13 +45,12 @@ from scipy import ndimage
 from .data import AdmissibleTriplet, compute_current
 from .fields import (
     _CROSS,
-    Grid2D,
     ScalarField,
     TensorField2,
     VectorField2,
     grad,
+    grad_adjoint,
     grad_operator,
-    gradient,
     nodes_of_cells,
     rel_l2,
     smoothed_tv,
@@ -446,34 +445,26 @@ def minimize_tv_primal_dual(problem: TVProblem):
 
 
 def boundary_flux_integral(f: ScalarField, current: VectorField2) -> float:
-    """Trapezoid quadrature of the outer-boundary integral of f (J . n).
+    """Outer-boundary integral of f (J . nu): f dotted with the boundary
+    rows of G^T J (`grad_adjoint`), times the cell area.
 
-    Each outer edge of a rim cell contributes the node average of f on
-    that edge times the cell's normal flux times the edge length.
+    The interior rows of the same G^T J are -div J, the residual of the
+    curvature audit (`geometry.curvature_residual`).
     """
     grid = current.grid
-    fv, j1, j2 = f.values, current.v1, current.v2
-    sides = (  # (rim cells, per-cell term, edge length): south, north, west, east
-        (np.s_[0, :], -0.5 * (fv[:-1, :-1] + fv[:-1, 1:]) * j2, grid.hx),
-        (np.s_[-1, :], 0.5 * (fv[1:, :-1] + fv[1:, 1:]) * j2, grid.hx),
-        (np.s_[:, 0], -0.5 * (fv[:-1, :-1] + fv[1:, :-1]) * j1, grid.hy),
-        (np.s_[:, -1], 0.5 * (fv[:-1, 1:] + fv[1:, 1:]) * j1, grid.hy),
-    )
-    total = 0.0
-    for rim, term, h in sides:
-        # summed over the whole zero-padded cell array: a fixed summation order
-        on_rim = np.zeros(grid.cell_shape, dtype=bool)
-        on_rim[rim] = True
-        total += float(np.sum(np.where(on_rim, term, 0.0))) * h
-    return total
+    rim = grid.boundary_ids
+    flux = grad_adjoint(grid, current.v1, current.v2).ravel()[rim]
+    return float(np.dot(f.values.ravel()[rim], flux)) * grid.cell_area
 
 
 def duality_gap(u: ScalarField, f: ScalarField, current: VectorField2,
                 a: ScalarField, sigma0: TensorField2) -> float:
-    """|F[u] + boundary integral of f (J.n)| / max(F[u], tiny).
+    """|F[u] + boundary integral of f (J.nu)| / max(F[u], tiny).
 
-    At the true potential the two terms cancel (integration by parts of
-    the divergence-free current), so the gap is pure discretization.
+    With J = -c sigma0 grad u, c = a / |grad u|_{sigma0} off the masked
+    cells, summation by parts makes the numerator
+    |sum_masked a |grad u|_{sigma0} |K| - sum_interior u (G^T J) |K||,
+    whose interior sum vanishes at an exact minimizer of the midpoint F.
     """
     fval = weighted_tv(u, a, sigma0)
     flux = boundary_flux_integral(f, current)
@@ -555,8 +546,7 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     (the interface-like set the recovery never divides on).
     """
     grid = u_star.grid
-    gr = gradient(u_star)
-    nrm = tv_density(gr.v1, gr.v2, sigma0)
+    nrm = tv_density(*grad(grid, u_star.values), sigma0)
     avals = a.values
     nmax = float(np.max(nrm))
     amax = float(np.max(avals))
@@ -599,9 +589,13 @@ def _holder_quotient(avals, comp, other, hx, hy):
     return best
 
 
-def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2D,
-                        tol_grad: float | None = None, tol_a: float | None = None) -> list[dict]:
+def classify_inclusions(u_star: ScalarField, a: ScalarField, sigma0: TensorField2, mask_z,
+                        delta_grad: float, delta_a: float) -> list[dict]:
     """Label each 4-connected component of the degenerate set.
+
+    The component is flat where |grad u*|_{sigma0} <= delta_grad and
+    data-free where a <= delta_a: the cutoffs `recover_c` chose for the
+    mask, in the norm of the functional's density (`tv_density`).
 
     - 'perfect': the gradient vanishes on the component while the data
       does not (current flows through a region the potential does not
@@ -617,24 +611,18 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
       with data regular across the interface, which one measurement
       genuinely cannot decide.
 
-    The conservative tol_grad default (1e-6 of the gradient scale)
-    expects a potential whose flat regions are exact, as produced by the
-    tied forward solve; iterative minimizers stall earlier, so pass the
-    matching recovery cutoff instead.  The oscillation tolerance is
-    4 max(hx, hy) max|grad u*|, the size of the discrete trace wiggle a
-    smooth equipotential rim produces.
+    The oscillation tolerance is 4 max(hx, hy) max|grad u*|_{sigma0}, the
+    size of the discrete trace wiggle a smooth equipotential rim produces.
     """
+    grid = u_star.grid
     mask = np.asarray(mask_z, dtype=bool)
-    gr = gradient(u_star)
-    gmag = np.hypot(gr.v1, gr.v2)
+    gmag = tv_density(*grad(grid, u_star.values), sigma0)
     avals = a.values
     # Scales come from the cells where u* is meaningful: on a masked
     # insulating component the nodal values are fill, not physics.
     live = ~mask
     scale_g = float(np.max(gmag[live])) if np.any(live) else float(np.max(gmag))
     scale_a = float(np.max(avals))
-    tg = tol_grad if tol_grad is not None else 1e-6 * max(scale_g, 1e-300)
-    ta = tol_a if tol_a is not None else 1e-8 * max(scale_a, 1e-300)
     to = _OSC_FACTOR * max(grid.hx, grid.hy) * scale_g
     h = min(grid.hx, grid.hy)
     holder_threshold = _HOLDER_FACTOR * max(scale_a, 1e-300) / h**_HOLDER_ALPHA
@@ -648,11 +636,11 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, mask_z, grid: Grid2
         rim_vals = u_star.values[nodes_of_cells(comp) & nodes_of_cells(~comp)]
         osc = float(np.max(rim_vals) - np.min(rim_vals)) if rim_vals.size else 0.0
         quot = _holder_quotient(avals, comp, ~comp, grid.hx, grid.hy)
-        if max_grad <= tg and max_a > ta:
+        if max_grad <= delta_grad and max_a > delta_a:
             label = "perfect"
-        elif max_a <= ta and osc > to:
+        elif max_a <= delta_a and osc > to:
             label = "insulating"
-        elif max_a <= ta and osc <= to and quot > holder_threshold:
+        elif max_a <= delta_a and osc <= to and quot > holder_threshold:
             label = "perfect-or-insulating"
         else:
             label = "undetermined"
@@ -731,7 +719,6 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
     if algorithm not in ALGORITHMS:
         raise TVConfigError(f"unknown algorithm {algorithm!r}")
     t = problem.triplet
-    grid = t.grid
     diagnostics: dict = {}
     u_fp = u_pd = None
     if algorithm in ("fixedpoint", "both"):
@@ -753,14 +740,8 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
         u_star, t.a, t.sigma0, delta_grad=delta_grad, delta_a=problem.delta_a
     )
     diagnostics["recovery"] = rec_diag
-    # A gradient-masked cell has |grad u|_{sigma0} <= delta_grad, hence a
-    # Euclidean gradient at most delta_grad/sqrt(m); align the label rule
-    # with the mask so such components can qualify as 'perfect'.
-    labels = classify_inclusions(
-        u_star, t.a, mask_z, grid,
-        tol_grad=rec_diag["delta_grad"] / np.sqrt(t.sigma0.m) * (1.0 + 1e-12),
-        tol_a=rec_diag["delta_a"],
-    )
+    labels = classify_inclusions(u_star, t.a, t.sigma0, mask_z,
+                                 rec_diag["delta_grad"], rec_diag["delta_a"])
 
     current = compute_current(u_star, c_rec, t.sigma0, dead=mask_z)
     diagnostics["duality_gap"] = duality_gap(u_star, t.f, current, t.a, t.sigma0)

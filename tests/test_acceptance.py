@@ -217,14 +217,16 @@ def test_criterion_11_inclusion_classification():
                                 inclusions=InclusionSet(grid, perfect=[disk]))
     u_p = _u_true(trip_p)
     _, mask_p, diag_p = recover_c(u_p, trip_p.a, sigma0)
-    lab_p = classify_inclusions(u_p, trip_p.a, mask_p, grid, tol_a=diag_p["delta_a"])
+    lab_p = classify_inclusions(u_p, trip_p.a, sigma0, mask_p,
+                                diag_p["delta_grad"], diag_p["delta_a"])
     results.append([l["label"] for l in lab_p] == ["perfect"])
 
     trip_i = synthesize_triplet(ones, sigma0, f, grid,
                                 inclusions=InclusionSet(grid, insulating=[disk]))
     u_i = _u_true(trip_i)
     _, mask_i, diag_i = recover_c(u_i, trip_i.a, sigma0)
-    lab_i = classify_inclusions(u_i, trip_i.a, mask_i, grid, tol_a=diag_i["delta_a"])
+    lab_i = classify_inclusions(u_i, trip_i.a, sigma0, mask_i,
+                                diag_i["delta_grad"], diag_i["delta_a"])
     results.append([l["label"] for l in lab_i] == ["insulating"])
 
     # radial potential with the data deleted on the disk: the constant rim
@@ -236,7 +238,8 @@ def test_criterion_11_inclusion_classification():
     av = np.where(disk, 0.0, amag)
     a_r = ScalarField(grid, av, location="cell")
     _, mask_r, diag_r = recover_c(u_r, a_r, sigma0)
-    lab_r = classify_inclusions(u_r, a_r, mask_r, grid, tol_a=diag_r["delta_a"])
+    lab_r = classify_inclusions(u_r, a_r, sigma0, mask_r,
+                                diag_r["delta_grad"], diag_r["delta_a"])
     results.append(
         len(lab_r) == 1 and lab_r[0]["label"] in ("perfect-or-insulating", "undetermined")
     )

@@ -373,7 +373,7 @@ def test_sample_levels_interior_and_sorted():
     g = make_grid(17)
     x, _ = g.node_coords()
     u = ScalarField(g, x)
-    levels = sample_levels(u, 11)
+    levels = sample_levels(u, TensorField2.constant(g, 1.0, 0.0, 1.0), 11)
     assert len(levels) == 11
     assert all(0.0 < lv < 1.0 for lv in levels)
     assert sorted(levels) == list(levels)
@@ -430,6 +430,12 @@ def test_curves_to_csv_layout():
     lines = text.strip().splitlines()
     assert lines[0] == "level,curve,vertex,x,y"
     assert len(lines) == 1 + sum(len(c.vertices) for c in curves)
+    # every field of every row is a plain number
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 5
+        for text in fields:
+            float(text)
 
 
 def test_importing_geometry_loads_no_inverse():

@@ -492,6 +492,38 @@ def test_duality_gap_small_at_solution_large_off_solution(bump33):
     assert duality_gap(bad, bump33.f, J, bump33.a, bump33.sigma0) > 0.05
 
 
+def test_primal_dual_minimizer_closes_the_duality_gap(bump33):
+    # at a minimizer of the midpoint F, G^T J vanishes on the interior
+    # nodes, so only the boundary rows (the flux) remain to balance F
+    rep = reconstruct(TVProblem(bump33), algorithm="primaldual")
+    assert rep.diagnostics["primaldual"]["converged"]
+    assert rep.diagnostics["duality_gap"] <= 1e-6
+
+
+def _fiber_tensor(grid):
+    # a sigma0 that varies in space: the principal axis turns by
+    # theta = pi/6 + 0.9 sin(pi x) sin(pi y) + 0.6 x y, eigenvalues
+    # d1 = 3 + cos(2 pi x) along it and d2 = 1 across, at cell centers
+    x, y = grid.cell_centers()
+    theta = np.pi / 6.0 + 0.9 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.6 * x * y
+    d1 = 3.0 + np.cos(2.0 * np.pi * x)
+    ct, st = np.cos(theta), np.sin(theta)
+    return TensorField2(grid, d1 * ct * ct + st * st, (d1 - 1.0) * st * ct, d1 * st * st + ct * ct)
+
+
+def test_duality_gap_at_truth_under_varying_sigma0():
+    gaps = []
+    for n in (33, 65):
+        grid, c, _, f = bump_problem(n)
+        sigma0 = _fiber_tensor(grid)
+        trip = synthesize_triplet(c, sigma0, f, grid)
+        u_true = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
+        J = compute_current(u_true, np.asarray(trip.provenance["c_true"]), sigma0)
+        gaps.append(duality_gap(u_true, f, J, trip.a, sigma0))
+    assert gaps[0] <= 1e-3
+    assert gaps[1] <= gaps[0] / 3.0
+
+
 def test_boundary_flux_integral_known_value():
     # B = (1, 0) on the unit square: the east wall (f = 1, B.n = 1) alone
     # contributes, so the weighted outflow of f = x is exactly 1
@@ -558,18 +590,21 @@ def test_insulating_component_fully_masked_and_labeled():
 
 
 def test_perfect_component_classified_from_tied_potential():
+    # flatness is judged in |.|_{sigma0} with the recovery's own cutoffs,
+    # so the tied disk is labelled under an anisotropic sigma0 too
     grid = make_grid(33)
     disk = disk_cells(grid, (0.5, 0.5), 0.2)
     incl = InclusionSet(grid, perfect=[disk])
-    sigma0 = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     x, _ = grid.node_coords()
     c = ScalarField(grid, np.ones(grid.cell_shape), location="cell")
-    trip = synthesize_triplet(c, sigma0, ScalarField(grid, x), grid, inclusions=incl)
-    u_tied = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
-    _, mask, diag = recover_c(u_tied, trip.a, sigma0)
-    labels = classify_inclusions(u_tied, trip.a, mask, grid, tol_a=diag["delta_a"])
-    assert [lab["label"] for lab in labels] == ["perfect"]
-    assert labels[0]["max_gradient"] == 0.0
+    for sigma0 in (TensorField2.constant(grid, 1.0, 0.0, 1.0), rotated_tensor(grid, 0.4, 4.0, 1.0)):
+        trip = synthesize_triplet(c, sigma0, ScalarField(grid, x), grid, inclusions=incl)
+        u_tied = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
+        _, mask, diag = recover_c(u_tied, trip.a, sigma0)
+        labels = classify_inclusions(u_tied, trip.a, sigma0, mask,
+                                     diag["delta_grad"], diag["delta_a"])
+        assert [lab["label"] for lab in labels] == ["perfect"]
+        assert labels[0]["max_gradient"] == 0.0
 
 
 def test_recover_c_mask_diagnostics(bump33, recon33):
