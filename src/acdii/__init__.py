@@ -4,8 +4,8 @@ current-density magnitude, on uniform 2-D grids.
 Scalars live on grid nodes (or cell centers), vectors and symmetric
 positive tensors on cells.  The package is organized as
 
-- fields:   grids, field containers, tensor algebra, gradient/divergence,
-            the weighted-TV functional and its density
+- fields:   grids, field containers, tensor algebra, the cell gradient and
+            its adjoint, the weighted-TV functional and its density
 - io:       bit-exact binary field serialization
 - forward:  anisotropic bilinear-quad assembly and multigrid-preconditioned CG,
             perfectly conducting and insulating inclusions
@@ -24,8 +24,8 @@ from .fields import (
     ScalarField,
     VectorField2,
     TensorField2,
-    gradient,
-    divergence,
+    grad,
+    grad_adjoint,
 )
 from .io import FieldFormatError, read_field, write_field
 
@@ -35,8 +35,8 @@ __all__ = [
     "ScalarField",
     "VectorField2",
     "TensorField2",
-    "gradient",
-    "divergence",
+    "grad",
+    "grad_adjoint",
     "FieldFormatError",
     "read_field",
     "write_field",

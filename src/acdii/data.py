@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, TensorField2, VectorField2, gradient
+from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad
 from .forward import (
     InclusionSet,
     assemble,
@@ -71,8 +71,7 @@ def compute_current(u: ScalarField, c, sigma0: TensorField2, dead=None) -> Vecto
     if isinstance(c, ScalarField):
         c = c.values
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), u.grid.cell_shape)
-    gr = gradient(u)
-    w1, w2 = sigma0.apply(gr.v1, gr.v2)
+    w1, w2 = sigma0.apply(*grad(u.grid, u.values))
     j1 = -c * w1
     j2 = -c * w2
     if dead is not None:
@@ -142,12 +141,10 @@ def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
     current = compute_current(u, c_arr, sigma0, dead)
     if has_inclusions and inclusions.perfect:
         u_k = solve_penalized(PENALIZED_K, sigma0, sigma, f_field, grid, inclusions, tol=_TRUTH_TOL)
-        gr_k = gradient(u_k)
-        w1, w2 = sigma0.apply(gr_k.v1, gr_k.v2)
+        j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
         perf = inclusions.perfect_mask()
-        j1 = np.where(perf, -w1 / PENALIZED_K, current.v1)
-        j2 = np.where(perf, -w2 / PENALIZED_K, current.v2)
-        current = VectorField2(grid, j1, j2)
+        current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),
+                               np.where(perf, j_k.v2, current.v2))
     return u, current
 
 

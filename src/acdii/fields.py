@@ -6,21 +6,24 @@ row-major id is j*nx + i.  Cells are the (ny-1, nx-1) squares spanned by
 four adjacent nodes; vectors, tensors, and cell scalars are sampled at
 cell centers.
 
-The discrete gradient averages the two finite differences per direction
-inside each cell, which is the bilinear-interpolant gradient at the cell
-center and is exact for affine nodal data.  `divergence` is its exact
-negative transpose, so the total-variation quadrature and the divergence
-used by the primal-dual scheme are exact discrete duals:
+The discrete gradient `grad` averages the two finite differences per
+direction inside each cell, which is the bilinear-interpolant gradient at
+the cell center and is exact for affine nodal data.  `grad_adjoint` is
+its exact transpose, the negative node divergence, so the total-variation
+quadrature and the adjoint used by the primal-dual scheme and the
+audits are exact discrete duals:
 
-    sum_cells (grad u . B) == - sum_nodes u * divergence(B)
+    sum_cells (grad u . B) == sum_nodes u * grad_adjoint(B)
 
 `grad_operator` assembles the same stencil, premultiplied by a cell
 tensor, as one sparse matrix for loops that apply it many times.
 
 The weighted-TV functional F[u] = integral of a |grad u|_{sigma0} lives
-here too, beside the gradient it is built on: `tv_density` is its one
-per-cell density, and the minimizers, the recovery and every audit
-evaluate F through it.
+here too, beside the gradient it is built on, as two functions of the
+node values of u: `tv_density`, its one per-cell density, and
+`weighted_tv`, its one quadrature.  The minimizers, the recovery and
+every audit evaluate F through them, and the forward Dirichlet energy
+integrates the square of the same density.
 
 All field values are float64 and frozen after construction.
 """
@@ -292,34 +295,17 @@ def grad_operator(grid: Grid2D, t11, t12, t22):
 # -- the weighted-TV functional ------------------------------------------------
 
 
-def tv_density(g1, g2, sigma0: TensorField2, eps: float = 0.0):
-    """Per-cell (|g|^2_{sigma0} + eps^2)^(1/2) of cell gradient arrays (g1, g2)."""
+def tv_density(uvals, sigma0: TensorField2, eps: float = 0.0):
+    """Per-cell (|grad u|^2_{sigma0} + eps^2)^(1/2) of node values u, on sigma0's grid."""
+    g1, g2 = grad(sigma0.grid, uvals)
     w1, w2 = sigma0.apply(g1, g2)
     q = np.maximum(w1 * g1 + w2 * g2, 0.0)
     return np.sqrt(q + eps * eps) if eps else np.sqrt(q)
 
 
-def smoothed_tv(grid: Grid2D, avals, sigma0: TensorField2, uvals, eps: float = 0.0) -> float:
-    """Midpoint quadrature of integral a (|grad u|^2_{sigma0} + eps^2)^(1/2) on raw arrays."""
-    density = tv_density(*grad(grid, uvals), sigma0, eps)
-    return float(np.sum(avals * density)) * grid.cell_area
-
-
-def weighted_tv(v: ScalarField, a: ScalarField, sigma0: TensorField2) -> float:
-    """Midpoint quadrature of integral a |grad v|_{sigma0}: the functional F."""
-    return smoothed_tv(v.grid, a.values, sigma0, v.values)
-
-
-def gradient(u: ScalarField) -> VectorField2:
-    """Cell-centered gradient of a node scalar (see `grad`)."""
-    if u.location != "node":
-        raise GridError("gradient expects a node-located scalar field")
-    return VectorField2(u.grid, *grad(u.grid, u.values))
-
-
-def divergence(w: VectorField2) -> ScalarField:
-    """Node divergence defined as the exact negative transpose of `gradient`."""
-    return ScalarField(w.grid, -grad_adjoint(w.grid, w.v1, w.v2), location="node")
+def weighted_tv(uvals, avals, sigma0: TensorField2, eps: float = 0.0) -> float:
+    """Midpoint quadrature of F = integral a (|grad u|^2_{sigma0} + eps^2)^(1/2)."""
+    return float(np.sum(avals * tv_density(uvals, sigma0, eps))) * sigma0.grid.cell_area
 
 
 def nodes_of_cells(cells) -> np.ndarray:
@@ -330,12 +316,6 @@ def nodes_of_cells(cells) -> np.ndarray:
     nodes[1:, :-1] |= cells
     nodes[1:, 1:] |= cells
     return nodes
-
-
-def cell_integral(grid: Grid2D, cell_values, cells=None) -> float:
-    """Midpoint quadrature: sum of cell values times cell area over selected cells."""
-    vals = cell_values if cells is None else np.where(cells, cell_values, 0.0)
-    return float(np.sum(vals)) * grid.cell_area
 
 
 def rel_l2(x, ref) -> float:

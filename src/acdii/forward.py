@@ -44,9 +44,8 @@ from .fields import (
     Grid2D,
     ScalarField,
     TensorField2,
-    cell_integral,
-    gradient,
     nodes_of_cells,
+    tv_density,
 )
 
 
@@ -606,22 +605,10 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
     )
 
 
-def _boundary_values(grid: Grid2D, f) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        f = f.values
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape == grid.shape:
-        vals = f.ravel()[grid.boundary_ids]
-    elif f.shape == (grid.boundary_ids.size,):
-        vals = f
-    else:
-        raise AssemblyError(
-            f"Dirichlet data has shape {f.shape}; expected full node shape {grid.shape} "
-            f"or one value per boundary node ({grid.boundary_ids.size},)"
-        )
-    if not np.isfinite(vals).all():
-        raise AssemblyError("Dirichlet data must be finite on the boundary")
-    return vals
+def _boundary_values(grid: Grid2D, f: ScalarField) -> np.ndarray:
+    if not (isinstance(f, ScalarField) and f.location == "node" and f.grid.same_layout(grid)):
+        raise AssemblyError("Dirichlet data must be a node ScalarField on the system's grid")
+    return f.values.ravel()[grid.boundary_ids]
 
 
 def _shift_sum(values, valid):
@@ -657,11 +644,10 @@ def _fill_isolated(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, x0=None):
     """Solve the reduced system for Dirichlet data f.
 
-    f supplies one value per boundary node (a full node field is also
-    accepted; only its boundary entries are read).  Returns a node
-    ScalarField carrying exactly f on boundary_ids; nodes cut off from
-    all stiffness (interiors of insulating regions) get the deterministic
-    neighbor-mean fill.
+    f is a node ScalarField on the system's grid; only its boundary
+    values are read.  Returns a node ScalarField carrying exactly f on
+    boundary_ids; nodes cut off from all stiffness (interiors of
+    insulating regions) get the deterministic neighbor-mean fill.
     """
     grid = system.grid
     vals = _boundary_values(grid, f)
@@ -715,23 +701,18 @@ def solve_inclusion_limit(sigma: TensorField2, f, grid: Grid2D, inclusions: Incl
 
 
 def energy(u: ScalarField, sigma: TensorField2, inclusions=None, k=None, sigma1=None) -> float:
-    """Midpoint-quadrature Dirichlet energy.
+    """Midpoint-quadrature Dirichlet energy, from the density `tv_density`.
 
     Without k: (1/2) integral of |grad u|^2_sigma over the cells outside
     all inclusions.  With k: adds (1/2k) integral of
     |grad u|^2_sigma1 over the perfect components (the penalized energy).
     """
-    grid = u.grid
-    gr = gradient(u)
-    outside = None if inclusions is None else ~inclusions.union_mask()
-    w1, w2 = sigma.apply(gr.v1, gr.v2)
-    q = w1 * gr.v1 + w2 * gr.v2
-    total = 0.5 * cell_integral(grid, q, outside)
+    outside = True if inclusions is None else ~inclusions.union_mask()
+    d = tv_density(u.values, sigma)
+    total = 0.5 * float(np.sum(d * d, where=outside))
     if k is not None:
         if inclusions is None or sigma1 is None:
             raise AssemblyError("penalized energy needs inclusions and sigma1")
-        perf = inclusions.perfect_mask()
-        p1, p2 = sigma1.apply(gr.v1, gr.v2)
-        qp = p1 * gr.v1 + p2 * gr.v2
-        total += 0.5 / k * cell_integral(grid, qp, perf)
-    return total
+        dp = tv_density(u.values, sigma1)
+        total += 0.5 / k * float(np.sum(dp * dp, where=inclusions.perfect_mask()))
+    return total * u.grid.cell_area

@@ -43,7 +43,6 @@ from .fields import (
     ScalarField,
     TensorField2,
     VectorField2,
-    grad,
     grad_adjoint,
     nodes_of_cells,
     sample_cell_field,
@@ -321,7 +320,7 @@ def sample_levels(u: ScalarField, sigma0: TensorField2, n_levels: int) -> np.nda
     inner = u.values[grid.interior_mask()]
     qs = (np.arange(n_levels) + 0.5) / n_levels
     candidates = np.quantile(inner, qs)
-    mag = tv_density(*grad(grid, u.values), sigma0)
+    mag = tv_density(u.values, sigma0)
     gmax = float(np.max(mag))
     crit_cells = mag <= _GRAD_FLOOR_REL * gmax
     if not crit_cells.any():
@@ -384,15 +383,18 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     {level < u < level + eps}; along the ladder eps = _TRUNCATION_STEPS
     times range(u) its weighted TV should converge to the metric area
     (`weighted_perimeter`) of the level curve, and the relative
-    discrepancy of the last rung is reported as `vs_anisotropic`.
+    discrepancy of the last rung is reported as `vs_anisotropic`.  A
+    constant u (range 0) gets the finite record of a zero ladder: every
+    eps, truncation TV, area and discrepancy is 0.
     """
-    grid = u.grid
     rng = float(np.max(u.values)) - float(np.min(u.values))
     eps_ladder = [rng * s for s in _TRUNCATION_STEPS]
-    values = []
-    for eps in eps_ladder:
-        w = np.clip((u.values - level) / eps, 0.0, 1.0)
-        values.append(weighted_tv(ScalarField(grid, w, location="node"), a, sigma0))
+    if rng <= 0.0:
+        # a constant u has no level curve, and every truncation of it is constant
+        values = [0.0] * len(eps_ladder)
+    else:
+        values = [weighted_tv(np.clip((u.values - level) / eps, 0.0, 1.0), a.values, sigma0)
+                  for eps in eps_ladder]
     aniso = float(weighted_perimeter(u, [level], a, sigma0)[0])
     cauchy = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
     limit = values[-1]

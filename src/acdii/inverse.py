@@ -48,12 +48,10 @@ from .fields import (
     ScalarField,
     TensorField2,
     VectorField2,
-    grad,
     grad_adjoint,
     grad_operator,
     nodes_of_cells,
     rel_l2,
-    smoothed_tv,
     sym2_apply,
     sym2_sqrt,
     tv_density,
@@ -264,7 +262,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         hist = []
         cg = 0
         for inner in range(1, problem.max_inner + 1):
-            weight = tv_density(*grad(grid, uvals), sigma0, eps_hat)
+            weight = tv_density(uvals, sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
             # a stage's first step builds the coarse levels; later ones keep them
             system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout,
@@ -272,7 +270,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             phi = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals).values
             cg += system.cg_iterations
             rel = _masked_rel_change(phi, uvals)
-            hist.append(amax * smoothed_tv(grid, a_hat, sigma0, phi, eps_hat))
+            hist.append(amax * weighted_tv(phi, a_hat, sigma0, eps_hat))
             if rel <= problem.fp_tol or inner == problem.max_inner:
                 uvals = phi
                 break
@@ -296,16 +294,15 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             }
         )
 
-    u_final = ScalarField(grid, uvals, location="node")
     info = {
         "algorithm": "fixedpoint",
         "stages": stages,
         "total_inner_iterations": total_inner,
         "total_cg_iterations": total_cg,
         "nonmonotone_flag": flagged,
-        "tv_final": weighted_tv(u_final, t.a, sigma0),
+        "tv_final": weighted_tv(uvals, t.a.values, sigma0),
     }
-    return u_final, info
+    return ScalarField(grid, uvals, location="node"), info
 
 
 # tolerance of the primal-dual stopping rule, on the relative gap and on
@@ -382,7 +379,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
 
     def gap_and_pairing():
         # relative gap over the optimized cells and <grad u, B>/amax, from the same K
-        primal = smoothed_tv(grid, a_active, sigma0, u.reshape(grid.shape))
+        primal = weighted_tv(u.reshape(grid.shape), a_active, sigma0)
         pairing = float(np.sum((k_op @ u) * b_flat)) / sig * grid.cell_area
         return abs(primal - pairing) / max(primal, 1e-300), pairing
 
@@ -410,7 +407,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
         u -= step
         np.subtract(u, step, out=ubar)
         if (it + 1) % record_every == 0:
-            f_hist.append(amax * smoothed_tv(grid, a_hat, sigma0, u.reshape(grid.shape)))
+            f_hist.append(amax * weighted_tv(u.reshape(grid.shape), a_hat, sigma0))
             gap_hist.append(gap_and_pairing()[0])
             div_hat = divergence_rms(step)
             div_hist.append(amax * div_hat)
@@ -432,7 +429,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
         "tv_history": f_hist,
         "gap_history": gap_hist,
         "divergence_history": div_hist,
-        "tv_final": weighted_tv(u_final, t.a, sigma0),
+        "tv_final": weighted_tv(u_final.values, t.a.values, sigma0),
         "pairing": amax * pairing_hat,
         "pd_gap": gap,
         "dual_divergence_rms": amax * divergence_rms(step),
@@ -466,7 +463,7 @@ def duality_gap(u: ScalarField, f: ScalarField, current: VectorField2,
     |sum_masked a |grad u|_{sigma0} |K| - sum_interior u (G^T J) |K||,
     whose interior sum vanishes at an exact minimizer of the midpoint F.
     """
-    fval = weighted_tv(u, a, sigma0)
+    fval = weighted_tv(u.values, a.values, sigma0)
     flux = boundary_flux_integral(f, current)
     return abs(fval + flux) / max(fval, 1e-300)
 
@@ -514,13 +511,11 @@ def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     The duality identity is reported alongside when f and the current
     are supplied.
     """
-    grid = u.grid
-    f0 = weighted_tv(u, a, sigma0)
+    f0 = weighted_tv(u.values, a.values, sigma0)
     margins = []
     for w in sine_perturbations(u, trials, seed, amplitude):
-        up = ScalarField(grid, u.values + w, location="node")
-        um = ScalarField(grid, u.values - w, location="node")
-        margins.append(min(weighted_tv(up, a, sigma0) - f0, weighted_tv(um, a, sigma0) - f0))
+        margins.append(min(weighted_tv(u.values + w, a.values, sigma0) - f0,
+                           weighted_tv(u.values - w, a.values, sigma0) - f0))
     report = {
         "tv_value": f0,
         "margins": margins,
@@ -546,7 +541,7 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     (the interface-like set the recovery never divides on).
     """
     grid = u_star.grid
-    nrm = tv_density(*grad(grid, u_star.values), sigma0)
+    nrm = tv_density(u_star.values, sigma0)
     avals = a.values
     nmax = float(np.max(nrm))
     amax = float(np.max(avals))
@@ -616,7 +611,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, sigma0: TensorField
     """
     grid = u_star.grid
     mask = np.asarray(mask_z, dtype=bool)
-    gmag = tv_density(*grad(grid, u_star.values), sigma0)
+    gmag = tv_density(u_star.values, sigma0)
     avals = a.values
     # Scales come from the cells where u* is meaningful: on a masked
     # insulating component the nodal values are fill, not physics.
@@ -672,7 +667,7 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     """
     umin = float(np.min(u.values))
     umax = float(np.max(u.values))
-    tv = weighted_tv(u, a, sigma0)
+    tv = weighted_tv(u.values, a.values, sigma0)
     if umax <= umin or n_levels < 2:
         return {
             "tv": tv,

@@ -13,7 +13,7 @@ import pytest
 
 from acdii.cli import main as cli_main
 from acdii.data import compute_current, synthesize_triplet
-from acdii.fields import Grid2D, ScalarField, TensorField2, gradient
+from acdii.fields import Grid2D, ScalarField, TensorField2, grad
 from acdii.forward import (
     InclusionSet,
     assemble,
@@ -233,8 +233,7 @@ def test_criterion_11_inclusion_classification():
     # trace hides which wall it is, but the data jump is not conductivity-like
     r = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2)
     u_r = ScalarField(grid, r)
-    gr = gradient(u_r)
-    amag = np.hypot(gr.v1, gr.v2)
+    amag = np.hypot(*grad(grid, r))
     av = np.where(disk, 0.0, amag)
     a_r = ScalarField(grid, av, location="cell")
     _, mask_r, diag_r = recover_c(u_r, a_r, sigma0)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,35 @@ def test_verify_fails_on_corrupted_potential(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["verify", "--config", path]) == 1
     assert "minimality: FAIL" in capsys.readouterr().out
+
+
+def test_verify_on_a_constant_potential_writes_finite_audits(tmp_path):
+    # range(u) = 0 leaves the truncation ladder with no width: the audit
+    # records finite zeros, verify warns of nothing and its gates set the code
+    out = tmp_path / "out"
+    cfg = _base_config(out)
+    path = _write(tmp_path, cfg)
+    assert main(["synth", "--config", path]) == 0
+    flat_dir = tmp_path / "flat"
+    flat_dir.mkdir()
+    grid = read_field_file(out / "f.field").grid
+    from acdii.fields import ScalarField
+
+    write_field_file(ScalarField(grid, np.full(grid.shape, 0.25)), flat_dir / "u_star.field")
+    cfg["input"] = {"triplet": str(out), "recon": str(flat_dir)}
+    path = _write(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", path, "--quiet"])
+
+    def no_constant(name):
+        raise ValueError(f"non-finite number {name} in audits.json")
+
+    doc = json.loads((out / "audits.json").read_text(), parse_constant=no_constant)
+    assert code == (0 if doc["passed"] else 1)
+    trunc = doc["audits"]["truncation"]
+    assert trunc["tv_values"] == [0.0] * len(trunc["eps_ladder"])
+    assert trunc["vs_anisotropic"] == 0.0
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

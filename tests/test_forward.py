@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, gradient, nodes_of_cells
+from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, grad, nodes_of_cells
 from acdii.forward import (
     AssemblyError,
     ConvergenceError,
@@ -199,9 +199,9 @@ def test_gradient_vanishes_on_tied_cells():
     x, _ = grid.node_coords()
     u = solve_inclusion_limit(TensorField2.constant(grid, 1.0, 0.0, 1.0),
                               ScalarField(grid, x), grid, incl)
-    gr = gradient(u)
-    assert np.max(np.abs(gr.v1[disk])) == 0.0
-    assert np.max(np.abs(gr.v2[disk])) == 0.0
+    g1, g2 = grad(grid, u.values)
+    assert np.max(np.abs(g1[disk])) == 0.0
+    assert np.max(np.abs(g2[disk])) == 0.0
 
 
 def test_insulating_interior_fill_is_finite():
@@ -318,6 +318,55 @@ def test_energy_and_h1_seminorm_known_values():
     u = ScalarField(grid, x)
     sigma = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     assert energy(u, sigma) == pytest.approx(0.5, rel=1e-12)
+
+
+def _loop_energy(grid, u, sigma, outside, perf=None, k=None, sigma1=None):
+    """Plain-loop midpoint energy: (1/2) |grad u|^2_sigma on the outside
+    cells plus (1/2k) |grad u|^2_sigma1 on the perfect ones."""
+    total = 0.0
+    for j in range(grid.ny - 1):
+        for i in range(grid.nx - 1):
+            g = np.array([
+                0.5 * ((u[j, i + 1] - u[j, i]) + (u[j + 1, i + 1] - u[j + 1, i])) / grid.hx,
+                0.5 * ((u[j + 1, i] - u[j, i]) + (u[j + 1, i + 1] - u[j, i + 1])) / grid.hy,
+            ])
+            for t, w, on in ((sigma, 0.5, outside), (sigma1, 0.5 / (k or 1.0), perf)):
+                if on is not None and on[j, i]:
+                    m = np.array([[t.s11[j, i], t.s12[j, i]], [t.s12[j, i], t.s22[j, i]]])
+                    total += w * (g @ m @ g) * grid.hx * grid.hy
+    return total
+
+
+def test_energy_matches_loop_oracle_with_penalized_disk():
+    grid = Grid2D(15, 11, 0.07, 0.09)
+    rng = np.random.default_rng(21)
+    xc, yc = grid.cell_centers()
+    sigma = rotated_tensor(grid, 0.4, 2.0, 0.7).scaled(1.0 + 0.5 * np.sin(5.0 * xc) * yc)
+    sigma1 = rotated_tensor(grid, -0.3, 1.5, 0.5)
+    incl = InclusionSet(grid, perfect=[disk_cells(grid, (0.35, 0.45), 0.2)],
+                        insulating=[disk_cells(grid, (0.8, 0.3), 0.12)])
+    u = ScalarField(grid, rng.standard_normal(grid.shape))
+    outside = ~incl.union_mask()
+    perf = incl.perfect_mask()
+    assert perf.any() and incl.insulating_mask().any()
+    assert energy(u, sigma) == pytest.approx(
+        _loop_energy(grid, u.values, sigma, np.ones(grid.cell_shape, bool)), rel=1e-12)
+    assert energy(u, sigma, incl) == pytest.approx(
+        _loop_energy(grid, u.values, sigma, outside), rel=1e-12)
+    assert energy(u, sigma, incl, k=1e-3, sigma1=sigma1) == pytest.approx(
+        _loop_energy(grid, u.values, sigma, outside, perf, 1e-3, sigma1), rel=1e-12)
+
+
+def test_dirichlet_data_must_be_a_node_field_on_the_grid():
+    grid, c, sigma0, f = bump_problem(9)
+    system = assemble(c.values, sigma0, grid)
+    for bad in (
+        f.values,
+        ScalarField(grid, np.ones(grid.cell_shape), location="cell"),
+        ScalarField(make_grid(11), np.zeros((11, 11))),
+    ):
+        with pytest.raises(AssemblyError, match="node ScalarField"):
+            solve_dirichlet(system, bad)
 
 
 def test_disk_and_rect_cell_selectors():

@@ -10,12 +10,9 @@ from acdii.fields import (
     ScalarField,
     TensorField2,
     VectorField2,
-    divergence,
     grad,
     grad_adjoint,
-    gradient,
     rel_l2,
-    smoothed_tv,
     sym2_det,
     sym2_sqrt,
     tv_density,
@@ -43,9 +40,9 @@ from acdii.inverse import (
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
 
-def _loop_weighted_tv(u, a, sigma0):
+def _loop_weighted_tv(u, a, sigma0, eps=0.0):
     """Independent re-derivation: per-cell averaged one-sided differences,
-    sigma0-norm, midpoint quadrature, plain Python loops."""
+    sigma0-norm smoothed by eps, midpoint quadrature, plain Python loops."""
     g = u.grid
     total = 0.0
     v = u.values
@@ -60,7 +57,7 @@ def _loop_weighted_tv(u, a, sigma0):
                 ]
             )
             q = np.array([dx, dy])
-            total += a.values[j, i] * np.sqrt(q @ s @ q) * g.hx * g.hy
+            total += a.values[j, i] * np.sqrt(q @ s @ q + eps * eps) * g.hx * g.hy
     return total
 
 
@@ -69,10 +66,13 @@ def test_weighted_tv_matches_loop_oracle():
     g = Grid2D(9, 7, 0.125, 1.0 / 6.0)
     u = ScalarField(g, rng.standard_normal((7, 9)))
     a = ScalarField(g, rng.uniform(0.1, 2.0, (6, 8)), location="cell")
-    sigma0 = rotated_tensor(g, 0.37, 2.4, 0.8)
-    assert weighted_tv(u, a, sigma0) == pytest.approx(
-        _loop_weighted_tv(u, a, sigma0), rel=1e-12
-    )
+    # a random SPD tensor per cell: L L^T + 0.1 I
+    l11, l21, l22 = rng.standard_normal((3, 6, 8))
+    spd = TensorField2(g, l11 * l11 + 0.1, l11 * l21, l21 * l21 + l22 * l22 + 0.1)
+    for sigma0, eps in ((rotated_tensor(g, 0.37, 2.4, 0.8), 0.0), (spd, 0.0), (spd, 0.3)):
+        assert weighted_tv(u.values, a.values, sigma0, eps) == pytest.approx(
+            _loop_weighted_tv(u, a, sigma0, eps), rel=1e-12
+        )
 
 
 def test_weighted_tv_known_value():
@@ -81,30 +81,28 @@ def test_weighted_tv_known_value():
     u = ScalarField(g, x)
     a = ScalarField(g, np.ones(g.cell_shape), location="cell")
     s = TensorField2.constant(g, 1.0, 0.0, 1.0)
-    assert weighted_tv(u, a, s) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_tv(u.values, a.values, s) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weighted_tv_one_homogeneous():
     rng = np.random.default_rng(2)
     g = make_grid(9)
-    u = ScalarField(g, rng.standard_normal((9, 9)))
-    a = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_shape), location="cell")
+    u = rng.standard_normal((9, 9))
+    a = rng.uniform(0.5, 1.5, g.cell_shape)
     s = rotated_tensor(g, 0.2, 3.0, 1.0)
     base = weighted_tv(u, a, s)
     for t in (0.0, 0.3, 2.0, -1.7):
-        ut = ScalarField(g, t * u.values)
-        assert weighted_tv(ut, a, s) == pytest.approx(abs(t) * base, abs=1e-12)
+        assert weighted_tv(t * u, a, s) == pytest.approx(abs(t) * base, abs=1e-12)
 
 
 def test_tv_linear_in_weight():
     rng = np.random.default_rng(4)
     g = make_grid(9)
-    u = ScalarField(g, rng.standard_normal((9, 9)))
-    a1 = ScalarField(g, rng.uniform(0.1, 1.0, g.cell_shape), location="cell")
-    a2 = ScalarField(g, rng.uniform(0.1, 1.0, g.cell_shape), location="cell")
+    u = rng.standard_normal((9, 9))
+    a1 = rng.uniform(0.1, 1.0, g.cell_shape)
+    a2 = rng.uniform(0.1, 1.0, g.cell_shape)
     s = rotated_tensor(g, 1.0, 2.0, 0.5)
-    both = ScalarField(g, a1.values + a2.values, location="cell")
-    assert weighted_tv(u, both, s) == pytest.approx(
+    assert weighted_tv(u, a1 + a2, s) == pytest.approx(
         weighted_tv(u, a1, s) + weighted_tv(u, a2, s), rel=1e-12
     )
 
@@ -163,7 +161,7 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     # u is a fixed point: one more lagged step at the final eps barely moves it
     grid, sigma0, _, a_hat, void = _normalized_data(problem)
     eps = problem.eps_start() * problem.eps_ratio ** (problem.eps_stages - 1)
-    weight = tv_density(*grad(grid, u.values), sigma0, eps)
+    weight = tv_density(u.values, sigma0, eps)
     system = assemble(np.where(~void, a_hat / weight, 1.0), sigma0, grid, exclude_cells=void)
     step = solve_dirichlet(system, bump33.f, tol=problem.cg_tol, x0=u.values)
     assert rel_l2(u.values, step.values) <= 10.0 * problem.fp_tol
@@ -326,8 +324,8 @@ def _reference_primal_dual(problem, steps):
         ubar = 2.0 * u_new - uv
         uv = u_new
         if (it + 1) % record_every == 0:
-            hist["tv_history"].append(amax * smoothed_tv(grid, a_hat, sigma0, uv))
-            primal = smoothed_tv(grid, a_active, sigma0, uv)
+            hist["tv_history"].append(amax * weighted_tv(uv, a_hat, sigma0))
+            primal = weighted_tv(uv, a_active, sigma0)
             g1, g2 = grad(grid, uv)
             pairing = float(np.sum(g1 * q1 + g2 * q2)) * grid.cell_area
             hist["gap_history"].append(abs(primal - pairing) / primal)
@@ -397,7 +395,7 @@ def test_primal_dual_gap_closes_above_void_floor():
     assert np.count_nonzero(trip.a.values <= 0.9 * np.max(trip.a.values)) > trip.a.values.size // 2
     assert info["pd_gap"] <= 1e-3
     assert info["gap_history"][-1] == info["pd_gap"]
-    assert info["tv_final"] == weighted_tv(u, trip.a, trip.sigma0)
+    assert info["tv_final"] == weighted_tv(u.values, trip.a.values, trip.sigma0)
 
 
 def test_primal_dual_records_divergence_at_checkpoints(recon33):
@@ -466,8 +464,8 @@ def test_every_feasible_dual_field_bounds_the_functional(recon33, bump33):
     grid = bump33.grid
     rng = np.random.default_rng(11)
     u = recon33.u_star
-    fval = weighted_tv(u, bump33.a, bump33.sigma0)
-    gr = gradient(u)
+    fval = weighted_tv(u.values, bump33.a.values, bump33.sigma0)
+    g1, g2 = grad(grid, u.values)
     for _ in range(5):
         b1 = rng.standard_normal(grid.cell_shape)
         b2 = rng.standard_normal(grid.cell_shape)
@@ -475,9 +473,9 @@ def test_every_feasible_dual_field_bounds_the_functional(recon33, bump33):
         scale = np.where(nrm > 0, np.minimum(1.0, bump33.a.values / np.maximum(nrm, 1e-300)), 0.0)
         B = VectorField2(grid, b1 * scale, b2 * scale)
         assert dual_feasibility(B, bump33.a, bump33.sigma0) <= 1e-12
-        pair_grad = float(np.sum(gr.v1 * B.v1 + gr.v2 * B.v2)) * grid.cell_area
-        pair_div = -float(np.sum(u.values * divergence(B).values)) * grid.cell_area
-        assert pair_grad == pytest.approx(pair_div, abs=1e-10 * max(1.0, abs(pair_grad)))
+        pair_grad = float(np.sum(g1 * B.v1 + g2 * B.v2)) * grid.cell_area
+        pair_adj = float(np.sum(u.values * grad_adjoint(grid, B.v1, B.v2))) * grid.cell_area
+        assert pair_grad == pytest.approx(pair_adj, abs=1e-10 * max(1.0, abs(pair_grad)))
         assert pair_grad <= fval * (1.0 + 1e-12)
 
 
@@ -567,11 +565,11 @@ def test_gradient_aligns_with_transported_current(recon33, bump33):
     det = sym2_det(*bump33.sigma0.entries)
     w1 = -(i11 * J.v1 + i12 * J.v2) / det
     w2 = -(i12 * J.v1 + i22 * J.v2) / det
-    gr = gradient(recon33.u_star)
+    g1, g2 = grad(bump33.grid, recon33.u_star.values)
     amax = float(np.max(bump33.a.values))
     sel = bump33.a.values >= 0.2 * amax
-    dot = gr.v1 * w1 + gr.v2 * w2
-    norms = np.hypot(gr.v1, gr.v2) * np.hypot(w1, w2)
+    dot = g1 * w1 + g2 * w2
+    norms = np.hypot(g1, g2) * np.hypot(w1, w2)
     ang = np.arccos(np.clip(dot[sel] / np.maximum(norms[sel], 1e-300), -1.0, 1.0))
     assert float(np.max(ang)) <= 1e-2
 
