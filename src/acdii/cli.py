@@ -403,20 +403,29 @@ def cmd_invert(cfg, args, chash) -> int:
 
 
 def cmd_verify(cfg, args, chash) -> int:
-    triplet = load_triplet(_require_triplet(cfg))
+    triplet_dir = _require_triplet(cfg)
+    triplet = load_triplet(triplet_dir)
     grid = triplet.grid
     vcfg = cfg["verify"]
     seed = args.seed if args.seed is not None else vcfg["seed"]
 
     recon_dir = cfg["input"]["recon"]
     if recon_dir is not None:
-        u = read_matching(Path(recon_dir) / "u_star.field", grid, location="node")
+        u_path = Path(recon_dir) / "u_star.field"
+        u = read_matching(u_path, grid, location="node")
         u_source = "recon"
     elif triplet.provenance.get("u_true") is not None:
+        u_path = Path(triplet_dir) / "u_true"
         u = ScalarField(grid, triplet.provenance["u_true"], location="node")
         u_source = "provenance"
     else:
         raise ConfigError("verify needs input.recon or a triplet with a stored potential")
+    # every audit reads u as a potential of the triplet's problem, so it
+    # must carry the Dirichlet data f to round-off
+    fb = triplet.f.values.ravel()[grid.boundary_ids]
+    gap = float(np.max(np.abs(u.values.ravel()[grid.boundary_ids] - fb)))
+    if gap > 1e-12 * max(1.0, float(np.max(np.abs(fb)))):
+        raise DataError(f"{u_path}: boundary values differ from the triplet's f by {gap:.3e}")
 
     c_rec, mask_z, _ = recover_c(u, triplet.a, triplet.sigma0)
     current = compute_current(u, c_rec, triplet.sigma0, dead=mask_z)

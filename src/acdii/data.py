@@ -108,14 +108,11 @@ PENALIZED_K = 1e-6
 _TRUTH_TOL = 1e-10
 
 
-def _truth_inputs(c_true, f, grid: Grid2D):
-    """(cell array of c_true, node field of f) from fields, arrays or numbers."""
+def _cell_array(c_true, grid: Grid2D):
+    """Cell array of c_true from a field, an array or a number."""
     if isinstance(c_true, ScalarField):
-        c_arr = c_true.values
-    else:
-        c_arr = np.broadcast_to(np.asarray(c_true, dtype=np.float64), grid.cell_shape)
-    f_field = f if isinstance(f, ScalarField) else ScalarField(grid, f, location="node")
-    return c_arr, f_field
+        return c_true.values
+    return np.broadcast_to(np.asarray(c_true, dtype=np.float64), grid.cell_shape)
 
 
 def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
@@ -128,19 +125,19 @@ def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
     (u, current) with the current zeroed on insulating cells, so a
     computed from it is exactly zero there.
     """
-    c_arr, f_field = _truth_inputs(c_true, f, grid)
+    c_arr = _cell_array(c_true, grid)
     has_inclusions = inclusions is not None and (inclusions.perfect or inclusions.insulating)
     if has_inclusions:
         sigma = sigma0.scaled(c_arr)
-        u = solve_inclusion_limit(sigma, f_field, grid, inclusions, tol=_TRUTH_TOL)
+        u = solve_inclusion_limit(sigma, f, grid, inclusions, tol=_TRUTH_TOL)
     else:
         system = assemble(c_arr, sigma0, grid)
-        u = solve_dirichlet(system, f_field, tol=_TRUTH_TOL)
+        u = solve_dirichlet(system, f, tol=_TRUTH_TOL)
 
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
     if has_inclusions and inclusions.perfect:
-        u_k = solve_penalized(PENALIZED_K, sigma0, sigma, f_field, grid, inclusions, tol=_TRUTH_TOL)
+        u_k = solve_penalized(PENALIZED_K, sigma0, sigma, f, grid, inclusions, tol=_TRUTH_TOL)
         j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
         perf = inclusions.perfect_mask()
         current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),
@@ -155,8 +152,8 @@ def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions
     The truth current (penalized fill over perfect components included)
     defines a; multiplicative noise (if any) is applied to a last.
     """
-    c_arr, f_field = _truth_inputs(c_true, f, grid)
-    u, current = solve_truth(c_arr, sigma0, f_field, grid, inclusions)
+    c_arr = _cell_array(c_true, grid)
+    u, current = solve_truth(c_arr, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
     if noise_level > 0.0:
         a = add_noise(a, noise_level, seed)
@@ -170,7 +167,7 @@ def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions
         "penalized_k": PENALIZED_K if (inclusions is not None and inclusions.perfect) else None,
     }
     return AdmissibleTriplet(
-        f=f_field, sigma0=sigma0, a=a, grid=grid, inclusions=inclusions, provenance=provenance
+        f=f, sigma0=sigma0, a=a, grid=grid, inclusions=inclusions, provenance=provenance
     )
 
 

@@ -25,6 +25,10 @@ node values of u: `tv_density`, its one per-cell density, and
 every audit evaluate F through them, and the forward Dirichlet energy
 integrates the square of the same density.
 
+`label_cells` numbers the 4-connected components of a boolean cell
+plane, which the inclusion checks and the inclusion classification
+walk component by component.
+
 All field values are float64 and frozen after construction.
 """
 
@@ -32,8 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 class GridError(ValueError):
@@ -316,6 +318,43 @@ def nodes_of_cells(cells) -> np.ndarray:
     nodes[1:, :-1] |= cells
     nodes[1:, 1:] |= cells
     return nodes
+
+
+def label_cells(mask):
+    """(labels, count) of the 4-connected components of a boolean cell plane.
+
+    Array union-find in the hook-and-jump scheme of Shiloach & Vishkin
+    (J. Algorithms 1982): every edge between two masked cells with
+    different roots hooks the larger root to the smaller one, then the
+    parent array pointer-jumps until each cell points at its root; this
+    repeats until no edge joins two roots.  A root is the smallest
+    row-major id of its component, so components are numbered 1..count
+    in the raster order of their first cell.  Unmasked cells get 0.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ids = np.arange(mask.size).reshape(mask.shape)
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1] & mask[1:]
+    lo = np.concatenate([ids[:, :-1][across], ids[:-1][down]])
+    hi = np.concatenate([ids[:, 1:][across], ids[1:][down]])
+    parent = np.arange(mask.size)
+    while True:
+        r_lo, r_hi = parent[lo], parent[hi]
+        join = r_lo != r_hi
+        if not join.any():
+            break
+        # an edge whose ends share a root keeps sharing one, so it is dropped
+        lo, hi, r_lo, r_hi = lo[join], hi[join], r_lo[join], r_hi[join]
+        np.minimum.at(parent, np.maximum(r_lo, r_hi), np.minimum(r_lo, r_hi))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    flat = mask.ravel()
+    roots = flat & (parent == ids.ravel())
+    labels = np.where(flat, np.cumsum(roots)[parent], 0).reshape(mask.shape)
+    return labels, int(np.count_nonzero(roots))
 
 
 def rel_l2(x, ref) -> float:

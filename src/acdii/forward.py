@@ -37,13 +37,13 @@ fixed operation order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .fields import (
-    _CROSS,
     Grid2D,
     ScalarField,
     TensorField2,
+    label_cells,
     nodes_of_cells,
     tv_density,
 )
@@ -109,10 +109,10 @@ class InclusionSet:
         for kind, m in comps:
             if not m.any():
                 raise AssemblyError(f"empty {kind} component")
-            _, ncomp = ndimage.label(m, structure=_CROSS)
+            _, ncomp = label_cells(m)
             if ncomp != 1:
                 raise AssemblyError(f"{kind} component is not 4-connected")
-            _, nholes = ndimage.label(~m, structure=_CROSS)
+            _, nholes = label_cells(~m)
             if nholes != 1:
                 raise AssemblyError(f"{kind} component is not simply connected")
             nodes = nodes_of_cells(m)
@@ -126,7 +126,7 @@ class InclusionSet:
         rest = ~self.union_mask()
         if not rest.any():
             raise AssemblyError("inclusions cover the whole domain")
-        _, ncomp = ndimage.label(rest, structure=_CROSS)
+        _, ncomp = label_cells(rest)
         if ncomp != 1:
             raise AssemblyError("inclusions disconnect the background cells")
 
@@ -657,7 +657,7 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     layout = system.layout
     guess = None
     if x0 is not None:
-        x0v = x0.values if isinstance(x0, ScalarField) else np.asarray(x0, dtype=np.float64)
+        x0v = np.asarray(x0, dtype=np.float64)
         # a tied component starts from the mean of its nodes' guesses
         guess = ((layout.restriction.T @ x0v.ravel()) / layout.tie_counts)[layout.keep]
     x, system.cg_residual, system.cg_iterations = _pcg(system.matrix, b, tol, max_iter, x0=guess)

@@ -40,16 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import ndimage
 
 from .data import AdmissibleTriplet, compute_current
 from .fields import (
-    _CROSS,
     ScalarField,
     TensorField2,
     VectorField2,
     grad_adjoint,
     grad_operator,
+    label_cells,
     nodes_of_cells,
     rel_l2,
     sym2_apply,
@@ -622,7 +621,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, sigma0: TensorField
     h = min(grid.hx, grid.hy)
     holder_threshold = _HOLDER_FACTOR * max(scale_a, 1e-300) / h**_HOLDER_ALPHA
 
-    comp_map, ncomp = ndimage.label(mask, structure=_CROSS)
+    comp_map, ncomp = label_cells(mask)
     out = []
     for ci in range(1, ncomp + 1):
         comp = comp_map == ci

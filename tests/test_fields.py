@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from acdii.fields import (
     Grid2D,
@@ -13,6 +14,7 @@ from acdii.fields import (
     grad,
     grad_adjoint,
     grad_operator,
+    label_cells,
     sample_cell_field,
     sym2_apply,
     sym2_det,
@@ -177,3 +179,48 @@ def test_sample_cell_field_clamps_at_rim():
     cv = np.arange(16, dtype=float).reshape(4, 4)
     inside = sample_cell_field(g, cv, np.array([0.0]), np.array([0.0]))
     assert inside[0] == pytest.approx(cv[0, 0])
+
+
+def _serpentine(ny, nx):
+    """One boustrophedon path: full even rows joined at alternating ends."""
+    m = np.zeros((ny, nx), dtype=bool)
+    m[::2] = True
+    m[1::4, -1] = True
+    m[3::4, 0] = True
+    return m
+
+
+def _spiral(ny, nx):
+    """One square spiral of width 1 and gap 1, wound inward from the rim."""
+    m = np.zeros((ny, nx), dtype=bool)
+    if ny > 0 and nx > 0:
+        m[[0, -1], :] = True
+        m[:, [0, -1]] = True
+        if ny > 2:
+            m[1, 0] = False
+        if ny > 4 and nx > 4:
+            m[2, 1] = True
+            m[2:-2, 2:-2] = _spiral(ny - 4, nx - 4)
+    return m
+
+
+@st.composite
+def _cell_masks(draw):
+    ny, nx = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "serpentine", "spiral"]))
+    if kind == "random":
+        density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.random((ny, nx)) < density
+    m = (_serpentine if kind == "serpentine" else _spiral)(ny, nx)
+    return ~m if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mask=_cell_masks())
+def test_label_cells_matches_the_cross_structured_image_labeler(mask):
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    labels, count = label_cells(mask)
+    ref, ref_count = ndimage.label(mask, structure=cross)
+    assert count == ref_count
+    np.testing.assert_array_equal(labels, ref)

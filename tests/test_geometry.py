@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,18 @@ def test_truncation_ladder_exact_on_anisotropic_slab():
     assert res["cauchy"] == 0.0
     assert res["vs_anisotropic"] == pytest.approx(0.0, abs=1e-12)
     assert res["limit"] == pytest.approx(res["anisotropic_perimeter"], rel=1e-12)
+
+
+def test_truncation_ladder_of_a_constant_potential_is_finite_zeros(bump33):
+    # range(u) = 0 leaves the truncation ladder with no width: the audit
+    # records finite zeros and warns of nothing
+    u = ScalarField(bump33.grid, np.full(bump33.grid.shape, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trunc = truncation_limit_audit(u, bump33.a, bump33.sigma0, level=0.25)
+    assert all(np.isfinite(v) for v in trunc.values() if isinstance(v, float))
+    assert trunc["tv_values"] == [0.0] * len(trunc["eps_ladder"])
+    assert trunc["vs_anisotropic"] == 0.0
 
 
 def test_curves_to_csv_layout():
