@@ -47,7 +47,7 @@ from .data import (
     solve_truth,
     synthesize_triplet,
 )
-from .fields import Grid2D, GridError, ScalarField, TensorField2, rel_l2
+from .fields import Grid2D, GridError, ScalarField, TensorField2, nodes_of_cells, rel_l2
 from .forward import (
     AssemblyError,
     ConvergenceError,
@@ -210,6 +210,13 @@ def build_sigma0(cfg, grid: Grid2D) -> TensorField2:
     if s["kind"] == "identity":
         return TensorField2.constant(grid, 1.0, 0.0, 1.0)
     if s["kind"] == "constant":
+        # a cross-key rule the per-key schema cannot state
+        det = s["s11"] * s["s22"] - s["s12"] ** 2
+        if not det > 0.0:
+            raise ConfigError(
+                f"config entry 'truth.sigma0' must be positive definite; "
+                f"s11 * s22 - s12^2 is {det:.6g}"
+            )
         return TensorField2.constant(grid, s["s11"], s["s12"], s["s22"])
     ct, st = np.cos(s["angle"]), np.sin(s["angle"])
     d1, d2 = s["d1"], s["d2"]
@@ -239,14 +246,33 @@ def build_inclusions(cfg, grid: Grid2D):
     entries = cfg["inclusions"]
     if not entries:
         return None
-    perfect, insulating = [], []
-    for e in entries:
+    perfect, insulating, closures = [], [], []
+    for i, e in enumerate(entries):
         if e["shape"] == "disk":
             m = disk_cells(grid, e["center"], e["radius"])
         else:
             m = rect_cells(grid, e["lo"], e["hi"])
+        # the rules on one component, then on a pair, then on the whole set
+        try:
+            InclusionSet(grid, **{e["type"]: [m]})
+        except AssemblyError as exc:
+            raise ConfigError(
+                f"config entry 'inclusions[{i}]' is no valid {e['type']} inclusion on "
+                f"this grid: {exc}"
+            ) from exc
+        closure = nodes_of_cells(m)
+        for j, other in enumerate(closures):
+            if (closure & other).any():
+                raise ConfigError(
+                    f"config entries 'inclusions[{j}]' and 'inclusions[{i}]' overlap on "
+                    f"this grid: their closures share a node"
+                )
+        closures.append(closure)
         (perfect if e["type"] == "perfect" else insulating).append(m)
-    return InclusionSet(grid, perfect=perfect, insulating=insulating)
+    try:
+        return InclusionSet(grid, perfect=perfect, insulating=insulating)
+    except AssemblyError as exc:
+        raise ConfigError(f"config entry 'inclusions' is no valid inclusion set: {exc}") from exc
 
 
 # -- serialization helpers -------------------------------------------------------

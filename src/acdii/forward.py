@@ -17,11 +17,13 @@ k -> 0, with energies increasing monotonically toward the limit energy
 (each smaller k enlarges the quadratic form, and the tied solution is
 feasible at every k).
 
-Assembly has a fixed pattern.  A `Layout` (the grid, the contributing
-cells and the perfect components) fixes the dof maps, the CSR pattern of
-the reduced matrix and the multigrid prolongations once; each `assemble`
-on it only refills values, by 9-point stencil arithmetic on the per-cell
-tensor entries plus fixed index gathers.
+Assembly has a fixed pattern.  A `Layout` (the grid, sigma0, the
+contributing cells and the perfect components) fixes once the dof maps,
+the CSR patterns of the reduced matrix and of its Dirichlet coupling, the
+multigrid prolongations, and the stiffness map: a sparse matrix from the
+cell factor c to the stored values of both patterns.  Only c changes
+between refills, so every `assemble` on a layout is one sparse product of
+the map with c.
 
 Every reduced system is solved by conjugate gradients preconditioned with
 a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
@@ -190,71 +192,143 @@ def element_templates(hx: float, hy: float):
     return kxx, kxy, kyy
 
 
-# -- fixed-pattern assembly ----------------------------------------------------
+# -- the stiffness map -----------------------------------------------------------
 
 # The ten distinct entries of the symmetric 4x4 cell matrix, as corner pairs.
 _CORNER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (3, 2), (0, 3), (1, 2), (0, 2), (1, 3))
+# (row, column) step of each corner's node from the cell's (j, i) node
+_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+# the (row, column) steps of the 9-point stencil, in increasing node offset
+_STEPS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
 
-def _node_couplings(grid: Grid2D, k) -> np.ndarray:
-    """Node-graph values of the 9-point stencil from per-cell entries.
+def _step(a: int, b: int) -> int:
+    """Index in `_STEPS` of the step from corner a to corner b of a cell."""
+    return _STEPS.index((_CORNERS[b][0] - _CORNERS[a][0], _CORNERS[b][1] - _CORNERS[a][1]))
 
-    `k` holds one (ny-1, nx-1) array per pair of `_CORNER_PAIRS`.  The
-    result is one flat vector: every node's diagonal, then every node's
-    coupling to its east, north, northeast and northwest neighbor, each
-    block row-major (the order of `_coupling_ends`).
+
+def _coupled_nodes(contributing: np.ndarray):
+    """Per step of `_STEPS`, the flat ids of the nodes that share a contributing
+    cell with their neighbor one step away."""
+    ny, nx = contributing.shape[0] + 1, contributing.shape[1] + 1
+    padded = np.pad(contributing, 1)
+    # the cells a node shares with that neighbor, as (row, column) offsets from the node
+    shared = {-1: (-1,), 0: (-1, 0), 1: (0,)}
+    for dy, dx in _STEPS:
+        coupled = np.zeros((ny, nx), dtype=bool)
+        for ey in shared[dy]:
+            for ex in shared[dx]:
+                coupled |= padded[1 + ey:1 + ey + ny, 1 + ex:1 + ex + nx]
+        yield np.flatnonzero(coupled).astype(np.int32)
+
+
+def _interleave(x, y):
+    """[x0, y0, x1, y1, ...]."""
+    out = np.empty(2 * x.size, dtype=x.dtype)
+    out[0::2], out[1::2] = x, y
+    return out
+
+
+def _sorted_keys(parts):
+    """The sorted distinct values of the int64 arrays `parts`."""
+    keys = np.concatenate(parts)
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _pattern(keys, n_rows, n_cols):
+    """(indices, indptr) in int32 of the CSR pattern whose sorted keys are row * n_cols + col."""
+    rows = keys // n_cols
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return (keys - rows * n_cols).astype(np.int32), indptr
+
+
+def _fill_rows(indptr, batches, n_cols):
+    """The CSR matrix whose row r holds the (column, value) terms sent to r.
+
+    `batches` yields (rows, columns, values) arrays; within a row the
+    terms keep the order of the batches and, inside one batch, their own
+    order.  `indptr` holds the row counts' running sum.
     """
-    ny, nx = grid.shape
-    k00, k11, k22, k33, k01, k32, k03, k12, k02, k13 = k
-    center = np.zeros((ny, nx))
-    center[:-1, :-1] += k00
-    center[:-1, 1:] += k11
-    center[1:, 1:] += k22
-    center[1:, :-1] += k33
-    east = np.zeros((ny, nx - 1))
-    east[:-1] += k01
-    east[1:] += k32
-    north = np.zeros((ny - 1, nx))
-    north[:, :-1] += k03
-    north[:, 1:] += k12
-    return np.concatenate([center.ravel(), east.ravel(), north.ravel(), k02.ravel(), k13.ravel()])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    fill = indptr[:-1].copy()
+    for rows, cols, vals in batches:
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        head = np.concatenate(([True], rows[1:] != rows[:-1]))
+        at = np.arange(rows.size, dtype=np.int32)
+        # a term's slot: its row's next free one plus its rank among the batch's terms of that row
+        slot = fill[rows] + at - np.maximum.accumulate(np.where(head, at, 0))
+        indices[slot], data[slot] = cols[order], vals[order]
+        tail = np.concatenate((head[1:], [True]))
+        fill[rows[tail]] = slot[tail] + 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
-def _coupling_ends(grid: Grid2D):
-    """The two end nodes of every entry of `_node_couplings`."""
-    ids = np.arange(grid.n_nodes, dtype=np.int32).reshape(grid.shape)
-    first = [ids, ids[:, :-1], ids[:-1, :], ids[:-1, :-1], ids[:-1, 1:]]
-    second = [ids, ids[:, 1:], ids[1:, :], ids[1:, 1:], ids[1:, :-1]]
-    return (np.concatenate([a.ravel() for a in first]),
-            np.concatenate([a.ravel() for a in second]))
+def _patterns(grid: Grid2D, contributing, node_kept, boundary):
+    """The CSR patterns of the reduced matrix and of its Dirichlet coupling.
 
-
-class _SummingPattern:
-    """A fixed CSR pattern plus the gathers that fill it from stencil values.
-
-    Entry i of the data is values[first[i]] plus the values[extra_src]
-    whose extra_dst is i.  Terms are ordered by (entry, source), so the
-    two mirror entries of a symmetric matrix add the same terms in the
-    same order; only tied unknowns have extra terms.
+    `node_kept` maps a node to its reduced unknown (-1 if it has none)
+    and `boundary` to its Dirichlet index (-1 if it is not on the rim).
+    Returns ((indices, indptr) of the matrix, (indices, indptr) of the
+    coupling, the positions of the matrix diagonal, and `row_of`): row
+    `row_of[d, p]` of the stiffness map is the entry of node p's coupling
+    to its neighbor one step `_STEPS[d]` away, the matrix's entries first
+    and then the coupling's, or -1 where p has no unknown.
     """
+    n, m, nb = grid.n_nodes, int(node_kept.max()) + 1, grid.boundary_ids.size
+    # the (row, column) keys of both patterns, one stencil step at a time
+    matrix_keys, coupling_keys, ends = [], [], []
+    for (dy, dx), p in zip(_STEPS, _coupled_nodes(contributing)):
+        p = p[node_kept[p] >= 0]
+        rows, q = node_kept[p].astype(np.int64), p + (dy * grid.nx + dx)
+        inner = node_kept[q] >= 0
+        matrix_keys.append(rows[inner] * m + node_kept[q[inner]])
+        coupling_keys.append(rows[~inner] * nb + boundary[q[~inner]])
+        ends.append((p[inner], p[~inner]))
+    matrix_sorted, coupling_sorted = _sorted_keys(matrix_keys), _sorted_keys(coupling_keys)
+    row_of = np.full((len(_STEPS), n), -1, dtype=np.int32)
+    for step, (inner, outer), mk, ck in zip(row_of, ends, matrix_keys, coupling_keys):
+        step[inner] = np.searchsorted(matrix_sorted, mk)
+        step[outer] = matrix_sorted.size + np.searchsorted(coupling_sorted, ck)
+    diagonal = np.searchsorted(matrix_sorted, np.arange(m) * (m + 1)).astype(np.int32)
+    return (_pattern(matrix_sorted, m, m), _pattern(coupling_sorted, m, nb), diagonal, row_of)
 
-    def __init__(self, rows, cols, src, shape):
-        order = np.lexsort((src, cols, rows))
-        rows, cols, src = rows[order], cols[order], src[order]
-        lead = np.ones(rows.size, dtype=bool)
-        lead[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        self.first = src[lead].astype(np.intp)
-        self.extra_dst = np.cumsum(lead)[~lead] - 1
-        self.extra_src = src[~lead].astype(np.intp)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[lead], minlength=shape[0]))])
-        # scipy's own index dtype, so refills construct without a copy
-        template = sparse.csr_matrix((np.zeros(self.first.size), cols[lead], indptr), shape=shape)
-        self.indices, self.indptr, self.shape = template.indices, template.indptr, shape
 
-    def fill(self, values: np.ndarray):
-        data = values[self.first]
-        np.add.at(data, self.extra_dst, values[self.extra_src])
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+def _stiffness_map(grid: Grid2D, sigma0: TensorField2, contributing, row_of, n_rows):
+    """The CSR map from the cell factor c to the values of both patterns.
+
+    Every contributing cell sends, one corner pair at a time, its sigma0
+    element coefficient s11 Kxx + s12 Kxy + s22 Kyy to the map row
+    `row_of` gives the pair's two nodes.  An off-diagonal pair sends both
+    orientations side by side with one weight, so the two mirror entries
+    of the matrix get the same terms in the same order.
+    """
+    cells = np.flatnonzero(contributing).astype(np.int32)
+    base = cells + cells // np.int32(grid.nx - 1)  # node (j, i) of cell (j, i)
+    corner = [base + np.int32(dy * grid.nx + dx) for dy, dx in _CORNERS]
+    pair_rows = [
+        row_of[_step(a, b), corner[a]] if a == b else
+        _interleave(row_of[_step(a, b), corner[a]], row_of[_step(b, a), corner[b]])
+        for a, b in _CORNER_PAIRS
+    ]
+    counts = np.bincount(np.concatenate(pair_rows) + 1, minlength=n_rows + 1)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(counts[1:], out=indptr[1:])
+    kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
+    s11, s12, s22 = (s.ravel()[cells] for s in sigma0.entries)
+
+    def batches():
+        for (a, b), rows in zip(_CORNER_PAIRS, pair_rows):
+            cols, weights = cells, s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b]
+            if a != b:
+                cols, weights = _interleave(cells, cells), _interleave(weights, weights)
+            live = rows >= 0
+            yield rows[live], cols[live], weights[live]
+
+    return _fill_rows(indptr, batches(), contributing.size)
 
 
 def _dof_matrix(node_dof, ndof):
@@ -328,11 +402,10 @@ def _prolongations(shape, node_dof, ndof, keep):
     return out
 
 
-def _jacobi(a):
-    """Damped Jacobi weights 4 / (3 g) / diag(a), g the Gershgorin bound of D^-1 a."""
-    diag = a.diagonal()
-    # every kept row holds its diagonal, so no row is empty
-    bound = float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1]) / diag))
+def _jacobi(a, diag):
+    """Damped Jacobi weights 4 / (3 g) / diag, g the Gershgorin bound of D^-1 a."""
+    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    bound = float(np.max((magnitudes @ np.ones(a.shape[1])) / diag))
     return (4.0 / (3.0 * bound)) / diag
 
 
@@ -345,29 +418,34 @@ class Multigrid:
     smoother contracts in the energy norm and the symmetric cycle is an
     SPD preconditioner.  The coarsest level is solved by dense Cholesky.
 
-    The hierarchy is every level >= 1 with its Jacobi weights and the
-    coarsest factor.  It is built from `matrix`, or taken unchanged from
-    `hierarchy`, an earlier `Multigrid` on the same prolongations (the
-    same `Layout`).  Level 0 and its weights always come from `matrix`,
-    so a reused hierarchy lags only the preconditioner: the cycle is still
+    `matrix` has the pattern of `layout` (see `Layout`), whose
+    prolongations the cycle uses; its diagonal is read at the layout's
+    fixed positions.  The hierarchy is every level >= 1 with its Jacobi
+    weights and the coarsest factor.  It is built from `matrix`, or taken
+    unchanged from `hierarchy`, an earlier `Multigrid` on the same
+    `Layout`.  Level 0 and its weights always come from `matrix`, so a
+    reused hierarchy lags only the preconditioner: the cycle is still
     SPD, because the smoother contracts in the new energy norm and the
     coarse correction is an SPD cycle of its own.
     """
 
-    def __init__(self, matrix, prolongations, hierarchy: Multigrid | None = None):
-        if hierarchy is not None and hierarchy.prolongations is not prolongations:
+    def __init__(self, matrix, layout: Layout, hierarchy: Multigrid | None = None):
+        if hierarchy is not None and hierarchy.layout is not layout:
             raise AssemblyError("multigrid hierarchy was built on another layout")
+        self.layout = layout
         self.levels = [matrix]
-        self.prolongations = prolongations
+        self.prolongations = prolongations = layout.prolongations
+        fine = matrix.data[layout.diagonal]
         if hierarchy is not None and prolongations:
             self.levels += hierarchy.levels[1:]
-            self.smoothers = [_jacobi(matrix)] + hierarchy.smoothers[1:]
+            self.smoothers = [_jacobi(matrix, fine)] + hierarchy.smoothers[1:]
             self.coarse_scale = hierarchy.coarse_scale
             self.coarse_inverse_factor = hierarchy.coarse_inverse_factor
             return
         for p, pt in prolongations:
             self.levels.append((pt @ (self.levels[-1] @ p)).tocsr())
-        self.smoothers = [_jacobi(a) for a in self.levels[:-1]]
+        diagonals = [fine] + [a.diagonal() for a in self.levels[1:-1]]
+        self.smoothers = [_jacobi(a, d) for a, d in zip(self.levels[:-1], diagonals)]
         # the coarsest solve applies 2^-e L^-T L^-1 with 2^-e A = L L^T: a
         # power-of-two scale is exact, so the cycle stays bit-for-bit
         # equivariant under doubling the coefficient
@@ -378,6 +456,16 @@ class Multigrid:
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("coarsest multigrid operator is not positive definite") from exc
         self.coarse_inverse_factor = np.linalg.inv(factor)
+
+    def release_fine_level(self) -> Multigrid:
+        """Free level 0 and its weights; what is left can only seed a refill.
+
+        Passed as the `hierarchy` of the next refill on the same layout, it
+        keeps one fine level alive during that refill instead of two.
+        """
+        self.levels = [None] + self.levels[1:]
+        self.smoothers = [None] + self.smoothers[1:]
+        return self
 
     def __matmul__(self, x):
         return self.levels[0] @ x
@@ -399,22 +487,31 @@ class Multigrid:
 
 
 class Layout:
-    """What a reduced system keeps across coefficient refills.
+    """What a reduced system keeps across refills of the cell factor c.
 
-    A layout is fixed by the grid, the contributing cells and the
+    A layout is fixed by the grid, sigma0, the contributing cells and the
     perfectly conducting components.  Dirichlet nodes are eliminated by
     lifting, each perfect component is aggregated to one unknown, and
     unknowns with no stiffness (nodes fully surrounded by deleted cells)
     are dropped and later filled by neighbor averaging.  The layout holds
-    those dof maps with the node count of each dof, the CSR patterns of
-    the reduced matrix and of its coupling to the Dirichlet nodes with
-    the index maps that fill them from 9-point stencil values, and the
-    multigrid prolongations.
+    those dof maps with the node count of each dof, the int32 CSR
+    patterns of the reduced matrix (`indices`, `indptr`, with the
+    positions of its diagonal in `diagonal`) and of its coupling to the
+    Dirichlet nodes, and the multigrid prolongations.
+
+    `stiffness` maps c to the values of both patterns: a CSR matrix with
+    one row per stored entry (the matrix's, then the coupling's) and one
+    column per cell, holding each contributing cell's sigma0 element
+    coefficient s11 Kxx + s12 Kxy + s22 Kyy for that entry's corner
+    pairs.  Every assembly on the layout is the one product
+    `stiffness @ c`.  Mirror entries add the same terms in the same
+    order, so the matrix is exactly symmetric.
     """
 
-    def __init__(self, grid: Grid2D, contributing: np.ndarray, perfect=()):
+    def __init__(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect=()):
         n = grid.n_nodes
         self.grid = grid
+        self.sigma0 = sigma0
         self.contributing = contributing
         self.perfect = list(perfect)
 
@@ -437,47 +534,30 @@ class Layout:
         # nodes per dof: a tied component's warm start is the mean of its nodes
         self.tie_counts = self.restriction.T @ np.ones(n)
 
-        # an entry has a structural nonzero iff a contributing cell touches it
-        live = _node_couplings(grid, [contributing.astype(np.float64)] * 10) > 0.0
+        # an unknown has stiffness iff a contributing cell touches one of its nodes
         stiff = np.zeros(ndof, dtype=bool)
-        stiff[node_dof[live[:n] & free]] = True
+        stiff[node_dof[nodes_of_cells(contributing).ravel() & free]] = True
         self.keep = np.flatnonzero(stiff)
         if self.keep.size == 0:
             raise AssemblyError("assembled system is empty")
-        self.n_unknowns = self.keep.size
-        # the pattern is built in int32, which halves its transient memory
+        self.n_unknowns = m = self.keep.size
         kept = np.full(ndof, -1, dtype=np.int32)
-        kept[self.keep] = np.arange(self.keep.size)
+        kept[self.keep] = np.arange(m)
         node_kept = np.where(node_dof >= 0, kept[node_dof], -1).astype(np.int32)
         boundary = np.full(n, -1, dtype=np.int32)
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
-        first, second = _coupling_ends(grid)
-        e = np.flatnonzero(live).astype(np.int32)
-        p, q = first[e], second[e]
-        rp, rq = node_kept[p], node_kept[q]
-        both = (rp >= 0) & (rq >= 0)
-        mirror = both & (p != q)
-        m = self.n_unknowns
-        self.pattern = _SummingPattern(
-            np.concatenate([rp[both], rq[mirror]]),
-            np.concatenate([rq[both], rp[mirror]]),
-            np.concatenate([e[both], e[mirror]]),
-            (m, m),
-        )
-        to_q = (rp >= 0) & (boundary[q] >= 0)
-        to_p = (rq >= 0) & (boundary[p] >= 0)
-        self.coupling = _SummingPattern(
-            np.concatenate([rp[to_q], rq[to_p]]),
-            np.concatenate([boundary[q[to_q]], boundary[p[to_p]]]),
-            np.concatenate([e[to_q], e[to_p]]),
-            (m, grid.boundary_ids.size),
-        )
+        matrix, coupling, self.diagonal, row_of = _patterns(grid, contributing, node_kept, boundary)
+        self.indices, self.indptr = matrix
+        self.coupling_indices, self.coupling_indptr = coupling
+        self.stiffness = _stiffness_map(grid, sigma0, contributing, row_of,
+                                        self.indices.size + self.coupling_indices.size)
         self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
 
-    def fits(self, grid: Grid2D, contributing: np.ndarray, perfect) -> bool:
+    def fits(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect) -> bool:
         return (
             self.grid.same_layout(grid)
+            and all(np.array_equal(a, b) for a, b in zip(self.sigma0.entries, sigma0.entries))
             and np.array_equal(self.contributing, contributing)
             and len(self.perfect) == len(perfect)
             and all(np.array_equal(a, b) for a, b in zip(self.perfect, perfect))
@@ -516,9 +596,10 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
     `c` is a cell scalar (ScalarField or array) and must be positive on
     every contributing cell; insulating and perfect inclusion cells and
     any `exclude_cells` are left out of the quadrature.  Passing the
-    `layout` of an earlier system with the same grid, cells and
-    inclusions skips rebuilding it: only the values are refilled.
-    Passing that system's `matrix` as `hierarchy` also keeps its coarse
+    `layout` of an earlier system with the same grid, sigma0, cells and
+    inclusions skips rebuilding it: the values are then the one product
+    of its stiffness map with c.  Passing that system's `matrix` (or what
+    its `release_fine_level` left) as `hierarchy` also keeps its coarse
     multigrid levels, so only the fine level is rebuilt (see `Multigrid`);
     a hierarchy from another layout raises AssemblyError.
     """
@@ -548,17 +629,16 @@ def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cel
         )
     perfect = inclusions.perfect if inclusions is not None else []
     if layout is None:
-        layout = Layout(grid, contributing, perfect)
-    elif not layout.fits(grid, contributing, perfect):
-        raise AssemblyError("layout was built for another grid, cell set or inclusion set")
+        layout = Layout(grid, sigma0, contributing, perfect)
+    elif not layout.fits(grid, sigma0, contributing, perfect):
+        raise AssemblyError("layout was built for another grid, sigma0, cell set or inclusion set")
 
-    kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
-    cm = np.where(contributing, c, 0.0)
-    s11, s12, s22 = cm * sigma0.s11, cm * sigma0.s12, cm * sigma0.s22
-    k = [s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b] for a, b in _CORNER_PAIRS]
-    values = _node_couplings(grid, k)
-    matrix = Multigrid(layout.pattern.fill(values), layout.prolongations, hierarchy)
-    return LinearSystem(layout, matrix, layout.coupling.fill(values))
+    data = layout.stiffness @ c.ravel()
+    m, nnz = layout.n_unknowns, layout.indices.size
+    fine = sparse.csr_matrix((data[:nnz], layout.indices, layout.indptr), shape=(m, m))
+    coupling = sparse.csr_matrix((data[nnz:], layout.coupling_indices, layout.coupling_indptr),
+                                 shape=(m, grid.boundary_ids.size))
+    return LinearSystem(layout, Multigrid(fine, layout, hierarchy), coupling)
 
 
 # -- conjugate gradients -------------------------------------------------------

@@ -67,6 +67,30 @@ def build_metric(a: ScalarField, sigma0: TensorField2):
     return a2 * sigma0.s22, -a2 * sigma0.s12, a2 * sigma0.s11
 
 
+def _near_nodes(nodes, hx: float, hy: float, radius: float) -> np.ndarray:
+    """Nodes at Euclidean distance <= radius from a node of the mask `nodes`.
+
+    The dilation of the node mask by that disk, one row offset dy at a
+    time: row j + dy widened by the disk's half-width at that offset.
+    """
+    ny, nx = nodes.shape
+    # count[j, k]: masked nodes among the first k of row j
+    count = np.zeros((ny, nx + 1), dtype=np.int32)
+    np.cumsum(nodes, axis=1, out=count[:, 1:])
+    cols = np.arange(nx)
+    out = np.zeros((ny, nx), dtype=bool)
+    reach = int(radius // hy)
+    for dy in range(-reach, reach + 1):
+        half = int(np.sqrt(max(radius**2 - (dy * hy) ** 2, 0.0)) // hx)
+        lo, hi = np.maximum(cols - half, 0), np.minimum(cols + half + 1, nx)
+        hit = count[:, hi] > count[:, lo]
+        if dy >= 0:
+            out[:ny - dy] |= hit[dy:]
+        else:
+            out[-dy:] |= hit[:ny + dy]
+    return out
+
+
 def curvature_residual(current: VectorField2, dead, collar: float | None = None):
     """Discrete mean-curvature residual -div J of the equipotentials in g.
 
@@ -75,18 +99,19 @@ def curvature_residual(current: VectorField2, dead, collar: float | None = None)
 
     The zero-curvature property is an interior statement, and the
     one-sided stencils of the discrete divergence are not consistent on
-    the outermost node rings, so the rms summary runs over interior
-    nodes with no dead incident cell that lie farther than `collar` from
-    the boundary (a fixed physical width, default one tenth of the
-    smaller domain extent; when no node is that deep the collar is
-    dropped).  On that fixed region the residual of matched data shrinks
-    at second order under refinement.  The full residual field is
-    returned unclipped.
+    the outermost node rings nor on the rings around the dead cells, so
+    the rms summary runs over interior nodes with no dead incident cell
+    that lie farther than `collar` from the boundary and from every dead
+    cell (a fixed physical width, default one tenth of the smaller domain
+    extent; when no node is that deep the collar is dropped).  On that
+    fixed region the residual of matched data shrinks at second order
+    under refinement.  The full residual field is returned unclipped.
     """
     grid = current.grid
     # -div is the adjoint of the cell gradient
     resid = ScalarField(grid, grad_adjoint(grid, current.v1, current.v2), location="node")
-    good = grid.interior_mask() & ~nodes_of_cells(dead)
+    dead_nodes = nodes_of_cells(dead)
+    good = grid.interior_mask() & ~dead_nodes
 
     if collar is None:
         collar = 0.1 * min((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
@@ -97,6 +122,9 @@ def curvature_residual(current: VectorField2, dead, collar: float | None = None)
         dist = np.minimum(np.minimum(i, grid.nx - 1 - i)[None, :] * grid.hx,
                           np.minimum(j, grid.ny - 1 - j)[:, None] * grid.hy)
         deep = good & (dist > collar)
+        if dead_nodes.any():
+            # a dead cell's nearest point to a node is one of its corners
+            deep &= ~_near_nodes(dead_nodes, grid.hx, grid.hy, collar)
         if deep.any():
             good = deep
     vals = resid.values[good]

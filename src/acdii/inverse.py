@@ -167,13 +167,16 @@ class _Anderson:
     The plain step u_k + r_k = Phi(u_k) is taken, with the history
     cleared, at the first step and whenever |r_k| > |r_{k-1}| or the Gram
     system is singular or yields a non-finite gamma; `restarts` counts
-    these last two resets.  Inner products use the pairwise `_dot`, so a
-    rerun repeats every step bit for bit.
+    these last two resets.  The Gram matrix is kept across the steps of
+    a stage: a step refreshes only the row and column of the difference
+    it overwrites.  Inner products use the pairwise `_dot`, so a rerun
+    repeats every step bit for bit.
     """
 
     def __init__(self, shape):
         self.du = np.empty((_ANDERSON_DEPTH,) + shape)
         self.dr = np.empty((_ANDERSON_DEPTH,) + shape)
+        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
         self.reset()
 
     def reset(self):
@@ -194,13 +197,11 @@ class _Anderson:
         np.subtract(r, last[1], out=self.dr[row])
         self.pushed += 1
         k = min(self.pushed, _ANDERSON_DEPTH)
-        gram = np.empty((k, k))
-        for i in range(k):
-            for j in range(i + 1):
-                gram[i, j] = gram[j, i] = _dot(self.dr[i], self.dr[j])
+        for j in range(k):
+            self.gram[row, j] = self.gram[j, row] = _dot(self.dr[row], self.dr[j])
         rhs = np.array([_dot(self.dr[i], r) for i in range(k)])
         try:
-            gamma = np.linalg.solve(gram, rhs)
+            gamma = np.linalg.solve(self.gram[:k, :k], rhs)
         except np.linalg.LinAlgError:
             return self._restart(u, r)
         if not np.all(np.isfinite(gamma)):
@@ -227,6 +228,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     after max_inner steps.  Each step refills the matrix on one layout;
     its multigrid coarse levels are built at a stage's first step and kept
     for the stage, whose coefficient barely moves (CG still meets cg_tol).
+    A step's fine level is released before the next refill.
 
     Returns (u, info).  info records, per stage, the smoothed functional
     of each Phi(u_k) (in absolute units), the inner and CG iteration
@@ -251,6 +253,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     u = solve_dirichlet(system, t.f, tol=problem.cg_tol)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
+    layout, system = system.layout, None
     mixer = _Anderson(grid.shape)
 
     stages = []
@@ -260,14 +263,17 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         mixer.reset()
         hist = []
         cg = 0
+        # a stage's first step builds the coarse levels; later ones keep them
+        hierarchy = None
         for inner in range(1, problem.max_inner + 1):
             weight = tv_density(uvals, sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
-            # a stage's first step builds the coarse levels; later ones keep them
-            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=system.layout,
-                              hierarchy=system.matrix if inner > 1 else None)
+            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=layout,
+                              hierarchy=hierarchy)
             phi = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals).values
             cg += system.cg_iterations
+            # only the coarse levels outlive the step, so a refill holds one fine level
+            hierarchy, system = system.matrix.release_fine_level(), None
             rel = _masked_rel_change(phi, uvals)
             hist.append(amax * weighted_tv(phi, a_hat, sigma0, eps_hat))
             if rel <= problem.fp_tol or inner == problem.max_inner:

@@ -406,6 +406,38 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c["truth"].update(sigma0={"kind": "constant", "s11": 1, "s12": 2, "s22": 1}),
+         "'truth.sigma0'"),
+        (lambda c: c.update(inclusions=[
+            {"shape": "disk", "type": "insulating", "center": [0.3, 0.3], "radius": 0.1},
+            {"shape": "disk", "type": "perfect", "center": [0.5, 0.5], "radius": 0.001}]),
+         "'inclusions[1]'"),
+        (lambda c: c.update(inclusions=[
+            {"shape": "disk", "type": "perfect", "center": [0.05, 0.5], "radius": 0.2}]),
+         "'inclusions[0]'"),
+        (lambda c: c.update(inclusions=[
+            {"shape": "rect", "type": "insulating", "lo": [0.6, 0.6], "hi": [0.4, 0.4]}]),
+         "'inclusions[0]'"),
+        (lambda c: c.update(inclusions=[
+            {"shape": "disk", "type": "perfect", "center": [0.3, 0.5], "radius": 0.15},
+            {"shape": "disk", "type": "insulating", "center": [0.75, 0.5], "radius": 0.1},
+            {"shape": "disk", "type": "insulating", "center": [0.45, 0.5], "radius": 0.1}]),
+         "'inclusions[0]' and 'inclusions[2]'"),
+    ],
+    ids=["sigma0-not-spd", "empty-perfect", "touches-boundary", "empty-rect", "overlap"],
+)
+def test_malformed_truth_entry_exits_2_naming_it(tmp_path, capsys, edit, named):
+    cfg = _base_config(tmp_path / "out")
+    edit(cfg)
+    for command in ("synth", "forward"):
+        assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+        assert named in _single_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out", noise=0.05)
     assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2

@@ -426,7 +426,7 @@ def coo_reduced_system(c, sigma0, grid, inclusions=None, exclude_cells=None):
     return reduced[keep][:, keep], to_rhs
 
 
-_LAYOUTS = ("plain", "excluded", "tied+insulating", "penalized")
+_LAYOUTS = ("plain", "excluded", "tied+insulating", "penalized", "varying")
 # odd and even node counts, each with hx != hy
 _SIZES = ((17, 13), (18, 14), (33, 27))
 
@@ -442,6 +442,13 @@ def _layout_case(kind, nx, ny, k=1e-6):
     inclusions = exclude = None
     if kind == "excluded":
         exclude = rect_cells(grid, (0.55, 0.2), (0.8, 0.45))
+    elif kind == "varying":
+        # the fiber sigma0 R(theta) diag(d1, 1) R(theta)^T, different in every cell
+        theta = np.pi / 6.0 + 0.9 * np.sin(np.pi * xc) * np.sin(np.pi * yc) + 0.6 * xc * yc
+        d1 = 3.0 + np.cos(2.0 * np.pi * xc)
+        ct, st = np.cos(theta), np.sin(theta)
+        sigma0 = TensorField2(grid, d1 * ct * ct + st * st, (d1 - 1.0) * st * ct,
+                              d1 * st * st + ct * ct)
     elif kind in ("tied+insulating", "penalized"):
         inclusions = InclusionSet(
             grid,
@@ -470,6 +477,8 @@ def test_refilled_matrix_matches_coo_assembly(kind, nx, ny):
     got = system.matrix.levels[0]
     assert got.shape == ref.shape
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+    # mirror entries add the same terms in the same order
+    assert (got != got.T).nnz == 0
     fb = f.ravel()[grid.boundary_ids]
     b_ref = to_rhs @ fb
     assert np.max(np.abs(system.rhs(fb)[0] - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
@@ -568,6 +577,32 @@ def test_cold_cg_iterations_stay_flat_on_the_bump(n):
     u = solve_dirichlet(system, f)
     assert system.cg_iterations == its and system.cg_residual <= 1e-10
     assert np.isfinite(u.values).all()
+
+
+def test_notched_tied_component_matrix_is_exactly_symmetric():
+    # a U-shaped perfect component: node (5, 6) in its notch couples to the
+    # component eastward through one cell and westward through the next, so
+    # both orientations of one corner pair reach the same entry
+    c, sigma0, grid, _, _, _ = _layout_case("varying", 17, 13)
+    u_shape = np.zeros(grid.cell_shape, dtype=bool)
+    u_shape[2, 4:8] = u_shape[3:9, 4] = u_shape[3:9, 7] = True
+    incl = InclusionSet(grid, perfect=[u_shape])
+    assert not nodes_of_cells(u_shape)[5, 6] and nodes_of_cells(u_shape)[5, [5, 7]].all()
+    got = assemble(c, sigma0, grid, incl).matrix.levels[0]
+    ref, _ = coo_reduced_system(c, sigma0, grid, incl)
+    assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+    assert (got != got.T).nnz == 0
+
+
+def test_layout_of_another_sigma0_is_rejected():
+    c, sigma0, grid, incl, excl, _ = _layout_case("varying", 17, 13)
+    system = assemble(c, sigma0, grid, incl, excl)
+    other = TensorField2(grid, sigma0.s11, 0.5 * sigma0.s12, sigma0.s22)
+    with pytest.raises(AssemblyError, match="sigma0"):
+        assemble(c, other, grid, incl, excl, layout=system.layout)
+    # an equal sigma0 in other arrays fits
+    same = TensorField2(grid, *(s.copy() for s in sigma0.entries))
+    assemble(c, same, grid, incl, excl, layout=system.layout)
 
 
 def test_layout_of_another_cell_set_is_rejected():

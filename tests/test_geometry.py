@@ -36,6 +36,7 @@ from acdii.geometry import (
     truncation_limit_audit,
     weighted_perimeter,
 )
+from acdii.forward import InclusionSet, disk_cells
 from acdii.inverse import recover_c, sine_perturbations
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
@@ -110,21 +111,24 @@ def test_curvature_residual_is_the_mean_curvature_in_the_data_metric():
 
 def test_curvature_residual_collar_is_the_euclidean_distance_to_the_rim():
     # hx != hy, so a distance that mixes the axes or their spacings moves
-    # some node across one of the collars
+    # some node across one of the collars; no collar ties a node distance
     g = Grid2D(23, 15, 0.05, 0.03)
     rng = np.random.default_rng(12)
     current = VectorField2(g, rng.standard_normal(g.cell_shape), rng.standard_normal(g.cell_shape))
-    dead = rng.uniform(size=g.cell_shape) < 0.05
+    dead = np.zeros(g.cell_shape, dtype=bool)
+    dead[2:4, 2:5] = True
     seed = np.ones(g.shape)
     seed.ravel()[g.boundary_ids] = 0.0
     dist = ndimage.distance_transform_edt(seed, sampling=(g.hy, g.hx))
+    # a dead cell's nearest point to a node is one of its corners
+    dead_dist = ndimage.distance_transform_edt(~nodes_of_cells(dead), sampling=(g.hy, g.hx))
     good = g.interior_mask() & ~nodes_of_cells(dead)
     counts = set()
-    for collar in (None, 0.03, 0.06, 0.09, 0.1, 0.12, 0.15, 0.2):
+    for collar in (None, 0.031, 0.064, 0.093, 0.104, 0.122, 0.155, 0.185):
         resid, rms = curvature_residual(current, dead, collar=collar)
         width = 0.1 * min(22 * g.hx, 14 * g.hy) if collar is None else collar
-        deep = good & (dist > width)
-        assert deep.any()
+        deep = good & (dist > width) & (dead_dist > width)
+        assert deep.any() and (good & (dist > width) & ~deep).any()
         counts.add(int(deep.sum()))
         assert rms == float(np.sqrt(np.mean(resid.values[deep] ** 2)))
     assert len(counts) >= 6
@@ -151,6 +155,23 @@ def test_curvature_residual_second_order_on_matched_data():
 
     r17, r33 = rms_at(17), rms_at(33)
     assert r17 / r33 >= 2.0
+
+
+def test_curvature_residual_tells_matched_from_mismatched_data_on_inclusions():
+    # the inclusion truth of the inclusion workload at n = 65: with the
+    # node rings next to the masked inclusion cells left out, the residual
+    # is criterion 08's factor 5 below the axis-swapped control
+    grid, c, sigma0, f = bump_problem(65)
+    inclusions = InclusionSet(grid, perfect=[disk_cells(grid, (0.3, 0.7), 0.1)],
+                              insulating=[disk_cells(grid, (0.7, 0.3), 0.08)])
+    trip = synthesize_triplet(c, sigma0, f, grid, inclusions)
+    u = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
+    current, dead = _recovered_current(u, trip.a, sigma0)
+    assert dead.any()
+    _, rms = curvature_residual(current, dead)
+    swapped = TensorField2(grid, sigma0.s22, sigma0.s12, sigma0.s11)
+    _, control = curvature_residual(*_recovered_current(u, trip.a, swapped))
+    assert rms <= control / 5.0
 
 
 def test_curvature_residual_collar_fallback():

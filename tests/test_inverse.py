@@ -18,10 +18,11 @@ from acdii.fields import (
     tv_density,
     weighted_tv,
 )
-from acdii.forward import InclusionSet, assemble, disk_cells, solve_dirichlet
+from acdii.forward import InclusionSet, _dot, assemble, disk_cells, solve_dirichlet
 from acdii.inverse import (
     TVConfigError,
     TVProblem,
+    _ANDERSON_DEPTH,
     _Anderson,
     _PD_TOL,
     _normalized_data,
@@ -144,10 +145,10 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     builds = []
 
     class CountingMultigrid(forward.Multigrid):
-        def __init__(self, matrix, prolongations, hierarchy=None):
+        def __init__(self, matrix, layout, hierarchy=None):
             if hierarchy is None:
                 builds.append(matrix.shape)
-            super().__init__(matrix, prolongations, hierarchy)
+            super().__init__(matrix, layout, hierarchy)
 
     monkeypatch.setattr(forward, "Multigrid", CountingMultigrid)
     problem = TVProblem(bump33)
@@ -180,6 +181,47 @@ def test_anderson_mixing_solves_affine_map_exactly():
         u = mixer.step(u, (A @ u.ravel() + b).reshape(2, 2) - u)
     assert mixer.restarts == 0
     assert np.max(np.abs(u.ravel() - np.linalg.solve(np.eye(4) - A, b))) <= 1e-12
+
+
+def _anderson_full_gram_oracle(steps):
+    """Type-II mixing that recomputes the whole Gram matrix every step."""
+    du, dr, out, last = [None] * _ANDERSON_DEPTH, [None] * _ANDERSON_DEPTH, [], None
+    pushed = 0
+    for u, r in steps:
+        rnorm = np.sqrt(_dot(r, r))
+        if last is None or rnorm > last[2]:
+            pushed, last = 0, (u, r, rnorm)
+            out.append(u + r)
+            continue
+        row = pushed % _ANDERSON_DEPTH
+        du[row], dr[row] = u - last[0], r - last[1]
+        last = (u, r, rnorm)
+        pushed += 1
+        k = min(pushed, _ANDERSON_DEPTH)
+        gram = np.array([[_dot(dr[i], dr[j]) for j in range(k)] for i in range(k)])
+        gamma = np.linalg.solve(gram, np.array([_dot(dr[i], r) for i in range(k)]))
+        mixed = u + r
+        for i in range(k):
+            mixed -= gamma[i] * (du[i] + dr[i])
+        out.append(mixed)
+    return out
+
+
+def test_anderson_kept_gram_matches_full_recomputation_bit_for_bit():
+    # 14 steps wrap the round-robin history twice; the residual norm falls
+    # at every step but step 9, whose growth clears the history
+    rng = np.random.default_rng(11)
+    norms = [0.8**k for k in range(14)]
+    norms[9] = 2.0
+    steps = []
+    for norm in norms:
+        r = rng.standard_normal((7, 6))
+        steps.append((rng.standard_normal((7, 6)), norm / np.linalg.norm(r) * r))
+    mixer = _Anderson((7, 6))
+    got = [mixer.step(u, r) for u, r in steps]
+    assert mixer.restarts == 1 and mixer.pushed == 4
+    want = _anderson_full_gram_oracle(steps)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_anderson_singular_gram_takes_plain_step():
