@@ -20,6 +20,7 @@ import numpy as np
 
 from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad
 from .forward import (
+    AssemblyError,
     InclusionSet,
     assemble,
     solve_dirichlet,
@@ -283,7 +284,16 @@ def load_triplet(directory) -> AdmissibleTriplet:
     a = load("a")
     f = load("f", location="node")
     labels = load("inclusions")
-    inclusions = None if labels is None else InclusionSet.from_labels(grid, labels.values)
+    inclusions = None
+    if labels is not None:
+        # the contract of `InclusionSet.labels`: 0 background, 1..N perfect, 255+j insulating
+        path, values = directory / files["inclusions"], labels.values
+        if not (np.isfinite(values) & (values >= 0) & (values == np.floor(values))).all():
+            raise DataError(f"{path}: inclusion labels must be nonnegative integers")
+        try:
+            inclusions = InclusionSet.from_labels(grid, values)
+        except AssemblyError as exc:
+            raise DataError(f"{path} is no valid inclusion set: {exc}") from exc
     provenance = {
         "inverse_crime": manifest["provenance"]["inverse_crime"],
         "penalized_k": manifest["provenance"]["penalized_k"],

@@ -23,7 +23,13 @@ the CSR patterns of the reduced matrix and of its Dirichlet coupling, the
 multigrid prolongations, and the stiffness map: a sparse matrix from the
 cell factor c to the stored values of both patterns.  Only c changes
 between refills, so every `assemble` on a layout is one sparse product of
-the map with c.
+the map with c.  The map and both patterns come from one list of (entry,
+cell, weight) terms, one per corner pair and orientation of every
+contributing cell, ordered by one stable sort of the entry keys.  Each
+entry therefore sums its terms in the order they were written, and an
+off-diagonal pair writes its two mirror entries' terms side by side with
+one weight, so mirror entries add the same terms in the same order and
+the matrix is exactly symmetric.
 
 Every reduced system is solved by conjugate gradients preconditioned with
 a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
@@ -198,137 +204,75 @@ def element_templates(hx: float, hy: float):
 _CORNER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (3, 2), (0, 3), (1, 2), (0, 2), (1, 3))
 # (row, column) step of each corner's node from the cell's (j, i) node
 _CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
-# the (row, column) steps of the 9-point stencil, in increasing node offset
-_STEPS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
-
-
-def _step(a: int, b: int) -> int:
-    """Index in `_STEPS` of the step from corner a to corner b of a cell."""
-    return _STEPS.index((_CORNERS[b][0] - _CORNERS[a][0], _CORNERS[b][1] - _CORNERS[a][1]))
-
-
-def _coupled_nodes(contributing: np.ndarray):
-    """Per step of `_STEPS`, the flat ids of the nodes that share a contributing
-    cell with their neighbor one step away."""
-    ny, nx = contributing.shape[0] + 1, contributing.shape[1] + 1
-    padded = np.pad(contributing, 1)
-    # the cells a node shares with that neighbor, as (row, column) offsets from the node
-    shared = {-1: (-1,), 0: (-1, 0), 1: (0,)}
-    for dy, dx in _STEPS:
-        coupled = np.zeros((ny, nx), dtype=bool)
-        for ey in shared[dy]:
-            for ex in shared[dx]:
-                coupled |= padded[1 + ey:1 + ey + ny, 1 + ex:1 + ex + nx]
-        yield np.flatnonzero(coupled).astype(np.int32)
-
-
-def _interleave(x, y):
-    """[x0, y0, x1, y1, ...]."""
-    out = np.empty(2 * x.size, dtype=x.dtype)
-    out[0::2], out[1::2] = x, y
-    return out
-
-
-def _sorted_keys(parts):
-    """The sorted distinct values of the int64 arrays `parts`."""
-    keys = np.concatenate(parts)
-    keys.sort()
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _pattern(keys, n_rows, n_cols):
     """(indices, indptr) in int32 of the CSR pattern whose sorted keys are row * n_cols + col."""
-    rows = keys // n_cols
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return (keys - rows * n_cols).astype(np.int32), indptr
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols).astype(np.int32)
+    return (keys % n_cols).astype(np.int32), indptr
 
 
-def _fill_rows(indptr, batches, n_cols):
-    """The CSR matrix whose row r holds the (column, value) terms sent to r.
-
-    `batches` yields (rows, columns, values) arrays; within a row the
-    terms keep the order of the batches and, inside one batch, their own
-    order.  `indptr` holds the row counts' running sum.
-    """
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    fill = indptr[:-1].copy()
-    for rows, cols, vals in batches:
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        head = np.concatenate(([True], rows[1:] != rows[:-1]))
-        at = np.arange(rows.size, dtype=np.int32)
-        # a term's slot: its row's next free one plus its rank among the batch's terms of that row
-        slot = fill[rows] + at - np.maximum.accumulate(np.where(head, at, 0))
-        indices[slot], data[slot] = cols[order], vals[order]
-        tail = np.concatenate((head[1:], [True]))
-        fill[rows[tail]] = slot[tail] + 1
-    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
-
-
-def _patterns(grid: Grid2D, contributing, node_kept, boundary):
-    """The CSR patterns of the reduced matrix and of its Dirichlet coupling.
+def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boundary):
+    """The CSR patterns of the reduced matrix and of its Dirichlet coupling,
+    the positions of the matrix diagonal and the stiffness map.
 
     `node_kept` maps a node to its reduced unknown (-1 if it has none)
     and `boundary` to its Dirichlet index (-1 if it is not on the rim).
-    Returns ((indices, indptr) of the matrix, (indices, indptr) of the
-    coupling, the positions of the matrix diagonal, and `row_of`): row
-    `row_of[d, p]` of the stiffness map is the entry of node p's coupling
-    to its neighbor one step `_STEPS[d]` away, the matrix's entries first
-    and then the coupling's, or -1 where p has no unknown.
+    Every contributing cell writes one term (entry key, cell, weight) per
+    corner pair and orientation, weighted by its sigma0 element
+    coefficient s11 Kxx + s12 Kxy + s22 Kyy.  With m unknowns and nb
+    Dirichlet nodes the key of a matrix entry is row * m + column, that of
+    a coupling entry m^2 + row * nb + Dirichlet index, and that of a term
+    whose row node has no unknown -1.  An off-diagonal pair writes both
+    orientations side by side with one weight.  One stable sort of the
+    keys groups the terms by entry, in the order they were written, so
+    mirror entries add the same terms in the same order.  Returns
+    ((indices, indptr) of the matrix, (indices, indptr) of the coupling,
+    the diagonal positions, the map).
     """
-    n, m, nb = grid.n_nodes, int(node_kept.max()) + 1, grid.boundary_ids.size
-    # the (row, column) keys of both patterns, one stencil step at a time
-    matrix_keys, coupling_keys, ends = [], [], []
-    for (dy, dx), p in zip(_STEPS, _coupled_nodes(contributing)):
-        p = p[node_kept[p] >= 0]
-        rows, q = node_kept[p].astype(np.int64), p + (dy * grid.nx + dx)
-        inner = node_kept[q] >= 0
-        matrix_keys.append(rows[inner] * m + node_kept[q[inner]])
-        coupling_keys.append(rows[~inner] * nb + boundary[q[~inner]])
-        ends.append((p[inner], p[~inner]))
-    matrix_sorted, coupling_sorted = _sorted_keys(matrix_keys), _sorted_keys(coupling_keys)
-    row_of = np.full((len(_STEPS), n), -1, dtype=np.int32)
-    for step, (inner, outer), mk, ck in zip(row_of, ends, matrix_keys, coupling_keys):
-        step[inner] = np.searchsorted(matrix_sorted, mk)
-        step[outer] = matrix_sorted.size + np.searchsorted(coupling_sorted, ck)
-    diagonal = np.searchsorted(matrix_sorted, np.arange(m) * (m + 1)).astype(np.int32)
-    return (_pattern(matrix_sorted, m, m), _pattern(coupling_sorted, m, nb), diagonal, row_of)
-
-
-def _stiffness_map(grid: Grid2D, sigma0: TensorField2, contributing, row_of, n_rows):
-    """The CSR map from the cell factor c to the values of both patterns.
-
-    Every contributing cell sends, one corner pair at a time, its sigma0
-    element coefficient s11 Kxx + s12 Kxy + s22 Kyy to the map row
-    `row_of` gives the pair's two nodes.  An off-diagonal pair sends both
-    orientations side by side with one weight, so the two mirror entries
-    of the matrix get the same terms in the same order.
-    """
+    m, nb = int(node_kept.max()) + 1, grid.boundary_ids.size
     cells = np.flatnonzero(contributing).astype(np.int32)
     base = cells + cells // np.int32(grid.nx - 1)  # node (j, i) of cell (j, i)
     corner = [base + np.int32(dy * grid.nx + dx) for dy, dx in _CORNERS]
-    pair_rows = [
-        row_of[_step(a, b), corner[a]] if a == b else
-        _interleave(row_of[_step(a, b), corner[a]], row_of[_step(b, a), corner[b]])
-        for a, b in _CORNER_PAIRS
-    ]
-    counts = np.bincount(np.concatenate(pair_rows) + 1, minlength=n_rows + 1)
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(counts[1:], out=indptr[1:])
+    unknown = [node_kept[p].astype(np.int64) for p in corner]
     kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
     s11, s12, s22 = (s.ravel()[cells] for s in sigma0.entries)
-
-    def batches():
-        for (a, b), rows in zip(_CORNER_PAIRS, pair_rows):
-            cols, weights = cells, s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b]
-            if a != b:
-                cols, weights = _interleave(cells, cells), _interleave(weights, weights)
-            live = rows >= 0
-            yield rows[live], cols[live], weights[live]
-
-    return _fill_rows(indptr, batches(), contributing.size)
+    keys = np.empty(16 * cells.size, dtype=np.int64)
+    terms = np.empty(keys.size, dtype=np.int32)
+    weights = np.empty(keys.size)
+    start = 0
+    for a, b in _CORNER_PAIRS:
+        ends = ((a, b),) if a == b else ((a, b), (b, a))
+        stop = start + len(ends) * cells.size
+        for k, (r, q) in enumerate(ends):
+            row, col = unknown[r], unknown[q]
+            key = np.where(col >= 0, row * m + col, m * m + row * nb + boundary[corner[q]])
+            key[row < 0] = -1
+            keys[start + k:stop:len(ends)] = key
+        terms[start:stop] = np.repeat(cells, len(ends))
+        weights[start:stop] = np.repeat(s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b],
+                                         len(ends))
+        start = stop
+    # freeing each array once used keeps the build's peak below twice what the layout keeps
+    del unknown, corner, s11, s12, s22
+    order = np.argsort(keys, kind="stable")
+    keys.sort()
+    first = int(np.searchsorted(keys, 0))  # the dead terms sort first
+    head = np.concatenate(([True], keys[first + 1:] != keys[first:-1]))
+    entries = keys[first:][head]
+    del keys
+    indptr = np.empty(entries.size + 1, dtype=np.int32)
+    indptr[:-1], indptr[-1] = np.flatnonzero(head), head.size
+    nnz = int(np.searchsorted(entries, m * m))
+    diagonal = np.searchsorted(entries[:nnz], np.arange(m) * (m + 1)).astype(np.int32)
+    patterns = _pattern(entries[:nnz], m, m), _pattern(entries[nnz:] - m * m, m, nb)
+    shape = (entries.size, contributing.size)
+    del entries
+    order = order[first:]
+    data = weights[order]
+    del weights
+    stiffness = sparse.csr_matrix((data, terms[order], indptr), shape=shape)
+    return patterns + (diagonal, stiffness)
 
 
 def _dof_matrix(node_dof, ndof):
@@ -504,8 +448,9 @@ class Layout:
     column per cell, holding each contributing cell's sigma0 element
     coefficient s11 Kxx + s12 Kxy + s22 Kyy for that entry's corner
     pairs.  Every assembly on the layout is the one product
-    `stiffness @ c`.  Mirror entries add the same terms in the same
-    order, so the matrix is exactly symmetric.
+    `stiffness @ c`.  Its rows are one term list sorted stably by entry
+    (see `_stiffness`), so mirror entries add the same terms in the same
+    order and the matrix is exactly symmetric.
     """
 
     def __init__(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect=()):
@@ -547,11 +492,10 @@ class Layout:
         boundary = np.full(n, -1, dtype=np.int32)
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
-        matrix, coupling, self.diagonal, row_of = _patterns(grid, contributing, node_kept, boundary)
+        matrix, coupling, self.diagonal, self.stiffness = _stiffness(
+            grid, sigma0, contributing, node_kept, boundary)
         self.indices, self.indptr = matrix
         self.coupling_indices, self.coupling_indptr = coupling
-        self.stiffness = _stiffness_map(grid, sigma0, contributing, row_of,
-                                        self.indices.size + self.coupling_indices.size)
         self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
 
     def fits(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect) -> bool:

@@ -56,7 +56,7 @@ from .fields import (
 _GRAD_FLOOR_REL = 1e-6
 _BAND_REL = 1e-3
 # truncation widths of `truncation_limit_audit`, in units of range(u)
-_TRUNCATION_STEPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+_TRUNCATION_WIDTHS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
 def build_metric(a: ScalarField, sigma0: TensorField2):
@@ -408,7 +408,7 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     """Weighted TV of sharpening truncations against the metric area.
 
     w_eps = clamp((u - level)/eps, 0, 1) concentrates on the slab
-    {level < u < level + eps}; along the ladder eps = _TRUNCATION_STEPS
+    {level < u < level + eps}; along the ladder eps = _TRUNCATION_WIDTHS
     times range(u) its weighted TV should converge to the metric area
     (`weighted_perimeter`) of the level curve, and the relative
     discrepancy of the last rung is reported as `vs_anisotropic`.  A
@@ -416,7 +416,7 @@ def truncation_limit_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
     eps, truncation TV, area and discrepancy is 0.
     """
     rng = float(np.max(u.values)) - float(np.min(u.values))
-    eps_ladder = [rng * s for s in _TRUNCATION_STEPS]
+    eps_ladder = [rng * s for s in _TRUNCATION_WIDTHS]
     if rng <= 0.0:
         # a constant u has no level curve, and every truncation of it is constant
         values = [0.0] * len(eps_ladder)

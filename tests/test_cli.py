@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import acdii
 from acdii.cli import CONFIG, ConfigError, config_hash, main, parse_config
+from acdii.fields import Grid2D, ScalarField
+from acdii.forward import disk_cells
 from acdii.io import read_field_file, write_field_file
 from acdii.schema import Key
 
@@ -350,6 +352,32 @@ def test_malformed_manifest_exits_2_naming_it(tmp_path, capsys, synth_dir, edit,
     capsys.readouterr()
     assert main(["invert", "--config", path]) == 2
     assert named in _single_error(capsys)
+    assert not (tmp_path / "out" / "recon.json").exists()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(0.5, 0.0), (-3.0, 0.0), (1.5, 0.0), (1.0, 1.0)],
+    ids=["half", "negative", "one-and-a-half", "shared-perfect-label"],
+)
+def test_inclusion_labels_off_the_contract_exit_2_naming_the_file(tmp_path, capsys, synth_dir,
+                                                                   first, second):
+    """Two disjoint disks labelled `first` and `second`: labels are 0, 1..N or 255+j."""
+    trip = tmp_path / "trip"
+    shutil.copytree(synth_dir, trip)
+    grid = Grid2D(9, 9, 0.125, 0.125)
+    plane = (first * disk_cells(grid, (0.3, 0.5), 0.15)
+             + second * disk_cells(grid, (0.7, 0.5), 0.15))
+    write_field_file(ScalarField(grid, plane, location="cell"), trip / "inclusions.field")
+    manifest = json.loads((trip / "triplet.json").read_text())
+    manifest["files"]["inclusions"] = "inclusions.field"
+    (trip / "triplet.json").write_text(json.dumps(manifest))
+    cfg = _base_config(tmp_path / "out", n=9)
+    cfg["input"] = {"triplet": str(trip)}
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 2
+    assert "inclusions.field" in _single_error(capsys)
     assert not (tmp_path / "out" / "recon.json").exists()
 
 

@@ -6,6 +6,8 @@ elimination by hand, and solves densely.  It shares no code with the
 package's assembly path, so agreement to 1e-10 pins both sides.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,6 +18,7 @@ from acdii.forward import (
     AssemblyError,
     ConvergenceError,
     InclusionSet,
+    Layout,
     _pcg,
     assemble,
     disk_cells,
@@ -426,7 +429,7 @@ def coo_reduced_system(c, sigma0, grid, inclusions=None, exclude_cells=None):
     return reduced[keep][:, keep], to_rhs
 
 
-_LAYOUTS = ("plain", "excluded", "tied+insulating", "penalized", "varying")
+_LAYOUTS = ("plain", "excluded", "tied+insulating", "penalized", "varying", "rim")
 # odd and even node counts, each with hx != hy
 _SIZES = ((17, 13), (18, 14), (33, 27))
 
@@ -440,9 +443,12 @@ def _layout_case(kind, nx, ny, k=1e-6):
     x, y = grid.node_coords()
     f = np.sin(np.pi * (x + 0.5 * y)) + 0.3 * x
     inclusions = exclude = None
-    if kind == "excluded":
+    if kind in ("excluded", "rim"):
         exclude = rect_cells(grid, (0.55, 0.2), (0.8, 0.45))
-    elif kind == "varying":
+    if kind == "rim":
+        # deleted cells on the rim: Dirichlet nodes lose some or all of their couplings
+        exclude |= rect_cells(grid, (-1, -1), (0.3, 0.12)) | rect_cells(grid, (0.9, 0.5), (2, 0.7))
+    if kind in ("varying", "rim"):
         # the fiber sigma0 R(theta) diag(d1, 1) R(theta)^T, different in every cell
         theta = np.pi / 6.0 + 0.9 * np.sin(np.pi * xc) * np.sin(np.pi * yc) + 0.6 * xc * yc
         d1 = 3.0 + np.cos(2.0 * np.pi * xc)
@@ -612,3 +618,20 @@ def test_layout_of_another_cell_set_is_rejected():
     system = assemble(c.values, sigma0, grid, exclude_cells=excl)
     with pytest.raises(AssemblyError):
         assemble(c.values, sigma0, grid, layout=system.layout)
+
+
+def test_layout_build_peak_stays_within_twice_what_the_layout_keeps():
+    # the term list and its sort order are the build's largest temporaries;
+    # a build that holds more of them at once than the layout keeps sets
+    # the memory peak of every inversion that builds a layout
+    for n in (9, 129):  # the small build first, so lazy imports are not traced
+        grid, _, sigma0, _ = bump_problem(n)
+        contributing = np.ones(grid.cell_shape, dtype=bool)
+        tracemalloc.start()
+        try:
+            layout = Layout(grid, sigma0, contributing)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert layout.n_unknowns == 127 * 127
+    assert peak <= 2.0 * kept
