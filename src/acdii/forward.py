@@ -85,13 +85,18 @@ def rect_cells(grid: Grid2D, lo, hi) -> np.ndarray:
     return (cx > lo[0]) & (cx < hi[0]) & (cy > lo[1]) & (cy < hi[1])
 
 
+# the label plane numbers perfect components 1..254 and insulating ones from 255
+_INSULATING_LABEL = 255
+
+
 class InclusionSet:
     """Disjoint perfectly-conducting and insulating cell components.
 
     Each component must be a nonempty, 4-connected, hole-free set of
     cells whose closure (its corner nodes) stays away from the
     outer boundary and from every other component; the remaining cells
-    must stay 4-connected.
+    must stay 4-connected.  At most 254 components may be perfect, the
+    labels the plane of `labels` has for them.
     """
 
     def __init__(self, grid: Grid2D, perfect=(), insulating=()):
@@ -107,6 +112,11 @@ class InclusionSet:
         self._validate()
 
     def _validate(self):
+        if len(self.perfect) >= _INSULATING_LABEL:
+            raise AssemblyError(
+                f"{len(self.perfect)} perfect components; the label plane holds at most "
+                f"{_INSULATING_LABEL - 1}"
+            )
         grid = self.grid
         boundary = np.zeros(grid.shape, dtype=bool)
         boundary.ravel()[grid.boundary_ids] = True
@@ -154,19 +164,20 @@ class InclusionSet:
         return self.perfect_mask() | self.insulating_mask()
 
     def labels(self) -> np.ndarray:
-        """Cell label plane: 0 background, 1..N perfect, 255+j insulating."""
+        """Cell label plane: 0 background, 1..254 perfect, 255+j insulating."""
         out = np.zeros(self.grid.cell_shape)
         for idx, m in enumerate(self.perfect):
             out[m] = idx + 1
         for idx, m in enumerate(self.insulating):
-            out[m] = 255 + idx
+            out[m] = _INSULATING_LABEL + idx
         return out
 
     @classmethod
     def from_labels(cls, grid: Grid2D, labels) -> "InclusionSet":
         labels = np.asarray(labels)
-        perfect = [labels == v for v in sorted(set(labels[(labels >= 1) & (labels < 255)]))]
-        insulating = [labels == v for v in sorted(set(labels[labels >= 255]))]
+        perfect = [labels == v
+                   for v in sorted(set(labels[(labels >= 1) & (labels < _INSULATING_LABEL)]))]
+        insulating = [labels == v for v in sorted(set(labels[labels >= _INSULATING_LABEL]))]
         return cls(grid, perfect=perfect, insulating=insulating)
 
 

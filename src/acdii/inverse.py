@@ -85,8 +85,8 @@ class TVProblem:
     eps0: float | None = None
     eps_ratio: float = 0.5
     eps_stages: int = 8
-    fp_tol: float = 1e-8
-    max_inner: int = 50
+    fp_tol: float = 1e-10
+    max_inner: int = 200
     cg_tol: float = 1e-10
     pd_tau: float | None = None
     pd_sigma: float | None = None
@@ -224,21 +224,26 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     c_eff = a / (|grad u|^2_{sigma0} + eps^2)^(1/2) and solve, warm
     started at u.  Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k)
     with `_Anderson`, restarted at the stage, and ends with Phi(u_k) at
-    the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= fp_tol or
-    after max_inner steps.  Each step refills the matrix on one layout;
-    its multigrid coarse levels are built at a stage's first step and kept
-    for the stage, whose coefficient barely moves (CG still meets cg_tol).
-    A step's fine level is released before the next refill.
+    the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= tol or
+    after max_inner steps.  Only the last stage, whose potential is
+    returned, uses tol = fp_tol; the stages before it only warm-start it
+    and stop at the looser tol = max(sqrt(fp_tol), fp_tol) (inexact
+    continuation, Hale, Yin & Zhang 2008).  Each step refills the matrix
+    on one layout; its multigrid coarse levels are built at a stage's
+    first step and kept for the stage, whose coefficient barely moves (CG
+    still meets cg_tol).  A step's fine level is released before the next
+    refill.
 
     Returns (u, info).  info records, per stage, the smoothed functional
     of each Phi(u_k) (in absolute units), the inner and CG iteration
-    counts, the last relative change, whether it met fp_tol
-    (`converged`), the number of Anderson safeguard resets (`restarts`),
-    and whether that functional never rose beyond round-off from one
-    Phi(u_k) to the next (`monotone`).  A mixed iterate carries no descent
-    guarantee, so on hard data (noise, inclusions) a stage can rise
-    slightly; that is flagged in `nonmonotone_flag`, not fatal.  The
-    run's CG total also counts the initial solve.
+    counts, its stopping tolerance (`tol`), the last relative change,
+    whether it met that tol (`converged`), the number of Anderson
+    safeguard resets (`restarts`), and whether that functional never rose
+    beyond round-off from one Phi(u_k) to the next (`monotone`).  A mixed
+    iterate carries no descent guarantee, so on hard data (noise,
+    inclusions) a stage can rise slightly; that is flagged in
+    `nonmonotone_flag`, not fatal.  The run's CG total also counts the
+    initial solve.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
@@ -259,7 +264,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     stages = []
     flagged = False
     total_inner = 0
-    for eps_hat in schedule:
+    warm_tol = max(float(np.sqrt(problem.fp_tol)), problem.fp_tol)
+    for stage, eps_hat in enumerate(schedule, 1):
+        tol = problem.fp_tol if stage == len(schedule) else warm_tol
         mixer.reset()
         hist = []
         cg = 0
@@ -276,7 +283,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             hierarchy, system = system.matrix.release_fine_level(), None
             rel = _masked_rel_change(phi, uvals)
             hist.append(amax * weighted_tv(phi, a_hat, sigma0, eps_hat))
-            if rel <= problem.fp_tol or inner == problem.max_inner:
+            if rel <= tol or inner == problem.max_inner:
                 uvals = phi
                 break
             uvals = mixer.step(uvals, phi - uvals)
@@ -291,7 +298,8 @@ def minimize_tv_fixedpoint(problem: TVProblem):
                 "eps": eps_hat,
                 "inner_iterations": inner,
                 "cg_iterations": cg,
-                "converged": rel <= problem.fp_tol,
+                "tol": tol,
+                "converged": rel <= tol,
                 "final_rel_change": rel,
                 "restarts": mixer.restarts,
                 "smoothed_history": hist,

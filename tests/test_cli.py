@@ -466,6 +466,22 @@ def test_malformed_truth_entry_exits_2_naming_it(tmp_path, capsys, edit, named):
         assert not (tmp_path / "out").exists()
 
 
+def test_255_perfect_inclusions_exit_2_naming_inclusions(tmp_path, capsys):
+    # single cells two cells apart on the 34 x 34 cells of n = 35; the
+    # label plane has room for 254 perfect components
+    cfg = _base_config(tmp_path / "out", n=35)
+    h = 1.0 / 34
+    cells = [(i, j) for j in range(1, 32, 2) for i in range(1, 32, 2)][:255]
+    cfg["inclusions"] = [
+        {"shape": "rect", "type": "perfect",
+         "lo": [(i + 0.25) * h, (j + 0.25) * h], "hi": [(i + 0.75) * h, (j + 0.75) * h]}
+        for i, j in cells
+    ]
+    assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
+    assert "'inclusions'" in _single_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out", noise=0.05)
     assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2

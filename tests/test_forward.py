@@ -297,6 +297,22 @@ def test_inclusion_labels_roundtrip():
     assert np.array_equal(back.insulating_mask(), incl.insulating_mask())
 
 
+def test_inclusion_labels_hold_at_most_254_perfect_components():
+    # 255 single cells two cells apart on the 34 x 34 cells of n = 35, so
+    # no two closures share a node
+    grid = make_grid(35)
+    masks = []
+    for j, i in [(j, i) for j in range(1, 32, 2) for i in range(1, 32, 2)][:255]:
+        masks.append(np.zeros(grid.cell_shape, dtype=bool))
+        masks[-1][j, i] = True
+    incl = InclusionSet(grid, perfect=masks[:254])
+    back = InclusionSet.from_labels(grid, incl.labels())
+    assert len(back.perfect) == 254 and not back.insulating
+    assert np.array_equal(back.perfect_mask(), incl.perfect_mask())
+    with pytest.raises(AssemblyError, match="at most 254"):
+        InclusionSet(grid, perfect=masks)
+
+
 def test_convergence_error_carries_diagnostics():
     grid, c, sigma0, f = bump_problem(17)
     system = assemble(c.values, sigma0, grid)

@@ -125,18 +125,36 @@ def test_fixedpoint_recovers_linear_potential():
 
 
 def test_fixedpoint_stages_report_cg_work_and_convergence():
-    # at n = 17, fp_tol 1e-5 and five inner iterations per stage the first
-    # stages run out of inner iterations and the last ones converge
+    # at n = 17, fp_tol 1e-5 and five inner iterations per stage every
+    # warm-start stage meets its loose tol (3.2e-3) in one step, and the
+    # last stage runs out of steps short of fp_tol
     problem = TVProblem(bump_triplet(17), fp_tol=1e-5, max_inner=5)
     _, info = minimize_tv_fixedpoint(problem)
     stages = info["stages"]
     for st in stages:
-        assert st["converged"] == (st["final_rel_change"] <= problem.fp_tol)
+        assert st["converged"] == (st["final_rel_change"] <= st["tol"])
         assert st["converged"] or st["inner_iterations"] == problem.max_inner
         assert st["cg_iterations"] > 0
-    assert not stages[0]["converged"] and stages[-1]["converged"]
+    assert all(st["converged"] and st["inner_iterations"] == 1 for st in stages[:-1])
+    assert not stages[-1]["converged"]
+    assert stages[-1]["inner_iterations"] == problem.max_inner
     # the run total also counts the initial cold solve
     assert info["total_cg_iterations"] > sum(st["cg_iterations"] for st in stages)
+
+
+@pytest.mark.parametrize("fp_tol", [1e-10, 1e-6, 2.0])
+def test_fixedpoint_warm_start_stages_stop_at_sqrt_fp_tol(fp_tol):
+    # every stage but the last only warm-starts the next, so it stops at
+    # max(sqrt(fp_tol), fp_tol); the returned last stage stops at fp_tol
+    problem = TVProblem(bump_triplet(17), fp_tol=fp_tol)
+    _, info = minimize_tv_fixedpoint(problem)
+    stages = info["stages"]
+    assert len(stages) == problem.eps_stages
+    for st in stages[:-1]:
+        assert st["tol"] == max(np.sqrt(fp_tol), fp_tol)
+    assert stages[-1]["tol"] == fp_tol
+    for st in stages:
+        assert st["converged"] == (st["final_rel_change"] <= st["tol"])
 
 
 def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
@@ -562,6 +580,16 @@ def test_duality_gap_at_truth_under_varying_sigma0():
         gaps.append(duality_gap(u_true, f, J, trip.a, sigma0))
     assert gaps[0] <= 1e-3
     assert gaps[1] <= gaps[0] / 3.0
+
+
+def test_fixedpoint_recovers_c_under_varying_sigma0():
+    # the fiber sigma0 at n = 65: every stage meets its tol and c comes
+    # back to 6.0e-5 off the mask (the bound is about 3x that)
+    grid, c, _, f = bump_problem(65)
+    trip = synthesize_triplet(c, _fiber_tensor(grid), f, grid)
+    report = reconstruct(TVProblem(trip))
+    assert all(st["converged"] for st in report.diagnostics["fixedpoint"]["stages"])
+    assert report.diagnostics["c_rel_linf_off_mask"] <= 2e-4
 
 
 def test_boundary_flux_integral_known_value():
