@@ -78,7 +78,11 @@ class TVProblem:
     bound of sigma0.  delta_grad and delta_a are the degeneracy cutoffs
     of the pointwise recovery; when None, delta_grad defaults to three
     times the final smoothing of the eps schedule and delta_a to 1e-8
-    times max(a).  `TV_SCHEMA` holds the type and range of every setting.
+    times max(a).  pd_tau and pd_sigma are the primal-dual steps: unset,
+    their ratio follows the oscillation of f and their product is 1/L^2;
+    one set alone fixes the other at that product (see
+    `minimize_tv_primal_dual`).  `TV_SCHEMA` holds the type and range of
+    every setting.
     """
 
     triplet: AdmissibleTriplet
@@ -322,13 +326,27 @@ def minimize_tv_fixedpoint(problem: TVProblem):
 # the div B rms in units of max(a) / (longer side of the domain)
 _PD_TOL = 1e-6
 
+# default step ratio tau / sigma = (omega / _PD_BALANCE)^2, omega the
+# oscillation of f on the boundary: u moves on the scale of f and the
+# normalized dual on the scale 1, so the ratio follows f.  On the bumps at
+# n = 33 / 65 / 129 the rule stops after 1,188 / 1,300 / 2,580 steps
+# against 1,848 / 3,900 / 7,740 with tau = sigma, at 10-140x smaller
+# recovered duality gaps and unchanged c errors (n = 17 takes 1,224
+# steps against 884).
+_PD_BALANCE = 4.0
+
 
 def minimize_tv_primal_dual(problem: TVProblem):
     """Saddle-point minimization; returns (u, B, info) with B dual feasible.
 
-    Steps default to tau = sigma = 1/L with L^2 = M (4/hx^2 + 4/hy^2) an
-    upper bound for the weighted gradient norm; explicit steps violating
-    tau sigma L^2 <= 1 are a configuration error.
+    L^2 = M (4/hx^2 + 4/hy^2) bounds the weighted gradient norm.  With
+    neither step set, tau = omega / (4 L) and sigma = 4 / (omega L), omega
+    = max f - min f over the boundary nodes (1 when f is constant there);
+    one step set alone fixes the other at tau sigma L^2 = 1, and two set
+    steps are used as given, where tau sigma L^2 > 1 is a configuration
+    error.  With the default steps the iteration is equivariant under
+    f -> alpha f + beta: u follows f, b does not move, and the stop is
+    the same.
 
     The loop runs on two sparse matrices built once per call by
     `grad_operator`: K = sigma 1_active sigma0^(1/2) grad and the primal
@@ -357,8 +375,16 @@ def minimize_tv_primal_dual(problem: TVProblem):
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
-    tau = problem.pd_tau if problem.pd_tau is not None else 1.0 / np.sqrt(l2)
-    sig = problem.pd_sigma if problem.pd_sigma is not None else 1.0 / np.sqrt(l2)
+    tau, sig = problem.pd_tau, problem.pd_sigma
+    if tau is None and sig is None:
+        rim = t.f.values.ravel()[grid.boundary_ids]
+        omega = float(np.max(rim) - np.min(rim)) or 1.0
+        tau = omega / (_PD_BALANCE * np.sqrt(l2))
+        sig = _PD_BALANCE / (omega * np.sqrt(l2))
+    elif sig is None:
+        sig = 1.0 / (tau * l2)
+    elif tau is None:
+        tau = 1.0 / (sig * l2)
     if tau * sig * l2 > 1.0 + 1e-9:
         raise TVConfigError(
             f"primal-dual steps violate tau*sigma*L^2 <= 1 (got {tau * sig * l2:.3f})"

@@ -334,6 +334,54 @@ def test_primal_dual_stop_is_invariant_under_doubled_data():
         assert i2["tv_final"] == 2.0 * i1["tv_final"]
 
 
+def _with_f(trip, fvals):
+    return AdmissibleTriplet(ScalarField(trip.grid, fvals), trip.sigma0, trip.a, trip.grid)
+
+
+def test_primal_dual_default_steps_are_equivariant_under_affine_boundary_data():
+    # tau / sigma follows osc(f)^2, so u follows f and b does not move
+    trip = bump_triplet(17)
+    u1, B1, i1 = minimize_tv_primal_dual(TVProblem(trip))
+    u2, B2, i2 = minimize_tv_primal_dual(TVProblem(_with_f(trip, 2.0 * trip.f.values)))
+    u3, _, i3 = minimize_tv_primal_dual(TVProblem(_with_f(trip, trip.f.values + 0.25)))
+    assert i1["converged"] and i1["iterations"] == i2["iterations"] == i3["iterations"]
+    assert np.array_equal(u2.values, 2.0 * u1.values)
+    assert np.array_equal(B1.v1, B2.v1) and np.array_equal(B1.v2, B2.v2)
+    assert np.max(np.abs(u3.values - (u1.values + 0.25))) <= 1e-8
+
+
+def test_primal_dual_stops_early_on_the_n65_bump():
+    # the balanced default steps stop this run at 1,300; tau = sigma = 1/L takes 3,900
+    rep = reconstruct(TVProblem(bump_triplet(65)), algorithm="primaldual")
+    info = rep.diagnostics["primaldual"]
+    assert info["converged"] is True
+    assert info["iterations"] <= 1560
+    assert info["pd_gap"] <= 1e-6
+    assert rep.diagnostics["duality_gap"] <= 1e-8
+
+
+def test_primal_dual_constant_boundary_data_gives_constant_potential():
+    bump = bump_triplet(17)
+    trip = _with_f(bump, np.full(bump.grid.shape, 0.7))
+    u, B, info = minimize_tv_primal_dual(TVProblem(trip))
+    l2 = trip.sigma0.M * (4.0 / trip.grid.hx**2 + 4.0 / trip.grid.hy**2)
+    assert info["tau"] * info["sigma_step"] * l2 == pytest.approx(1.0, rel=1e-12)
+    assert info["converged"] is True
+    assert np.all(np.isfinite(u.values)) and np.max(np.abs(u.values - 0.7)) <= 1e-12
+    assert np.all(np.isfinite(B.v1)) and np.all(np.isfinite(B.v2))
+
+
+@pytest.mark.parametrize("given", ["pd_tau", "pd_sigma"])
+def test_primal_dual_one_given_step_fixes_the_other(given):
+    trip, x = _trivial_triplet(9)
+    l2 = trip.sigma0.M * (4.0 / trip.grid.hx**2 + 4.0 / trip.grid.hy**2)
+    u, B, info = minimize_tv_primal_dual(TVProblem(trip, **{given: 0.5 / np.sqrt(l2)}))
+    tau, sig = info["tau"], info["sigma_step"]
+    set_step, other = (tau, sig) if given == "pd_tau" else (sig, tau)
+    assert set_step == 0.5 / np.sqrt(l2) and other == 1.0 / (set_step * l2)
+    assert info["converged"] is True and np.max(np.abs(u.values - x)) <= 1e-4
+
+
 def test_primal_dual_recovers_linear_potential():
     trip, x = _trivial_triplet()
     u, B, info = minimize_tv_primal_dual(TVProblem(trip))
@@ -355,8 +403,13 @@ def _reference_primal_dual(problem, steps):
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
-    tau = problem.pd_tau if problem.pd_tau is not None else 1.0 / np.sqrt(l2)
-    sig = problem.pd_sigma if problem.pd_sigma is not None else 1.0 / np.sqrt(l2)
+    tau, sig = problem.pd_tau, problem.pd_sigma
+    if tau is None and sig is None:
+        fb = t.f.values.ravel()[grid.boundary_ids]
+        omega = float(fb.max() - fb.min()) or 1.0
+        tau, sig = omega / (4.0 * np.sqrt(l2)), 4.0 / (omega * np.sqrt(l2))
+    tau = tau if tau is not None else 1.0 / (sig * l2)
+    sig = sig if sig is not None else 1.0 / (tau * l2)
     iters = problem.pd_iterations or 200 * max(grid.nx, grid.ny)
     r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
     active = ~void
