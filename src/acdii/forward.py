@@ -311,16 +311,15 @@ def _coarse_index(n: int) -> np.ndarray:
 
 
 def _interpolation(n: int, kept: np.ndarray):
-    """Linear interpolation (n x kept.size) from the nodes `kept` to all n nodes."""
+    """Linear interpolation from the nodes `kept` to all n nodes.
+
+    Returns (index, weight), both 2 x n: node i takes weight[k, i] of the
+    kept node index[k, i] (a position in `kept`), k = 0, 1.
+    """
     pos = np.arange(n)
     left = np.clip(np.searchsorted(kept, pos, side="right") - 1, 0, kept.size - 2)
     w = (pos - kept[left]) / (kept[left + 1] - kept[left])
-    mat = sparse.csr_matrix(
-        (np.concatenate([1.0 - w, w]), (np.tile(pos, 2), np.concatenate([left, left + 1]))),
-        shape=(n, kept.size),
-    )
-    mat.eliminate_zeros()
-    return mat
+    return np.stack([left, left + 1]), np.stack([1.0 - w, w])
 
 
 def _prolongations(shape, node_dof, ndof, keep):
@@ -333,7 +332,12 @@ def _prolongations(shape, node_dof, ndof, keep):
     onto the nodes, averages over the nodes of each unknown and keeps the
     rows of the unknowns that level keeps; coarse unknowns whose column
     comes out zero (nothing below them has stiffness) are dropped.
-    Returns a list of (P, P^T) pairs.
+
+    Each level is index arithmetic on the 1-D weights: every fine node
+    writes its four (row, column, wy wx) terms, the terms are sorted by
+    entry, the terms of one entry (a tied unknown's nodes) are summed and
+    scaled by 1 / (nodes of the row's unknown).  Returns a list of
+    (P, P^T) pairs.
     """
     out = []
     while keep.size > _COARSEST:
@@ -341,19 +345,41 @@ def _prolongations(shape, node_dof, ndof, keep):
         iy, ix = _coarse_index(ny), _coarse_index(nx)
         if iy.size == ny and ix.size == nx:
             break
-        counts = np.bincount(node_dof[node_dof >= 0], minlength=ndof)
-        average = sparse.diags(1.0 / counts[keep]) @ _dof_matrix(node_dof, ndof)[:, keep].T
-        interp = sparse.kron(_interpolation(ny, iy), _interpolation(nx, ix), format="csr")
         below = node_dof[(iy[:, None] * nx + ix).ravel()]
         coarse_dof = np.full(below.size, -1, dtype=np.int64)
         free = below >= 0
         owners, coarse_dof[free] = np.unique(below[free], return_inverse=True)
-        ndof = owners.size
-        p = (average @ interp @ _dof_matrix(coarse_dof, ndof)).tocsc()
-        keep = np.flatnonzero(np.diff(p.indptr) > 0)
-        p = p[:, keep].tocsr()
+        ncoarse = owners.size
+
+        # the (2, 2, ny, nx) terms: corner (k, l) of every fine node's
+        # coarse cell, its coarse unknown and weight wy wx; a term counts
+        # when the node's unknown is a kept row and the corner a free unknown
+        row_of = np.full(ndof, -1, dtype=np.int64)
+        row_of[keep] = np.arange(keep.size)
+        node_row = np.where(node_dof >= 0, row_of[node_dof], -1).reshape(ny, nx)
+        (jy, wy), (jx, wx) = _interpolation(ny, iy), _interpolation(nx, ix)
+        cols = coarse_dof[jy[:, None, :, None] * ix.size + jx[None, :, None, :]]
+        weights = wy[:, None, :, None] * wx[None, :, None, :]
+        term = (node_row >= 0) & (cols >= 0) & (weights != 0.0)
+        keys = (node_row * ncoarse + cols)[term]
+        weights = weights[term]
+        # one entry per distinct key, its terms summed in written order
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        rows, cols = np.divmod(keys[first], ncoarse)
+        counts = np.bincount(node_dof[node_dof >= 0], minlength=ndof)
+        data = np.add.reduceat(weights, first) * (1.0 / counts[keep])[rows]
+
+        used = np.zeros(ncoarse, dtype=bool)
+        used[cols] = True
+        column = np.cumsum(used, dtype=np.int32) - 1
+        indptr = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=keep.size), out=indptr[1:])
+        keep = np.flatnonzero(used)
+        p = sparse.csr_matrix((data, column[cols], indptr), shape=(indptr.size - 1, keep.size))
         out.append((p, p.T.tocsr()))
-        shape, node_dof = (iy.size, ix.size), coarse_dof
+        shape, node_dof, ndof = (iy.size, ix.size), coarse_dof, ncoarse
     return out
 
 

@@ -19,6 +19,9 @@ from acdii.forward import (
     ConvergenceError,
     InclusionSet,
     Layout,
+    _COARSEST,
+    _coarse_index,
+    _dof_matrix,
     _pcg,
     assemble,
     disk_cells,
@@ -634,6 +637,87 @@ def test_layout_of_another_cell_set_is_rejected():
     system = assemble(c.values, sigma0, grid, exclude_cells=excl)
     with pytest.raises(AssemblyError):
         assemble(c.values, sigma0, grid, layout=system.layout)
+
+
+def _sparse_interpolation(n, kept):
+    """Linear interpolation (n x kept.size) from the nodes `kept` to all n nodes."""
+    pos = np.arange(n)
+    left = np.clip(np.searchsorted(kept, pos, side="right") - 1, 0, kept.size - 2)
+    w = (pos - kept[left]) / (kept[left + 1] - kept[left])
+    mat = sparse.csr_matrix(
+        (np.concatenate([1.0 - w, w]), (np.tile(pos, 2), np.concatenate([left, left + 1]))),
+        shape=(n, kept.size),
+    )
+    mat.eliminate_zeros()
+    return mat
+
+
+def _reference_prolongations(shape, node_dof, ndof, keep):
+    """The prolongations as sparse products: average @ kron(interp) @ dof matrix.
+
+    Columns that come out empty are sliced away in CSC; returns the (P, P^T)
+    pairs, finest first, as `forward._prolongations` does.
+    """
+    out = []
+    while keep.size > _COARSEST:
+        ny, nx = shape
+        iy, ix = _coarse_index(ny), _coarse_index(nx)
+        if iy.size == ny and ix.size == nx:
+            break
+        counts = np.bincount(node_dof[node_dof >= 0], minlength=ndof)
+        average = sparse.diags(1.0 / counts[keep]) @ _dof_matrix(node_dof, ndof)[:, keep].T
+        interp = sparse.kron(_sparse_interpolation(ny, iy), _sparse_interpolation(nx, ix),
+                             format="csr")
+        below = node_dof[(iy[:, None] * nx + ix).ravel()]
+        coarse_dof = np.full(below.size, -1, dtype=np.int64)
+        free = below >= 0
+        owners, coarse_dof[free] = np.unique(below[free], return_inverse=True)
+        ndof = owners.size
+        p = (average @ interp @ _dof_matrix(coarse_dof, ndof)).tocsc()
+        keep = np.flatnonzero(np.diff(p.indptr) > 0)
+        p = p[:, keep].tocsr()
+        out.append((p, p.T.tocsr()))
+        shape, node_dof = (iy.size, ix.size), coarse_dof
+    return out
+
+
+def _assert_prolongations_match_reference(layout, exact):
+    ndof = layout.restriction.shape[1]
+    ref = _reference_prolongations(layout.grid.shape, layout.node_dof, ndof, layout.keep)
+    assert len(layout.prolongations) == len(ref) >= 1
+    for got_pair, ref_pair in zip(layout.prolongations, ref):
+        for got, want in zip(got_pair, ref_pair):
+            assert got.shape == want.shape and got.has_sorted_indices
+            assert got.indices.dtype == want.indices.dtype
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
+            if exact:
+                assert np.array_equal(got.data, want.data)
+            else:
+                assert np.max(np.abs(got.data - want.data)) <= 1e-14
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_prolongations_match_the_sparse_product_construction(kind, nx, ny):
+    # bit for bit where every unknown has one node; tied unknowns sum
+    # their nodes' weights in another order
+    c, sigma0, grid, incl, excl, _ = _layout_case(kind, nx, ny)
+    layout = assemble(c, sigma0, grid, incl, excl).layout
+    _assert_prolongations_match_reference(layout, exact=not layout.perfect)
+
+
+@pytest.mark.parametrize("deleted", [False, True])
+def test_prolongations_of_the_bump_match_the_sparse_product_construction(deleted):
+    # a deleted block drops the unknowns inside it and, on coarser levels,
+    # the coarse columns nothing below has stiffness for
+    grid, _, sigma0, _ = bump_problem(65)
+    contributing = np.ones(grid.cell_shape, dtype=bool)
+    if deleted:
+        contributing[20:36, 12:30] = False
+    layout = Layout(grid, sigma0, contributing)
+    assert layout.n_unknowns < 63 * 63 if deleted else layout.n_unknowns == 63 * 63
+    _assert_prolongations_match_reference(layout, exact=True)
 
 
 def test_layout_build_peak_stays_within_twice_what_the_layout_keeps():
