@@ -286,14 +286,6 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
     return patterns + (diagonal, stiffness)
 
 
-def _dof_matrix(node_dof, ndof):
-    """Sparse (nodes x dofs) 0/1 matrix putting each dof's value on its nodes."""
-    free = np.flatnonzero(node_dof >= 0)
-    return sparse.csr_matrix(
-        (np.ones(free.size), (free, node_dof[free])), shape=(node_dof.size, ndof)
-    )
-
-
 # -- multigrid transfers -------------------------------------------------------
 
 # unknowns at or below which the V-cycle solves its level densely
@@ -512,9 +504,9 @@ class Layout:
         node_dof[singles] = ndof + np.arange(singles.size)
         ndof += singles.size
         self.node_dof = node_dof
-        self.restriction = _dof_matrix(node_dof, ndof)
+        self.free_nodes = np.flatnonzero(free)
         # nodes per dof: a tied component's warm start is the mean of its nodes
-        self.tie_counts = self.restriction.T @ np.ones(n)
+        self.tie_counts = np.bincount(node_dof[self.free_nodes], minlength=ndof)
 
         # an unknown has stiffness iff a contributing cell touches one of its nodes
         stiff = np.zeros(ndof, dtype=bool)
@@ -525,7 +517,7 @@ class Layout:
         self.n_unknowns = m = self.keep.size
         kept = np.full(ndof, -1, dtype=np.int32)
         kept[self.keep] = np.arange(m)
-        node_kept = np.where(node_dof >= 0, kept[node_dof], -1).astype(np.int32)
+        self.node_kept = node_kept = np.where(node_dof >= 0, kept[node_dof], -1).astype(np.int32)
         boundary = np.full(n, -1, dtype=np.int32)
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
@@ -720,18 +712,20 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     if x0 is not None:
         x0v = np.asarray(x0, dtype=np.float64)
         # a tied component starts from the mean of its nodes' guesses
-        guess = ((layout.restriction.T @ x0v.ravel()) / layout.tie_counts)[layout.keep]
+        nodes = layout.free_nodes
+        sums = np.bincount(layout.node_dof[nodes], weights=x0v.ravel()[nodes],
+                           minlength=layout.tie_counts.size)
+        guess = (sums / layout.tie_counts)[layout.keep]
     x, system.cg_residual, system.cg_iterations = _pcg(system.matrix, b, tol, max_iter, x0=guess)
 
-    xd = np.full(layout.restriction.shape[1], np.nan)
-    xd[layout.keep] = x
     u = lift
-    freem = layout.node_dof >= 0
-    u[freem] = xd[layout.node_dof[freem]]
-    u2 = u.reshape(grid.shape)
-    if not np.isfinite(u2).all():
-        u2 = _fill_isolated(grid, u2)
-    return ScalarField(grid, u2, location="node")
+    unknown = layout.node_kept[layout.free_nodes]
+    # the nodes of a dropped dof have no stiffness and get the neighbor-mean fill
+    u[layout.free_nodes] = np.where(unknown >= 0, x[unknown], np.nan)
+    u = u.reshape(grid.shape)
+    if layout.n_unknowns < layout.tie_counts.size:
+        u = _fill_isolated(grid, u)
+    return ScalarField(grid, u, location="node")
 
 
 def solve_penalized(k: float, sigma1: TensorField2, sigma: TensorField2, f, grid: Grid2D,

@@ -80,11 +80,10 @@ class TVProblem:
     bound of sigma0.  delta_grad and delta_a are the degeneracy cutoffs
     of the pointwise recovery; when None, delta_grad defaults to three
     times the final smoothing of the eps schedule and delta_a to 1e-8
-    times max(a).  pd_tau and pd_sigma are the primal-dual steps: unset,
-    their ratio follows the oscillation of f and their product is 1/L^2;
-    one set alone fixes the other at that product (see
-    `minimize_tv_primal_dual`).  `TV_SCHEMA` holds the type and range of
-    every setting.
+    times max(a).  pd_iterations caps the primal-dual steps; their sizes
+    follow from f and the grid, and the checkpoints of its stopping rule
+    from the grid (see `minimize_tv_primal_dual`).  `TV_SCHEMA` holds the
+    type and range of every setting.
     """
 
     triplet: AdmissibleTriplet
@@ -94,8 +93,6 @@ class TVProblem:
     fp_tol: float = 1e-10
     max_inner: int = 200
     cg_tol: float = 1e-10
-    pd_tau: float | None = None
-    pd_sigma: float | None = None
     pd_iterations: int | None = None
     delta_grad: float | None = None
     delta_a: float | None = None
@@ -119,8 +116,6 @@ _TV_RULES = {
     "fp_tol": ("num", "(0, inf)"),
     "max_inner": ("int", "[1, inf)"),
     "cg_tol": ("num", "(0, inf)"),
-    "pd_tau": ("num", "(0, inf)"),
-    "pd_sigma": ("num", "(0, inf)"),
     "pd_iterations": ("int", "[1, inf)"),
     "delta_grad": ("num", "(0, inf)"),
     "delta_a": ("num", "(0, inf)"),
@@ -328,7 +323,12 @@ def minimize_tv_fixedpoint(problem: TVProblem):
 # the div B rms in units of max(a) / (longer side of the domain)
 _PD_TOL = 1e-6
 
-# default step ratio tau / sigma = (omega / _PD_BALANCE)^2, omega the
+# checkpoints of the stopping rule fall every _PD_CHECK max(nx, ny) steps:
+# the fiftieth of the default cap, so a default run checks where it always
+# did, and a larger cap no longer moves the stop
+_PD_CHECK = 4
+
+# step ratio tau / sigma = (omega / _PD_BALANCE)^2, omega the
 # oscillation of f on the boundary: u moves on the scale of f and the
 # normalized dual on the scale 1, so the ratio follows f.  With the
 # relaxed step, the rule stops on the bumps at n = 33 / 65 / 129 after
@@ -354,14 +354,13 @@ _PD_RELAX = 1.9
 def minimize_tv_primal_dual(problem: TVProblem):
     """Saddle-point minimization; returns (u, B, info) with B dual feasible.
 
-    L^2 = M (4/hx^2 + 4/hy^2) bounds the weighted gradient norm.  With
-    neither step set, tau = omega / (4 L) and sigma = 4 / (omega L), omega
-    = max f - min f over the boundary nodes (1 when f is constant there);
-    one step set alone fixes the other at tau sigma L^2 = 1, and two set
-    steps are used as given, where tau sigma L^2 > 1 is a configuration
-    error.  With the default steps the iteration is equivariant under
-    f -> alpha f + beta: u follows f, b does not move, and the stop is
-    the same.  Constant boundary data f = k has the exact saddle point
+    L^2 = M (4/hx^2 + 4/hy^2) bounds the weighted gradient norm.  The
+    steps are tau = omega / (4 L) and sigma = 4 / (omega L), omega = max f
+    - min f over the boundary nodes (1 when f is constant there), so tau
+    sigma L^2 = 1; any steps within that bound reach the same saddle
+    point, and these only set the path.  The iteration is equivariant
+    under f -> alpha f + beta: u follows f, b does not move, and the stop
+    is the same.  Constant boundary data f = k has the exact saddle point
     u = k, B = 0, which is returned after 0 iterations: F[u] is 0 there,
     so the relative gap of an iterate would only measure round-off.
 
@@ -377,7 +376,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     rho > 1 the relaxed b may leave the ball, so B, the pairing and div B
     are taken from the projected bhat: B is dual feasible to round-off.
 
-    Every max(pd_iterations // 50, 1) steps info records the functional F
+    Every _PD_CHECK max(nx, ny) steps info records the functional F
     (`tv_history`), the relative primal-dual gap |F_A[u] - <grad u, B>| /
     F_A[u] (`gap_history`), and the interior rms of div B
     (`divergence_history`).  F_A is F over the cells the scheme optimizes,
@@ -387,9 +386,9 @@ def minimize_tv_primal_dual(problem: TVProblem):
     stops at the first checkpoint where both the gap and the div B rms
     times l / max(a), l the longer side of the domain, are <= _PD_TOL
     (`converged`); `pd_iterations` (default 200 max(nx, ny)) is only the
-    cap, `max_iterations`, and `iterations` counts the steps run.  Both
-    quantities are scale-free, so the stop, u and B / max(a) do not
-    change when a is scaled.  `pd_gap` and `dual_divergence_rms` are the
+    cap, `max_iterations`: it ends the loop but moves no checkpoint, and
+    `iterations` counts the steps run.  Both quantities are scale-free,
+    so the stop, u and B / max(a) do not change when a is scaled.  `pd_gap` and `dual_divergence_rms` are the
     two at the end, and `tv_final` is the full F.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
@@ -397,19 +396,9 @@ def minimize_tv_primal_dual(problem: TVProblem):
     l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
     rim = t.f.values.ravel()[grid.boundary_ids]
     omega = float(np.max(rim) - np.min(rim))
-    tau, sig = problem.pd_tau, problem.pd_sigma
-    if tau is None and sig is None:
-        width = omega or 1.0
-        tau = width / (_PD_BALANCE * np.sqrt(l2))
-        sig = _PD_BALANCE / (width * np.sqrt(l2))
-    elif sig is None:
-        sig = 1.0 / (tau * l2)
-    elif tau is None:
-        tau = 1.0 / (sig * l2)
-    if tau * sig * l2 > 1.0 + 1e-9:
-        raise TVConfigError(
-            f"primal-dual steps violate tau*sigma*L^2 <= 1 (got {tau * sig * l2:.3f})"
-        )
+    width = omega or 1.0
+    tau = width / (_PD_BALANCE * np.sqrt(l2))
+    sig = _PD_BALANCE / (width * np.sqrt(l2))
     iters = (
         problem.pd_iterations
         if problem.pd_iterations is not None
@@ -470,7 +459,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     f_hist = []
     gap_hist = []
     div_hist = []
-    record_every = max(iters // 50, 1)
+    record_every = _PD_CHECK * max(grid.nx, grid.ny)
     converged = False
     for it in range(iters):
         # primal step uhat = u - step, extrapolation ubar = 2 uhat - u

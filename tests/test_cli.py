@@ -532,6 +532,16 @@ def test_non_finite_number_exits_2_naming_key(tmp_path, capsys, named, steps, ba
     assert f"'{named}'" in _single_error(capsys)
 
 
+@pytest.mark.parametrize("key", ["inverse.pd_tau", "inverse.pd_sigma"])
+def test_removed_primal_dual_step_key_exits_2_naming_it(tmp_path, capsys, key):
+    # the primal-dual steps follow from f and the grid; no config sets them
+    cfg = _base_config(tmp_path / "out")
+    cfg["inverse"] = {"algorithm": "primaldual", key.split(".")[1]: 0.01}
+    capsys.readouterr()
+    assert main(["invert", "--config", _write(tmp_path, cfg)]) == 2
+    assert f"'{key}'" in _single_error(capsys)
+
+
 def test_importing_the_cli_loads_no_scipy_beyond_sparse():
     # scipy.linalg alone adds about 80 ms to every command's start-up, and
     # scipy.ndimage with the scipy.special it pulls in about 7 MB of memory

@@ -24,6 +24,7 @@ from acdii.inverse import (
     TVProblem,
     _ANDERSON_DEPTH,
     _Anderson,
+    _PD_CHECK,
     _PD_TOL,
     _normalized_data,
     boundary_flux_integral,
@@ -267,10 +268,14 @@ def test_anderson_growing_residual_clears_history():
     assert mixer.restarts == 0
 
 
-def test_primal_dual_records_gap_at_tv_checkpoints(recon33):
+def _checkpoint_spacing(trip):
+    return _PD_CHECK * max(trip.grid.nx, trip.grid.ny)
+
+
+def test_primal_dual_records_gap_at_tv_checkpoints(bump33, recon33):
     info = recon33.diagnostics["primaldual"]
     gaps = info["gap_history"]
-    record_every = max(info["max_iterations"] // 50, 1)
+    record_every = _checkpoint_spacing(bump33)
     assert len(gaps) == len(info["tv_history"]) == info["iterations"] // record_every
     assert all(np.isfinite(gaps)) and min(gaps) >= 0.0
     # the last checkpoint is the last iteration, where pd_gap is taken
@@ -288,7 +293,7 @@ def _pd_stop_measures(info, trip):
 
 def test_primal_dual_stops_at_first_checkpoint_meeting_both_tolerances(bump33, recon33):
     info = recon33.diagnostics["primaldual"]
-    record_every = max(info["max_iterations"] // 50, 1)
+    record_every = _checkpoint_spacing(bump33)
     assert info["converged"] is True
     assert info["iterations"] < info["max_iterations"] == 200 * 33
     assert info["iterations"] % record_every == 0
@@ -334,6 +339,21 @@ def test_primal_dual_stop_is_invariant_under_doubled_data():
         assert i2["tv_final"] == 2.0 * i1["tv_final"]
 
 
+def test_primal_dual_cap_does_not_move_the_stop(bump33):
+    # the checkpoints follow the grid, not the cap: a larger cap checks the
+    # same steps and stops at the same one
+    runs = [
+        minimize_tv_primal_dual(TVProblem(bump33, pd_iterations=k * 200 * 33))
+        for k in (1, 2, 5)
+    ]
+    u0, B0, i0 = runs[0]
+    for u, B, info in runs:
+        assert info["converged"] is True and info["iterations"] == 660
+        assert np.array_equal(u.values, u0.values)
+        assert np.array_equal(B.v1, B0.v1) and np.array_equal(B.v2, B0.v2)
+        assert info["gap_history"] == i0["gap_history"]
+
+
 def _with_f(trip, fvals):
     return AdmissibleTriplet(ScalarField(trip.grid, fvals), trip.sigma0, trip.a, trip.grid)
 
@@ -372,17 +392,6 @@ def test_primal_dual_constant_boundary_data_gives_constant_potential():
     assert np.all(np.isfinite(B.v1)) and np.all(np.isfinite(B.v2))
 
 
-@pytest.mark.parametrize("given", ["pd_tau", "pd_sigma"])
-def test_primal_dual_one_given_step_fixes_the_other(given):
-    trip, x = _trivial_triplet(9)
-    l2 = trip.sigma0.M * (4.0 / trip.grid.hx**2 + 4.0 / trip.grid.hy**2)
-    u, B, info = minimize_tv_primal_dual(TVProblem(trip, **{given: 0.5 / np.sqrt(l2)}))
-    tau, sig = info["tau"], info["sigma_step"]
-    set_step, other = (tau, sig) if given == "pd_tau" else (sig, tau)
-    assert set_step == 0.5 / np.sqrt(l2) and other == 1.0 / (set_step * l2)
-    assert info["converged"] is True and np.max(np.abs(u.values - x)) <= 1e-4
-
-
 def test_primal_dual_recovers_linear_potential():
     trip, x = _trivial_triplet()
     u, B, info = minimize_tv_primal_dual(TVProblem(trip))
@@ -400,21 +409,16 @@ def _reference_primal_dual(problem, steps):
     extrapolation 2 uhat - u, then (u, b) moved by 1.9 times the way to
     (uhat, bhat).  B, the pairing and div B are taken from bhat; the gap's
     primal term runs over the cells above the void floor.  It runs `steps`
-    iterations with the checkpoint spacing of the cap `pd_iterations`, and
-    has no stopping rule of its own.
+    iterations with a checkpoint every 4 max(nx, ny) of them, and has no
+    stopping rule of its own.
     Returns (u, (B1, B2), histories).
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
-    tau, sig = problem.pd_tau, problem.pd_sigma
-    if tau is None and sig is None:
-        fb = t.f.values.ravel()[grid.boundary_ids]
-        omega = float(fb.max() - fb.min()) or 1.0
-        tau, sig = omega / (4.0 * np.sqrt(l2)), 4.0 / (omega * np.sqrt(l2))
-    tau = tau if tau is not None else 1.0 / (sig * l2)
-    sig = sig if sig is not None else 1.0 / (tau * l2)
-    iters = problem.pd_iterations or 200 * max(grid.nx, grid.ny)
+    fb = t.f.values.ravel()[grid.boundary_ids]
+    omega = float(fb.max() - fb.min()) or 1.0
+    tau, sig = omega / (4.0 * np.sqrt(l2)), 4.0 / (omega * np.sqrt(l2))
     r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
     active = ~void
     a_active = np.where(active, a_hat, 0.0)
@@ -425,7 +429,7 @@ def _reference_primal_dual(problem, steps):
     b1 = np.zeros(grid.cell_shape)
     b2 = np.zeros(grid.cell_shape)
     hist = {"tv_history": [], "gap_history": [], "divergence_history": []}
-    record_every = max(iters // 50, 1)
+    record_every = 4 * max(grid.nx, grid.ny)
     for it in range(steps):
         q1 = r11 * b1 + r12 * b2
         q2 = r12 * b1 + r22 * b2
@@ -486,10 +490,9 @@ def _array_rel(x, ref):
     [
         (False, {}),
         (True, {}),
-        (False, {"pd_tau": 0.004, "pd_sigma": 0.02}),
         (False, {"void_floor": 0.9}),
     ],
-    ids=["varying-sigma0", "void-patch", "unequal-steps", "void-floor"],
+    ids=["varying-sigma0", "void-patch", "void-floor"],
 )
 def test_primal_dual_matches_reference_loop(void_patch, settings):
     problem = TVProblem(_pd_triplet(void_patch), **settings)
@@ -502,7 +505,7 @@ def test_primal_dual_matches_reference_loop(void_patch, settings):
     assert _array_rel(info["divergence_history"], hist["divergence_history"]) <= 1e-12
     # the gap is already a fraction of F, so its rounding is absolute
     gaps = np.asarray(info["gap_history"])
-    assert gaps.size == info["iterations"] // max(info["max_iterations"] // 50, 1)
+    assert gaps.size == info["iterations"] // _checkpoint_spacing(problem.triplet)
     assert np.max(np.abs(gaps - hist["gap_history"])) <= 1e-12
 
 
@@ -529,10 +532,10 @@ def test_primal_dual_gap_closes_above_void_floor():
     assert info["tv_final"] == weighted_tv(u.values, trip.a.values, trip.sigma0)
 
 
-def test_primal_dual_records_divergence_at_checkpoints(recon33):
+def test_primal_dual_records_divergence_at_checkpoints(bump33, recon33):
     info = recon33.diagnostics["primaldual"]
     divs = info["divergence_history"]
-    record_every = max(info["max_iterations"] // 50, 1)
+    record_every = _checkpoint_spacing(bump33)
     assert len(divs) == len(info["tv_history"]) == info["iterations"] // record_every
     assert divs[-1] == info["dual_divergence_rms"]
     assert divs[-1] < divs[0]
@@ -765,13 +768,6 @@ def test_problem_validation():
         TVProblem(trip, eps0=-1.0)
     with pytest.raises(TVConfigError):
         reconstruct(TVProblem(trip), algorithm="gradient-descent")
-
-
-def test_primal_dual_step_bound_enforced():
-    trip, _ = _trivial_triplet(9)
-    prob = TVProblem(trip, pd_tau=10.0, pd_sigma=10.0)
-    with pytest.raises(TVConfigError):
-        minimize_tv_primal_dual(prob)
 
 
 def test_coarea_on_linear_potential():
