@@ -15,8 +15,11 @@ audits are exact discrete duals:
 
     sum_cells (grad u . B) == sum_nodes u * grad_adjoint(B)
 
-`grad_operator` assembles the same stencil, premultiplied by a cell
-tensor, as one sparse matrix for loops that apply it many times.
+`cell_operator` assembles the same stencil, premultiplied by
+sigma0^(1/2), as one sparse matrix M with a third row per cell for the
+hourglass mode `grad` does not see.  M_K^T M_K is a cell's bilinear
+element stiffness, so M builds the forward stiffness map and the first
+two rows of M are the primal-dual's K.
 
 The weighted-TV functional F[u] = integral of a |grad u|_{sigma0} lives
 here too, beside the gradient it is built on, as two functions of the
@@ -271,27 +274,37 @@ def grad_adjoint(grid: Grid2D, w1, w2):
     return out
 
 
-def grad_operator(grid: Grid2D, t11, t12, t22):
-    """CSR matrix of u -> (t11 g1 + t12 g2, t12 g1 + t22 g2) with (g1, g2) = grad(u).
+def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
+    """CSR matrix M of the bilinear cell: three rows per cell.
 
-    The cell tensor entries are cell-shaped arrays or numbers.  Rows are
-    the cells in row-major order for the first component, then again for
-    the second; columns are flattened node ids.  Each row holds the
-    sw, se, nw, ne corners of its cell (4 nonzeros, int32 indices), with
-    the `grad` stencil folded into the tensor entries, so the matrix is
-    assembled directly from per-cell coefficients.
+    Rows are the cells in row-major order three times: the two components
+    of weight sigma0^(1/2) grad(u), then weight ((s11 hy^2 + s22 hx^2) /
+    12)^(1/2) (u_sw - u_se - u_nw + u_ne) / (hx hy), the hourglass mode
+    of the bilinear interpolant that `grad` does not see.  `weight` is a
+    cell array or a number.  Columns are flattened node ids; each row
+    holds the sw, se, nw, ne corners of its cell (4 nonzeros, int32
+    indices).  With weight |K|^(1/2), a cell's M_K^T M_K is its element
+    stiffness for sigma0, the 2x2 Gauss quadrature of grad(N_a) . sigma0
+    grad(N_b), since the hourglass gradient is orthogonal to the constant
+    one on the cell and the quadrature is exact for both.
     """
     ncells = (grid.ny - 1) * (grid.nx - 1)
     rows, cols = np.indices(grid.cell_shape, dtype=np.int32)
     sw = (rows * grid.nx + cols).ravel()
     corners = np.stack([sw, sw + 1, sw + grid.nx, sw + grid.nx + 1], axis=1)
-    d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * grid.hx)
-    d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * grid.hy)
-    t11, t12, t22 = (np.broadcast_to(t, grid.cell_shape).reshape(-1, 1) for t in (t11, t12, t22))
-    data = np.concatenate([t11 * d1 + t12 * d2, t12 * d1 + t22 * d2]).ravel()
-    indices = np.concatenate([corners, corners]).ravel()
-    indptr = np.arange(0, 8 * ncells + 1, 4, dtype=np.int32)
-    return sparse.csr_matrix((data, indices, indptr), shape=(2 * ncells, grid.n_nodes))
+    # numpy scalars: a square that overflows is inf, which CG reports, not an OverflowError
+    hx, hy = np.float64(grid.hx), np.float64(grid.hy)
+    d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * hx)
+    d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * hy)
+    twist = np.array([1.0, -1.0, -1.0, 1.0]) / (hx * hy)
+    s11, s12, s22 = sigma0.entries
+    weight = np.broadcast_to(weight, grid.cell_shape)
+    t11, t12, t22 = ((weight * r).reshape(-1, 1) for r in sym2_sqrt(s11, s12, s22))
+    h = (weight * np.sqrt((s11 * hy**2 + s22 * hx**2) / 12.0)).reshape(-1, 1)
+    data = np.concatenate([t11 * d1 + t12 * d2, t12 * d1 + t22 * d2, h * twist]).ravel()
+    indices = np.concatenate([corners, corners, corners]).ravel()
+    indptr = np.arange(0, 12 * ncells + 1, 4, dtype=np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(3 * ncells, grid.n_nodes))
 
 
 # -- the weighted-TV functional ------------------------------------------------

@@ -1,9 +1,11 @@
 """Anisotropic conductivity forward solves on uniform quadrilateral grids.
 
 The weak form div(c sigma0 grad u) = 0 with Dirichlet data is assembled
-with bilinear elements and per-cell constant coefficients, integrated by
-2x2 Gauss quadrature (exact for these integrands).  Two inclusion types
-are supported:
+with bilinear elements and per-cell constant coefficients.  A cell's
+element matrix is M_K^T M_K, M_K its three rows of `fields.cell_operator`
+(the sigma0^(1/2)-weighted midpoint gradient and the hourglass row): the
+2x2 Gauss quadrature of the element integrals, which is exact for them.
+Two inclusion types are supported:
 
 - insulating components: their cells are simply deleted from assembly,
   which is the natural homogeneous Neumann condition on the cavity wall;
@@ -51,6 +53,7 @@ from .fields import (
     Grid2D,
     ScalarField,
     TensorField2,
+    cell_operator,
     label_cells,
     nodes_of_cells,
     tv_density,
@@ -181,40 +184,13 @@ class InclusionSet:
         return cls(grid, perfect=perfect, insulating=insulating)
 
 
-# -- element matrices --------------------------------------------------------
-
-# corner order per cell: (j,i), (j,i+1), (j+1,i+1), (j+1,i)
-_CX = np.array([-1.0, 1.0, 1.0, -1.0])
-_CE = np.array([-1.0, -1.0, 1.0, 1.0])
-
-
-def element_templates(hx: float, hy: float):
-    """The 4x4 blocks Kxx, Kxy, Kyy with K = s11 Kxx + s12 Kxy + s22 Kyy.
-
-    2x2 Gauss quadrature of grad(N_a) . S grad(N_b) over one hx-by-hy
-    cell with constant S; exact since the integrand is biquadratic.
-    """
-    g = 1.0 / np.sqrt(3.0)
-    pts = [(-g, -g), (g, -g), (g, g), (-g, g)]
-    gx = np.empty((4, 4))
-    gy = np.empty((4, 4))
-    for k, (xi, eta) in enumerate(pts):
-        gx[k] = 0.25 * _CX * (1.0 + _CE * eta) * (2.0 / hx)
-        gy[k] = 0.25 * _CE * (1.0 + _CX * xi) * (2.0 / hy)
-    scale = hx * hy / 4.0
-    kxx = scale * (gx.T @ gx)
-    kyy = scale * (gy.T @ gy)
-    m = scale * (gx.T @ gy)
-    kxy = m + m.T
-    return kxx, kxy, kyy
-
-
 # -- the stiffness map -----------------------------------------------------------
 
+# (row, column) step of each corner's node from the cell's (j, i) node, in
+# the sw, se, nw, ne order of a cell's nonzeros in `cell_operator`
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # The ten distinct entries of the symmetric 4x4 cell matrix, as corner pairs.
-_CORNER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (3, 2), (0, 3), (1, 2), (0, 2), (1, 3))
-# (row, column) step of each corner's node from the cell's (j, i) node
-_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+_CORNER_PAIRS = ((0, 0), (1, 1), (3, 3), (2, 2), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
 def _pattern(keys, n_rows, n_cols):
@@ -229,15 +205,16 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
 
     `node_kept` maps a node to its reduced unknown (-1 if it has none)
     and `boundary` to its Dirichlet index (-1 if it is not on the rim).
-    Every contributing cell writes one term (entry key, cell, weight) per
-    corner pair and orientation, weighted by its sigma0 element
-    coefficient s11 Kxx + s12 Kxy + s22 Kyy.  With m unknowns and nb
-    Dirichlet nodes the key of a matrix entry is row * m + column, that of
-    a coupling entry m^2 + row * nb + Dirichlet index, and that of a term
-    whose row node has no unknown -1.  An off-diagonal pair writes both
-    orientations side by side with one weight.  One stable sort of the
-    keys groups the terms by entry, in the order they were written, so
-    mirror entries add the same terms in the same order.  Returns
+    Every contributing cell K writes one term (entry key, cell, weight)
+    per corner pair (p, q) and orientation, weighted by its element
+    stiffness sum_r M_rp M_rq, M the cell's three rows of `cell_operator`
+    with weight |K|^(1/2).  With m unknowns and nb Dirichlet nodes the
+    key of a matrix entry is row * m + column, that of a coupling entry
+    m^2 + row * nb + Dirichlet index, and that of a term whose row node
+    has no unknown -1.  An off-diagonal pair writes both orientations
+    side by side with one weight.  One stable sort of the keys groups the
+    terms by entry, in the order they were written, so mirror entries add
+    the same terms in the same order.  Returns
     ((indices, indptr) of the matrix, (indices, indptr) of the coupling,
     the diagonal positions, the map).
     """
@@ -246,8 +223,9 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
     base = cells + cells // np.int32(grid.nx - 1)  # node (j, i) of cell (j, i)
     corner = [base + np.int32(dy * grid.nx + dx) for dy, dx in _CORNERS]
     unknown = [node_kept[p].astype(np.int64) for p in corner]
-    kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
-    s11, s12, s22 = (s.ravel()[cells] for s in sigma0.entries)
+    # the 3x4 block of M of every contributing cell, by corner, row and cell
+    block = cell_operator(grid, sigma0, np.sqrt(grid.cell_area)).data.reshape(3, -1, 4)
+    block = np.ascontiguousarray(block[:, cells].transpose(2, 0, 1))
     keys = np.empty(16 * cells.size, dtype=np.int64)
     terms = np.empty(keys.size, dtype=np.int32)
     weights = np.empty(keys.size)
@@ -261,11 +239,11 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
             key[row < 0] = -1
             keys[start + k:stop:len(ends)] = key
         terms[start:stop] = np.repeat(cells, len(ends))
-        weights[start:stop] = np.repeat(s11 * kxx[a, b] + s12 * kxy[a, b] + s22 * kyy[a, b],
-                                         len(ends))
+        p, q = block[a], block[b]
+        weights[start:stop] = np.repeat(p[0] * q[0] + p[1] * q[1] + p[2] * q[2], len(ends))
         start = stop
     # freeing each array once used keeps the build's peak below twice what the layout keeps
-    del unknown, corner, s11, s12, s22
+    del unknown, corner, block, p, q
     order = np.argsort(keys, kind="stable")
     keys.sort()
     first = int(np.searchsorted(keys, 0))  # the dead terms sort first
@@ -474,9 +452,9 @@ class Layout:
 
     `stiffness` maps c to the values of both patterns: a CSR matrix with
     one row per stored entry (the matrix's, then the coupling's) and one
-    column per cell, holding each contributing cell's sigma0 element
-    coefficient s11 Kxx + s12 Kxy + s22 Kyy for that entry's corner
-    pairs.  Every assembly on the layout is the one product
+    column per cell, holding each contributing cell's element stiffness
+    for sigma0 (sum_r M_rp M_rq over its `cell_operator` rows) for that
+    entry's corner pairs.  Every assembly on the layout is the one product
     `stiffness @ c`.  Its rows are one term list sorted stably by entry
     (see `_stiffness`), so mirror entries add the same terms in the same
     order and the matrix is exactly symmetric.
@@ -626,12 +604,16 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
     """CG on `matrix` preconditioned by its V-cycle.
 
     Stops when the relative residual |b - A x| / |b| meets tol and
-    returns (x, relative residual, iterations).
+    returns (x, relative residual, iterations).  A right-hand side whose
+    norm is not finite, or a residual that is not, raises ConvergenceError
+    at once: no later step can make it finite again.
     """
     x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
     bnorm = np.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
+    if not np.isfinite(bnorm):
+        raise ConvergenceError(f"CG right-hand side norm is not finite ({bnorm})", np.nan, 0)
     r = b - matrix @ x if x0 is not None else b.copy()
     res = np.sqrt(_dot(r, r)) / bnorm
     if res <= tol:
@@ -647,6 +629,8 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
         res = np.sqrt(_dot(r, r)) / bnorm
         if res <= tol:
             return x, res, it
+        if not np.isfinite(res):
+            raise ConvergenceError(f"CG residual is not finite ({res}) at iteration {it}", res, it)
         z = matrix.vcycle(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p

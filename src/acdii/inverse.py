@@ -48,8 +48,8 @@ from .fields import (
     ScalarField,
     TensorField2,
     VectorField2,
+    cell_operator,
     grad_adjoint,
-    grad_operator,
     label_cells,
     nodes_of_cells,
     rel_l2,
@@ -364,10 +364,11 @@ def minimize_tv_primal_dual(problem: TVProblem):
     u = k, B = 0, which is returned after 0 iterations: F[u] is 0 there,
     so the relative gap of an iterate would only measure round-off.
 
-    The loop runs on two sparse matrices built once per call by
-    `grad_operator`: K = sigma 1_active sigma0^(1/2) grad and the primal
-    step (tau / sigma) K^T with its Dirichlet rows zeroed.  An iteration
-    is the primal step uhat = u - (tau/sigma) K^T b, the dual ascent
+    The loop runs on two sparse matrices built once per call: K = sigma
+    1_active sigma0^(1/2) grad, the first two row blocks of
+    `cell_operator`, and the primal step (tau / sigma) K^T with its
+    Dirichlet rows zeroed.  An iteration is the primal step
+    uhat = u - (tau/sigma) K^T b, the dual ascent
     bhat = b + K (2 uhat - u) with the radial projection of bhat onto the
     ball |bhat| <= a, and the relaxation (u, b) += rho ((uhat, bhat) -
     (u, b)) with rho = _PD_RELAX, all on preallocated buffers
@@ -420,10 +421,9 @@ def minimize_tv_primal_dual(problem: TVProblem):
         u = ScalarField(grid, np.full(grid.shape, rim[0]), location="node")
         return u, VectorField2(grid, zero, zero.copy()), info
 
-    root = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
     active = ~void
     interior = grid.interior_mask().ravel()
-    k_op = grad_operator(grid, *(sig * np.where(active, r, 0.0) for r in root))
+    k_op = cell_operator(grid, sigma0, np.where(active, sig, 0.0))[:2 * a_hat.size]
     k_op.eliminate_zeros()
     kt_op = k_op.T.tocsr()
     kt_op.data *= tau / sig
@@ -491,7 +491,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
 
     u_final = ScalarField(grid, u.reshape(grid.shape), location="node")
     b1, b2 = (comp.reshape(grid.cell_shape) for comp in bhat)
-    B = VectorField2(grid, *(amax * q for q in sym2_apply(*root, b1, b2)))
+    B = VectorField2(grid, *(amax * q for q in sym2_apply(*sym2_sqrt(*sigma0.entries), b1, b2)))
     gap, pairing_hat = gap_and_pairing()
     info.update({
         "iterations": it + 1,

@@ -281,6 +281,32 @@ def test_degenerate_grid_exits_2(tmp_path):
     assert main(["synth", "--config", path]) == 2
 
 
+def test_synth_on_an_overflowing_spacing_exits_1_with_convergence_error(tmp_path):
+    # run from a shell, where numpy's overflow warnings are not errors: the
+    # right-hand side overflows and CG stops at once instead of at its cap
+    cfg = _base_config(tmp_path / "out", n=33)
+    cfg["grid"]["lx"] = 1e300
+    env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "acdii.cli", "synth", "--config",
+                          _write(tmp_path, cfg)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 1
+    err = json.loads(out.stderr.splitlines()[-1])
+    assert err["error"] == "ConvergenceError" and "not finite" in err["message"]
+
+
+def test_synth_on_a_tiny_spacing_matches_a_moderate_one(tmp_path):
+    # the factored element stays finite where Gauss blocks of order 1 / hx^2
+    # overflow, and f = x scales with lx, so the data a do not depend on lx
+    fields = []
+    for lx in (1e-100, 1e-300):
+        cfg = _base_config(tmp_path / str(lx))
+        cfg["grid"]["lx"] = lx
+        assert main(["synth", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
+        fields.append(read_field_file(tmp_path / str(lx) / "a.field").values)
+    assert np.allclose(fields[0], fields[1], rtol=1e-10, atol=0.0)
+
+
 def test_unknown_key_exits_2_with_named_key(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out")
     cfg["inverse"]["momentum"] = 0.9

@@ -12,8 +12,8 @@ from acdii.fields import (
     ScalarField,
     TensorField2,
     grad,
+    cell_operator,
     grad_adjoint,
-    grad_operator,
     label_cells,
     sample_cell_field,
     sym2_apply,
@@ -103,18 +103,24 @@ def test_grad_adjoint_is_transpose_of_grad(nx, ny, hx, hy, seed):
     hy=st.floats(1e-3, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grad_operator_is_tensor_times_grad(nx, ny, hx, hy, seed):
-    # K u = T grad u and K^T w = grad_adjoint(T w) for random SPD cell tensors T
+def test_cell_operator_gradient_rows_are_tensor_times_grad(nx, ny, hx, hy, seed):
+    # M's first two row blocks are T grad u, and their transpose grad_adjoint(T w),
+    # with T = weight sigma0^(1/2) for random SPD cell tensors sigma0 and weights
     assume(hx != hy)
     grid = Grid2D(nx, ny, hx, hy)
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, np.pi, grid.cell_shape)
     d1, d2 = rng.uniform(0.1, 10.0, (2,) + grid.cell_shape)
     ct, sn = np.cos(angle), np.sin(angle)
-    t = (d1 * ct * ct + d2 * sn * sn, (d1 - d2) * sn * ct, d1 * sn * sn + d2 * ct * ct)
-    k = grad_operator(grid, *t)
-    assert k.shape == (2 * (nx - 1) * (ny - 1), nx * ny)
-    assert k.indices.dtype == np.int32 and np.all(np.diff(k.indptr) == 4)
+    sigma0 = TensorField2(grid, d1 * ct * ct + d2 * sn * sn, (d1 - d2) * sn * ct,
+                          d1 * sn * sn + d2 * ct * ct)
+    weight = rng.uniform(0.1, 10.0, grid.cell_shape)
+    t = tuple(weight * r for r in sym2_sqrt(*sigma0.entries))
+    m = cell_operator(grid, sigma0, weight)
+    ncells = (nx - 1) * (ny - 1)
+    assert m.shape == (3 * ncells, nx * ny)
+    assert m.indices.dtype == np.int32 and np.all(np.diff(m.indptr) == 4)
+    k = m[:2 * ncells]
     u = rng.standard_normal(grid.shape)
     ref = np.concatenate([p.ravel() for p in sym2_apply(*t, *grad(grid, u))])
     assert np.max(np.abs(k @ u.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -122,6 +128,25 @@ def test_grad_operator_is_tensor_times_grad(nx, ny, hx, hy, seed):
     ref = grad_adjoint(grid, *sym2_apply(*t, w1, w2)).ravel()
     out = k.T @ np.concatenate([w1.ravel(), w2.ravel()])
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cell_operator_hourglass_row_sees_what_grad_does_not():
+    # the third row vanishes on affine u and not on the checkerboard
+    # (-1)^(i+j), the hourglass mode on which grad is zero
+    grid = Grid2D(6, 5, 0.3, 0.7)
+    sigma0 = rotated_tensor(grid, 0.4, 3.0, 1.0)
+    m = cell_operator(grid, sigma0, 2.0)
+    third = m[2 * (5 * 4):]
+    x, y = grid.node_coords()
+    affine = 1.5 + 2.0 * x - 3.0 * y
+    scale = np.max(np.abs(third.data)) * np.max(np.abs(affine))
+    assert np.max(np.abs(third @ affine.ravel())) <= 1e-14 * scale
+    j, i = np.indices(grid.shape)
+    checker = (-1.0) ** (i + j)
+    assert all(np.all(g == 0.0) for g in grad(grid, checker))
+    s11, s22 = sigma0.s11.ravel(), sigma0.s22.ravel()
+    expect = 4.0 * 2.0 * np.sqrt((s11 * 0.7**2 + s22 * 0.3**2) / 12.0) / (0.3 * 0.7)
+    assert np.allclose(np.abs(third @ checker.ravel()), expect, rtol=1e-14, atol=0.0)
 
 
 def test_sym2_algebra_roundtrips():

@@ -13,7 +13,15 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from acdii.fields import Grid2D, GridError, ScalarField, TensorField2, grad, nodes_of_cells
+from acdii.fields import (
+    Grid2D,
+    GridError,
+    ScalarField,
+    TensorField2,
+    cell_operator,
+    grad,
+    nodes_of_cells,
+)
 from acdii.forward import (
     AssemblyError,
     ConvergenceError,
@@ -24,7 +32,6 @@ from acdii.forward import (
     _pcg,
     assemble,
     disk_cells,
-    element_templates,
     energy,
     rect_cells,
     solve_dirichlet,
@@ -104,6 +111,33 @@ def test_oracle_single_cell_matches_analytic_matrix():
     assert np.allclose(sub, sub.T, atol=1e-14)
 
 
+# corner order per cell: (j,i), (j,i+1), (j+1,i+1), (j+1,i)
+_CX = np.array([-1.0, 1.0, 1.0, -1.0])
+_CE = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def element_templates(hx: float, hy: float):
+    """The 4x4 blocks Kxx, Kxy, Kyy with K = s11 Kxx + s12 Kxy + s22 Kyy.
+
+    2x2 Gauss quadrature of grad(N_a) . S grad(N_b) over one hx-by-hy
+    cell with constant S; exact since the integrand is biquadratic.  The
+    reference element for `fields.cell_operator` and `coo_reduced_system`.
+    """
+    g = 1.0 / np.sqrt(3.0)
+    pts = [(-g, -g), (g, -g), (g, g), (-g, g)]
+    gx = np.empty((4, 4))
+    gy = np.empty((4, 4))
+    for k, (xi, eta) in enumerate(pts):
+        gx[k] = 0.25 * _CX * (1.0 + _CE * eta) * (2.0 / hx)
+        gy[k] = 0.25 * _CE * (1.0 + _CX * xi) * (2.0 / hy)
+    scale = hx * hy / 4.0
+    kxx = scale * (gx.T @ gx)
+    kyy = scale * (gy.T @ gy)
+    m = scale * (gx.T @ gy)
+    kxy = m + m.T
+    return kxx, kxy, kyy
+
+
 def test_element_templates_match_oracle_cellwise():
     hx, hy = 0.3, 0.7
     g = Grid2D(3, 3, hx, hy)
@@ -119,6 +153,29 @@ def test_element_templates_match_oracle_cellwise():
         ids = [0, 1, 4, 3]
         ref = K[np.ix_(ids, ids)]
         assert np.allclose(local, ref, atol=1e-13)
+
+
+def test_cell_operator_gives_the_gauss_element_of_every_cell():
+    # M_K^T M_K with weight |K|^(1/2) is the Gauss element of sigma0 on cell K,
+    # for anisotropic sigma0 (s12 != 0) that differs in every cell and hx != hy
+    grid = Grid2D(7, 5, 0.3, 0.7)
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0.0, np.pi, grid.cell_shape)
+    d1, d2 = rng.uniform(0.1, 10.0, (2,) + grid.cell_shape)
+    ct, sn = np.cos(angle), np.sin(angle)
+    sigma0 = TensorField2(grid, d1 * ct * ct + d2 * sn * sn, (d1 - d2) * sn * ct,
+                          d1 * sn * sn + d2 * ct * ct)
+    assert np.min(np.abs(sigma0.s12)) > 0.0
+    m = cell_operator(grid, sigma0, np.sqrt(grid.cell_area))
+    assert m.shape == (3 * 24, grid.n_nodes)
+    assert m.indices.dtype == np.int32 and np.all(np.diff(m.indptr) == 4)
+    # M's columns run sw, se, nw, ne; the templates' corners counterclockwise
+    blocks = m.data.reshape(3, -1, 4)[:, :, [0, 1, 3, 2]]
+    kxx, kxy, kyy = element_templates(grid.hx, grid.hy)
+    for k, (s11, s12, s22) in enumerate(zip(*(s.ravel() for s in sigma0.entries))):
+        ref = s11 * kxx + s12 * kxy + s22 * kyy
+        got = blocks[:, k].T @ blocks[:, k]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cg_matches_dense_direct_on_8x8():
@@ -322,6 +379,23 @@ def test_convergence_error_carries_diagnostics():
         solve_dirichlet(system, f, tol=1e-15, max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
+
+
+def test_cg_stops_at_a_non_finite_right_hand_side_or_residual():
+    grid, c, sigma0, f = bump_problem(9)
+    system = assemble(c.values, sigma0, grid)
+    b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
+    for bad in (np.nan, np.inf):
+        rhs = b.copy()
+        rhs[3] = bad
+        with pytest.raises(ConvergenceError, match="right-hand side") as exc:
+            _pcg(system.matrix, rhs, 1e-10, 1000)
+        assert exc.value.iterations == 0
+    # a NaN in the matrix: the residual is NaN after the first step
+    system.matrix.levels[0].data[0] = np.nan
+    with pytest.raises(ConvergenceError, match="residual is not finite") as exc:
+        _pcg(system.matrix, b, 1e-10, 1000)
+    assert exc.value.iterations <= 1
 
 
 def test_warm_start_agrees_with_cold_start():
