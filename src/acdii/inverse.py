@@ -27,7 +27,7 @@ minimizers are provided and kept separate on purpose:
   stops in 40-56% fewer steps on the measured grids.
 
 Both routes normalize a by its maximum internally.  The minimizer is
-invariant under a -> alpha a, and with the default schedule the
+invariant under a -> alpha a, and with the fixed eps schedule the
 iterations are identical bit for bit, so the functional value scales
 exactly and the argmin does not move.
 
@@ -74,51 +74,33 @@ ALGORITHMS = ("fixedpoint", "primaldual", "both")
 class TVProblem:
     """Configuration for the TV minimizers.
 
-    eps0 is the starting smoothing of the fixed-point scheme, in units of
-    |grad u|_{sigma0} (so it is invariant under rescaling a); when None
-    it defaults to 0.1 / sqrt(m) with m the recorded lower ellipticity
-    bound of sigma0.  delta_grad and delta_a are the degeneracy cutoffs
-    of the pointwise recovery; when None, delta_grad defaults to three
-    times the final smoothing of the eps schedule and delta_a to 1e-8
-    times max(a).  pd_iterations caps the primal-dual steps; their sizes
-    follow from f and the grid, and the checkpoints of its stopping rule
-    from the grid (see `minimize_tv_primal_dual`).  `TV_SCHEMA` holds the
-    type and range of every setting.
+    fp_tol and max_inner stop each eps-stage of the fixed point (see
+    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`) and the
+    CG tolerance of both minimizers (`_CG_TOL`) are fixed.  pd_iterations
+    caps the primal-dual steps; their sizes follow from f and the grid,
+    and the checkpoints of its stopping rule from the grid (see
+    `minimize_tv_primal_dual`).  Cells with a <= void_floor max(a) are
+    left out of the solves.  `TV_SCHEMA` holds the type and range of
+    every setting.
     """
 
     triplet: AdmissibleTriplet
-    eps0: float | None = None
-    eps_ratio: float = 0.5
-    eps_stages: int = 8
     fp_tol: float = 1e-10
     max_inner: int = 200
-    cg_tol: float = 1e-10
     pd_iterations: int | None = None
-    delta_grad: float | None = None
-    delta_a: float | None = None
     void_floor: float = 0.0
 
     def __post_init__(self):
         settings = {name: getattr(self, name) for name in TV_SCHEMA}
         validate(TV_SCHEMA, settings, TVConfigError, where="TVProblem")
 
-    def eps_start(self) -> float:
-        """The first smoothing of the eps schedule, eps0 or its default."""
-        return self.eps0 if self.eps0 is not None else 0.1 / np.sqrt(self.triplet.sigma0.m)
-
 
 # type and range of each setting; the defaults are TVProblem's, and the
 # config's inverse section is this table plus the algorithm
 _TV_RULES = {
-    "eps0": ("num", "(0, inf)"),
-    "eps_ratio": ("num", "(0, 1)"),
-    "eps_stages": ("int", "[1, inf)"),
     "fp_tol": ("num", "(0, inf)"),
     "max_inner": ("int", "[1, inf)"),
-    "cg_tol": ("num", "(0, inf)"),
     "pd_iterations": ("int", "[1, inf)"),
-    "delta_grad": ("num", "(0, inf)"),
-    "delta_a": ("num", "(0, inf)"),
     "void_floor": ("num", "[0, inf)"),
 }
 TV_SCHEMA = {
@@ -126,6 +108,22 @@ TV_SCHEMA = {
     for f in fields(TVProblem)
     if f.name != "triplet"
 }
+
+# relative residual every CG solve of both minimizers meets
+_CG_TOL = 1e-10
+
+# the fixed point's eps-continuation: _EPS_STAGES smoothings halving from
+# 0.1 / sqrt(m), m the recorded lower ellipticity bound of sigma0
+_EPS_STAGES = 8
+
+
+def _eps_schedule(sigma0: TensorField2) -> list[float]:
+    """The smoothings of the eps-stages, in units of |grad u|_{sigma0}.
+
+    That unit makes them invariant under rescaling a.
+    """
+    eps0 = 0.1 / np.sqrt(sigma0.m)
+    return [eps0 * 0.5**s for s in range(_EPS_STAGES)]
 
 
 # -- the functional -----------------------------------------------------------
@@ -232,7 +230,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     continuation, Hale, Yin & Zhang 2008).  Each step refills the matrix
     on one layout; its multigrid coarse levels are built at a stage's
     first step and kept for the stage, whose coefficient barely moves (CG
-    still meets cg_tol).  A step's fine level is released before the next
+    still meets _CG_TOL).  A step's fine level is released before the next
     refill.
 
     Returns (u, info).  info records, per stage, the smoothed functional
@@ -252,11 +250,10 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     # normalization of a; that keeps the whole iteration identical under
     # a -> alpha a (the effective coefficient just rescales, which CG
     # relative tolerances and the multigrid cycle cannot see).
-    eps0_hat = problem.eps_start()
-    schedule = [eps0_hat * problem.eps_ratio**s for s in range(problem.eps_stages)]
+    schedule = _eps_schedule(sigma0)
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
-    u = solve_dirichlet(system, t.f, tol=problem.cg_tol)
+    u = solve_dirichlet(system, t.f, tol=_CG_TOL)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
     layout, system = system.layout, None
@@ -278,7 +275,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             c_eff = np.where(~void, a_hat / weight, 1.0)
             system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=layout,
                               hierarchy=hierarchy)
-            phi = solve_dirichlet(system, t.f, tol=problem.cg_tol, x0=uvals).values
+            phi = solve_dirichlet(system, t.f, tol=_CG_TOL, x0=uvals).values
             cg += system.cg_iterations
             # only the coarse levels outlive the step, so a refill holds one fine level
             hierarchy, system = system.matrix.release_fine_level(), None
@@ -389,17 +386,32 @@ def minimize_tv_primal_dual(problem: TVProblem):
     (`converged`); `pd_iterations` (default 200 max(nx, ny)) is only the
     cap, `max_iterations`: it ends the loop but moves no checkpoint, and
     `iterations` counts the steps run.  Both quantities are scale-free,
-    so the stop, u and B / max(a) do not change when a is scaled.  `pd_gap` and `dual_divergence_rms` are the
-    two at the end, and `tv_final` is the full F.
+    so the stop, u and B / max(a) do not change when a is scaled.
+    `pd_gap` and `dual_divergence_rms` are the two at the end, and
+    `tv_final` is the full F.
+
+    Spacings so small or so large that tau or sigma is no positive normal
+    float (hx or hy below about 1e-154 or above about 1e154) raise
+    TVConfigError.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
-    l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
     rim = t.f.values.ravel()[grid.boundary_ids]
     omega = float(np.max(rim) - np.min(rim))
     width = omega or 1.0
+    try:
+        l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
+    except (ZeroDivisionError, OverflowError):  # hx^2 or hy^2 beyond the floats
+        l2 = float("nan")
     tau = width / (_PD_BALANCE * np.sqrt(l2))
     sig = _PD_BALANCE / (width * np.sqrt(l2))
+    tiny = np.finfo(np.float64).tiny
+    if not (tiny <= tau < np.inf and tiny <= sig < np.inf):
+        raise TVConfigError(
+            f"the primal-dual steps are no positive normal floats on this grid "
+            f"(hx {grid.hx:.3g}, hy {grid.hy:.3g}, oscillation of f {omega:.3g}): "
+            f"tau {tau:.3g}, sigma {sig:.3g}"
+        )
     iters = (
         problem.pd_iterations
         if problem.pd_iterations is not None
@@ -431,7 +443,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     kt_op.eliminate_zeros()
 
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
-    u = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.ravel().copy()
+    u = solve_dirichlet(system, t.f, tol=_CG_TOL).values.ravel().copy()
     ubar = np.empty_like(u)
     b = np.zeros((2, a_hat.size))
     b_flat = b.reshape(-1)
@@ -601,14 +613,16 @@ def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
 
 
 def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
-              delta_grad: float | None = None, delta_a: float | None = None):
+              delta_grad: float | None = None):
     """Pointwise factor c = a / |grad u*|_{sigma0} off the degenerate set.
 
     Cells with |grad u*|_{sigma0} <= delta_grad or a <= delta_a are
-    masked out (value 0, flagged in mask_Z).  Returns
-    (c_rec, mask_Z, diagnostics); diagnostics separates the two reasons
-    for masking, including the zero-data cells that still carry gradient
-    (the interface-like set the recovery never divides on).
+    masked out (value 0, flagged in mask_Z); delta_grad defaults to 1e-6
+    max |grad u*|_{sigma0}, and delta_a is 1e-8 max(a).  Returns
+    (c_rec, mask_Z, diagnostics); diagnostics records both cutoffs and
+    separates the two reasons for masking, including the zero-data cells
+    that still carry gradient (the interface-like set the recovery never
+    divides on).
     """
     grid = u_star.grid
     nrm = tv_density(u_star.values, sigma0)
@@ -616,7 +630,7 @@ def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
     nmax = float(np.max(nrm))
     amax = float(np.max(avals))
     dg = delta_grad if delta_grad is not None else 1e-6 * max(nmax, 1e-300)
-    da = delta_a if delta_a is not None else 1e-8 * max(amax, 1e-300)
+    da = 1e-8 * max(amax, 1e-300)
     ok = (nrm > dg) & (avals > da)
     cvals = np.where(ok, avals / np.where(ok, nrm, 1.0), 0.0)
     mask_z = ~ok
@@ -796,14 +810,10 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
     if u_fp is not None and u_pd is not None:
         diagnostics["cross_algorithm_rel_l2"] = rel_l2(u_pd.values, u_fp.values)
 
-    delta_grad = problem.delta_grad
-    if delta_grad is None:
-        # the fixed-point scheme cannot push a gradient much below its
-        # final smoothing, so that is the natural degeneracy cutoff
-        delta_grad = 3.0 * problem.eps_start() * problem.eps_ratio ** (problem.eps_stages - 1)
-    c_rec, mask_z, rec_diag = recover_c(
-        u_star, t.a, t.sigma0, delta_grad=delta_grad, delta_a=problem.delta_a
-    )
+    # the fixed-point scheme cannot push a gradient much below its final
+    # smoothing, so that is the natural degeneracy cutoff
+    delta_grad = 3.0 * _eps_schedule(t.sigma0)[-1]
+    c_rec, mask_z, rec_diag = recover_c(u_star, t.a, t.sigma0, delta_grad=delta_grad)
     diagnostics["recovery"] = rec_diag
     labels = classify_inclusions(u_star, t.a, t.sigma0, mask_z,
                                  rec_diag["delta_grad"], rec_diag["delta_a"])

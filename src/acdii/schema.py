@@ -66,7 +66,7 @@ def validate(table: dict, doc, error, where: str = "config") -> dict:
                 fail(path, f"must have a length in {key.range}" if key.type == "list"
                      else f"must lie in {key.range}")
         if key.choices and value not in key.choices:
-            fail(path, f"must be one of {list(key.choices)}")
+            fail(path, f"must be one of {list(key.choices)}, not {value!r}")
         if key.type == "list":
             return [walk(key.spec, v, f"{path}[{i}]") for i, v in enumerate(value)]
         if key.type != "obj":
@@ -76,7 +76,7 @@ def validate(table: dict, doc, error, where: str = "config") -> dict:
         if key.tag is not None:
             variant = value.get(key.tag)
             if variant not in tuple(table):
-                fail(prefix + key.tag, f"must be one of {list(table)}")
+                fail(prefix + key.tag, f"must be one of {list(table)}, not {variant!r}")
             table = {key.tag: Key("str"), **table[variant]}
         unknown = sorted(set(value) - set(table))
         if unknown:

@@ -438,7 +438,7 @@ def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value, named",
     [
-        ("inverse", "eps_ratio", 1.5, "inverse.eps_ratio"),
+        ("inverse", "void_floor", -1.0, "inverse.void_floor"),
         ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
         ("grid", "nx", 2, "grid.nx"),
         ("verify", "coarea_levels", 1, "verify.coarea_levels"),
@@ -463,8 +463,6 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda c: c["truth"].update(sigma0={"kind": "constant", "s11": 1, "s12": 2, "s22": 1}),
-         "'truth.sigma0'"),
         (lambda c: c.update(inclusions=[
             {"shape": "disk", "type": "insulating", "center": [0.3, 0.3], "radius": 0.1},
             {"shape": "disk", "type": "perfect", "center": [0.5, 0.5], "radius": 0.001}]),
@@ -481,7 +479,7 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
             {"shape": "disk", "type": "insulating", "center": [0.45, 0.5], "radius": 0.1}]),
          "'inclusions[0]' and 'inclusions[2]'"),
     ],
-    ids=["sigma0-not-spd", "empty-perfect", "touches-boundary", "empty-rect", "overlap"],
+    ids=["empty-perfect", "touches-boundary", "empty-rect", "overlap"],
 )
 def test_malformed_truth_entry_exits_2_naming_it(tmp_path, capsys, edit, named):
     cfg = _base_config(tmp_path / "out")
@@ -512,6 +510,25 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = _base_config(tmp_path / "out", noise=0.05)
     assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2
     assert "--seed" in _single_error(capsys)
+
+
+def test_primal_dual_steps_beyond_the_floats_exit_2(tmp_path, capsys):
+    # at lx = 1e-300 hx^2 underflows to 0, so tau and sigma are no
+    # positive normal floats; synth and the fixed point still run
+    cfg = _base_config(tmp_path / "out")
+    cfg["grid"]["lx"] = 1e-300
+    cfg["input"] = {"triplet": str(tmp_path / "out")}
+    cfg["inverse"] = {"algorithm": "primaldual"}
+    path = _write(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "TVConfigError"
+    assert "hx" in error["message"] and "oscillation of f" in error["message"]
+    assert not (tmp_path / "out" / "recon.json").exists()
 
 
 def _number_slots(key, path="", steps=()):
@@ -558,14 +575,41 @@ def test_non_finite_number_exits_2_naming_key(tmp_path, capsys, named, steps, ba
     assert f"'{named}'" in _single_error(capsys)
 
 
-@pytest.mark.parametrize("key", ["inverse.pd_tau", "inverse.pd_sigma"])
-def test_removed_primal_dual_step_key_exits_2_naming_it(tmp_path, capsys, key):
-    # the primal-dual steps follow from f and the grid; no config sets them
+_REMOVED = [
+    # the primal-dual steps follow from f and the grid
+    ("inverse.pd_tau", 0.01), ("inverse.pd_sigma", 0.01),
+    # the eps schedule, the CG tolerance and the recovery cutoffs are fixed
+    ("inverse.eps0", 0.01), ("inverse.eps_ratio", 0.01), ("inverse.eps_stages", 4),
+    ("inverse.cg_tol", 0.01), ("inverse.delta_grad", 0.01), ("inverse.delta_a", 0.01),
+    # so are the curve levels, the truncation level and the gate tolerances
+    ("verify.curve_levels", 4), ("verify.truncation_level", 0.5),
+    ("verify.margin_rel_tol", 0.01), ("verify.duality_tol", 0.01),
+    ("verify.coarea_tol", 0.01), ("verify.area_tol_rel", 0.01),
+    # a constant c is the bump with amplitude 0; the identity and any
+    # constant SPD sigma0 are rotated_diag cases
+    ("truth.c.kind", "constant"), ("truth.sigma0.kind", "identity"),
+    ("truth.sigma0.kind", "constant"), ("truth.f.kind", "sinusoid"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", _REMOVED,
+    ids=[f"{k}-{v}" if isinstance(v, str) else k for k, v in _REMOVED],
+)
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, key, value):
     cfg = _base_config(tmp_path / "out")
-    cfg["inverse"] = {"algorithm": "primaldual", key.split(".")[1]: 0.01}
+    *path, name = key.split(".")
+    entry = cfg
+    for part in path:
+        entry = entry[part]
+    entry[name] = value
     capsys.readouterr()
     assert main(["invert", "--config", _write(tmp_path, cfg)]) == 2
-    assert f"'{key}'" in _single_error(capsys)
+    message = _single_error(capsys)
+    assert f"'{key}'" in message
+    if isinstance(value, str):  # a removed kind: the error names it too
+        assert f"'{value}'" in message
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_loads_no_scipy_beyond_sparse():

@@ -23,9 +23,12 @@ from acdii.inverse import (
     TVConfigError,
     TVProblem,
     _ANDERSON_DEPTH,
+    _CG_TOL,
+    _EPS_STAGES,
     _Anderson,
     _PD_CHECK,
     _PD_TOL,
+    _eps_schedule,
     _normalized_data,
     boundary_flux_integral,
     classify_inclusions,
@@ -150,7 +153,7 @@ def test_fixedpoint_warm_start_stages_stop_at_sqrt_fp_tol(fp_tol):
     problem = TVProblem(bump_triplet(17), fp_tol=fp_tol)
     _, info = minimize_tv_fixedpoint(problem)
     stages = info["stages"]
-    assert len(stages) == problem.eps_stages
+    assert len(stages) == _EPS_STAGES
     for st in stages[:-1]:
         assert st["tol"] == max(np.sqrt(fp_tol), fp_tol)
     assert stages[-1]["tol"] == fp_tol
@@ -172,18 +175,18 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     monkeypatch.setattr(forward, "Multigrid", CountingMultigrid)
     problem = TVProblem(bump33)
     u, info = minimize_tv_fixedpoint(problem)
-    assert len(builds) == 1 + problem.eps_stages
-    assert info["total_inner_iterations"] > problem.eps_stages
+    assert len(builds) == 1 + _EPS_STAGES
+    assert info["total_inner_iterations"] > _EPS_STAGES
     assert all(st["converged"] for st in info["stages"])
     # half of the 8 x 50 budget, which the unmixed lagged iteration uses
     # up here without meeting fp_tol in any stage
     assert info["total_inner_iterations"] <= 200
     # u is a fixed point: one more lagged step at the final eps barely moves it
     grid, sigma0, _, a_hat, void = _normalized_data(problem)
-    eps = problem.eps_start() * problem.eps_ratio ** (problem.eps_stages - 1)
+    eps = _eps_schedule(sigma0)[-1]
     weight = tv_density(u.values, sigma0, eps)
     system = assemble(np.where(~void, a_hat / weight, 1.0), sigma0, grid, exclude_cells=void)
-    step = solve_dirichlet(system, bump33.f, tol=problem.cg_tol, x0=u.values)
+    step = solve_dirichlet(system, bump33.f, tol=_CG_TOL, x0=u.values)
     assert rel_l2(u.values, step.values) <= 10.0 * problem.fp_tol
 
 
@@ -423,7 +426,7 @@ def _reference_primal_dual(problem, steps):
     active = ~void
     a_active = np.where(active, a_hat, 0.0)
     system = assemble(1.0, sigma0, grid, exclude_cells=void)
-    uv = solve_dirichlet(system, t.f, tol=problem.cg_tol).values.copy()
+    uv = solve_dirichlet(system, t.f, tol=_CG_TOL).values.copy()
     fvals = t.f.values.ravel()[grid.boundary_ids]
     rho = 1.9
     b1 = np.zeros(grid.cell_shape)
@@ -760,12 +763,6 @@ def test_recover_c_mask_diagnostics(bump33, recon33):
 
 def test_problem_validation():
     trip, _ = _trivial_triplet(9)
-    with pytest.raises(TVConfigError):
-        TVProblem(trip, eps_ratio=1.0)
-    with pytest.raises(TVConfigError):
-        TVProblem(trip, eps_stages=0)
-    with pytest.raises(TVConfigError):
-        TVProblem(trip, eps0=-1.0)
     with pytest.raises(TVConfigError):
         reconstruct(TVProblem(trip), algorithm="gradient-descent")
 
