@@ -19,9 +19,11 @@ Subcommands:
 
 All outputs are deterministic: reports are sorted-key JSON with no
 timestamps, field files are raw float64, and reruns of the same config
-are byte-identical.  Exit codes: 0 success, 1 a computation or audit
-gate failed, 2 bad configuration or data.  Errors print one JSON object
-on stderr.
+are byte-identical.  Every setting comes from the config file (the
+only flags are --config and --quiet), so the config hash in every report
+covers them all.  Exit codes: 0 success, 1 a computation or audit gate
+failed, 2 bad configuration, data or arguments.  Errors print one JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .forward import (
     InclusionSet,
     disk_cells,
     energy,
-    rect_cells,
     solve_inclusion_limit,
     solve_penalized,
 )
@@ -82,14 +83,13 @@ from .schema import Key, read_json, validate
 
 
 class ConfigError(ValueError):
-    """Raised for malformed, unknown, or missing configuration entries."""
+    """Raised for malformed, unknown, or missing configuration entries or arguments."""
 
 
 # -- the config schema -----------------------------------------------------------
 
 _POSITIVE = "(0, inf)"
 _NONNEGATIVE = "[0, inf)"
-_AT_LEAST_ONE = "[1, inf)"
 
 
 def _num(default, interval=None):
@@ -106,6 +106,8 @@ def _pair(default):
 
 _INCLUSION_TYPE = Key("str", required=True, choices=("perfect", "insulating"))
 GATES = ("minimality", "duality", "coarea", "area_minimality")
+# the number of perturbed potentials the area-minimality audit compares u with
+_COMPETITORS = 5
 
 # A section without a default (grid, truth) stays None when absent; the
 # commands that need it say so.
@@ -126,12 +128,11 @@ CONFIG = {
             "rotated_diag": {"angle": _num(0.0), "d1": _num(2.0, _POSITIVE), "d2": _num(1.0, _POSITIVE)},
         }),
         "f": Key("obj", required=True, tag="kind", spec={
-            "linear": {"gx": _num(1.0), "gy": _num(0.0), "offset": _num(0.0)},
+            "linear": {"gx": _num(1.0), "gy": _num(0.0)},
         }),
     }),
     "inclusions": Key("list", [], spec=Key("obj", required=True, tag="shape", spec={
         "disk": {"type": _INCLUSION_TYPE, "center": _pair((0.5, 0.5)), "radius": _num(0.2, _POSITIVE)},
-        "rect": {"type": _INCLUSION_TYPE, "lo": _pair((0.3, 0.3)), "hi": _pair((0.7, 0.7))},
     })),
     "noise": Key("obj", {}, spec={"level": _num(0.0, _NONNEGATIVE), "seed": _int(0, _NONNEGATIVE)}),
     "inverse": Key("obj", {}, spec={
@@ -139,13 +140,8 @@ CONFIG = {
         **TV_SCHEMA,
     }),
     "verify": Key("obj", {}, spec={
-        "trials": _int(20, _AT_LEAST_ONE),
         "seed": _int(0, _NONNEGATIVE),
-        "amplitude": _num(0.05, _POSITIVE),
-        "coarea_levels": _int(200, "[2, inf)"),
-        "area_levels": _int(20, _AT_LEAST_ONE),
-        "competitors": _int(5, _AT_LEAST_ONE),
-        "k_ladder": Key("list", None, _AT_LEAST_ONE, spec=Key("num", required=True, range="(0, 1]")),
+        "k_ladder": Key("list", None, "[1, inf)", spec=Key("num", required=True, range="(0, 1]")),
         "gates": Key("list", ["minimality", "area_minimality"],
                      spec=Key("str", required=True, choices=GATES)),
     }),
@@ -209,7 +205,7 @@ def build_sigma0(cfg, grid: Grid2D) -> TensorField2:
 def build_f(cfg, grid: Grid2D) -> ScalarField:
     f = cfg["truth"]["f"]
     x, y = grid.node_coords()
-    return ScalarField(grid, f["gx"] * x + f["gy"] * y + f["offset"], location="node")
+    return ScalarField(grid, f["gx"] * x + f["gy"] * y, location="node")
 
 
 def build_inclusions(cfg, grid: Grid2D):
@@ -218,10 +214,7 @@ def build_inclusions(cfg, grid: Grid2D):
         return None
     perfect, insulating, closures = [], [], []
     for i, e in enumerate(entries):
-        if e["shape"] == "disk":
-            m = disk_cells(grid, e["center"], e["radius"])
-        else:
-            m = rect_cells(grid, e["lo"], e["hi"])
+        m = disk_cells(grid, e["center"], e["radius"])
         # the rules on one component, then on a pair, then on the whole set
         try:
             InclusionSet(grid, **{e["type"]: [m]})
@@ -255,10 +248,10 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-def _out_dir(cfg, args) -> Path:
-    directory = args.out if args.out is not None else cfg["output"]["directory"]
+def _out_dir(cfg) -> Path:
+    directory = cfg["output"]["directory"]
     if directory is None:
-        raise ConfigError("no output directory given (set output.directory or pass --out)")
+        raise ConfigError("this command needs output.directory in the config")
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -302,7 +295,7 @@ def cmd_forward(cfg, args, chash) -> int:
     u, current = solve_truth(c, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
 
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     # magnitude.field, not a.field: synth owns a.field as triplet payload,
     # and a forward run into the same directory must not rewrite a triplet
     write_field_file(u, out / "potential.field")
@@ -333,17 +326,17 @@ def cmd_synth(cfg, args, chash) -> int:
     sigma0 = build_sigma0(cfg, grid)
     f = build_f(cfg, grid)
     inclusions = build_inclusions(cfg, grid)
-    seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
+    noise = cfg["noise"]
     triplet = synthesize_triplet(
         c,
         sigma0,
         f,
         grid,
         inclusions=inclusions,
-        noise_level=cfg["noise"]["level"],
-        seed=seed,
+        noise_level=noise["level"],
+        seed=noise["seed"],
     )
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     save_triplet(triplet, out)
     amax = float(np.max(triplet.a.values))
     report = {
@@ -353,7 +346,7 @@ def cmd_synth(cfg, args, chash) -> int:
         "grid": {"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy},
         "a_max": amax,
         "zero_data_cells": int(triplet.zero_cells().sum()),
-        "noise": {"level": cfg["noise"]["level"], "seed": seed},
+        "noise": noise,
     }
     _write_json(out / "synth.json", report)
     _say(args, f"synth: a_max {amax:.6e}, zero cells {report['zero_data_cells']} -> {out}")
@@ -366,7 +359,7 @@ def cmd_invert(cfg, args, chash) -> int:
     algorithm = settings.pop("algorithm")
     report = reconstruct(TVProblem(triplet=triplet, **settings), algorithm=algorithm)
     grid = triplet.grid
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     write_field_file(report.u_star, out / "u_star.field")
     write_field_file(report.c_rec, out / "c_rec.field")
     write_field_file(
@@ -403,7 +396,7 @@ def cmd_verify(cfg, args, chash) -> int:
     triplet = load_triplet(triplet_dir)
     grid = triplet.grid
     vcfg = cfg["verify"]
-    seed = args.seed if args.seed is not None else vcfg["seed"]
+    seed = vcfg["seed"]
 
     recon_dir = cfg["input"]["recon"]
     if recon_dir is not None:
@@ -427,17 +420,9 @@ def cmd_verify(cfg, args, chash) -> int:
     current = compute_current(u, c_rec, triplet.sigma0, dead=mask_z)
 
     audits = {}
-    audits["minimality"] = minimality_audit(
-        u,
-        triplet.a,
-        triplet.sigma0,
-        trials=vcfg["trials"],
-        seed=seed,
-        amplitude=vcfg["amplitude"],
-        f=triplet.f,
-        current=current,
-    )
-    audits["coarea"] = coarea_audit(u, triplet.a, triplet.sigma0, n_levels=vcfg["coarea_levels"])
+    audits["minimality"] = minimality_audit(u, triplet.a, triplet.sigma0, seed=seed,
+                                            f=triplet.f, current=current)
+    audits["coarea"] = coarea_audit(u, triplet.a, triplet.sigma0)
 
     # the curvature residual is -div J; the control recovers the current
     # under the axis-swapped sigma0
@@ -453,15 +438,9 @@ def cmd_verify(cfg, args, chash) -> int:
 
     competitors = [
         ScalarField(grid, u.values + w, location="node")
-        for w in sine_perturbations(u, vcfg["competitors"], seed + 1, vcfg["amplitude"])
+        for w in sine_perturbations(u, _COMPETITORS, seed + 1)
     ]
-    audits["area_minimality"] = area_minimality_audit(
-        u,
-        competitors,
-        triplet.a,
-        triplet.sigma0,
-        n_levels=vcfg["area_levels"],
-    )
+    audits["area_minimality"] = area_minimality_audit(u, competitors, triplet.a, triplet.sigma0)
     audits["truncation"] = truncation_limit_audit(u, triplet.a, triplet.sigma0,
                                                   float(np.median(u.values)))
 
@@ -482,7 +461,7 @@ def cmd_verify(cfg, args, chash) -> int:
         "enabled_gates": enabled,
         "passed": passed,
     }
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     _write_json(out / "audits.json", doc)
 
     # the level curves of u at its nine deciles
@@ -575,7 +554,7 @@ def cmd_report(cfg, args, chash) -> int:
         "config_hash": chash,
         "sections": sections,
     }
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     _write_json(out / "report.json", doc)
     _say(args, f"report: aggregated {sorted(sections)} -> {out / 'report.json'}")
     if "audits" in sections:
@@ -611,8 +590,15 @@ _USAGE_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they print as one JSON line and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acdii",
         description="Anisotropic current-density impedance imaging laboratory.",
     )
@@ -626,14 +612,10 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    args = parser.parse_args(argv)
 
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        args = parser.parse_args(argv)
         raw = read_json(args.config, ConfigError)
         cfg = parse_config(raw)
         chash = config_hash(raw)

@@ -82,12 +82,6 @@ def disk_cells(grid: Grid2D, center, radius) -> np.ndarray:
     return (cx - center[0]) ** 2 + (cy - center[1]) ** 2 < radius**2
 
 
-def rect_cells(grid: Grid2D, lo, hi) -> np.ndarray:
-    """Cells whose center lies inside the axis-aligned box [lo, hi]."""
-    cx, cy = grid.cell_centers()
-    return (cx > lo[0]) & (cx < hi[0]) & (cy > lo[1]) & (cy < hi[1])
-
-
 # the label plane numbers perfect components 1..254 and insulating ones from 255
 _INSULATING_LABEL = 255
 

@@ -79,16 +79,14 @@ class TVProblem:
     CG tolerance of both minimizers (`_CG_TOL`) are fixed.  pd_iterations
     caps the primal-dual steps; their sizes follow from f and the grid,
     and the checkpoints of its stopping rule from the grid (see
-    `minimize_tv_primal_dual`).  Cells with a <= void_floor max(a) are
-    left out of the solves.  `TV_SCHEMA` holds the type and range of
-    every setting.
+    `minimize_tv_primal_dual`).  Cells where a vanishes are left out of
+    the solves.  `TV_SCHEMA` holds the type and range of every setting.
     """
 
     triplet: AdmissibleTriplet
     fp_tol: float = 1e-10
     max_inner: int = 200
     pd_iterations: int | None = None
-    void_floor: float = 0.0
 
     def __post_init__(self):
         settings = {name: getattr(self, name) for name in TV_SCHEMA}
@@ -101,7 +99,6 @@ _TV_RULES = {
     "fp_tol": ("num", "(0, inf)"),
     "max_inner": ("int", "[1, inf)"),
     "pd_iterations": ("int", "[1, inf)"),
-    "void_floor": ("num", "[0, inf)"),
 }
 TV_SCHEMA = {
     f.name: Key(_TV_RULES[f.name][0], f.default, _TV_RULES[f.name][1])
@@ -136,15 +133,13 @@ def dual_feasibility(B: VectorField2, a: ScalarField, sigma0: TensorField2) -> f
 
 
 def _normalized_data(problem: TVProblem):
+    """(grid, sigma0, max a, a / max a, the void cells where a vanishes)."""
     t = problem.triplet
     amax = float(np.max(t.a.values))
     if amax <= 0.0:
         raise TVConfigError("data a vanishes identically; nothing to minimize")
     a_hat = t.a.values / amax
-    void = a_hat <= problem.void_floor
-    if void.all():
-        raise TVConfigError("all cells fall below the void floor")
-    return t.grid, t.sigma0, amax, a_hat, void
+    return t.grid, t.sigma0, amax, a_hat, a_hat <= 0.0
 
 
 def _masked_rel_change(new, old):
@@ -378,7 +373,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     (`tv_history`), the relative primal-dual gap |F_A[u] - <grad u, B>| /
     F_A[u] (`gap_history`), and the interior rms of div B
     (`divergence_history`).  F_A is F over the cells the scheme optimizes,
-    the cells above the void floor; B vanishes on the others.  The gap
+    the cells where a does not vanish; B vanishes on the others.  The gap
     measures complementarity only: once u and B pair up it can vanish
     while div B, the stationarity of u, is still falling.  So the loop
     stops at the first checkpoint where both the gap and the div B rms
@@ -550,7 +545,7 @@ def duality_gap(u: ScalarField, f: ScalarField, current: VectorField2,
     return abs(fval + flux) / max(fval, 1e-300)
 
 
-def sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float) -> list:
+def sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float = 0.05) -> list:
     """Seeded smooth zero-trace node arrays w, the competitors u +/- w of the audits.
 
     Each draw takes random coefficients on the first 3x3 sine modes of

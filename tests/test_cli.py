@@ -37,8 +37,7 @@ def _base_config(out_dir, n=17, noise=0.0):
         },
         "noise": {"level": noise, "seed": 11},
         "inverse": {"algorithm": "fixedpoint"},
-        "verify": {"trials": 6, "seed": 3, "coarea_levels": 40, "area_levels": 6,
-                   "competitors": 3},
+        "verify": {"seed": 3},
         "output": {"directory": str(out_dir)},
     }
 
@@ -205,15 +204,17 @@ def test_forward_into_synth_dir_keeps_triplet_intact(tmp_path):
 
 
 def test_seed_flag_changes_noise_draw(tmp_path):
-    out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
-    for out, seed in ((out1, None), (out2, "11"), (out3, "99")):
+    # noise.seed sets the draw, and the config hash records it
+    out = tmp_path / "out"
+    runs = []
+    for seed in (11, 11, 99):
         cfg = _base_config(out, noise=0.05)
-        path = _write(tmp_path, cfg, name=f"{out.name}.json")
-        argv = ["synth", "--config", path] + (["--seed", seed] if seed else [])
-        assert main(argv) == 0
-    same = (out1 / "a.field").read_bytes() == (out2 / "a.field").read_bytes()
-    diff = (out1 / "a.field").read_bytes() == (out3 / "a.field").read_bytes()
-    assert same and not diff
+        cfg["noise"]["seed"] = seed
+        assert main(["synth", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
+        runs.append(((out / "a.field").read_bytes(),
+                     json.loads((out / "synth.json").read_text())["config_hash"]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != runs[2][0] and runs[0][1] != runs[2][1]
 
 
 def test_verify_fails_on_corrupted_potential(tmp_path, capsys):
@@ -438,10 +439,9 @@ def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value, named",
     [
-        ("inverse", "void_floor", -1.0, "inverse.void_floor"),
-        ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
         ("grid", "nx", 2, "grid.nx"),
-        ("verify", "coarea_levels", 1, "verify.coarea_levels"),
+        ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
+        ("noise", "seed", -1, "noise.seed"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, section, key, value, named):
@@ -471,7 +471,7 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
             {"shape": "disk", "type": "perfect", "center": [0.05, 0.5], "radius": 0.2}]),
          "'inclusions[0]'"),
         (lambda c: c.update(inclusions=[
-            {"shape": "rect", "type": "insulating", "lo": [0.6, 0.6], "hi": [0.4, 0.4]}]),
+            {"shape": "disk", "type": "insulating", "center": [0.6, 0.6], "radius": 0.001}]),
          "'inclusions[0]'"),
         (lambda c: c.update(inclusions=[
             {"shape": "disk", "type": "perfect", "center": [0.3, 0.5], "radius": 0.15},
@@ -479,7 +479,7 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
             {"shape": "disk", "type": "insulating", "center": [0.45, 0.5], "radius": 0.1}]),
          "'inclusions[0]' and 'inclusions[2]'"),
     ],
-    ids=["empty-perfect", "touches-boundary", "empty-rect", "overlap"],
+    ids=["empty-perfect", "touches-boundary", "empty-insulating", "overlap"],
 )
 def test_malformed_truth_entry_exits_2_naming_it(tmp_path, capsys, edit, named):
     cfg = _base_config(tmp_path / "out")
@@ -497,8 +497,8 @@ def test_255_perfect_inclusions_exit_2_naming_inclusions(tmp_path, capsys):
     h = 1.0 / 34
     cells = [(i, j) for j in range(1, 32, 2) for i in range(1, 32, 2)][:255]
     cfg["inclusions"] = [
-        {"shape": "rect", "type": "perfect",
-         "lo": [(i + 0.25) * h, (j + 0.25) * h], "hi": [(i + 0.75) * h, (j + 0.75) * h]}
+        {"shape": "disk", "type": "perfect", "center": [(i + 0.5) * h, (j + 0.5) * h],
+         "radius": 0.25 * h}
         for i, j in cells
     ]
     assert main(["synth", "--config", _write(tmp_path, cfg)]) == 2
@@ -506,10 +506,29 @@ def test_255_perfect_inclusions_exit_2_naming_inclusions(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_seed_flag_exits_2(tmp_path, capsys):
-    cfg = _base_config(tmp_path / "out", noise=0.05)
-    assert main(["synth", "--config", _write(tmp_path, cfg), "--seed", "-1"]) == 2
-    assert "--seed" in _single_error(capsys)
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["synth", "--bogus", "1", "--config", "{path}"], "--bogus"),
+        # the config file is the only way in: noise.seed, verify.seed and
+        # output.directory replace the former flags
+        (["synth", "--config", "{path}", "--seed", "1"], "--seed"),
+        (["synth", "--config", "{path}", "--out", "{out}"], "--out"),
+        (["synth"], "--config"),
+        ([], "command"),
+    ],
+    ids=["unknown-flag", "removed-seed", "removed-out", "missing-config", "missing-command"],
+)
+def test_usage_error_exits_2_with_one_json_line(tmp_path, capsys, argv, named):
+    path = _write(tmp_path, _base_config(tmp_path / "out"))
+    argv = [a.format(path=path, out=tmp_path / "other") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError" and named in error["message"]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
 
 
 def test_primal_dual_steps_beyond_the_floats_exit_2(tmp_path, capsys):
@@ -589,6 +608,11 @@ _REMOVED = [
     # constant SPD sigma0 are rotated_diag cases
     ("truth.c.kind", "constant"), ("truth.sigma0.kind", "identity"),
     ("truth.sigma0.kind", "constant"), ("truth.f.kind", "sinusoid"),
+    # f = gx x + gy y, inclusions are disks, the solves drop only the
+    # cells where a vanishes, and the audits run at their own sizes
+    ("truth.f.offset", 0.5), ("inclusions[0].shape", "rect"), ("inverse.void_floor", 0.5),
+    ("verify.trials", 6), ("verify.amplitude", 0.1), ("verify.coarea_levels", 40),
+    ("verify.area_levels", 6), ("verify.competitors", 3),
 ]
 
 
@@ -598,10 +622,11 @@ _REMOVED = [
 )
 def test_removed_key_exits_2_naming_it(tmp_path, capsys, key, value):
     cfg = _base_config(tmp_path / "out")
-    *path, name = key.split(".")
+    cfg["inclusions"] = [{"shape": "disk", "type": "perfect", "center": [0.5, 0.5], "radius": 0.2}]
+    *path, name = key.replace("[0]", ".0").split(".")
     entry = cfg
     for part in path:
-        entry = entry[part]
+        entry = entry[int(part)] if part.isdigit() else entry[part]
     entry[name] = value
     capsys.readouterr()
     assert main(["invert", "--config", _write(tmp_path, cfg)]) == 2

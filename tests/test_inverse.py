@@ -411,7 +411,7 @@ def _reference_primal_dual(problem, steps):
     step: the primal step uhat, the projected dual step bhat from the
     extrapolation 2 uhat - u, then (u, b) moved by 1.9 times the way to
     (uhat, bhat).  B, the pairing and div B are taken from bhat; the gap's
-    primal term runs over the cells above the void floor.  It runs `steps`
+    primal term runs over the cells where a does not vanish.  It runs `steps`
     iterations with a checkpoint every 4 max(nx, ny) of them, and has no
     stopping rule of its own.
     Returns (u, (B1, B2), histories).
@@ -461,8 +461,12 @@ def _reference_primal_dual(problem, steps):
     return uv, (amax * qh1, amax * qh2), hist
 
 
-def _pd_triplet(void_patch=False):
-    """23x15 cells of a 0.05 x 0.08 grid, sigma0 rotating and stretching per cell."""
+def _pd_triplet(void_patch=False, zero_below=0.0):
+    """23x15 cells of a 0.05 x 0.08 grid, sigma0 rotating and stretching per cell.
+
+    void_patch zeroes a on a 4x5 block of cells, zero_below on the cells
+    where a <= zero_below max(a).
+    """
     grid = Grid2D(23, 15, 0.05, 0.08)
     xc, yc = grid.cell_centers()
     angle = 0.4 + 0.8 * xc - 0.5 * yc
@@ -476,9 +480,11 @@ def _pd_triplet(void_patch=False):
     c = ScalarField(grid, 1.0 + 0.5 * np.exp(-r2 / 0.05), location="cell")
     x, y = grid.node_coords()
     trip = synthesize_triplet(c, sigma0, ScalarField(grid, x + 0.3 * y), grid)
-    if void_patch:
+    if void_patch or zero_below > 0.0:
         a = trip.a.values.copy()
-        a[5:9, 8:13] = 0.0
+        if void_patch:
+            a[5:9, 8:13] = 0.0
+        a[a <= zero_below * np.max(a)] = 0.0
         trip = AdmissibleTriplet(trip.f, sigma0, ScalarField(grid, a, location="cell"), grid)
     return trip
 
@@ -489,16 +495,12 @@ def _array_rel(x, ref):
 
 
 @pytest.mark.parametrize(
-    "void_patch, settings",
-    [
-        (False, {}),
-        (True, {}),
-        (False, {"void_floor": 0.9}),
-    ],
+    "void_patch, zero_below",
+    [(False, 0.0), (True, 0.0), (False, 0.9)],
     ids=["varying-sigma0", "void-patch", "void-floor"],
 )
-def test_primal_dual_matches_reference_loop(void_patch, settings):
-    problem = TVProblem(_pd_triplet(void_patch), **settings)
+def test_primal_dual_matches_reference_loop(void_patch, zero_below):
+    problem = TVProblem(_pd_triplet(void_patch, zero_below))
     u, B, info = minimize_tv_primal_dual(problem)
     u_ref, (b1_ref, b2_ref), hist = _reference_primal_dual(problem, info["iterations"])
     assert _array_rel(u.values, u_ref) <= 1e-12
@@ -524,10 +526,11 @@ def test_primal_dual_returns_a_feasible_dual_field(void_patch):
 
 
 def test_primal_dual_gap_closes_above_void_floor():
-    # with void_floor 0.9 most cells are excluded and carry no dual field;
-    # the gap counts only the optimized cells, while tv_final stays the full F
-    trip = _pd_triplet()
-    problem = TVProblem(trip, void_floor=0.9)
+    # with a zeroed below 0.9 max(a) most cells are excluded and carry no
+    # dual field; the gap counts only the optimized cells, while tv_final
+    # stays the full F
+    trip = _pd_triplet(zero_below=0.9)
+    problem = TVProblem(trip)
     u, B, info = minimize_tv_primal_dual(problem)
     assert np.count_nonzero(trip.a.values <= 0.9 * np.max(trip.a.values)) > trip.a.values.size // 2
     assert info["pd_gap"] <= 1e-3
