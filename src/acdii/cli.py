@@ -170,8 +170,15 @@ def _section(cfg, name):
 
 
 def build_grid(cfg) -> Grid2D:
+    """The grid on [0, lx] x [0, ly].  `build_c` squares coordinate differences
+    across it and `fields.cell_operator` squares and multiplies its spacings;
+    lx^2 + ly^2 bounds them all, so it must be a finite float."""
     g = _section(cfg, "grid")
-    return Grid2D(g["nx"], g["ny"], g["lx"] / (g["nx"] - 1), g["ly"] / (g["ny"] - 1))
+    lx, ly = g["lx"], g["ly"]
+    if lx * lx + ly * ly == float("inf"):
+        raise ConfigError(f"config entry 'grid.{'lx' if lx >= ly else 'ly'}' makes the squared "
+                          f"extent lx^2 + ly^2 of the domain overflow (lx={lx!r}, ly={ly!r})")
+    return Grid2D(g["nx"], g["ny"], lx / (g["nx"] - 1), ly / (g["ny"] - 1))
 
 
 def build_c(cfg, grid: Grid2D) -> ScalarField:
@@ -291,7 +298,6 @@ def cmd_forward(cfg, args, chash) -> int:
     sigma0 = build_sigma0(cfg, grid)
     f = build_f(cfg, grid)
     inclusions = build_inclusions(cfg, grid)
-    sigma = sigma0.scaled(c.values)
     u, current = solve_truth(c, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
 
@@ -307,7 +313,7 @@ def cmd_forward(cfg, args, chash) -> int:
         "version": __version__,
         "config_hash": chash,
         "grid": {"nx": grid.nx, "ny": grid.ny, "hx": grid.hx, "hy": grid.hy},
-        "energy": energy(u, sigma, inclusions),
+        "energy": energy(u, c.values, sigma0, inclusions),
         "duality_gap": gap,
         "files": {
             "potential": "potential.field",
@@ -501,7 +507,6 @@ def _gate_rows(audits: dict) -> dict:
 
 
 def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:
-    grid = triplet.grid
     prov = triplet.provenance
     if (
         triplet.inclusions is None
@@ -510,15 +515,14 @@ def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:
     ):
         return {"skipped": True, "reason": "needs perfect inclusions and the stored truth"}
     c_arr = np.asarray(prov["c_true"], dtype=np.float64)
-    sigma0 = triplet.sigma0
-    sigma = sigma0.scaled(c_arr)
-    u0 = solve_inclusion_limit(sigma, triplet.f, grid, triplet.inclusions)
-    i0 = energy(u0, sigma, triplet.inclusions)
+    sigma0, f, inclusions = triplet.sigma0, triplet.f, triplet.inclusions
+    u0 = solve_inclusion_limit(c_arr, sigma0, f, inclusions)
+    i0 = energy(u0, c_arr, sigma0, inclusions)
     rows = []
     for k in sorted(ks, reverse=True):
-        uk = solve_penalized(k, sigma0, sigma, triplet.f, grid, triplet.inclusions)
+        uk = solve_penalized(k, c_arr, sigma0, f, inclusions)
         dist = rel_l2(uk.values, u0.values)
-        ik = energy(uk, sigma, triplet.inclusions, k=k, sigma1=sigma0)
+        ik = energy(uk, c_arr, sigma0, inclusions, k=k)
         rows.append({"k": k, "distance_rel": dist, "energy": ik})
     dists = [r["distance_rel"] for r in rows]
     energies = [r["energy"] for r in rows]

@@ -5,8 +5,9 @@ The measured scalar is a = |J|_{sigma0^{-1}} with J = -c sigma0 grad u,
 so on cells where Ohm's law holds a = c |grad u|_{sigma0}.  Inside a
 perfectly conducting component the potential gradient vanishes while the
 physical current does not; the synthesizer recovers that interior
-current from the penalized problem, J = -(1/k) sigma1 grad u_k with a
-small k, so the triplet carries positive data over such components.
+current from the penalized problem, J = -(1/k) sigma0 grad u_k with a
+small k (the factor 1/k on sigma0 there), so the triplet carries positive
+data over such components.
 On insulating components a is zero exactly.
 """
 
@@ -19,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad
-from .forward import (
-    AssemblyError,
-    InclusionSet,
-    assemble,
-    solve_dirichlet,
-    solve_inclusion_limit,
-    solve_penalized,
-)
+from .forward import AssemblyError, InclusionSet, solve_inclusion_limit, solve_penalized
 from .io import FieldFormatError, read_field_file, write_field_file
 from .schema import Key, read_json, validate
 
@@ -119,26 +113,20 @@ def _cell_array(c_true, grid: Grid2D):
 def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
     """Truth potential and current for the factor c_true.
 
-    With inclusions present the tied/deleted limit problem provides the
-    potential, so the gradient is exactly zero on perfect components; the
-    current over them comes from a penalized solve at `PENALIZED_K`,
-    which is what the limiting current actually is there.  Returns
-    (u, current) with the current zeroed on insulating cells, so a
-    computed from it is exactly zero there.
+    The tied/deleted limit problem provides the potential, so the gradient
+    is exactly zero on perfect components; the current over them comes
+    from a penalized solve at `PENALIZED_K`, which is what the limiting
+    current actually is there.  Returns (u, current) with the current
+    zeroed on insulating cells, so a computed from it is exactly zero
+    there.
     """
     c_arr = _cell_array(c_true, grid)
-    has_inclusions = inclusions is not None and (inclusions.perfect or inclusions.insulating)
-    if has_inclusions:
-        sigma = sigma0.scaled(c_arr)
-        u = solve_inclusion_limit(sigma, f, grid, inclusions, tol=_TRUTH_TOL)
-    else:
-        system = assemble(c_arr, sigma0, grid)
-        u = solve_dirichlet(system, f, tol=_TRUTH_TOL)
+    u = solve_inclusion_limit(c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
 
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
-    if has_inclusions and inclusions.perfect:
-        u_k = solve_penalized(PENALIZED_K, sigma0, sigma, f, grid, inclusions, tol=_TRUTH_TOL)
+    if inclusions is not None and inclusions.perfect:
+        u_k = solve_penalized(PENALIZED_K, c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
         j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
         perf = inclusions.perfect_mask()
         current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),

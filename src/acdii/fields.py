@@ -201,10 +201,6 @@ class TensorField2:
             np.full(shape, float(s22)),
         )
 
-    def scaled(self, c):
-        """The tensor field c * self for a cell scalar (or number) c."""
-        return TensorField2(self.grid, c * self.s11, c * self.s12, c * self.s22)
-
     @property
     def entries(self):
         return self.s11, self.s12, self.s22

@@ -13,25 +13,26 @@ Two inclusion types are supported:
   one unknown, so the potential is exactly constant there and the zero
   net-flux condition holds automatically in the reduced weak form.
 
-The penalized approximation replaces a perfect component by the finite
-coefficient sigma1 / k; its minimizers converge to the tied solution as
-k -> 0, with energies increasing monotonically toward the limit energy
-(each smaller k enlarges the quadratic form, and the tied solution is
-feasible at every k).
+Every conductivity is the factor c on sigma0, the known class.  The
+penalized approximation gives a perfect component the factor 1 / k; its
+minimizers converge to the tied solution as k -> 0, with energies
+increasing monotonically toward the limit energy (each smaller k enlarges
+the quadratic form, and the tied solution is feasible at every k).
 
-Assembly has a fixed pattern.  A `Layout` (the grid, sigma0, the
-contributing cells and the perfect components) fixes once the dof maps,
-the CSR patterns of the reduced matrix and of its Dirichlet coupling, the
-multigrid prolongations, and the stiffness map: a sparse matrix from the
-cell factor c to the stored values of both patterns.  Only c changes
-between refills, so every `assemble` on a layout is one sparse product of
-the map with c.  The map and both patterns come from one list of (entry,
-cell, weight) terms, one per corner pair and orientation of every
-contributing cell, ordered by one stable sort of the entry keys.  Each
-entry therefore sums its terms in the order they were written, and an
-off-diagonal pair writes its two mirror entries' terms side by side with
-one weight, so mirror entries add the same terms in the same order and
-the matrix is exactly symmetric.
+Assembly has a fixed pattern.  A `Layout(sigma0, inclusions,
+exclude_cells)` (the grid of sigma0, the contributing cells and the
+perfect components) fixes once the dof maps, the CSR patterns of the
+reduced matrix and of its Dirichlet coupling, the multigrid
+prolongations, and the stiffness map: a sparse matrix from the cell
+factor c to the stored values of both patterns.  Only c changes between
+refills, so every `assemble(c, layout)` is one sparse product of the map
+with c.  The map and both patterns come from one list of (entry, cell,
+weight) terms, one per corner pair and orientation of every contributing
+cell, ordered by one stable sort of the entry keys.  Each entry therefore
+sums its terms in the order they were written, and an off-diagonal pair
+writes its two mirror entries' terms side by side with one weight, so
+mirror entries add the same terms in the same order and the matrix is
+exactly symmetric.
 
 Every reduced system is solved by conjugate gradients preconditioned with
 a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
@@ -434,15 +435,16 @@ class Multigrid:
 class Layout:
     """What a reduced system keeps across refills of the cell factor c.
 
-    A layout is fixed by the grid, sigma0, the contributing cells and the
-    perfectly conducting components.  Dirichlet nodes are eliminated by
-    lifting, each perfect component is aggregated to one unknown, and
-    unknowns with no stiffness (nodes fully surrounded by deleted cells)
-    are dropped and later filled by neighbor averaging.  The layout holds
-    those dof maps with the node count of each dof, the int32 CSR
-    patterns of the reduced matrix (`indices`, `indptr`, with the
-    positions of its diagonal in `diagonal`) and of its coupling to the
-    Dirichlet nodes, and the multigrid prolongations.
+    `Layout(sigma0, inclusions, exclude_cells)` is the one description of
+    a problem's structure: the grid is sigma0's, and the contributing
+    cells are all cells but the inclusions' and `exclude_cells`.
+    Dirichlet nodes are eliminated by lifting, each perfect component is
+    aggregated to one unknown, and unknowns with no stiffness (nodes fully
+    surrounded by deleted cells) are dropped and later filled by neighbor
+    averaging.  The layout holds those dof maps with the node count of
+    each dof, the int32 CSR patterns of the reduced matrix (`indices`,
+    `indptr`, with the positions of its diagonal in `diagonal`) and of its
+    coupling to the Dirichlet nodes, and the multigrid prolongations.
 
     `stiffness` maps c to the values of both patterns: a CSR matrix with
     one row per stored entry (the matrix's, then the coupling's) and one
@@ -454,12 +456,19 @@ class Layout:
     order and the matrix is exactly symmetric.
     """
 
-    def __init__(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect=()):
+    def __init__(self, sigma0: TensorField2, inclusions: InclusionSet | None = None,
+                 exclude_cells=None):
+        self.grid = grid = sigma0.grid
         n = grid.n_nodes
-        self.grid = grid
-        self.sigma0 = sigma0
+        contributing = np.ones(grid.cell_shape, dtype=bool)
+        if inclusions is not None:
+            contributing &= ~inclusions.union_mask()
+        if exclude_cells is not None:
+            contributing &= ~np.asarray(exclude_cells, dtype=bool)
+        if not contributing.any():
+            raise AssemblyError("no contributing cells")
         self.contributing = contributing
-        self.perfect = list(perfect)
+        self.perfect = inclusions.perfect if inclusions is not None else []
 
         # node -> reduced column map: -1 Dirichlet; tied components first
         node_dof = np.full(n, -1, dtype=np.int64)
@@ -499,15 +508,6 @@ class Layout:
         self.coupling_indices, self.coupling_indptr = coupling
         self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
 
-    def fits(self, grid: Grid2D, sigma0: TensorField2, contributing: np.ndarray, perfect) -> bool:
-        return (
-            self.grid.same_layout(grid)
-            and all(np.array_equal(a, b) for a, b in zip(self.sigma0.entries, sigma0.entries))
-            and np.array_equal(self.contributing, contributing)
-            and len(self.perfect) == len(perfect)
-            and all(np.array_equal(a, b) for a, b in zip(self.perfect, perfect))
-        )
-
 
 class LinearSystem:
     """Reduced SPD system for one coefficient field on one `Layout`.
@@ -534,49 +534,28 @@ class LinearSystem:
         return -(self.coupling @ boundary_values), lift
 
 
-def assemble(c, sigma0: TensorField2, grid: Grid2D, inclusions=None, exclude_cells=None,
-             layout: Layout | None = None, hierarchy: Multigrid | None = None):
-    """Assemble the stiffness system for coefficient c * sigma0.
+def assemble(c, layout: Layout, hierarchy: Multigrid | None = None):
+    """Fill `layout` with the coefficient c * sigma0: the one product of its
+    stiffness map with c.
 
-    `c` is a cell scalar (ScalarField or array) and must be positive on
-    every contributing cell; insulating and perfect inclusion cells and
-    any `exclude_cells` are left out of the quadrature.  Passing the
-    `layout` of an earlier system with the same grid, sigma0, cells and
-    inclusions skips rebuilding it: the values are then the one product
-    of its stiffness map with c.  Passing that system's `matrix` (or what
-    its `release_fine_level` left) as `hierarchy` also keeps its coarse
-    multigrid levels, so only the fine level is rebuilt (see `Multigrid`);
-    a hierarchy from another layout raises AssemblyError.
+    `c` is a cell array or a number and must be positive on every
+    contributing cell of the layout.  Passing an earlier system's `matrix`
+    on the same layout (or what its `release_fine_level` left) as
+    `hierarchy` keeps its coarse multigrid levels, so only the fine level
+    is rebuilt (see `Multigrid`); a hierarchy from another layout raises
+    AssemblyError.
     """
-    if isinstance(c, ScalarField):
-        if c.location != "cell":
-            raise AssemblyError("conductivity factor must be cell-located")
-        c = c.values
+    grid = layout.grid
     c = np.asarray(c, dtype=np.float64)
     if c.shape == ():
         c = np.full(grid.cell_shape, float(c))
     if c.shape != grid.cell_shape:
         raise AssemblyError(f"conductivity factor has shape {c.shape}, expected {grid.cell_shape}")
-    if not sigma0.grid.same_layout(grid):
-        raise AssemblyError("sigma0 grid does not match")
-
-    contributing = np.ones(grid.cell_shape, dtype=bool)
-    if inclusions is not None:
-        contributing &= ~inclusions.union_mask()
-    if exclude_cells is not None:
-        contributing &= ~np.asarray(exclude_cells, dtype=bool)
-    if not contributing.any():
-        raise AssemblyError("no contributing cells")
-    bad = contributing & ~(c > 0.0)
+    bad = layout.contributing & ~(c > 0.0)
     if bad.any():
         raise AssemblyError(
             f"conductivity must be positive outside inclusions; {int(bad.sum())} violating cell(s)"
         )
-    perfect = inclusions.perfect if inclusions is not None else []
-    if layout is None:
-        layout = Layout(grid, sigma0, contributing, perfect)
-    elif not layout.fits(grid, sigma0, contributing, perfect):
-        raise AssemblyError("layout was built for another grid, sigma0, cell set or inclusion set")
 
     data = layout.stiffness @ c.ravel()
     m, nnz = layout.n_unknowns, layout.indices.size
@@ -706,46 +685,40 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     return ScalarField(grid, u, location="node")
 
 
-def solve_penalized(k: float, sigma1: TensorField2, sigma: TensorField2, f, grid: Grid2D,
-                    inclusions: InclusionSet, tol: float = 1e-10):
-    """Penalized approximation: coefficient sigma1/k on perfect components.
+def solve_penalized(k: float, c, sigma0: TensorField2, f, inclusions: InclusionSet,
+                    tol: float = 1e-10):
+    """Penalized approximation: the factor 1/k on the perfect components.
 
-    Insulating components stay deleted.  k in (0, 1]; k = 1 with
-    sigma1 = sigma reproduces the plain solve.
+    The coefficient is where(perfect, 1/k, c) * sigma0 and insulating
+    components stay deleted.  k in (0, 1]; k = 1 with c = 1 reproduces
+    the plain solve.
     """
     if not (0.0 < k <= 1.0):
         raise AssemblyError(f"penalization parameter k must be in (0, 1], got {k}")
-    perf = inclusions.perfect_mask()
-    s11 = np.where(perf, sigma1.s11 / k, sigma.s11)
-    s12 = np.where(perf, sigma1.s12 / k, sigma.s12)
-    s22 = np.where(perf, sigma1.s22 / k, sigma.s22)
-    composite = TensorField2(grid, s11, s12, s22)
-    relaxed = InclusionSet(grid, perfect=(), insulating=inclusions.insulating)
-    system = assemble(1.0, composite, grid, relaxed)
-    return solve_dirichlet(system, f, tol=tol)
+    factor = np.where(inclusions.perfect_mask(), 1.0 / k, c)
+    layout = Layout(sigma0, exclude_cells=inclusions.insulating_mask())
+    return solve_dirichlet(assemble(factor, layout), f, tol=tol)
 
 
-def solve_inclusion_limit(sigma: TensorField2, f, grid: Grid2D, inclusions: InclusionSet,
+def solve_inclusion_limit(c, sigma0: TensorField2, f, inclusions: InclusionSet,
                           tol: float = 1e-10):
-    """Tied-unknown limit problem: exactly constant potential per perfect
-    component, natural Neumann wall on insulating components."""
-    system = assemble(1.0, sigma, grid, inclusions)
-    return solve_dirichlet(system, f, tol=tol)
+    """Tied-unknown limit problem for c * sigma0: exactly constant potential
+    per perfect component, natural Neumann wall on insulating components."""
+    return solve_dirichlet(assemble(c, Layout(sigma0, inclusions)), f, tol=tol)
 
 
-def energy(u: ScalarField, sigma: TensorField2, inclusions=None, k=None, sigma1=None) -> float:
-    """Midpoint-quadrature Dirichlet energy, from the density `tv_density`.
+def energy(u: ScalarField, c, sigma0: TensorField2, inclusions=None, k=None) -> float:
+    """Midpoint-quadrature Dirichlet energy of c * sigma0, from rho = `tv_density`.
 
-    Without k: (1/2) integral of |grad u|^2_sigma over the cells outside
-    all inclusions.  With k: adds (1/2k) integral of
-    |grad u|^2_sigma1 over the perfect components (the penalized energy).
+    Without k: (1/2) integral of c rho^2 over the cells outside all
+    inclusions.  With k: adds (1/2k) integral of rho^2 over the perfect
+    components (the penalized energy, whose factor there is 1/k).
     """
     outside = True if inclusions is None else ~inclusions.union_mask()
-    d = tv_density(u.values, sigma)
-    total = 0.5 * float(np.sum(d * d, where=outside))
+    d2 = tv_density(u.values, sigma0) ** 2
+    total = 0.5 * float(np.sum(c * d2, where=outside))
     if k is not None:
-        if inclusions is None or sigma1 is None:
-            raise AssemblyError("penalized energy needs inclusions and sigma1")
-        dp = tv_density(u.values, sigma1)
-        total += 0.5 / k * float(np.sum(dp * dp, where=inclusions.perfect_mask()))
+        if inclusions is None:
+            raise AssemblyError("penalized energy needs inclusions")
+        total += 0.5 / k * float(np.sum(d2, where=inclusions.perfect_mask()))
     return total * u.grid.cell_area

@@ -58,7 +58,7 @@ from .fields import (
     tv_density,
     weighted_tv,
 )
-from .forward import _dot, assemble, solve_dirichlet
+from .forward import Layout, _dot, assemble, solve_dirichlet
 from .geometry import weighted_perimeter
 from .schema import Key, validate
 
@@ -247,11 +247,12 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     # relative tolerances and the multigrid cycle cannot see).
     schedule = _eps_schedule(sigma0)
 
-    system = assemble(1.0, sigma0, grid, exclude_cells=void)
+    layout = Layout(sigma0, exclude_cells=void)
+    system = assemble(1.0, layout)
     u = solve_dirichlet(system, t.f, tol=_CG_TOL)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
-    layout, system = system.layout, None
+    system = None
     mixer = _Anderson(grid.shape)
 
     stages = []
@@ -268,8 +269,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         for inner in range(1, problem.max_inner + 1):
             weight = tv_density(uvals, sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
-            system = assemble(c_eff, sigma0, grid, exclude_cells=void, layout=layout,
-                              hierarchy=hierarchy)
+            system = assemble(c_eff, layout, hierarchy)
             phi = solve_dirichlet(system, t.f, tol=_CG_TOL, x0=uvals).values
             cg += system.cg_iterations
             # only the coarse levels outlive the step, so a refill holds one fine level
@@ -437,7 +437,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     kt_op.data[np.repeat(~interior, np.diff(kt_op.indptr))] = 0.0
     kt_op.eliminate_zeros()
 
-    system = assemble(1.0, sigma0, grid, exclude_cells=void)
+    system = assemble(1.0, Layout(sigma0, exclude_cells=void))
     u = solve_dirichlet(system, t.f, tol=_CG_TOL).values.ravel().copy()
     ubar = np.empty_like(u)
     b = np.zeros((2, a_hat.size))

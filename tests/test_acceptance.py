@@ -16,6 +16,7 @@ from acdii.data import compute_current, synthesize_triplet
 from acdii.fields import Grid2D, ScalarField, TensorField2, grad
 from acdii.forward import (
     InclusionSet,
+    Layout,
     assemble,
     disk_cells,
     energy,
@@ -70,7 +71,7 @@ def test_criterion_01_affine_exactness():
     sigma0 = rotated_tensor(grid, 0.4, 3.0, 1.0)
     x, y = grid.node_coords()
     f = 2.0 * x + 3.0 * y - 1.0
-    u = solve_dirichlet(assemble(1.7, sigma0, grid), ScalarField(grid, f), tol=1e-12)
+    u = solve_dirichlet(assemble(1.7, Layout(sigma0)), ScalarField(grid, f), tol=1e-12)
     err = float(np.max(np.abs(u.values - f)))
     dt = time.perf_counter() - t0
     ok = err <= 1e-9 and dt < 1.0
@@ -86,7 +87,7 @@ def test_criterion_02_cg_matches_dense_direct():
     x, y = grid.node_coords()
     f = np.sin(np.pi * (x + 0.5 * y)) + 0.3 * x
     u_dense = dense_solve(grid, c_cells, sigma0, f)
-    u = solve_dirichlet(assemble(c_cells, sigma0, grid), ScalarField(grid, f), tol=1e-13)
+    u = solve_dirichlet(assemble(c_cells, Layout(sigma0)), ScalarField(grid, f), tol=1e-13)
     rel = float(np.linalg.norm(u.values - u_dense) / np.linalg.norm(u_dense))
     ok = rel <= 1e-10
     assert _verdict(2, "iterative solve matches dense direct solve", ok, f"rel l2 {rel:.3e}")
@@ -186,14 +187,14 @@ def test_criterion_10_penalization_ladder():
     sigma0 = rotated_tensor(grid, 0.3, 2.0, 1.0)
     x, _ = grid.node_coords()
     f = ScalarField(grid, x)
-    u0 = solve_inclusion_limit(sigma0, f, grid, incl)
+    u0 = solve_inclusion_limit(1.0, sigma0, f, incl)
     ref = float(np.linalg.norm(u0.values))
-    i0 = energy(u0, sigma0, incl)
+    i0 = energy(u0, 1.0, sigma0, incl)
     dists, energies = [], []
     for k in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        uk = solve_penalized(k, sigma0, sigma0, f, grid, incl, tol=1e-12)
+        uk = solve_penalized(k, 1.0, sigma0, f, incl, tol=1e-12)
         dists.append(float(np.linalg.norm(uk.values - u0.values)) / ref)
-        energies.append(energy(uk, sigma0, incl, k=k, sigma1=sigma0))
+        energies.append(energy(uk, 1.0, sigma0, incl, k=k))
     monotone = all(a >= b for a, b in zip(dists, dists[1:]))
     egap = abs(energies[-1] - i0) / abs(i0)
     ok = monotone and dists[3] <= 1e-2 and egap <= 1e-2

@@ -282,18 +282,22 @@ def test_degenerate_grid_exits_2(tmp_path):
     assert main(["synth", "--config", path]) == 2
 
 
-def test_synth_on_an_overflowing_spacing_exits_1_with_convergence_error(tmp_path):
+def test_synth_on_an_overflowing_spacing_exits_2_naming_grid_lx(tmp_path):
     # run from a shell, where numpy's overflow warnings are not errors: the
-    # right-hand side overflows and CG stops at once instead of at its cap
+    # squared extent of the domain overflows, so the config is refused
+    # before any array is built, with one JSON line and no warning
     cfg = _base_config(tmp_path / "out", n=33)
     cfg["grid"]["lx"] = 1e300
     env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-m", "acdii.cli", "synth", "--config",
                           _write(tmp_path, cfg)], env=env, capture_output=True, text=True,
                          timeout=120)
-    assert out.returncode == 1
-    err = json.loads(out.stderr.splitlines()[-1])
-    assert err["error"] == "ConvergenceError" and "not finite" in err["message"]
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and "grid.lx" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_on_a_tiny_spacing_matches_a_moderate_one(tmp_path):
@@ -440,6 +444,7 @@ def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
     "section, key, value, named",
     [
         ("grid", "nx", 2, "grid.nx"),
+        ("grid", "ly", 1e300, "grid.ly"),
         ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
         ("noise", "seed", -1, "noise.seed"),
     ],

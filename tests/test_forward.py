@@ -192,7 +192,7 @@ def test_cg_matches_dense_direct_on_8x8():
     x, y = grid.node_coords()
     f = np.sin(np.pi * (x + 0.5 * y)) + 0.3 * x
     u_dense = dense_solve(grid, c_cells, sigma0, f)
-    system = assemble(c_cells, sigma0, grid)
+    system = assemble(c_cells, Layout(sigma0))
     u = solve_dirichlet(system, ScalarField(grid, f), tol=1e-13)
     rel = np.linalg.norm(u.values - u_dense) / np.linalg.norm(u_dense)
     assert rel <= 1e-10
@@ -203,14 +203,14 @@ def test_affine_solution_reproduced():
     sigma0 = rotated_tensor(grid, 0.4, 3.0, 1.0)
     x, y = grid.node_coords()
     f = 2.0 * x + 3.0 * y - 1.0
-    system = assemble(1.7, sigma0, grid)
+    system = assemble(1.7, Layout(sigma0))
     u = solve_dirichlet(system, ScalarField(grid, f), tol=1e-12)
     assert np.max(np.abs(u.values - f)) <= 1e-9
 
 
 def test_maximum_principle():
     grid, c, sigma0, f = bump_problem(17)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     u = solve_dirichlet(system, f)
     fb = f.values.ravel()[grid.boundary_ids]
     assert u.values.min() >= fb.min() - 1e-9
@@ -219,7 +219,7 @@ def test_maximum_principle():
 
 def test_boundary_values_exact():
     grid, c, sigma0, f = bump_problem(9)
-    u = solve_dirichlet(assemble(c.values, sigma0, grid), f)
+    u = solve_dirichlet(assemble(c.values, Layout(sigma0)), f)
     assert np.array_equal(
         u.values.ravel()[grid.boundary_ids], f.values.ravel()[grid.boundary_ids]
     )
@@ -231,7 +231,7 @@ def test_tied_component_is_exactly_constant():
     incl = InclusionSet(grid, perfect=[disk])
     sigma0 = rotated_tensor(grid, 0.2, 2.0, 1.0)
     x, _ = grid.node_coords()
-    u = solve_inclusion_limit(sigma0, ScalarField(grid, x), grid, incl)
+    u = solve_inclusion_limit(1.0, sigma0, ScalarField(grid, x), incl)
     nodes = np.zeros((grid.ny, grid.nx), dtype=bool)
     jj, ii = np.nonzero(disk)
     for dj in (0, 1):
@@ -248,7 +248,7 @@ def test_tied_warm_start_is_the_mean_of_the_component_guess():
     disk = disk_cells(grid, (0.5, 0.5), 0.2)
     incl = InclusionSet(grid, perfect=[disk])
     sigma0 = rotated_tensor(grid, 0.2, 2.0, 1.0)
-    system = assemble(1.0, sigma0, grid, inclusions=incl)
+    system = assemble(1.0, Layout(sigma0, incl))
     layout = system.layout
     assert layout.tie_counts[0] == nodes_of_cells(disk).sum()
     assert np.all(layout.tie_counts[1:] == 1.0)
@@ -265,8 +265,8 @@ def test_gradient_vanishes_on_tied_cells():
     disk = disk_cells(grid, (0.5, 0.5), 0.2)
     incl = InclusionSet(grid, perfect=[disk])
     x, _ = grid.node_coords()
-    u = solve_inclusion_limit(TensorField2.constant(grid, 1.0, 0.0, 1.0),
-                              ScalarField(grid, x), grid, incl)
+    u = solve_inclusion_limit(1.0, TensorField2.constant(grid, 1.0, 0.0, 1.0),
+                              ScalarField(grid, x), incl)
     g1, g2 = grad(grid, u.values)
     assert np.max(np.abs(g1[disk])) == 0.0
     assert np.max(np.abs(g2[disk])) == 0.0
@@ -277,8 +277,8 @@ def test_insulating_interior_fill_is_finite():
     disk = disk_cells(grid, (0.5, 0.5), 0.22)
     incl = InclusionSet(grid, insulating=[disk])
     x, _ = grid.node_coords()
-    u = solve_inclusion_limit(TensorField2.constant(grid, 1.0, 0.0, 1.0),
-                              ScalarField(grid, x), grid, incl)
+    u = solve_inclusion_limit(1.0, TensorField2.constant(grid, 1.0, 0.0, 1.0),
+                              ScalarField(grid, x), incl)
     assert np.all(np.isfinite(u.values))
 
 
@@ -289,8 +289,8 @@ def test_penalized_with_k_one_reproduces_plain_solve():
     sigma0 = rotated_tensor(grid, 0.1, 2.0, 1.0)
     x, _ = grid.node_coords()
     f = ScalarField(grid, x)
-    up = solve_penalized(1.0, sigma0, sigma0, f, grid, incl)
-    u0 = solve_dirichlet(assemble(1.0, sigma0, grid), f)
+    up = solve_penalized(1.0, 1.0, sigma0, f, incl)
+    u0 = solve_dirichlet(assemble(1.0, Layout(sigma0)), f)
     assert np.array_equal(up.values, u0.values)
 
 
@@ -301,10 +301,10 @@ def test_penalized_approaches_tied_limit():
     sigma0 = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     x, _ = grid.node_coords()
     f = ScalarField(grid, x)
-    u0 = solve_inclusion_limit(sigma0, f, grid, incl)
+    u0 = solve_inclusion_limit(1.0, sigma0, f, incl)
     dists = []
     for k in (1e-1, 1e-2, 1e-3):
-        uk = solve_penalized(k, sigma0, sigma0, f, grid, incl)
+        uk = solve_penalized(k, 1.0, sigma0, f, incl)
         dists.append(np.linalg.norm(uk.values - u0.values) / np.linalg.norm(u0.values))
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] < 1e-3
@@ -316,9 +316,9 @@ def test_penalization_parameter_validated():
     sigma0 = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     x, _ = grid.node_coords()
     with pytest.raises(AssemblyError):
-        solve_penalized(0.0, sigma0, sigma0, ScalarField(grid, x), grid, incl)
+        solve_penalized(0.0, 1.0, sigma0, ScalarField(grid, x), incl)
     with pytest.raises(AssemblyError):
-        solve_penalized(2.0, sigma0, sigma0, ScalarField(grid, x), grid, incl)
+        solve_penalized(2.0, 1.0, sigma0, ScalarField(grid, x), incl)
 
 
 def test_assemble_rejects_nonpositive_c_on_contributing_cells():
@@ -327,11 +327,11 @@ def test_assemble_rejects_nonpositive_c_on_contributing_cells():
     c = np.ones(grid.cell_shape)
     c[3, 3] = 0.0
     with pytest.raises(AssemblyError):
-        assemble(c, sigma0, grid)
+        assemble(c, Layout(sigma0))
     # but zero c on an excluded cell is fine
     excl = np.zeros(grid.cell_shape, dtype=bool)
     excl[3, 3] = True
-    assemble(c, sigma0, grid, exclude_cells=excl)
+    assemble(c, Layout(sigma0, exclude_cells=excl))
 
 
 def test_inclusion_set_validation():
@@ -380,7 +380,7 @@ def test_inclusion_labels_hold_at_most_254_perfect_components():
 
 def test_convergence_error_carries_diagnostics():
     grid, c, sigma0, f = bump_problem(17)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     with pytest.raises(ConvergenceError) as exc:
         solve_dirichlet(system, f, tol=1e-15, max_iter=2)
     assert exc.value.iterations == 2
@@ -389,7 +389,7 @@ def test_convergence_error_carries_diagnostics():
 
 def test_cg_stops_at_a_non_finite_right_hand_side_or_residual():
     grid, c, sigma0, f = bump_problem(9)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
     for bad in (np.nan, np.inf):
         rhs = b.copy()
@@ -406,7 +406,7 @@ def test_cg_stops_at_a_non_finite_right_hand_side_or_residual():
 
 def test_warm_start_agrees_with_cold_start():
     grid, c, sigma0, f = bump_problem(17)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     cold = solve_dirichlet(system, f, tol=1e-12)
     rough = ScalarField(grid, f.values * 0.9 + 0.05)
     warm = solve_dirichlet(system, f, tol=1e-12, x0=rough.values)
@@ -417,13 +417,13 @@ def test_energy_and_h1_seminorm_known_values():
     grid = make_grid(9)
     x, _ = grid.node_coords()
     u = ScalarField(grid, x)
-    sigma = TensorField2.constant(grid, 1.0, 0.0, 1.0)
-    assert energy(u, sigma) == pytest.approx(0.5, rel=1e-12)
+    sigma0 = TensorField2.constant(grid, 1.0, 0.0, 1.0)
+    assert energy(u, 1.0, sigma0) == pytest.approx(0.5, rel=1e-12)
 
 
-def _loop_energy(grid, u, sigma, outside, perf=None, k=None, sigma1=None):
-    """Plain-loop midpoint energy: (1/2) |grad u|^2_sigma on the outside
-    cells plus (1/2k) |grad u|^2_sigma1 on the perfect ones."""
+def _loop_energy(grid, u, c, sigma0, outside, perf=None, k=None):
+    """Plain-loop midpoint energy: (1/2) c |grad u|^2_sigma0 on the outside
+    cells plus (1/2k) |grad u|^2_sigma0 on the perfect ones."""
     total = 0.0
     for j in range(grid.ny - 1):
         for i in range(grid.nx - 1):
@@ -431,9 +431,10 @@ def _loop_energy(grid, u, sigma, outside, perf=None, k=None, sigma1=None):
                 0.5 * ((u[j, i + 1] - u[j, i]) + (u[j + 1, i + 1] - u[j + 1, i])) / grid.hx,
                 0.5 * ((u[j + 1, i] - u[j, i]) + (u[j + 1, i + 1] - u[j, i + 1])) / grid.hy,
             ])
-            for t, w, on in ((sigma, 0.5, outside), (sigma1, 0.5 / (k or 1.0), perf)):
+            m = np.array([[sigma0.s11[j, i], sigma0.s12[j, i]],
+                          [sigma0.s12[j, i], sigma0.s22[j, i]]])
+            for w, on in ((0.5 * c[j, i], outside), (0.5 / (k or 1.0), perf)):
                 if on is not None and on[j, i]:
-                    m = np.array([[t.s11[j, i], t.s12[j, i]], [t.s12[j, i], t.s22[j, i]]])
                     total += w * (g @ m @ g) * grid.hx * grid.hy
     return total
 
@@ -442,25 +443,25 @@ def test_energy_matches_loop_oracle_with_penalized_disk():
     grid = Grid2D(15, 11, 0.07, 0.09)
     rng = np.random.default_rng(21)
     xc, yc = grid.cell_centers()
-    sigma = rotated_tensor(grid, 0.4, 2.0, 0.7).scaled(1.0 + 0.5 * np.sin(5.0 * xc) * yc)
-    sigma1 = rotated_tensor(grid, -0.3, 1.5, 0.5)
+    c = 1.0 + 0.5 * np.sin(5.0 * xc) * yc
+    sigma0 = rotated_tensor(grid, 0.4, 2.0, 0.7)
     incl = InclusionSet(grid, perfect=[disk_cells(grid, (0.35, 0.45), 0.2)],
                         insulating=[disk_cells(grid, (0.8, 0.3), 0.12)])
     u = ScalarField(grid, rng.standard_normal(grid.shape))
     outside = ~incl.union_mask()
     perf = incl.perfect_mask()
     assert perf.any() and incl.insulating_mask().any()
-    assert energy(u, sigma) == pytest.approx(
-        _loop_energy(grid, u.values, sigma, np.ones(grid.cell_shape, bool)), rel=1e-12)
-    assert energy(u, sigma, incl) == pytest.approx(
-        _loop_energy(grid, u.values, sigma, outside), rel=1e-12)
-    assert energy(u, sigma, incl, k=1e-3, sigma1=sigma1) == pytest.approx(
-        _loop_energy(grid, u.values, sigma, outside, perf, 1e-3, sigma1), rel=1e-12)
+    assert energy(u, c, sigma0) == pytest.approx(
+        _loop_energy(grid, u.values, c, sigma0, np.ones(grid.cell_shape, bool)), rel=1e-12)
+    assert energy(u, c, sigma0, incl) == pytest.approx(
+        _loop_energy(grid, u.values, c, sigma0, outside), rel=1e-12)
+    assert energy(u, c, sigma0, incl, k=1e-3) == pytest.approx(
+        _loop_energy(grid, u.values, c, sigma0, outside, perf, 1e-3), rel=1e-12)
 
 
 def test_dirichlet_data_must_be_a_node_field_on_the_grid():
     grid, c, sigma0, f = bump_problem(9)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     for bad in (
         f.values,
         ScalarField(grid, np.ones(grid.cell_shape), location="cell"),
@@ -558,11 +559,8 @@ def _layout_case(kind, nx, ny, k=1e-6):
             insulating=[disk_cells(grid, (0.7, 0.3), 0.12)],
         )
     if kind == "penalized":
-        perf = inclusions.perfect_mask()
-        sigma = sigma0.scaled(c)
-        sigma0 = TensorField2(grid, *(np.where(perf, s0 / k, s) for s0, s in (
-            (sigma0.s11, sigma.s11), (sigma0.s12, sigma.s12), (sigma0.s22, sigma.s22))))
-        c = np.ones(grid.cell_shape)
+        # the perfect disk untied, with the factor 1/k on sigma0
+        c = np.where(inclusions.perfect_mask(), 1.0 / k, c)
         inclusions = InclusionSet(grid, insulating=inclusions.insulating)
     return c, sigma0, grid, inclusions, exclude, f
 
@@ -571,10 +569,10 @@ def _layout_case(kind, nx, ny, k=1e-6):
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_refilled_matrix_matches_coo_assembly(kind, nx, ny):
     c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
-    first = assemble(c, sigma0, grid, incl, excl)
+    first = assemble(c, Layout(sigma0, incl, excl))
     # a second coefficient on the same layout: only the values are refilled
     c2 = c * (1.5 + np.cos(3.0 * grid.cell_centers()[0]))
-    system = assemble(c2, sigma0, grid, incl, excl, layout=first.layout)
+    system = assemble(c2, first.layout)
     ref, to_rhs = coo_reduced_system(c2, sigma0, grid, incl, excl)
     got = system.matrix.levels[0]
     assert got.shape == ref.shape
@@ -590,7 +588,7 @@ def test_refilled_matrix_matches_coo_assembly(kind, nx, ny):
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_multigrid_cg_matches_sparse_direct_solve(kind, nx, ny):
     c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
-    system = assemble(c, sigma0, grid, incl, excl)
+    system = assemble(c, Layout(sigma0, incl, excl))
     b, _ = system.rhs(f.ravel()[grid.boundary_ids])
     x, res, its = _pcg(system.matrix, b, 1e-12, 1000)
     ref, to_rhs = coo_reduced_system(c, sigma0, grid, incl, excl)
@@ -599,10 +597,34 @@ def test_multigrid_cg_matches_sparse_direct_solve(kind, nx, ny):
     assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("kind", ["penalized", "tied+insulating"])
+def test_penalized_factor_matches_the_composite_tensor(kind):
+    # the reference: one tensor, sigma0 / k on the perfect disk and c sigma0
+    # elsewhere, assembled with the factor 1
+    k = 1e-6
+    c, sigma0, grid, incl, _, f = _layout_case("tied+insulating", 33, 27, k)
+    f = ScalarField(grid, f)
+    composite = TensorField2(grid, *(np.where(incl.perfect_mask(), s / k, c * s)
+                                     for s in sigma0.entries))
+    reference = assemble(1.0, Layout(composite, exclude_cells=incl.insulating_mask()))
+    if kind == "penalized":
+        factor, _, _, insulating, _, _ = _layout_case(kind, 33, 27, k)
+        system = assemble(factor, Layout(sigma0, insulating))
+        got, ref = system.matrix.levels[0], reference.matrix.levels[0]
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+        u = solve_dirichlet(system, f, tol=1e-12)
+    else:
+        u = solve_penalized(k, c, sigma0, f, incl, tol=1e-12)
+    u_ref = solve_dirichlet(reference, f, tol=1e-12)
+    # the entries differ by round-off, on a system of contrast 1/k: the
+    # bound the sparse direct comparisons above use
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.max(np.abs(u_ref.values))
+
+
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_vcycle_is_symmetric(kind):
     c, sigma0, grid, incl, excl, _ = _layout_case(kind, 33, 27)
-    mg = assemble(c, sigma0, grid, incl, excl).matrix
+    mg = assemble(c, Layout(sigma0, incl, excl)).matrix
     assert len(mg.levels) >= 3
     rng = np.random.default_rng(5)
     u, v = rng.standard_normal((2, mg.levels[0].shape[0]))
@@ -614,9 +636,9 @@ def test_vcycle_is_symmetric(kind):
 def _lagged_case(kind, nx, ny):
     """A system whose coarse levels were built for another coefficient, and its case."""
     c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
-    first = assemble(c, sigma0, grid, incl, excl)
+    first = assemble(c, Layout(sigma0, incl, excl))
     c2 = c * (1.5 + np.cos(3.0 * grid.cell_centers()[0]))
-    system = assemble(c2, sigma0, grid, incl, excl, layout=first.layout, hierarchy=first.matrix)
+    system = assemble(c2, first.layout, first.matrix)
     mg = system.matrix
     assert mg.levels[1] is first.matrix.levels[1]
     assert abs(mg.levels[0] - first.matrix.levels[0]).max() > 0.1 * abs(mg.levels[0]).max()
@@ -648,21 +670,24 @@ def test_cg_on_a_reused_hierarchy_matches_sparse_direct_solve(kind, nx, ny):
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_hierarchy_of_another_layout_is_rejected(kind):
     c, sigma0, grid, incl, excl, _ = _layout_case(kind, 17, 13)
-    other = _layout_case(_LAYOUTS[(_LAYOUTS.index(kind) + 1) % len(_LAYOUTS)], 17, 13)
-    foreign = assemble(*other[:5]).matrix
+    c2, sigma2, _, incl2, excl2, _ = _layout_case(
+        _LAYOUTS[(_LAYOUTS.index(kind) + 1) % len(_LAYOUTS)], 17, 13)
+    foreign = assemble(c2, Layout(sigma2, incl2, excl2)).matrix
+    layout = Layout(sigma0, incl, excl)
     with pytest.raises(AssemblyError, match="another layout"):
-        assemble(c, sigma0, grid, incl, excl, hierarchy=foreign)
-    system = assemble(c, sigma0, grid, incl, excl)
+        assemble(c, layout, foreign)
+    # the hierarchy of a layout built alike is still another layout's
+    alike = assemble(c, Layout(sigma0, incl, excl)).matrix
     with pytest.raises(AssemblyError, match="another layout"):
-        assemble(c, sigma0, grid, incl, excl, layout=system.layout, hierarchy=foreign)
+        assemble(c, layout, alike)
 
 
 def test_single_level_system_rebuilds_its_coarse_solve():
     # at or below _COARSEST unknowns level 0 is the coarsest level, so it
     # is factored afresh and the cycle solves the new matrix exactly
     grid, c, sigma0, f = bump_problem(9)
-    first = assemble(c.values, sigma0, grid)
-    system = assemble(2.0 * c.values, sigma0, grid, layout=first.layout, hierarchy=first.matrix)
+    first = assemble(c.values, Layout(sigma0))
+    system = assemble(2.0 * c.values, first.layout, first.matrix)
     assert len(system.matrix.levels) == 1
     b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
     _, res, its = _pcg(system.matrix, b, 1e-12, 10)
@@ -672,7 +697,7 @@ def test_single_level_system_rebuilds_its_coarse_solve():
 @pytest.mark.parametrize("n", [65, 129])
 def test_cold_cg_iterations_stay_flat_on_the_bump(n):
     grid, c, sigma0, f = bump_problem(n)
-    system = assemble(c.values, sigma0, grid)
+    system = assemble(c.values, Layout(sigma0))
     b, _ = system.rhs(f.values.ravel()[grid.boundary_ids])
     _, _, its = _pcg(system.matrix, b, 1e-10, 10_000)
     assert its <= 15
@@ -690,30 +715,10 @@ def test_notched_tied_component_matrix_is_exactly_symmetric():
     u_shape[2, 4:8] = u_shape[3:9, 4] = u_shape[3:9, 7] = True
     incl = InclusionSet(grid, perfect=[u_shape])
     assert not nodes_of_cells(u_shape)[5, 6] and nodes_of_cells(u_shape)[5, [5, 7]].all()
-    got = assemble(c, sigma0, grid, incl).matrix.levels[0]
+    got = assemble(c, Layout(sigma0, incl)).matrix.levels[0]
     ref, _ = coo_reduced_system(c, sigma0, grid, incl)
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
     assert (got != got.T).nnz == 0
-
-
-def test_layout_of_another_sigma0_is_rejected():
-    c, sigma0, grid, incl, excl, _ = _layout_case("varying", 17, 13)
-    system = assemble(c, sigma0, grid, incl, excl)
-    other = TensorField2(grid, sigma0.s11, 0.5 * sigma0.s12, sigma0.s22)
-    with pytest.raises(AssemblyError, match="sigma0"):
-        assemble(c, other, grid, incl, excl, layout=system.layout)
-    # an equal sigma0 in other arrays fits
-    same = TensorField2(grid, *(s.copy() for s in sigma0.entries))
-    assemble(c, same, grid, incl, excl, layout=system.layout)
-
-
-def test_layout_of_another_cell_set_is_rejected():
-    grid, c, sigma0, _ = bump_problem(9)
-    excl = np.zeros(grid.cell_shape, dtype=bool)
-    excl[3, 3] = True
-    system = assemble(c.values, sigma0, grid, exclude_cells=excl)
-    with pytest.raises(AssemblyError):
-        assemble(c.values, sigma0, grid, layout=system.layout)
 
 
 def _sparse_interpolation(n, kept):
@@ -788,7 +793,7 @@ def test_prolongations_match_the_sparse_product_construction(kind, nx, ny):
     # bit for bit where every unknown has one node; tied unknowns sum
     # their nodes' weights in another order
     c, sigma0, grid, incl, excl, _ = _layout_case(kind, nx, ny)
-    layout = assemble(c, sigma0, grid, incl, excl).layout
+    layout = assemble(c, Layout(sigma0, incl, excl)).layout
     _assert_prolongations_match_reference(layout, exact=not layout.perfect)
 
 
@@ -800,7 +805,7 @@ def test_prolongations_of_the_bump_match_the_sparse_product_construction(deleted
     contributing = np.ones(grid.cell_shape, dtype=bool)
     if deleted:
         contributing[20:36, 12:30] = False
-    layout = Layout(grid, sigma0, contributing)
+    layout = Layout(sigma0, exclude_cells=~contributing)
     assert layout.n_unknowns < 63 * 63 if deleted else layout.n_unknowns == 63 * 63
     _assert_prolongations_match_reference(layout, exact=True)
 
@@ -810,11 +815,10 @@ def test_layout_build_peak_stays_within_twice_what_the_layout_keeps():
     # a build that holds more of them at once than the layout keeps sets
     # the memory peak of every inversion that builds a layout
     for n in (9, 129):  # the small build first, so lazy imports are not traced
-        grid, _, sigma0, _ = bump_problem(n)
-        contributing = np.ones(grid.cell_shape, dtype=bool)
+        _, _, sigma0, _ = bump_problem(n)
         tracemalloc.start()
         try:
-            layout = Layout(grid, sigma0, contributing)
+            layout = Layout(sigma0)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -18,7 +18,7 @@ from acdii.fields import (
     tv_density,
     weighted_tv,
 )
-from acdii.forward import InclusionSet, _dot, assemble, disk_cells, solve_dirichlet
+from acdii.forward import InclusionSet, Layout, _dot, assemble, disk_cells, solve_dirichlet
 from acdii.inverse import (
     TVConfigError,
     TVProblem,
@@ -185,7 +185,7 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     grid, sigma0, _, a_hat, void = _normalized_data(problem)
     eps = _eps_schedule(sigma0)[-1]
     weight = tv_density(u.values, sigma0, eps)
-    system = assemble(np.where(~void, a_hat / weight, 1.0), sigma0, grid, exclude_cells=void)
+    system = assemble(np.where(~void, a_hat / weight, 1.0), Layout(sigma0, exclude_cells=void))
     step = solve_dirichlet(system, bump33.f, tol=_CG_TOL, x0=u.values)
     assert rel_l2(u.values, step.values) <= 10.0 * problem.fp_tol
 
@@ -425,7 +425,7 @@ def _reference_primal_dual(problem, steps):
     r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
     active = ~void
     a_active = np.where(active, a_hat, 0.0)
-    system = assemble(1.0, sigma0, grid, exclude_cells=void)
+    system = assemble(1.0, Layout(sigma0, exclude_cells=void))
     uv = solve_dirichlet(system, t.f, tol=_CG_TOL).values.copy()
     fvals = t.f.values.ravel()[grid.boundary_ids]
     rho = 1.9
@@ -690,9 +690,8 @@ def test_recover_c_inverse_crime(recon33):
 
 
 def test_recovered_conductivity_regenerates_data(recon33, bump33):
-    grid = bump33.grid
     cfill = np.where(recon33.mask_z, 1.0, recon33.c_rec.values)
-    u2 = solve_dirichlet(assemble(cfill, bump33.sigma0, grid), bump33.f, tol=1e-12)
+    u2 = solve_dirichlet(assemble(cfill, Layout(bump33.sigma0)), bump33.f, tol=1e-12)
     a2 = compute_a(compute_current(u2, cfill, bump33.sigma0), bump33.sigma0)
     cells = ~recon33.mask_z
     d = a2.values[cells] - bump33.a.values[cells]
