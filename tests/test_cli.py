@@ -444,9 +444,9 @@ def test_invalid_result_json_exits_2_naming_file(tmp_path, capsys):
     "section, key, value, named",
     [
         ("grid", "nx", 2, "grid.nx"),
-        ("grid", "ly", 1e300, "grid.ly"),
         ("verify", "k_ladder", [2.0], "verify.k_ladder[0]"),
         ("noise", "seed", -1, "noise.seed"),
+        ("grid", "ly", 1e300, "grid.ly"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, section, key, value, named):
