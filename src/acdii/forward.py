@@ -543,8 +543,13 @@ def assemble(c, layout: Layout, hierarchy: Multigrid | None = None):
     on the same layout (or what its `release_fine_level` left) as
     `hierarchy` keeps its coarse multigrid levels, so only the fine level
     is rebuilt (see `Multigrid`); a hierarchy from another layout raises
-    AssemblyError.
+    AssemblyError.  `assemble(c, sigma0, grid)`, the problem without
+    inclusions, is the call form that `perfbench/test_perfbench.py` uses.
     """
+    if isinstance(layout, TensorField2):
+        if not (isinstance(hierarchy, Grid2D) and hierarchy.same_layout(layout.grid)):
+            raise AssemblyError("assemble(c, sigma0, grid) needs sigma0's grid")
+        layout, hierarchy = Layout(layout), None
     grid = layout.grid
     c = np.asarray(c, dtype=np.float64)
     if c.shape == ():

@@ -682,6 +682,17 @@ def test_hierarchy_of_another_layout_is_rejected(kind):
         assemble(c, layout, alike)
 
 
+def test_sigma0_and_grid_call_form_fills_the_plain_layout():
+    grid, c, sigma0, _ = bump_problem(9)
+    plain = assemble(c.values, Layout(sigma0)).matrix.levels[0]
+    short = assemble(c.values, sigma0, grid).matrix.levels[0]
+    assert np.array_equal(plain.data, short.data)
+    assert np.array_equal(plain.indices, short.indices)
+    for other in (None, Grid2D(9, 9, 0.5, 0.5)):
+        with pytest.raises(AssemblyError, match="sigma0's grid"):
+            assemble(c.values, sigma0, other)
+
+
 def test_single_level_system_rebuilds_its_coarse_solve():
     # at or below _COARSEST unknowns level 0 is the coarsest level, so it
     # is factored afresh and the cycle solves the new matrix exactly
