@@ -21,7 +21,8 @@ All outputs are deterministic: reports are sorted-key JSON with no
 timestamps, field files are raw float64, and reruns of the same config
 are byte-identical.  Every setting comes from the config file (the
 only flags are --config and --quiet), so the config hash in every report
-covers them all.  Exit codes: 0 success, 1 a computation or audit gate
+covers them all.  Exit codes: 0 success, 1 a computation (a solve that
+does not converge, or an overflow, division by zero or NaN) or audit gate
 failed, 2 bad configuration, data or arguments.  Errors print one JSON
 object on stderr.
 """
@@ -69,7 +70,6 @@ from .geometry import (
 from .inverse import (
     ALGORITHMS,
     TV_SCHEMA,
-    TVConfigError,
     TVProblem,
     coarea_audit,
     duality_gap,
@@ -78,11 +78,11 @@ from .inverse import (
     recover_c,
     sine_perturbations,
 )
-from .io import FieldFormatError, write_field_file
-from .schema import Key, read_json, validate
+from .io import write_field_file
+from .schema import InputError, Key, read_json, validate
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Raised for malformed, unknown, or missing configuration entries or arguments."""
 
 
@@ -109,8 +109,8 @@ GATES = ("minimality", "duality", "coarea", "area_minimality")
 # the number of perturbed potentials the area-minimality audit compares u with
 _COMPETITORS = 5
 
-# A section without a default (grid, truth) stays None when absent; the
-# commands that need it say so.
+# An entry without a default stays None when absent; `_NEEDS` lists the
+# ones each command needs.
 CONFIG = {
     "grid": Key("obj", spec={
         "nx": GRID_SIZE, "ny": GRID_SIZE, "lx": _num(1.0, _POSITIVE), "ly": _num(1.0, _POSITIVE),
@@ -150,6 +150,15 @@ CONFIG = {
 }
 
 
+_NEEDS = {
+    "forward": ("grid", "truth", "output.directory"),
+    "synth": ("grid", "truth", "output.directory"),
+    "invert": ("input.triplet", "output.directory"),
+    "verify": ("input.triplet", "output.directory"),
+    "report": ("input.results", "output.directory"),
+}
+
+
 def parse_config(raw: dict) -> dict:
     """The checked config, defaults filled; ConfigError names the first bad key."""
     return validate(CONFIG, raw, ConfigError)
@@ -163,21 +172,16 @@ def config_hash(raw: dict) -> str:
 # -- builders -------------------------------------------------------------------
 
 
-def _section(cfg, name):
-    if cfg[name] is None:
-        raise ConfigError(f"this command needs the config section '{name}'")
-    return cfg[name]
-
-
 def build_grid(cfg) -> Grid2D:
     """The grid on [0, lx] x [0, ly].  `build_c` squares coordinate differences
     across it and `fields.cell_operator` squares and multiplies its spacings;
     lx^2 + ly^2 bounds them all, so it must be a finite float."""
-    g = _section(cfg, "grid")
+    g = cfg["grid"]
     lx, ly = g["lx"], g["ly"]
     if lx * lx + ly * ly == float("inf"):
-        raise ConfigError(f"config entry 'grid.{'lx' if lx >= ly else 'ly'}' makes the squared "
-                          f"extent lx^2 + ly^2 of the domain overflow (lx={lx!r}, ly={ly!r})")
+        key = "grid.lx" if lx >= ly else "grid.ly"
+        raise ConfigError(f"config entry '{key}' makes the squared extent lx^2 + ly^2 of the "
+                          f"domain overflow (lx={lx!r}, ly={ly!r})", key=key)
     return Grid2D(g["nx"], g["ny"], lx / (g["nx"] - 1), ly / (g["ny"] - 1))
 
 
@@ -191,7 +195,7 @@ def build_c(cfg, grid: Grid2D) -> ScalarField:
     if not (vals > 0.0).all():
         raise ConfigError(
             f"config entry 'truth.c' must be positive on every cell; the gaussian_bump "
-            f"reaches {float(vals.min()):.6g} (base + amplitude must stay above 0)"
+            f"reaches {float(vals.min()):.6g} (base + amplitude must stay above 0)", key="truth.c"
         )
     return ScalarField(grid, vals, location="cell")
 
@@ -228,21 +232,22 @@ def build_inclusions(cfg, grid: Grid2D):
         except AssemblyError as exc:
             raise ConfigError(
                 f"config entry 'inclusions[{i}]' is no valid {e['type']} inclusion on "
-                f"this grid: {exc}"
+                f"this grid: {exc}", key=f"inclusions[{i}]"
             ) from exc
         closure = nodes_of_cells(m)
         for j, other in enumerate(closures):
             if (closure & other).any():
                 raise ConfigError(
                     f"config entries 'inclusions[{j}]' and 'inclusions[{i}]' overlap on "
-                    f"this grid: their closures share a node"
+                    f"this grid: their closures share a node", key=f"inclusions[{i}]"
                 )
         closures.append(closure)
         (perfect if e["type"] == "perfect" else insulating).append(m)
     try:
         return InclusionSet(grid, perfect=perfect, insulating=insulating)
     except AssemblyError as exc:
-        raise ConfigError(f"config entry 'inclusions' is no valid inclusion set: {exc}") from exc
+        raise ConfigError(f"config entry 'inclusions' is no valid inclusion set: {exc}",
+                          key="inclusions") from exc
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -256,10 +261,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _out_dir(cfg) -> Path:
-    directory = cfg["output"]["directory"]
-    if directory is None:
-        raise ConfigError("this command needs output.directory in the config")
-    out = Path(directory)
+    out = Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -280,13 +282,6 @@ def _pd_status(info: dict) -> str:
         f"primal-dual stopped unconverged at {info['iterations']} iterations "
         f"(gap {info['pd_gap']:.3e}, div B rms {info['dual_divergence_rms']:.3e})"
     )
-
-
-def _require_triplet(cfg) -> str:
-    path = cfg["input"]["triplet"]
-    if path is None:
-        raise ConfigError("this command needs input.triplet in the config")
-    return path
 
 
 # -- commands ---------------------------------------------------------------------
@@ -360,7 +355,7 @@ def cmd_synth(cfg, args, chash) -> int:
 
 
 def cmd_invert(cfg, args, chash) -> int:
-    triplet = load_triplet(_require_triplet(cfg))
+    triplet = load_triplet(cfg["input"]["triplet"])
     settings = dict(cfg["inverse"])
     algorithm = settings.pop("algorithm")
     report = reconstruct(TVProblem(triplet=triplet, **settings), algorithm=algorithm)
@@ -398,7 +393,7 @@ def cmd_invert(cfg, args, chash) -> int:
 
 
 def cmd_verify(cfg, args, chash) -> int:
-    triplet_dir = _require_triplet(cfg)
+    triplet_dir = cfg["input"]["triplet"]
     triplet = load_triplet(triplet_dir)
     grid = triplet.grid
     vcfg = cfg["verify"]
@@ -414,7 +409,8 @@ def cmd_verify(cfg, args, chash) -> int:
         u = ScalarField(grid, triplet.provenance["u_true"], location="node")
         u_source = "provenance"
     else:
-        raise ConfigError("verify needs input.recon or a triplet with a stored potential")
+        raise ConfigError("verify needs input.recon or a triplet with a stored potential",
+                          key="input.recon")
     # every audit reads u as a potential of the triplet's problem, so it
     # must carry the Dirichlet data f to round-off
     fb = triplet.f.values.ravel()[grid.boundary_ids]
@@ -426,8 +422,9 @@ def cmd_verify(cfg, args, chash) -> int:
     current = compute_current(u, c_rec, triplet.sigma0, dead=mask_z)
 
     audits = {}
-    audits["minimality"] = minimality_audit(u, triplet.a, triplet.sigma0, seed=seed,
-                                            f=triplet.f, current=current)
+    audits["minimality"] = minimality_audit(u, triplet.a, triplet.sigma0, seed=seed)
+    audits["minimality"]["duality_gap"] = duality_gap(u, triplet.f, current, triplet.a,
+                                                      triplet.sigma0)
     audits["coarea"] = coarea_audit(u, triplet.a, triplet.sigma0)
 
     # the curvature residual is -div J; the control recovers the current
@@ -519,8 +516,8 @@ def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:
     u0 = solve_inclusion_limit(c_arr, sigma0, f, inclusions)
     i0 = energy(u0, c_arr, sigma0, inclusions)
     rows = []
-    for k in sorted(ks, reverse=True):
-        uk = solve_penalized(k, c_arr, sigma0, f, inclusions)
+    ks = sorted(ks, reverse=True)
+    for k, uk in zip(ks, solve_penalized(ks, c_arr, sigma0, f, inclusions)):
         dist = rel_l2(uk.values, u0.values)
         ik = energy(uk, c_arr, sigma0, inclusions, k=k)
         rows.append({"k": k, "distance_rel": dist, "energy": ik})
@@ -539,19 +536,16 @@ def _penalization_ladder(triplet: AdmissibleTriplet, ks) -> dict:
 
 
 def cmd_report(cfg, args, chash) -> int:
-    results = cfg["input"]["results"]
-    if results is None:
-        raise ConfigError("report needs input.results in the config")
-    rdir = Path(results)
+    rdir = Path(cfg["input"]["results"])
     if not rdir.is_dir():
-        raise ConfigError(f"results directory not found: {rdir}")
+        raise ConfigError(f"results directory not found: {rdir}", key="input.results")
     sections = {}
     for name in ("forward", "synth", "recon", "audits"):
         path = rdir / f"{name}.json"
         if path.exists():
             sections[name] = read_json(path, DataError)
     if not sections:
-        raise ConfigError(f"no result JSON files found in {rdir}")
+        raise ConfigError(f"no result JSON files found in {rdir}", key="input.results")
     doc = {
         "command": "report",
         "version": __version__,
@@ -583,15 +577,7 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
-_USAGE_ERRORS = (
-    ConfigError,
-    DataError,
-    FieldFormatError,
-    GridError,
-    AssemblyError,
-    TVConfigError,
-    OSError,
-)
+_USAGE_ERRORS = (InputError, GridError, AssemblyError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -622,18 +608,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         raw = read_json(args.config, ConfigError)
         cfg = parse_config(raw)
-        chash = config_hash(raw)
-        return _COMMANDS[args.command](cfg, args, chash)
-    except _USAGE_ERRORS as exc:
+        for entry in _NEEDS[args.command]:
+            section, _, name = entry.partition(".")
+            if (cfg[section][name] if name else cfg[section]) is None:
+                raise ConfigError(f"{args.command} needs the config entry '{entry}'", key=entry)
+        # an overflow, a division by zero or a NaN fails the command, as a
+        # computation that does not converge does
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg, args, config_hash(raw))
+    except _USAGE_ERRORS + (ConvergenceError, FloatingPointError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )
-        return 2
-    except ConvergenceError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "ConvergenceError", "message": str(exc)}, sort_keys=True) + "\n"
-        )
-        return 1
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ import numpy as np
 from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad
 from .forward import AssemblyError, InclusionSet, solve_inclusion_limit, solve_penalized
 from .io import FieldFormatError, read_field_file, write_field_file
-from .schema import Key, read_json, validate
+from .schema import InputError, Key, read_json, validate
 
 
-class DataError(ValueError):
+class DataError(InputError):
     pass
 
 
@@ -126,7 +126,7 @@ def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
     if inclusions is not None and inclusions.perfect:
-        u_k = solve_penalized(PENALIZED_K, c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
+        [u_k] = solve_penalized((PENALIZED_K,), c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
         j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
         perf = inclusions.perfect_mask()
         current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),
@@ -237,7 +237,7 @@ def read_matching(path, grid: Grid2D, kind=ScalarField, location: str = "cell"):
     try:
         raw = read_field_file(path)
     except FieldFormatError as exc:
-        raise FieldFormatError(f"{path}: {exc}", field=exc.field) from exc
+        raise FieldFormatError(f"{path}: {exc}", key=exc.key) from exc
     if not isinstance(raw, kind):
         raise DataError(f"{path} holds a {type(raw).__name__}, expected a {kind.__name__}")
     plane = raw.values if kind is ScalarField else raw.s11
@@ -265,7 +265,7 @@ def load_triplet(directory) -> AdmissibleTriplet:
             return None
         path = directory / files[name]
         if not path.exists():
-            raise DataError(f"missing field {name}: {path}")
+            raise DataError(f"missing field {name}: {path}", key=f"files.{name}")
         return read_matching(path, grid, kind, location)
 
     sigma0 = load("sigma0", TensorField2)

@@ -690,19 +690,22 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
     return ScalarField(grid, u, location="node")
 
 
-def solve_penalized(k: float, c, sigma0: TensorField2, f, inclusions: InclusionSet,
-                    tol: float = 1e-10):
-    """Penalized approximation: the factor 1/k on the perfect components.
+def solve_penalized(ks, c, sigma0: TensorField2, f, inclusions: InclusionSet,
+                    tol: float = 1e-10) -> list:
+    """Penalized approximations, one potential per k of `ks`: the factor 1/k
+    on the perfect components.
 
     The coefficient is where(perfect, 1/k, c) * sigma0 and insulating
-    components stay deleted.  k in (0, 1]; k = 1 with c = 1 reproduces
-    the plain solve.
+    components stay deleted; every k is solved on one `Layout`.  Each k
+    in (0, 1]; k = 1 with c = 1 reproduces the plain solve.
     """
-    if not (0.0 < k <= 1.0):
-        raise AssemblyError(f"penalization parameter k must be in (0, 1], got {k}")
-    factor = np.where(inclusions.perfect_mask(), 1.0 / k, c)
+    for k in ks:
+        if not (0.0 < k <= 1.0):
+            raise AssemblyError(f"penalization parameter k must be in (0, 1], got {k}")
+    perfect = inclusions.perfect_mask()
     layout = Layout(sigma0, exclude_cells=inclusions.insulating_mask())
-    return solve_dirichlet(assemble(factor, layout), f, tol=tol)
+    return [solve_dirichlet(assemble(np.where(perfect, 1.0 / k, c), layout), f, tol=tol)
+            for k in ks]
 
 
 def solve_inclusion_limit(c, sigma0: TensorField2, f, inclusions: InclusionSet,

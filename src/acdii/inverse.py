@@ -39,7 +39,7 @@ small to divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,14 +60,21 @@ from .fields import (
 )
 from .forward import Layout, _dot, assemble, solve_dirichlet
 from .geometry import weighted_perimeter
-from .schema import Key, validate
+from .schema import InputError, Key, validate
 
 
-class TVConfigError(ValueError):
+class TVConfigError(InputError):
     pass
 
 
 ALGORITHMS = ("fixedpoint", "primaldual", "both")
+# type, default and range of each TVProblem setting; the config's inverse
+# section is this table plus the algorithm
+TV_SCHEMA = {
+    "fp_tol": Key("num", 1e-10, "(0, inf)"),
+    "max_inner": Key("int", 200, "[1, inf)"),
+    "pd_iterations": Key("int", None, "[1, inf)"),
+}
 
 
 @dataclass
@@ -80,31 +87,19 @@ class TVProblem:
     caps the primal-dual steps; their sizes follow from f and the grid,
     and the checkpoints of its stopping rule from the grid (see
     `minimize_tv_primal_dual`).  Cells where a vanishes are left out of
-    the solves.  `TV_SCHEMA` holds the type and range of every setting.
+    the solves.  `TV_SCHEMA` holds the type, default and range of every
+    setting.
     """
 
     triplet: AdmissibleTriplet
-    fp_tol: float = 1e-10
-    max_inner: int = 200
-    pd_iterations: int | None = None
+    fp_tol: float = TV_SCHEMA["fp_tol"].default
+    max_inner: int = TV_SCHEMA["max_inner"].default
+    pd_iterations: int | None = TV_SCHEMA["pd_iterations"].default
 
     def __post_init__(self):
         settings = {name: getattr(self, name) for name in TV_SCHEMA}
         validate(TV_SCHEMA, settings, TVConfigError, where="TVProblem")
 
-
-# type and range of each setting; the defaults are TVProblem's, and the
-# config's inverse section is this table plus the algorithm
-_TV_RULES = {
-    "fp_tol": ("num", "(0, inf)"),
-    "max_inner": ("int", "[1, inf)"),
-    "pd_iterations": ("int", "[1, inf)"),
-}
-TV_SCHEMA = {
-    f.name: Key(_TV_RULES[f.name][0], f.default, _TV_RULES[f.name][1])
-    for f in fields(TVProblem)
-    if f.name != "triplet"
-}
 
 # relative residual every CG solve of both minimizers meets
 _CG_TOL = 1e-10
@@ -577,23 +572,19 @@ def sine_perturbations(u: ScalarField, count: int, seed: int, amplitude: float =
 
 
 def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
-                     trials: int = 20, seed: int = 0, amplitude: float = 0.05,
-                     f: ScalarField | None = None,
-                     current: VectorField2 | None = None) -> dict:
+                     trials: int = 20, seed: int = 0, amplitude: float = 0.05) -> dict:
     """Functional margins F[u +/- w] - F[u] over `sine_perturbations` w.
 
     The reported margin of a trial is the worse of its two signs.  A
     candidate far from the minimizer shows negative margins, while at
     the minimizer every margin is nonnegative up to quadrature round-off.
-    The duality identity is reported alongside when f and the current
-    are supplied.
     """
     f0 = weighted_tv(u.values, a.values, sigma0)
     margins = []
     for w in sine_perturbations(u, trials, seed, amplitude):
         margins.append(min(weighted_tv(u.values + w, a.values, sigma0) - f0,
                            weighted_tv(u.values - w, a.values, sigma0) - f0))
-    report = {
+    return {
         "tv_value": f0,
         "margins": margins,
         "min_margin": min(margins) if margins else 0.0,
@@ -602,9 +593,6 @@ def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
         "seed": seed,
         "amplitude": amplitude,
     }
-    if f is not None and current is not None:
-        report["duality_gap"] = duality_gap(u, f, current, a, sigma0)
-    return report
 
 
 def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,

@@ -8,10 +8,13 @@ float64 planes in row-major order:
 
 `nx` and `ny` are the per-plane array dimensions: node counts for scalar
 files, cell counts for vector (2 planes) and tensor (3 planes) files,
-each at least 2; `hx` and `hy` are finite positive floats.  The payload
-must hold exactly planes*nx*ny float64 values.  Reading a file and
-writing it back reproduces the canonical bytes exactly; any other input
-raises `FieldFormatError` naming the field at fault.
+each at least 2; `hx` and `hy` are finite positive floats ("float" leaves
+of `HEADER`, so an integer spacing, which would not write back to the
+same bytes, is refused).  `schema.validate` checks the header line
+against `HEADER`.  The payload must hold exactly planes*nx*ny float64
+values.  Reading a file and writing it back reproduces the canonical
+bytes exactly; any other input raises `FieldFormatError`, whose `key`
+names the header field, or the part of the file, at fault.
 """
 
 from __future__ import annotations
@@ -21,19 +24,26 @@ import json
 import numpy as np
 
 from .fields import Grid2D, GridError, ScalarField, TensorField2, VectorField2
+from .schema import InputError, Key, validate
 
 SCHEMA = "acdii-field/1"
 
 _PLANES = {"scalar": 1, "vector": 2, "tensor": 3}
-_HEADER_KEYS = ("schema", "kind", "nx", "ny", "hx", "hy", "order", "payload")
+# a plane narrower than 2 fits neither a node grid nor a cell grid
+_PLANE_SIZE = Key("int", required=True, range="[2, inf)")
+# a float, as write_field writes it, so that the header reads back unchanged
+_SPACING = Key("float", required=True, range="(0, inf)")
+HEADER = {
+    "schema": Key("str", required=True, choices=(SCHEMA,)),
+    "kind": Key("str", required=True, choices=tuple(_PLANES)),
+    "nx": _PLANE_SIZE, "ny": _PLANE_SIZE, "hx": _SPACING, "hy": _SPACING,
+    "order": Key("str", required=True, choices=("row-major",)),
+    "payload": Key("str", required=True, choices=("f64le",)),
+}
 
 
-class FieldFormatError(ValueError):
-    """Structured parse error; `field` names the offending header field."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+class FieldFormatError(InputError):
+    """A malformed field file; `key` names the offending header field."""
 
 
 def _planes_of(field):
@@ -78,43 +88,13 @@ def read_field(data: bytes):
     """
     nl = data.find(b"\n")
     if nl < 0:
-        raise FieldFormatError("missing header newline", field="header")
+        raise FieldFormatError("missing header newline", key="header")
     try:
         header = json.loads(data[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FieldFormatError(f"header is not valid JSON: {exc}", field="header") from exc
-    if not isinstance(header, dict):
-        raise FieldFormatError("header must be a JSON object", field="header")
-
-    for key in _HEADER_KEYS:
-        if key not in header:
-            raise FieldFormatError(f"header is missing required field '{key}'", field=key)
-    for key in header:
-        if key not in _HEADER_KEYS:
-            raise FieldFormatError(f"header has unknown field '{key}'", field=key)
-
-    if header["schema"] != SCHEMA:
-        raise FieldFormatError(
-            f"unsupported schema {header['schema']!r}, expected {SCHEMA!r}", field="schema"
-        )
-    kind = header["kind"]
-    if not isinstance(kind, str) or kind not in _PLANES:
-        raise FieldFormatError(f"unknown kind {kind!r}", field="kind")
-    if header["order"] != "row-major":
-        raise FieldFormatError(f"unsupported order {header['order']!r}", field="order")
-    if header["payload"] != "f64le":
-        raise FieldFormatError(f"unsupported payload {header['payload']!r}", field="payload")
-
-    nx, ny = header["nx"], header["ny"]
-    for name, val in (("nx", nx), ("ny", ny)):
-        # a plane narrower than 2 fits neither a node grid nor a cell grid
-        if not isinstance(val, int) or isinstance(val, bool) or val < 2:
-            raise FieldFormatError(f"header field '{name}' must be an integer >= 2", field=name)
-    hx, hy = header["hx"], header["hy"]
-    for name, val in (("hx", hx), ("hy", hy)):
-        # a float, as write_field writes it, so that the header reads back unchanged
-        if not isinstance(val, float) or not 0.0 < val < float("inf"):
-            raise FieldFormatError(f"header field '{name}' must be a finite float > 0", field=name)
+        raise FieldFormatError(f"header is not valid JSON: {exc}", key="header") from exc
+    header = validate(HEADER, header, FieldFormatError, where="header")
+    kind, nx, ny, hx, hy = (header[k] for k in ("kind", "nx", "ny", "hx", "hy"))
 
     planes = _PLANES[kind]
     body = data[nl + 1 :]
@@ -123,13 +103,13 @@ def read_field(data: bytes):
         raise FieldFormatError(
             f"payload length {len(body)} does not match expected {expected} bytes "
             f"({planes} plane(s) of {nx}x{ny} float64 for kind '{kind}')",
-            field="payload length",
+            key="payload length",
         )
     raw = np.frombuffer(body, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(raw)):
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise FieldFormatError(
-            f"payload has a non-finite value at flat index {bad}", field="payload"
+            f"payload has a non-finite value at flat index {bad}", key="payload"
         )
     arrays = [raw[p * nx * ny : (p + 1) * nx * ny].reshape(ny, nx) for p in range(planes)]
 
@@ -143,7 +123,7 @@ def read_field(data: bytes):
     try:
         return TensorField2(grid, arrays[0], arrays[1], arrays[2])
     except GridError as exc:
-        raise FieldFormatError(f"payload is not a tensor field: {exc}", field="payload") from exc
+        raise FieldFormatError(f"payload is not a tensor field: {exc}", key="payload") from exc
 
 
 def write_field_file(field, path) -> None:

@@ -1,12 +1,15 @@
-"""One declarative schema for the JSON inputs: configs and triplet manifests.
+"""One declarative schema for configs, triplet manifests and field-file headers.
 
 A key table maps each key of a JSON object to a `Key`.  Leaves are
-integers, numbers, booleans, and strings; a "list" Key holds an item Key,
-and an "obj" Key holds a nested key table, or, with `tag` set, one key
-table per value of its tag key (the variants of `truth.c` by `kind`, of
-inclusions by `shape`).  `validate` walks a table over a parsed document,
-fills defaults, coerces numbers to float, rejects non-finite numbers, and
-raises the caller's error naming the offending key.
+integers, numbers, floats, booleans, and strings; a "num" takes an
+integer or a float and comes back a float, while a "float" takes only a
+float, for a value that must read back as the bytes it was written as.
+A "list" Key holds an item Key, and an "obj" Key holds a nested key
+table, or, with `tag` set, one key table per value of its tag key (the
+variants of `truth.c` by `kind`, of inclusions by `shape`).  `validate`
+walks a table over a parsed document, fills defaults, coerces numbers to
+float, rejects non-finite numbers, and raises the caller's error, an
+`InputError`, whose `key` is the dotted path of the offending entry.
 """
 
 from __future__ import annotations
@@ -17,8 +20,16 @@ from pathlib import Path
 from typing import NamedTuple
 
 
+class InputError(ValueError):
+    """A malformed input; `key` is the dotted path of the entry at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
+
+
 class Key(NamedTuple):
-    type: str                  # "int", "num", "bool", "str", "list", or "obj"
+    type: str                  # "int", "num", "float", "bool", "str", "list", or "obj"
     default: object = None     # raw JSON value used when the key is absent
     range: str | None = None   # interval such as "(0, 1]"; bounds a list's length
     required: bool = False
@@ -27,8 +38,9 @@ class Key(NamedTuple):
     tag: str | None = None     # the key whose value picks an obj's variant
 
 
-_TYPES = {"int": int, "num": (int, float), "bool": bool, "str": str, "list": list, "obj": dict}
-_NOUNS = {"int": "an integer", "num": "a number", "bool": "true or false",
+_TYPES = {"int": int, "num": (int, float), "float": float, "bool": bool, "str": str,
+          "list": list, "obj": dict}
+_NOUNS = {"int": "an integer", "num": "a number", "float": "a float", "bool": "true or false",
           "str": "a string", "list": "a list", "obj": "an object"}
 
 
@@ -41,10 +53,11 @@ def _within(value, interval: str) -> bool:
 
 
 def validate(table: dict, doc, error, where: str = "config") -> dict:
-    """The checked copy of `doc` under `table`; raises error(message) on the first fault."""
+    """The checked copy of `doc` under `table`; raises error(message, key=path) on the first
+    fault, with `where` as the key of a fault at the root."""
 
     def fail(path, problem):
-        raise error(f"{where} entry '{path or '<root>'}' {problem}")
+        raise error(f"{where} entry '{path or '<root>'}' {problem}", key=path or where)
 
     def walk(key: Key, value, path: str):
         if value is None:
@@ -53,7 +66,7 @@ def validate(table: dict, doc, error, where: str = "config") -> dict:
             return None
         if not isinstance(value, _TYPES[key.type]) or isinstance(value, bool) != (key.type == "bool"):
             fail(path, f"must be {_NOUNS[key.type]}")
-        if key.type == "num":
+        if key.type in ("num", "float"):
             try:
                 value = float(value)
             except OverflowError:  # an integer literal beyond the float range
@@ -80,7 +93,7 @@ def validate(table: dict, doc, error, where: str = "config") -> dict:
             table = {key.tag: Key("str"), **table[variant]}
         unknown = sorted(set(value) - set(table))
         if unknown:
-            raise error(f"unknown {where} key '{prefix}{unknown[0]}'")
+            raise error(f"unknown {where} key '{prefix}{unknown[0]}'", key=prefix + unknown[0])
         out = {}
         for name, sub in table.items():
             if sub.required and name not in value:

@@ -191,8 +191,8 @@ def test_criterion_10_penalization_ladder():
     ref = float(np.linalg.norm(u0.values))
     i0 = energy(u0, 1.0, sigma0, incl)
     dists, energies = [], []
-    for k in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        uk = solve_penalized(k, 1.0, sigma0, f, incl, tol=1e-12)
+    ks = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    for k, uk in zip(ks, solve_penalized(ks, 1.0, sigma0, f, incl, tol=1e-12)):
         dists.append(float(np.linalg.norm(uk.values - u0.values)) / ref)
         energies.append(energy(uk, 1.0, sigma0, incl, k=k))
     monotone = all(a >= b for a, b in zip(dists, dists[1:]))

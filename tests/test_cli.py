@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import acdii
-from acdii.cli import CONFIG, ConfigError, config_hash, main, parse_config
+from acdii.cli import _NEEDS, CONFIG, ConfigError, config_hash, main, parse_config
 from acdii.fields import Grid2D, ScalarField
 from acdii.forward import disk_cells
 from acdii.io import read_field_file, write_field_file
@@ -53,7 +53,7 @@ def test_parse_rejects_unknown_keys(tmp_path):
     cfg["grid"]["nz"] = 4
     with pytest.raises(ConfigError) as exc:
         parse_config(cfg)
-    assert "grid.nz" in str(exc.value)
+    assert "grid.nz" in str(exc.value) and exc.value.key == "grid.nz"
     cfg = _base_config(tmp_path / "out")
     cfg["mystery"] = {}
     with pytest.raises(ConfigError) as exc:
@@ -64,8 +64,9 @@ def test_parse_rejects_unknown_keys(tmp_path):
 def test_parse_rejects_wrong_types(tmp_path):
     cfg = _base_config(tmp_path / "out")
     cfg["grid"]["nx"] = "seventeen"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config(cfg)
+    assert exc.value.key == "grid.nx"
     cfg = _base_config(tmp_path / "out")
     cfg["noise"]["level"] = True
     with pytest.raises(ConfigError):
@@ -282,22 +283,51 @@ def test_degenerate_grid_exits_2(tmp_path):
     assert main(["synth", "--config", path]) == 2
 
 
+def _shell(tmp_path, command, cfg):
+    """Run one command from a shell, where numpy's warnings are not errors."""
+    env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "acdii.cli", command, "--config",
+                           _write(tmp_path, cfg)], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_synth_on_an_overflowing_spacing_exits_2_naming_grid_lx(tmp_path):
-    # run from a shell, where numpy's overflow warnings are not errors: the
-    # squared extent of the domain overflows, so the config is refused
-    # before any array is built, with one JSON line and no warning
+    # at lx = 1e300 the squared extent of the domain overflows, so the
+    # config is refused before any array is built, with one JSON line and
+    # no warning
     cfg = _base_config(tmp_path / "out", n=33)
     cfg["grid"]["lx"] = 1e300
-    env = dict(os.environ, PYTHONPATH=str(Path(acdii.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-m", "acdii.cli", "synth", "--config",
-                          _write(tmp_path, cfg)], env=env, capture_output=True, text=True,
-                         timeout=120)
+    out = _shell(tmp_path, "synth", cfg)
     assert out.returncode == 2
     lines = out.stderr.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError" and "grid.lx" in err["message"]
     assert not (tmp_path / "out").exists()
+    # at lx = 1e100 the extent is finite but the solve overflows: the
+    # computation fails (exit 1) with one JSON line, before any file is written
+    cfg["grid"]["lx"] = 1e100
+    out = _shell(tmp_path, "synth", cfg)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FloatingPointError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_on_a_tiny_spacing_exits_1_writing_no_audits(tmp_path):
+    # at lx = 1e-300 synth and the fixed point run, but the audits' squared
+    # gradients overflow: verify fails with one JSON line and no audits.json,
+    # where it would write Infinity and NaN
+    cfg = _base_config(tmp_path / "out")
+    cfg["grid"]["lx"] = 1e-300
+    cfg["input"] = {"triplet": str(tmp_path / "out"), "recon": str(tmp_path / "out")}
+    for command in ("synth", "invert"):
+        assert main([command, "--config", _write(tmp_path, cfg), "--quiet"]) == 0
+    out = _shell(tmp_path, "verify", cfg)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FloatingPointError"
+    assert not (tmp_path / "out" / "audits.json").exists()
 
 
 def test_synth_on_a_tiny_spacing_matches_a_moderate_one(tmp_path):
@@ -310,6 +340,22 @@ def test_synth_on_a_tiny_spacing_matches_a_moderate_one(tmp_path):
         assert main(["synth", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
         fields.append(read_field_file(tmp_path / str(lx) / "a.field").values)
     assert np.allclose(fields[0], fields[1], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("command, entry",
+                         [(command, entry) for command, entries in _NEEDS.items()
+                          for entry in entries])
+def test_command_without_a_needed_entry_exits_2_naming_it(tmp_path, capsys, command, entry):
+    cfg = _base_config(tmp_path / "out", n=9)
+    cfg["input"] = {"triplet": str(tmp_path / "trip"), "results": str(tmp_path / "results")}
+    section, _, name = entry.partition(".")
+    if name:
+        del cfg[section][name]
+    else:
+        del cfg[section]
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 2
+    assert _single_error(capsys) == f"{command} needs the config entry '{entry}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
 def test_unknown_key_exits_2_with_named_key(tmp_path, capsys):

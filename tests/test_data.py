@@ -196,7 +196,17 @@ def test_load_missing_field_reports_name(tmp_path, bump33):
     (d / "a.field").unlink()
     with pytest.raises(DataError) as exc:
         load_triplet(d)
-    assert "a" in str(exc.value)
+    assert "a" in str(exc.value) and exc.value.key == "files.a"
+
+
+def test_malformed_manifest_names_the_dotted_key(tmp_path, bump33):
+    manifest = save_triplet(bump33, tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["provenance"]["penalized_k"] = 2.0
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as exc:
+        load_triplet(tmp_path)
+    assert exc.value.key == "provenance.penalized_k"
 
 
 def test_saved_bytes_are_deterministic(tmp_path, bump33):
@@ -217,5 +227,5 @@ def test_read_matching_names_the_broken_file(tmp_path, bump33):
     path.write_bytes(json.dumps(header).encode() + blob[nl:])
     with pytest.raises(FieldFormatError) as info:
         read_matching(path, bump33.grid)
-    assert info.value.field == "kind"
+    assert info.value.key == "kind"
     assert str(path) in str(info.value)

@@ -289,7 +289,7 @@ def test_penalized_with_k_one_reproduces_plain_solve():
     sigma0 = rotated_tensor(grid, 0.1, 2.0, 1.0)
     x, _ = grid.node_coords()
     f = ScalarField(grid, x)
-    up = solve_penalized(1.0, 1.0, sigma0, f, incl)
+    [up] = solve_penalized((1.0,), 1.0, sigma0, f, incl)
     u0 = solve_dirichlet(assemble(1.0, Layout(sigma0)), f)
     assert np.array_equal(up.values, u0.values)
 
@@ -303,8 +303,7 @@ def test_penalized_approaches_tied_limit():
     f = ScalarField(grid, x)
     u0 = solve_inclusion_limit(1.0, sigma0, f, incl)
     dists = []
-    for k in (1e-1, 1e-2, 1e-3):
-        uk = solve_penalized(k, 1.0, sigma0, f, incl)
+    for uk in solve_penalized((1e-1, 1e-2, 1e-3), 1.0, sigma0, f, incl):
         dists.append(np.linalg.norm(uk.values - u0.values) / np.linalg.norm(u0.values))
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] < 1e-3
@@ -316,9 +315,9 @@ def test_penalization_parameter_validated():
     sigma0 = TensorField2.constant(grid, 1.0, 0.0, 1.0)
     x, _ = grid.node_coords()
     with pytest.raises(AssemblyError):
-        solve_penalized(0.0, 1.0, sigma0, ScalarField(grid, x), incl)
+        solve_penalized((0.0,), 1.0, sigma0, ScalarField(grid, x), incl)
     with pytest.raises(AssemblyError):
-        solve_penalized(2.0, 1.0, sigma0, ScalarField(grid, x), incl)
+        solve_penalized((0.5, 2.0), 1.0, sigma0, ScalarField(grid, x), incl)
 
 
 def test_assemble_rejects_nonpositive_c_on_contributing_cells():
@@ -614,7 +613,7 @@ def test_penalized_factor_matches_the_composite_tensor(kind):
         assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
         u = solve_dirichlet(system, f, tol=1e-12)
     else:
-        u = solve_penalized(k, c, sigma0, f, incl, tol=1e-12)
+        [u] = solve_penalized((k,), c, sigma0, f, incl, tol=1e-12)
     u_ref = solve_dirichlet(reference, f, tol=1e-12)
     # the entries differ by round-off, on a system of contrast 1/k: the
     # bound the sparse direct comparisons above use

@@ -110,7 +110,7 @@ def _mangle(header_patch=None, payload=None):
 def test_malformed_headers_name_the_field(patch, field):
     with pytest.raises(FieldFormatError) as exc:
         read_field(_mangle(header_patch=patch))
-    assert exc.value.field == field
+    assert exc.value.key == field
 
 
 def test_truncated_payload_rejected():
@@ -126,7 +126,7 @@ def test_oversized_payload_rejected():
 def test_missing_newline_rejected():
     with pytest.raises(FieldFormatError) as exc:
         read_field(b'{"schema":"acdii-field/1"}')
-    assert exc.value.field == "header"
+    assert exc.value.key == "header"
 
 
 def test_header_not_json_rejected():
@@ -149,7 +149,7 @@ def test_tensor_payload_must_be_spd():
     planes[1, 0, 0] = 5.0  # s12 > sqrt(s11 s22): not positive definite
     with pytest.raises(FieldFormatError) as exc:
         read_field(blob[: nl + 1] + planes.tobytes())
-    assert exc.value.field == "payload"
+    assert exc.value.key == "payload"
 
 
 def _fields():
@@ -197,6 +197,6 @@ def test_edited_file_reads_back_exactly_or_names_its_field(base, edit):
     try:
         field = read_field(edited)
     except FieldFormatError as exc:
-        assert exc.field is not None
+        assert exc.key is not None
     else:
         assert write_field(field) == edited
