@@ -50,7 +50,7 @@ from .data import (
     solve_truth,
     synthesize_triplet,
 )
-from .fields import Grid2D, GridError, ScalarField, TensorField2, nodes_of_cells, rel_l2
+from .fields import Grid2D, GridError, ScalarField, TensorField2, rel_l2
 from .forward import (
     AssemblyError,
     ConvergenceError,
@@ -220,34 +220,35 @@ def build_f(cfg, grid: Grid2D) -> ScalarField:
 
 
 def build_inclusions(cfg, grid: Grid2D):
+    """The disks as one `InclusionSet`; a rule it fails names the entries at fault."""
     entries = cfg["inclusions"]
     if not entries:
         return None
-    perfect, insulating, closures = [], [], []
-    for i, e in enumerate(entries):
-        m = disk_cells(grid, e["center"], e["radius"])
-        # the rules on one component, then on a pair, then on the whole set
-        try:
-            InclusionSet(grid, **{e["type"]: [m]})
-        except AssemblyError as exc:
-            raise ConfigError(
-                f"config entry 'inclusions[{i}]' is no valid {e['type']} inclusion on "
-                f"this grid: {exc}", key=f"inclusions[{i}]"
-            ) from exc
-        closure = nodes_of_cells(m)
-        for j, other in enumerate(closures):
-            if (closure & other).any():
-                raise ConfigError(
-                    f"config entries 'inclusions[{j}]' and 'inclusions[{i}]' overlap on "
-                    f"this grid: their closures share a node", key=f"inclusions[{i}]"
-                )
-        closures.append(closure)
-        (perfect if e["type"] == "perfect" else insulating).append(m)
+    masks = {"perfect": [], "insulating": []}
+    for e in entries:
+        masks[e["type"]].append(disk_cells(grid, e["center"], e["radius"]))
+    # the set's positions, perfect components first, as config indices
+    order = [i for kind in masks for i, e in enumerate(entries) if e["type"] == kind]
     try:
-        return InclusionSet(grid, perfect=perfect, insulating=insulating)
+        return InclusionSet(grid, **masks)
     except AssemblyError as exc:
-        raise ConfigError(f"config entry 'inclusions' is no valid inclusion set: {exc}",
-                          key="inclusions") from exc
+        named = sorted(order[p] for p in exc.components)
+        quoted = " and ".join(f"'inclusions[{i}]'" for i in named)
+        if len(named) == 1:
+            what = f"config entry {quoted} is no valid {entries[named[0]]['type']} inclusion"
+        elif named:
+            what = f"config entries {quoted} overlap"
+        else:
+            what = "config entry 'inclusions' is no valid inclusion set"
+        key = f"inclusions[{named[-1]}]" if named else "inclusions"
+        raise ConfigError(f"{what} on this grid: {exc}", key=key) from exc
+
+
+def build_truth(cfg):
+    """The truth problem of `forward` and `synth`: (grid, c, sigma0, f, inclusions)."""
+    grid = build_grid(cfg)
+    return (grid, build_c(cfg, grid), build_sigma0(cfg, grid), build_f(cfg, grid),
+            build_inclusions(cfg, grid))
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -288,11 +289,7 @@ def _pd_status(info: dict) -> str:
 
 
 def cmd_forward(cfg, args, chash) -> int:
-    grid = build_grid(cfg)
-    c = build_c(cfg, grid)
-    sigma0 = build_sigma0(cfg, grid)
-    f = build_f(cfg, grid)
-    inclusions = build_inclusions(cfg, grid)
+    grid, c, sigma0, f, inclusions = build_truth(cfg)
     u, current = solve_truth(c, sigma0, f, grid, inclusions)
     a = compute_a(current, sigma0)
 
@@ -322,11 +319,7 @@ def cmd_forward(cfg, args, chash) -> int:
 
 
 def cmd_synth(cfg, args, chash) -> int:
-    grid = build_grid(cfg)
-    c = build_c(cfg, grid)
-    sigma0 = build_sigma0(cfg, grid)
-    f = build_f(cfg, grid)
-    inclusions = build_inclusions(cfg, grid)
+    grid, c, sigma0, f, inclusions = build_truth(cfg)
     noise = cfg["noise"]
     triplet = synthesize_triplet(
         c,

@@ -97,10 +97,8 @@ def add_noise(a: ScalarField, level: float, seed: int) -> ScalarField:
     return ScalarField(a.grid, vals, location=a.location)
 
 
-# the penalization k of the current over perfect components, and the CG
-# tolerance of every truth solve
+# the penalization k of the current over perfect components
 PENALIZED_K = 1e-6
-_TRUTH_TOL = 1e-10
 
 
 def _cell_array(c_true, grid: Grid2D):
@@ -121,12 +119,12 @@ def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
     there.
     """
     c_arr = _cell_array(c_true, grid)
-    u = solve_inclusion_limit(c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
+    u = solve_inclusion_limit(c_arr, sigma0, f, inclusions)
 
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
     if inclusions is not None and inclusions.perfect:
-        [u_k] = solve_penalized((PENALIZED_K,), c_arr, sigma0, f, inclusions, tol=_TRUTH_TOL)
+        [u_k] = solve_penalized((PENALIZED_K,), c_arr, sigma0, f, inclusions)
         j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
         perf = inclusions.perfect_mask()
         current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),

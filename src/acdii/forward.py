@@ -62,7 +62,16 @@ from .fields import (
 
 
 class AssemblyError(ValueError):
-    """Raised for invalid coefficients, inclusions, or constraint layouts."""
+    """Raised for invalid coefficients, inclusions, or constraint layouts.
+
+    `components`: the `InclusionSet` positions (perfect first, then
+    insulating) a rule fails on; one for a rule on one component, the
+    earlier and later owner of a shared closure node, none otherwise.
+    """
+
+    def __init__(self, message, components=()):
+        super().__init__(message)
+        self.components = tuple(components)
 
 
 class ConvergenceError(RuntimeError):
@@ -94,81 +103,67 @@ class InclusionSet:
     cells whose closure (its corner nodes) stays away from the
     outer boundary and from every other component; the remaining cells
     must stay 4-connected.  At most 254 components may be perfect, the
-    labels the plane of `labels` has for them.
+    labels the plane of `labels` has for them.  A rule that fails raises
+    AssemblyError naming its `components`.  The masks read the label
+    plane, which the checks build once.
     """
 
     def __init__(self, grid: Grid2D, perfect=(), insulating=()):
         self.grid = grid
         self.perfect = [np.asarray(m, dtype=bool).copy() for m in perfect]
         self.insulating = [np.asarray(m, dtype=bool).copy() for m in insulating]
-        for arr in self.perfect + self.insulating:
+        for pos, arr in enumerate(self.perfect + self.insulating):
             if arr.shape != grid.cell_shape:
                 raise AssemblyError(
-                    f"inclusion mask has shape {arr.shape}, expected {grid.cell_shape}"
+                    f"inclusion mask has shape {arr.shape}, expected {grid.cell_shape}", (pos,)
                 )
             arr.setflags(write=False)
-        self._validate()
-
-    def _validate(self):
         if len(self.perfect) >= _INSULATING_LABEL:
             raise AssemblyError(
                 f"{len(self.perfect)} perfect components; the label plane holds at most "
                 f"{_INSULATING_LABEL - 1}"
             )
-        grid = self.grid
         boundary = np.zeros(grid.shape, dtype=bool)
         boundary.ravel()[grid.boundary_ids] = True
-        comps = [("perfect", m) for m in self.perfect] + [
-            ("insulating", m) for m in self.insulating
-        ]
-        node_sets = []
-        for kind, m in comps:
-            if not m.any():
-                raise AssemblyError(f"empty {kind} component")
-            _, ncomp = label_cells(m)
-            if ncomp != 1:
-                raise AssemblyError(f"{kind} component is not 4-connected")
-            _, nholes = label_cells(~m)
-            if nholes != 1:
-                raise AssemblyError(f"{kind} component is not simply connected")
+        labels = np.zeros(grid.cell_shape)
+        # the position of the component whose closure holds each node, -1 for none
+        owner = np.full(grid.shape, -1)
+        comps = [("perfect", m, 1 + j) for j, m in enumerate(self.perfect)]
+        comps += [("insulating", m, _INSULATING_LABEL + j) for j, m in enumerate(self.insulating)]
+        for pos, (kind, m, label) in enumerate(comps):
             nodes = nodes_of_cells(m)
-            if (nodes & boundary).any():
-                raise AssemblyError(f"{kind} component closure touches the outer boundary")
-            node_sets.append(nodes)
-        for i in range(len(node_sets)):
-            for j in range(i + 1, len(node_sets)):
-                if (node_sets[i] & node_sets[j]).any():
-                    raise AssemblyError("inclusion closures overlap")
-        rest = ~self.union_mask()
+            fault = ("is empty" if not m.any()
+                     else "is not 4-connected" if label_cells(m)[1] != 1
+                     else "is not simply connected" if label_cells(~m)[1] != 1
+                     else "closure touches the outer boundary" if (nodes & boundary).any()
+                     else None)
+            if fault is not None:
+                raise AssemblyError(f"{kind} component {fault}", (pos,))
+            earlier = int(owner[nodes].max())
+            if earlier >= 0:
+                raise AssemblyError("inclusion closures share a node", (earlier, pos))
+            owner[nodes] = pos
+            labels[m] = label
+        rest = labels == 0
         if not rest.any():
             raise AssemblyError("inclusions cover the whole domain")
         _, ncomp = label_cells(rest)
         if ncomp != 1:
             raise AssemblyError("inclusions disconnect the background cells")
+        self._labels = labels
 
     def perfect_mask(self) -> np.ndarray:
-        out = np.zeros(self.grid.cell_shape, dtype=bool)
-        for m in self.perfect:
-            out |= m
-        return out
+        return (self._labels > 0) & (self._labels < _INSULATING_LABEL)
 
     def insulating_mask(self) -> np.ndarray:
-        out = np.zeros(self.grid.cell_shape, dtype=bool)
-        for m in self.insulating:
-            out |= m
-        return out
+        return self._labels >= _INSULATING_LABEL
 
     def union_mask(self) -> np.ndarray:
-        return self.perfect_mask() | self.insulating_mask()
+        return self._labels > 0
 
     def labels(self) -> np.ndarray:
-        """Cell label plane: 0 background, 1..254 perfect, 255+j insulating."""
-        out = np.zeros(self.grid.cell_shape)
-        for idx, m in enumerate(self.perfect):
-            out[m] = idx + 1
-        for idx, m in enumerate(self.insulating):
-            out[m] = _INSULATING_LABEL + idx
-        return out
+        """A copy of the cell label plane: 0 background, 1..254 perfect, 255+j insulating."""
+        return self._labels.copy()
 
     @classmethod
     def from_labels(cls, grid: Grid2D, labels) -> "InclusionSet":
@@ -470,16 +465,14 @@ class Layout:
         self.contributing = contributing
         self.perfect = inclusions.perfect if inclusions is not None else []
 
-        # node -> reduced column map: -1 Dirichlet; tied components first
+        # node -> reduced column map: -1 Dirichlet; tied components first, whose
+        # closures `InclusionSet` keeps off the rim
         node_dof = np.full(n, -1, dtype=np.int64)
         free = np.ones(n, dtype=bool)
         free[grid.boundary_ids] = False
         ndof = 0
         for m in self.perfect:
-            g_nodes = np.flatnonzero(nodes_of_cells(m).ravel())
-            if (~free[g_nodes]).any():
-                raise AssemblyError("perfectly conducting component touches the outer boundary")
-            node_dof[g_nodes] = ndof
+            node_dof[nodes_of_cells(m).ravel()] = ndof
             ndof += 1
         singles = np.flatnonzero(free & (node_dof < 0))
         node_dof[singles] = ndof + np.arange(singles.size)
@@ -572,6 +565,9 @@ def assemble(c, layout: Layout, hierarchy: Multigrid | None = None):
 
 # -- conjugate gradients -------------------------------------------------------
 
+# the relative residual every solve meets unless it asks for another
+CG_TOL = 1e-10
+
 
 def _dot(a, b):
     # pairwise np.sum keeps a fixed summation order: bit-identical reruns
@@ -656,7 +652,7 @@ def _fill_isolated(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     raise AssemblyError("could not fill isolated nodes from neighbors")
 
 
-def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, x0=None):
+def solve_dirichlet(system: LinearSystem, f, tol: float = CG_TOL, max_iter=None, x0=None):
     """Solve the reduced system for Dirichlet data f.
 
     f is a node ScalarField on the system's grid; only its boundary
@@ -691,7 +687,7 @@ def solve_dirichlet(system: LinearSystem, f, tol: float = 1e-10, max_iter=None, 
 
 
 def solve_penalized(ks, c, sigma0: TensorField2, f, inclusions: InclusionSet,
-                    tol: float = 1e-10) -> list:
+                    tol: float = CG_TOL) -> list:
     """Penalized approximations, one potential per k of `ks`: the factor 1/k
     on the perfect components.
 
@@ -709,7 +705,7 @@ def solve_penalized(ks, c, sigma0: TensorField2, f, inclusions: InclusionSet,
 
 
 def solve_inclusion_limit(c, sigma0: TensorField2, f, inclusions: InclusionSet,
-                          tol: float = 1e-10):
+                          tol: float = CG_TOL):
     """Tied-unknown limit problem for c * sigma0: exactly constant potential
     per perfect component, natural Neumann wall on insulating components."""
     return solve_dirichlet(assemble(c, Layout(sigma0, inclusions)), f, tol=tol)

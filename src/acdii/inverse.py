@@ -82,13 +82,13 @@ class TVProblem:
     """Configuration for the TV minimizers.
 
     fp_tol and max_inner stop each eps-stage of the fixed point (see
-    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`) and the
-    CG tolerance of both minimizers (`_CG_TOL`) are fixed.  pd_iterations
-    caps the primal-dual steps; their sizes follow from f and the grid,
-    and the checkpoints of its stopping rule from the grid (see
-    `minimize_tv_primal_dual`).  Cells where a vanishes are left out of
-    the solves.  `TV_SCHEMA` holds the type, default and range of every
-    setting.
+    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`) and
+    the CG tolerance of both minimizers (`forward.CG_TOL`) are fixed.
+    pd_iterations caps the primal-dual steps; their sizes follow from f
+    and the grid, and the checkpoints of its stopping rule from the grid
+    (see `minimize_tv_primal_dual`).  Cells where a vanishes are left
+    out of the solves.  `TV_SCHEMA` holds the type, default and range of
+    every setting.
     """
 
     triplet: AdmissibleTriplet
@@ -100,9 +100,6 @@ class TVProblem:
         settings = {name: getattr(self, name) for name in TV_SCHEMA}
         validate(TV_SCHEMA, settings, TVConfigError, where="TVProblem")
 
-
-# relative residual every CG solve of both minimizers meets
-_CG_TOL = 1e-10
 
 # the fixed point's eps-continuation: _EPS_STAGES smoothings halving from
 # 0.1 / sqrt(m), m the recorded lower ellipticity bound of sigma0
@@ -220,8 +217,8 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     continuation, Hale, Yin & Zhang 2008).  Each step refills the matrix
     on one layout; its multigrid coarse levels are built at a stage's
     first step and kept for the stage, whose coefficient barely moves (CG
-    still meets _CG_TOL).  A step's fine level is released before the next
-    refill.
+    still meets `forward.CG_TOL`).  A step's fine level is released before
+    the next refill.
 
     Returns (u, info).  info records, per stage, the smoothed functional
     of each Phi(u_k) (in absolute units), the inner and CG iteration
@@ -244,7 +241,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
 
     layout = Layout(sigma0, exclude_cells=void)
     system = assemble(1.0, layout)
-    u = solve_dirichlet(system, t.f, tol=_CG_TOL)
+    u = solve_dirichlet(system, t.f)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
     system = None
@@ -265,7 +262,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             weight = tv_density(uvals, sigma0, eps_hat)
             c_eff = np.where(~void, a_hat / weight, 1.0)
             system = assemble(c_eff, layout, hierarchy)
-            phi = solve_dirichlet(system, t.f, tol=_CG_TOL, x0=uvals).values
+            phi = solve_dirichlet(system, t.f, x0=uvals).values
             cg += system.cg_iterations
             # only the coarse levels outlive the step, so a refill holds one fine level
             hierarchy, system = system.matrix.release_fine_level(), None
@@ -433,7 +430,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     kt_op.eliminate_zeros()
 
     system = assemble(1.0, Layout(sigma0, exclude_cells=void))
-    u = solve_dirichlet(system, t.f, tol=_CG_TOL).values.ravel().copy()
+    u = solve_dirichlet(system, t.f).values.ravel().copy()
     ubar = np.empty_like(u)
     b = np.zeros((2, a_hat.size))
     b_flat = b.reshape(-1)

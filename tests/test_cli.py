@@ -529,8 +529,20 @@ def test_nonpositive_bump_exits_2_naming_truth_c(tmp_path, capsys):
             {"shape": "disk", "type": "insulating", "center": [0.75, 0.5], "radius": 0.1},
             {"shape": "disk", "type": "insulating", "center": [0.45, 0.5], "radius": 0.1}]),
          "'inclusions[0]' and 'inclusions[2]'"),
+        # the set holds perfect components first, so these configs list
+        # them in another order than the set does
+        (lambda c: c.update(inclusions=[
+            {"shape": "disk", "type": "insulating", "center": [0.3, 0.3], "radius": 0.1},
+            {"shape": "disk", "type": "perfect", "center": [0.7, 0.3], "radius": 0.001},
+            {"shape": "disk", "type": "perfect", "center": [0.5, 0.7], "radius": 0.1}]),
+         "'inclusions[1]'"),
+        (lambda c: c.update(inclusions=[
+            {"shape": "disk", "type": "insulating", "center": [0.4, 0.5], "radius": 0.12},
+            {"shape": "disk", "type": "perfect", "center": [0.6, 0.5], "radius": 0.1}]),
+         "'inclusions[0]' and 'inclusions[1]'"),
     ],
-    ids=["empty-perfect", "touches-boundary", "empty-insulating", "overlap"],
+    ids=["empty-perfect", "touches-boundary", "empty-insulating", "overlap",
+         "empty-perfect-listed-after-insulating", "overlap-insulating-listed-first"],
 )
 def test_malformed_truth_entry_exits_2_naming_it(tmp_path, capsys, edit, named):
     cfg = _base_config(tmp_path / "out")

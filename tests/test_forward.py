@@ -334,19 +334,32 @@ def test_assemble_rejects_nonpositive_c_on_contributing_cells():
 
 
 def test_inclusion_set_validation():
+    # `components` holds set positions, the perfect components first
     grid = make_grid(17)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError) as exc:
         InclusionSet(grid, perfect=[np.zeros(grid.cell_shape, dtype=bool)])
+    assert exc.value.components == (0,)
     touching = rect_cells(grid, (0.0, 0.3), (0.4, 0.6))
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError) as exc:
         InclusionSet(grid, perfect=[touching])
+    assert exc.value.components == (0,)
     d1 = disk_cells(grid, (0.4, 0.4), 0.15)
     d2 = disk_cells(grid, (0.5, 0.5), 0.15)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError) as exc:
         InclusionSet(grid, perfect=[d1], insulating=[d2])  # closures intersect
+    assert exc.value.components == (0, 1)
     ring = disk_cells(grid, (0.5, 0.5), 0.3) & ~disk_cells(grid, (0.5, 0.5), 0.15)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError) as exc:
         InclusionSet(grid, perfect=[ring])  # not simply connected
+    assert exc.value.components == (0,)
+    # an insulating component given first still comes after every perfect one
+    far = disk_cells(grid, (0.8, 0.2), 0.08)
+    with pytest.raises(AssemblyError) as exc:
+        InclusionSet(grid, insulating=[far, touching], perfect=[d1])
+    assert exc.value.components == (2,)
+    with pytest.raises(AssemblyError) as exc:
+        InclusionSet(grid, insulating=[d2], perfect=[far, d1])
+    assert exc.value.components == (1, 2)
 
 
 def test_inclusion_labels_roundtrip():
@@ -373,8 +386,24 @@ def test_inclusion_labels_hold_at_most_254_perfect_components():
     back = InclusionSet.from_labels(grid, incl.labels())
     assert len(back.perfect) == 254 and not back.insulating
     assert np.array_equal(back.perfect_mask(), incl.perfect_mask())
-    with pytest.raises(AssemblyError, match="at most 254"):
+    with pytest.raises(AssemblyError, match="at most 254") as exc:
         InclusionSet(grid, perfect=masks)
+    assert exc.value.components == ()
+
+
+def test_writing_into_labels_or_masks_changes_no_mask():
+    grid = make_grid(25)
+    incl = InclusionSet(grid, perfect=[disk_cells(grid, (0.3, 0.3), 0.1)],
+                        insulating=[disk_cells(grid, (0.7, 0.7), 0.1)])
+    masks = [incl.perfect_mask(), incl.insulating_mask(), incl.union_mask()]
+    assert masks[0].any() and masks[1].any()
+    incl.labels()[:] = 0
+    incl.perfect_mask()[:] = False
+    incl.union_mask()[:] = True
+    for before, after in zip(masks, [incl.perfect_mask(), incl.insulating_mask(),
+                                     incl.union_mask()]):
+        assert np.array_equal(before, after)
+    assert sorted(np.unique(incl.labels())) == [0, 1, 255]
 
 
 def test_convergence_error_carries_diagnostics():
