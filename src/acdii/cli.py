@@ -42,7 +42,6 @@ from .data import (
     GRID_SIZE,
     DataError,
     AdmissibleTriplet,
-    compute_a,
     compute_current,
     load_triplet,
     read_matching,
@@ -290,8 +289,7 @@ def _pd_status(info: dict) -> str:
 
 def cmd_forward(cfg, args, chash) -> int:
     grid, c, sigma0, f, inclusions = build_truth(cfg)
-    u, current = solve_truth(c, sigma0, f, grid, inclusions)
-    a = compute_a(current, sigma0)
+    u, current, a = solve_truth(c, sigma0, f, grid, inclusions)
 
     out = _out_dir(cfg)
     # magnitude.field, not a.field: synth owns a.field as triplet payload,
@@ -299,7 +297,9 @@ def cmd_forward(cfg, args, chash) -> int:
     write_field_file(u, out / "potential.field")
     write_field_file(current, out / "current.field")
     write_field_file(a, out / "magnitude.field")
-    gap = duality_gap(u, f, current, a, sigma0)
+    # the dual verify reads: the three-row current of c_rec = a / rho_h
+    c_rec, _, _ = recover_c(u, a, sigma0)
+    gap = duality_gap(u, f, c_rec, a, sigma0)
     report = {
         "command": "forward",
         "version": __version__,
@@ -416,7 +416,7 @@ def cmd_verify(cfg, args, chash) -> int:
 
     audits = {}
     audits["minimality"] = minimality_audit(u, triplet.a, triplet.sigma0, seed=seed)
-    audits["minimality"]["duality_gap"] = duality_gap(u, triplet.f, current, triplet.a,
+    audits["minimality"]["duality_gap"] = duality_gap(u, triplet.f, c_rec, triplet.a,
                                                       triplet.sigma0)
     audits["coarea"] = coarea_audit(u, triplet.a, triplet.sigma0)
 

@@ -2,12 +2,17 @@
 and directory round-trips for admissible (f, sigma0, a) triplets.
 
 The measured scalar is a = |J|_{sigma0^{-1}} with J = -c sigma0 grad u,
-so on cells where Ohm's law holds a = c |grad u|_{sigma0}.  Inside a
-perfectly conducting component the potential gradient vanishes while the
-physical current does not; the synthesizer recovers that interior
-current from the penalized problem, J = -(1/k) sigma0 grad u_k with a
-small k (the factor 1/k on sigma0 there), so the triplet carries positive
-data over such components.
+so on cells where Ohm's law holds a = c |grad u|_{sigma0}.  Its discrete
+form there is a = c rho_h(u), with rho_h the density of the discrete
+functional F_h (`fields.tv_density`): the sigma0-norm of the cell
+gradient plus the hourglass term of the bilinear cell, so the FEM
+potential is the exact minimizer of F_h for the synthesized data.
+Inside a perfectly conducting component the potential gradient vanishes
+while the physical current does not; the synthesizer recovers that
+interior current from the penalized problem, J = -(1/k) sigma0 grad u_k
+with a small k (the factor 1/k on sigma0 there), and takes a there as
+the sigma0^{-1}-norm of that current (`compute_a`), so the triplet
+carries positive data over such components.
 On insulating components a is zero exactly.
 """
 
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad
+from .fields import Grid2D, ScalarField, TensorField2, VectorField2, grad, tv_density
 from .forward import AssemblyError, InclusionSet, solve_inclusion_limit, solve_penalized
 from .io import FieldFormatError, read_field_file, write_field_file
 from .schema import InputError, Key, read_json, validate
@@ -109,39 +114,44 @@ def _cell_array(c_true, grid: Grid2D):
 
 
 def solve_truth(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None):
-    """Truth potential and current for the factor c_true.
+    """Truth potential, current and data a for the factor c_true.
 
     The tied/deleted limit problem provides the potential, so the gradient
     is exactly zero on perfect components; the current over them comes
     from a penalized solve at `PENALIZED_K`, which is what the limiting
-    current actually is there.  Returns (u, current) with the current
-    zeroed on insulating cells, so a computed from it is exactly zero
-    there.
+    current actually is there.  The current is zeroed on insulating cells.
+
+    Off the inclusions a = c rho_h(u), rho_h = `tv_density`: the data of
+    which the FEM potential is the exact minimizer of F_h.  On them a is
+    `compute_a` of the current, so it is exactly zero on insulating cells
+    and the penalized fill over perfect ones.  Returns (u, current, a).
     """
     c_arr = _cell_array(c_true, grid)
     u = solve_inclusion_limit(c_arr, sigma0, f, inclusions)
 
     dead = inclusions.insulating_mask() if inclusions is not None else None
     current = compute_current(u, c_arr, sigma0, dead)
-    if inclusions is not None and inclusions.perfect:
-        [u_k] = solve_penalized((PENALIZED_K,), c_arr, sigma0, f, inclusions)
-        j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
-        perf = inclusions.perfect_mask()
-        current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),
-                               np.where(perf, j_k.v2, current.v2))
-    return u, current
+    a = c_arr * tv_density(u.values, sigma0)
+    if inclusions is not None:
+        if inclusions.perfect:
+            [u_k] = solve_penalized((PENALIZED_K,), c_arr, sigma0, f, inclusions)
+            j_k = compute_current(u_k, 1.0 / PENALIZED_K, sigma0)
+            perf = inclusions.perfect_mask()
+            current = VectorField2(grid, np.where(perf, j_k.v1, current.v1),
+                                   np.where(perf, j_k.v2, current.v2))
+        a = np.where(inclusions.union_mask(), compute_a(current, sigma0).values, a)
+    return u, current, ScalarField(grid, a, location="cell")
 
 
 def synthesize_triplet(c_true, sigma0: TensorField2, f, grid: Grid2D, inclusions=None,
                        noise_level: float = 0.0, seed: int = 0) -> AdmissibleTriplet:
     """Forward-solve and package an admissible triplet.
 
-    The truth current (penalized fill over perfect components included)
-    defines a; multiplicative noise (if any) is applied to a last.
+    The data a are `solve_truth`'s; multiplicative noise (if any) is
+    applied to a last.
     """
     c_arr = _cell_array(c_true, grid)
-    u, current = solve_truth(c_arr, sigma0, f, grid, inclusions)
-    a = compute_a(current, sigma0)
+    u, _, a = solve_truth(c_arr, sigma0, f, grid, inclusions)
     if noise_level > 0.0:
         a = add_noise(a, noise_level, seed)
 

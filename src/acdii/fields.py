@@ -17,16 +17,26 @@ audits are exact discrete duals:
 
 `cell_operator` assembles the same stencil, premultiplied by
 sigma0^(1/2), as one sparse matrix M with a third row per cell for the
-hourglass mode `grad` does not see.  M_K^T M_K is a cell's bilinear
-element stiffness, so M builds the forward stiffness map and the first
-two rows of M are the primal-dual's K.
+hourglass mode `grad` does not see: the twist
+(u_sw - u_se - u_nw + u_ne) / (hx hy) weighted by
+((s11 hy^2 + s22 hx^2) / 12)^(1/2) (`TensorField2.hourglass` is its
+square).  M_K^T M_K is a cell's bilinear element stiffness, so M builds
+the forward stiffness map and, masked to the cells where a does not
+vanish, is the primal-dual's K.
 
 The weighted-TV functional F[u] = integral of a |grad u|_{sigma0} lives
-here too, beside the gradient it is built on, as two functions of the
-node values of u: `tv_density`, its one per-cell density, and
-`weighted_tv`, its one quadrature.  The minimizers, the recovery and
-every audit evaluate F through them, and the forward Dirichlet energy
-integrates the square of the same density.
+here too, beside the operator it is built on, in its discrete form
+
+    F_h[u] = sum over cells K of a_K |K| rho_K,   rho_K = |M_K u|,
+
+with M at weight 1: rho_K^2 is |grad u|^2_{sigma0} plus the hourglass
+term, and |K| rho_K^2 = u_K^T S_K u_K is the cell's element energy, so
+F_h is the FEM energy's own norm and the bilinear potential of c sigma0
+is its exact minimizer for the data a = c rho_h.  Two functions of the
+node values of u give it: `tv_density`, its one per-cell density rho_h,
+and `weighted_tv`, its one sum.  The minimizers, the recovery and every
+audit evaluate F_h through them, and the forward Dirichlet energy sums
+c |K| rho_h^2.
 
 `label_cells` numbers the 4-connected components of a boolean cell
 plane, which the inclusion checks and the inclusion classification
@@ -164,8 +174,10 @@ class TensorField2:
 
         m^(1/2) |xi| <= |xi|_S <= M^(1/2) |xi|
 
-    holds cellwise for |xi|_S = (S xi . xi)^(1/2), the norm `tv_density`
-    evaluates.
+    holds cellwise for |xi|_S = (S xi . xi)^(1/2), the norm of the
+    gradient part of `tv_density`.  `hourglass` is the plane
+    (s11 hy^2 + s22 hx^2) / 12, the squared weight of the hourglass row
+    of `cell_operator` on the tensor's grid.
     """
 
     def __init__(self, grid: Grid2D, s11, s12, s22):
@@ -188,7 +200,10 @@ class TensorField2:
         self.s11 = s11.copy()
         self.s12 = s12.copy()
         self.s22 = s22.copy()
-        for arr in (self.s11, self.s12, self.s22):
+        # numpy scalars, as in `cell_operator`: a square beyond the floats is inf, not an error
+        hx, hy = np.float64(grid.hx), np.float64(grid.hy)
+        self.hourglass = (s11 * hy**2 + s22 * hx**2) / 12.0
+        for arr in (self.s11, self.s12, self.s22, self.hourglass):
             arr.setflags(write=False)
 
     @classmethod
@@ -245,6 +260,23 @@ def sym2_sqrt(s11, s12, s22):
 # -- staggered calculus -----------------------------------------------------
 
 
+def _cell_differences(grid: Grid2D, vals):
+    """(v1, v2, twist) of a node array: `grad` and the hourglass amplitude.
+
+    twist = (u_sw - u_se - u_nw + u_ne) / (hx hy) is the difference of
+    the north and south edge differences that v1 averages, so the pair
+    costs one corner difference more than the gradient alone.  All three
+    are new arrays.
+    """
+    south = vals[:-1, 1:] - vals[:-1, :-1]
+    north = vals[1:, 1:] - vals[1:, :-1]
+    v1 = (south + north) / (2.0 * grid.hx)
+    v2 = ((vals[1:, :-1] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[:-1, 1:])) / (2.0 * grid.hy)
+    north -= south
+    north /= grid.hx * grid.hy
+    return v1, v2, north
+
+
 def grad(grid: Grid2D, vals):
     """Cell gradient arrays (v1, v2) of a node array.
 
@@ -253,9 +285,7 @@ def grad(grid: Grid2D, vals):
     the gradient of the bilinear interpolant at the cell center and is
     exact for affine nodal data.
     """
-    v1 = ((vals[:-1, 1:] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[1:, :-1])) / (2.0 * grid.hx)
-    v2 = ((vals[1:, :-1] - vals[:-1, :-1]) + (vals[1:, 1:] - vals[:-1, 1:])) / (2.0 * grid.hy)
-    return v1, v2
+    return _cell_differences(grid, vals)[:2]
 
 
 def grad_adjoint(grid: Grid2D, w1, w2):
@@ -293,10 +323,9 @@ def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
     d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * hx)
     d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * hy)
     twist = np.array([1.0, -1.0, -1.0, 1.0]) / (hx * hy)
-    s11, s12, s22 = sigma0.entries
     weight = np.broadcast_to(weight, grid.cell_shape)
-    t11, t12, t22 = ((weight * r).reshape(-1, 1) for r in sym2_sqrt(s11, s12, s22))
-    h = (weight * np.sqrt((s11 * hy**2 + s22 * hx**2) / 12.0)).reshape(-1, 1)
+    t11, t12, t22 = ((weight * r).reshape(-1, 1) for r in sym2_sqrt(*sigma0.entries))
+    h = (weight * np.sqrt(sigma0.hourglass)).reshape(-1, 1)
     data = np.concatenate([t11 * d1 + t12 * d2, t12 * d1 + t22 * d2, h * twist]).ravel()
     indices = np.concatenate([corners, corners, corners]).ravel()
     indptr = np.arange(0, 12 * ncells + 1, 4, dtype=np.int32)
@@ -307,15 +336,30 @@ def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
 
 
 def tv_density(uvals, sigma0: TensorField2, eps: float = 0.0):
-    """Per-cell (|grad u|^2_{sigma0} + eps^2)^(1/2) of node values u, on sigma0's grid."""
-    g1, g2 = grad(sigma0.grid, uvals)
+    """Per-cell (rho_K^2 + eps^2)^(1/2) of node values u, on sigma0's grid.
+
+    rho_K = |M_K u| for M = `cell_operator` at weight 1: the squared
+    sigma0-norm of `grad` plus `sigma0.hourglass` times the squared
+    hourglass amplitude, so |K| rho_K^2 = u_K^T S_K u_K is the cell's
+    bilinear element energy for sigma0.
+    """
+    g1, g2, twist = _cell_differences(sigma0.grid, uvals)
     w1, w2 = sigma0.apply(g1, g2)
-    q = np.maximum(w1 * g1 + w2 * g2, 0.0)
-    return np.sqrt(q + eps * eps) if eps else np.sqrt(q)
+    # in place on the new arrays: every fixed-point step evaluates it twice
+    q = w1 * g1
+    w2 *= g2
+    q += w2
+    np.maximum(q, 0.0, out=q)
+    twist *= twist
+    twist *= sigma0.hourglass
+    q += twist
+    if eps:
+        q += eps * eps
+    return np.sqrt(q, out=q)
 
 
 def weighted_tv(uvals, avals, sigma0: TensorField2, eps: float = 0.0) -> float:
-    """Midpoint quadrature of F = integral a (|grad u|^2_{sigma0} + eps^2)^(1/2)."""
+    """F_h = sum over cells of a |K| (rho_K^2 + eps^2)^(1/2), rho_K = `tv_density`."""
     return float(np.sum(avals * tv_density(uvals, sigma0, eps))) * sigma0.grid.cell_area
 
 

@@ -712,10 +712,11 @@ def solve_inclusion_limit(c, sigma0: TensorField2, f, inclusions: InclusionSet,
 
 
 def energy(u: ScalarField, c, sigma0: TensorField2, inclusions=None, k=None) -> float:
-    """Midpoint-quadrature Dirichlet energy of c * sigma0, from rho = `tv_density`.
+    """FEM Dirichlet energy (1/2) u^T A u of c * sigma0, from rho = `tv_density`.
 
-    Without k: (1/2) integral of c rho^2 over the cells outside all
-    inclusions.  With k: adds (1/2k) integral of rho^2 over the perfect
+    |K| rho_K^2 is the cell's bilinear element energy u_K^T S_K u_K, so
+    without k this is (1/2) sum of c |K| rho^2 over the cells outside all
+    inclusions.  With k it adds (1/2k) sum of |K| rho^2 over the perfect
     components (the penalized energy, whose factor there is 1/k).
     """
     outside = True if inclusions is None else ~inclusions.union_mask()

@@ -14,9 +14,12 @@ zero-mean-curvature curves of g, and their curvature operator
 is the divergence of the recovered current J = -c sigma0 grad u with
 c = a / |grad u|_{sigma0}: the Euler-Lagrange operator of
 F[u] = integral of a |grad u|_{sigma0}.  `curvature_residual` evaluates
-it with the exact adjoint divergence of the cell gradient, so for
+it with the exact adjoint divergence of the cell gradient, on the
+physical two-row current of c = a / rho_h (`inverse.recover_c`), so for
 matched data the residual shrinks under refinement while a mismatched
-sigma0 leaves an O(1) signal.
+sigma0 leaves an O(1) signal.  (The three-row current of F_h, which the
+duality audit reads, has a residual that vanishes at the minimizer to
+solver precision, so it would measure the solver, not the geometry.)
 
 Level sets are cut by marching squares with linear edge interpolation;
 saddle cells are split by the cell-center mean, which makes the cut
@@ -51,8 +54,8 @@ from .fields import (
 )
 
 # `sample_levels` drops candidates within _BAND_REL * range(u) of a value
-# taken on a cell whose |grad u|_{sigma0} is below _GRAD_FLOOR_REL of its
-# maximum
+# taken on a cell whose rho_h(u) (`tv_density`) is below _GRAD_FLOOR_REL
+# of its maximum
 _GRAD_FLOOR_REL = 1e-6
 _BAND_REL = 1e-3
 # truncation widths of `truncation_limit_audit`, in units of range(u)
@@ -340,7 +343,7 @@ def sample_levels(u: ScalarField, sigma0: TensorField2, n_levels: int) -> np.nda
 
     Candidate levels are the (i+1/2)/n quantiles of u over interior
     nodes; any candidate within _BAND_REL * range(u) of a value taken on
-    a cell with |grad u|_{sigma0} (`tv_density`) below _GRAD_FLOOR_REL
+    a cell with rho_h(u) (`tv_density`) below _GRAD_FLOOR_REL
     times its maximum is dropped (those are the levels the theory
     excludes).
     """

@@ -3,28 +3,38 @@
 Given an admissible triplet (f, sigma0, a), the potential is the unique
 minimizer over boundary data f of
 
-    F[v] = integral of a (sigma0 grad v . grad v)^(1/2)
+    F[v] = integral of a (sigma0 grad v . grad v)^(1/2),
 
-(`fields.weighted_tv`, with its density `fields.tv_density`), and the
-factor follows pointwise as c = a / |grad u*|_{sigma0}.  Two independent
-minimizers are provided and kept separate on purpose:
+here its discrete form F_h[v] = sum_K a_K |K| rho_K(v), rho_K = |M_K v|
+with M = `fields.cell_operator` at weight 1 (`fields.weighted_tv`, with
+its density `fields.tv_density`), and the factor follows pointwise as
+c = a / rho_h(u*).  Two independent minimizers of F_h are provided and
+kept separate on purpose:
 
 - a lagged-diffusivity fixed point with an eps-continuation schedule:
   the map Phi solves div(c_eff sigma0 grad u) = 0 with
-  c_eff = a / (|grad u_prev|^2_{sigma0} + eps^2)^(1/2), and each stage
-  iterates it under type-II Anderson mixing over the last five steps
-  (restarted at every stage, reset to the plain step Phi(u) whenever the
-  residual Phi(u) - u grows or the mixing system is singular), which
-  reaches the same fixed point as the plain iteration in fewer solves;
-  the multigrid coarse levels of those solves are rebuilt once per stage
-  and only the fine level at every step;
+  c_eff = a / (rho_h(u_prev)^2 + eps^2)^(1/2), which is the exact
+  stationarity of the smoothed F_h, since |K| rho_K^2 is the element
+  energy the solve assembles; each stage iterates it under type-II
+  Anderson mixing over the last five steps (restarted at every stage,
+  reset to the plain step Phi(u) whenever the residual Phi(u) - u grows
+  or the mixing system is singular), which reaches the same fixed point
+  as the plain iteration in fewer solves; the multigrid coarse levels of
+  those solves are rebuilt once per stage and only the fine level at
+  every step;
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
-  min_u max_B <grad u, B> over the dual ball |B|_{sigma0^{-1}} <= a,
-  with a closed-form per-cell projection realized by radial scaling in
-  the sigma0^{-1} norm (a sigma0^(1/2) change of variables makes that
-  scaling the exact Euclidean projection); each step is over-relaxed
-  (Condat 2013), which keeps the saddle point and the step condition and
-  stops in 40-56% fewer steps on the measured grids.
+  min_u max_b <M u, b> over the per-cell balls |b_K| <= a_K in R^3, the
+  three rows of M per cell, with a step bound L^2 that is the Gershgorin
+  bound of the operator (`l2` in its record); the projection onto a ball
+  is a radial scaling, and each step is over-relaxed (Condat 2013),
+  which keeps the saddle point and the step condition and stops in
+  33-50% fewer steps on the measured grids.
+
+The audits read two adjoints.  The duality identity (`duality_gap`,
+`boundary_flux_integral`) pairs F_h with the three-row current
+J3 = -c M u through M^T, whose boundary rows are the Dirichlet
+reactions; the returned dual field B and `dual_feasibility` keep the
+physical two-row current sigma0^(1/2) b, as does the curvature audit.
 
 Both routes normalize a by its maximum internally.  The minimizer is
 invariant under a -> alpha a, and with the fixed eps schedule the
@@ -43,13 +53,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AdmissibleTriplet, compute_current
+from .data import AdmissibleTriplet
 from .fields import (
     ScalarField,
     TensorField2,
     VectorField2,
     cell_operator,
-    grad_adjoint,
     label_cells,
     nodes_of_cells,
     rel_l2,
@@ -85,7 +94,7 @@ class TVProblem:
     `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`) and
     the CG tolerance of both minimizers (`forward.CG_TOL`) are fixed.
     pd_iterations caps the primal-dual steps; their sizes follow from f
-    and the grid, and the checkpoints of its stopping rule from the grid
+    and the operator, and the checkpoints of its stopping rule from the grid
     (see `minimize_tv_primal_dual`).  Cells where a vanishes are left
     out of the solves.  `TV_SCHEMA` holds the type, default and range of
     every setting.
@@ -107,7 +116,7 @@ _EPS_STAGES = 8
 
 
 def _eps_schedule(sigma0: TensorField2) -> list[float]:
-    """The smoothings of the eps-stages, in units of |grad u|_{sigma0}.
+    """The smoothings of the eps-stages, in units of rho_h (`tv_density`).
 
     That unit makes them invariant under rescaling a.
     """
@@ -207,7 +216,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     """Anderson-accelerated lagged-diffusivity minimization with eps-continuation.
 
     The map Phi(u) is one lagged-diffusivity step: assemble with
-    c_eff = a / (|grad u|^2_{sigma0} + eps^2)^(1/2) and solve, warm
+    c_eff = a / (rho_h(u)^2 + eps^2)^(1/2) and solve, warm
     started at u.  Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k)
     with `_Anderson`, restarted at the stage, and ends with Phi(u_k) at
     the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= tol or
@@ -233,7 +242,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
-    # eps lives in |grad u|_{sigma0} units, so it is untouched by the
+    # eps lives in rho_h units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
     # a -> alpha a (the effective coefficient just rescales, which CG
     # relative tolerances and the multigrid cycle cannot see).
@@ -314,68 +323,75 @@ _PD_CHECK = 4
 
 # step ratio tau / sigma = (omega / _PD_BALANCE)^2, omega the
 # oscillation of f on the boundary: u moves on the scale of f and the
-# normalized dual on the scale 1, so the ratio follows f.  With the
-# relaxed step, the rule stops on the bumps at n = 33 / 65 / 129 after
-# 660 / 780 / 1,548 steps against 2,112 / 2,340 / 4,644 with tau = sigma,
-# at 70x and 1,400x smaller recovered duality gaps at n = 65 / 129 (5.7x
-# larger at n = 33, 3.2e-9) and c errors within 0.05% (32% smaller at
-# n = 33); n = 17 takes 544 steps either way.
+# normalized dual on the scale 1, so the ratio follows f.  On F_h with the
+# Gershgorin bound, the relaxed rule stops on the bumps at n = 17 / 33 /
+# 65 / 129 after 136 / 264 / 520 / 1,032 steps and on the fiber sigma0 at
+# n = 33 / 65 after 264 / 780.  Balances 2, 2.83, 5.66 and 8 take as many
+# or more steps on every one of these (up to 2.5x at 8), and 2.83, the
+# only one as fast on three of them, takes 1.5x on the other three.
 _PD_BALANCE = 4.0
 
 # relaxation rho of the primal-dual step, (u, b) += rho ((uhat, bhat) -
 # (u, b)); any rho in (0, 2) keeps the fixed point under tau sigma L^2 <= 1
-# (Condat 2013).  On the bumps at n = 17 / 33 / 65 / 129 and the fiber
-# sigma0 at n = 33 / 65, rho = 1.9 stops after 544 / 660 / 780 / 1,548 and
-# 1,320 / 1,820 steps against 1,224 / 1,188 / 1,300 / 2,580 and 2,508 /
-# 3,640 unrelaxed, with c errors within 0.1% except at n = 33 (6% smaller)
-# and recovered duality gaps below 4e-9.  The gap at the stop is not
-# monotone in rho (n = 65: 1.4e-9 / 7.3e-10 / 3.5e-10 at rho = 1.7 / 1.8
-# / 1.9, all after 780 steps), so rho is the usual near-2 choice, not a
-# value tuned to one grid.
+# (Condat 2013).  On the same six cases rho = 1.9 stops after the steps
+# above, against 204 / 396 / 780 / 1,548 and 528 / 1,300 unrelaxed;
+# rho = 1.5, 1.7 and 1.8 stop with it on the bumps, 1.5 and 1.7 later on
+# the fiber sigma0 at n = 33 (396), and rho = 1.95 stops with it but
+# leaves c at 2.7e-5 on the n = 17 bump against 3.4e-8.  So rho is the
+# usual near-2 choice, not a value tuned to one grid.
 _PD_RELAX = 1.9
 
 
 def minimize_tv_primal_dual(problem: TVProblem):
-    """Saddle-point minimization; returns (u, B, info) with B dual feasible.
+    """Saddle-point minimization of F_h; returns (u, B, info) with B dual feasible.
 
-    L^2 = M (4/hx^2 + 4/hy^2) bounds the weighted gradient norm.  The
-    steps are tau = omega / (4 L) and sigma = 4 / (omega L), omega = max f
-    - min f over the boundary nodes (1 when f is constant there), so tau
-    sigma L^2 = 1; any steps within that bound reach the same saddle
-    point, and these only set the path.  The iteration is equivariant
-    under f -> alpha f + beta: u follows f, b does not move, and the stop
-    is the same.  Constant boundary data f = k has the exact saddle point
-    u = k, B = 0, which is returned after 0 iterations: F[u] is 0 there,
-    so the relative gap of an iterate would only measure round-off.
+    F_h[u] = sum_K a_K |K| |M_K u| with M = `cell_operator` at weight 1,
+    so its saddle form pairs M u with a dual b of three rows per cell in
+    the ball |b_K| <= a_K.  The operator is K1 = 1_active M, and
+    L^2 = `l2` is the Gershgorin bound of K1^T K1 (max row sum of
+    |K1^T K1|), computed once per call from K1: a bound of |K1|^2, so the
+    step condition holds, and on square grids about half of the
+    M (4/hx^2 + 4/hy^2) an entrywise estimate gives.  The steps are
+    tau = omega / (_PD_BALANCE L) and sigma = _PD_BALANCE / (omega L),
+    omega = max f - min f over the boundary nodes (1 when f is constant
+    there), so tau sigma L^2 = 1; any steps within that bound reach the
+    same saddle point, and these only set the path.  The iteration is
+    equivariant under f -> alpha f + beta: u follows f, b does not move,
+    and the stop is the same.  Constant boundary data f = k has the exact
+    saddle point u = k, B = 0, which is returned after 0 iterations: F[u]
+    is 0 there, so the relative gap of an iterate would only measure
+    round-off.
 
     The loop runs on two sparse matrices built once per call: K = sigma
-    1_active sigma0^(1/2) grad, the first two row blocks of
-    `cell_operator`, and the primal step (tau / sigma) K^T with its
-    Dirichlet rows zeroed.  An iteration is the primal step
-    uhat = u - (tau/sigma) K^T b, the dual ascent
-    bhat = b + K (2 uhat - u) with the radial projection of bhat onto the
-    ball |bhat| <= a, and the relaxation (u, b) += rho ((uhat, bhat) -
-    (u, b)) with rho = _PD_RELAX, all on preallocated buffers
-    (`relaxation` in info).  The initial solve leaves f on the boundary
-    and the step is zero there, so u keeps its Dirichlet trace.  For
-    rho > 1 the relaxed b may leave the ball, so B, the pairing and div B
-    are taken from the projected bhat: B is dual feasible to round-off.
+    K1 and the primal step (tau / sigma) K^T with its Dirichlet rows
+    zeroed.  An iteration is the primal step uhat = u - (tau/sigma) K^T b,
+    the dual ascent bhat = b + K (2 uhat - u) with the radial projection
+    of each cell's 3-vector bhat onto the ball |bhat| <= a, and the
+    relaxation (u, b) += rho ((uhat, bhat) - (u, b)) with rho = _PD_RELAX,
+    all on preallocated buffers (`relaxation` in info).  The initial
+    solve leaves f on the boundary and the step is zero there, so u keeps
+    its Dirichlet trace.  For rho > 1 the relaxed b may leave the ball,
+    so B, the pairing and the dual residual are taken from the projected
+    bhat.  B is the physical current: amax sigma0^(1/2) times the first
+    two rows of bhat, so |B|_{sigma0^{-1}} <= a holds to round-off
+    (`dual_feasibility`).  The third row, the hourglass row's multiplier,
+    is a discretization term with no physical current of its own.
 
-    Every _PD_CHECK max(nx, ny) steps info records the functional F
-    (`tv_history`), the relative primal-dual gap |F_A[u] - <grad u, B>| /
-    F_A[u] (`gap_history`), and the interior rms of div B
-    (`divergence_history`).  F_A is F over the cells the scheme optimizes,
-    the cells where a does not vanish; B vanishes on the others.  The gap
-    measures complementarity only: once u and B pair up it can vanish
-    while div B, the stationarity of u, is still falling.  So the loop
-    stops at the first checkpoint where both the gap and the div B rms
-    times l / max(a), l the longer side of the domain, are <= _PD_TOL
-    (`converged`); `pd_iterations` (default 200 max(nx, ny)) is only the
-    cap, `max_iterations`: it ends the loop but moves no checkpoint, and
-    `iterations` counts the steps run.  Both quantities are scale-free,
-    so the stop, u and B / max(a) do not change when a is scaled.
-    `pd_gap` and `dual_divergence_rms` are the two at the end, and
-    `tv_final` is the full F.
+    Every _PD_CHECK max(nx, ny) steps info records the functional F_h
+    (`tv_history`), the relative primal-dual gap |F_A[u] - <K1 u, bhat>| /
+    F_A[u] (`gap_history`), and the interior rms of K1^T bhat, the
+    three-row div B (`divergence_history`).  F_A is F_h over the cells the
+    scheme optimizes, the cells where a does not vanish; B vanishes on
+    the others.  The gap measures complementarity only: once u and b pair
+    up it can vanish while div B, the stationarity of u, is still falling.
+    So the loop stops at the first checkpoint where both the gap and the
+    div B rms times l / max(a), l the longer side of the domain, are
+    <= _PD_TOL (`converged`); `pd_iterations` (default 200 max(nx, ny)) is
+    only the cap, `max_iterations`: it ends the loop but moves no
+    checkpoint, and `iterations` counts the steps run.  Both quantities
+    are scale-free, so the stop, u and B / max(a) do not change when a is
+    scaled.  `pd_gap` and `dual_divergence_rms` are the two at the end,
+    and `tv_final` is the full F_h.
 
     Spacings so small or so large that tau or sigma is no positive normal
     float (hx or hy below about 1e-154 or above about 1e154) raise
@@ -386,12 +402,15 @@ def minimize_tv_primal_dual(problem: TVProblem):
     rim = t.f.values.ravel()[grid.boundary_ids]
     omega = float(np.max(rim) - np.min(rim))
     width = omega or 1.0
-    try:
-        l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
-    except (ZeroDivisionError, OverflowError):  # hx^2 or hy^2 beyond the floats
-        l2 = float("nan")
-    tau = width / (_PD_BALANCE * np.sqrt(l2))
-    sig = _PD_BALANCE / (width * np.sqrt(l2))
+    active = ~void
+    # spacings beyond the floats make the bound inf or nan, which the step check reports
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k_op = cell_operator(grid, sigma0, active.astype(np.float64))
+        k_op.eliminate_zeros()
+        # Gershgorin: the largest row sum of |K1^T K1| bounds its largest eigenvalue
+        l2 = float(np.max(abs(k_op.T @ k_op).sum(axis=1)))
+        tau = width / (_PD_BALANCE * np.sqrt(l2))
+        sig = _PD_BALANCE / (width * np.sqrt(l2))
     tiny = np.finfo(np.float64).tiny
     if not (tiny <= tau < np.inf and tiny <= sig < np.inf):
         raise TVConfigError(
@@ -407,6 +426,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     info = {
         "algorithm": "primaldual",
         "max_iterations": iters,
+        "l2": l2,
         "tau": tau,
         "sigma_step": sig,
         "relaxation": _PD_RELAX,
@@ -420,10 +440,8 @@ def minimize_tv_primal_dual(problem: TVProblem):
         u = ScalarField(grid, np.full(grid.shape, rim[0]), location="node")
         return u, VectorField2(grid, zero, zero.copy()), info
 
-    active = ~void
     interior = grid.interior_mask().ravel()
-    k_op = cell_operator(grid, sigma0, np.where(active, sig, 0.0))[:2 * a_hat.size]
-    k_op.eliminate_zeros()
+    k_op.data *= sig
     kt_op = k_op.T.tocsr()
     kt_op.data *= tau / sig
     kt_op.data[np.repeat(~interior, np.diff(kt_op.indptr))] = 0.0
@@ -432,7 +450,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
     system = assemble(1.0, Layout(sigma0, exclude_cells=void))
     u = solve_dirichlet(system, t.f).values.ravel().copy()
     ubar = np.empty_like(u)
-    b = np.zeros((2, a_hat.size))
+    b = np.zeros((3, a_hat.size))
     b_flat = b.reshape(-1)
     bhat = np.zeros_like(b)
     bhat_flat = bhat.reshape(-1)
@@ -443,14 +461,14 @@ def minimize_tv_primal_dual(problem: TVProblem):
     a_active = np.where(active, a_hat, 0.0)
 
     def gap_and_pairing():
-        # relative gap over the optimized cells and <grad u, B>/amax, from the same K
+        # relative gap over the optimized cells and <K1 u, bhat>/amax, from the same K
         primal = weighted_tv(u.reshape(grid.shape), a_active, sigma0)
         pairing = float(np.sum((k_op @ u) * bhat_flat)) / sig * grid.cell_area
         return abs(primal - pairing) / max(primal, 1e-300), pairing
 
     def divergence_rms():
-        # rms of div(B / amax): tau grad^T sigma0^(1/2) bhat on interior
-        # nodes, divided by tau, with B = amax sigma0^(1/2) bhat
+        # rms of the three-row div(B / amax): tau K1^T bhat on interior
+        # nodes, divided by tau
         step = kt_op @ bhat_flat
         return float(np.sqrt(np.mean(step[interior] ** 2))) / tau
 
@@ -469,6 +487,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
         # scale a / max(|bhat|, a): exactly 1 inside the ball, a / |bhat| outside
         np.multiply(bhat, bhat, out=square)
         np.add(square[0], square[1], out=scale)
+        scale += square[2]
         np.sqrt(scale, out=scale)
         np.maximum(scale, a_floor, out=scale)
         np.divide(a_cells, scale, out=scale)
@@ -489,7 +508,7 @@ def minimize_tv_primal_dual(problem: TVProblem):
                 break
 
     u_final = ScalarField(grid, u.reshape(grid.shape), location="node")
-    b1, b2 = (comp.reshape(grid.cell_shape) for comp in bhat)
+    b1, b2 = (comp.reshape(grid.cell_shape) for comp in bhat[:2])
     B = VectorField2(grid, *(amax * q for q in sym2_apply(*sym2_sqrt(*sigma0.entries), b1, b2)))
     gap, pairing_hat = gap_and_pairing()
     info.update({
@@ -510,30 +529,40 @@ def minimize_tv_primal_dual(problem: TVProblem):
 # -- audits --------------------------------------------------------------------
 
 
-def boundary_flux_integral(f: ScalarField, current: VectorField2) -> float:
-    """Outer-boundary integral of f (J . nu): f dotted with the boundary
-    rows of G^T J (`grad_adjoint`), times the cell area.
+def boundary_flux_integral(f: ScalarField, u: ScalarField, c, sigma0: TensorField2) -> float:
+    """Outer-boundary integral of f (J . nu) for the current of F_h at u.
 
-    The interior rows of the same G^T J are -div J, the residual of the
-    curvature audit (`geometry.curvature_residual`).
+    The current has three rows per cell, J3 = -c M u with M =
+    `cell_operator` at weight 1, and c a cell array or field (0 on the
+    cells it leaves out).  The node array M^T (|K| J3) is the discrete
+    -div J of the bilinear element: its interior rows are minus the
+    gradient of F_h at u when c = a / rho_h, and its boundary rows are
+    the Dirichlet reactions, the outward flux.  The integral is f dotted
+    with those boundary rows.  (The curvature audit reads the physical
+    two-row current instead: `geometry.curvature_residual`.)
     """
-    grid = current.grid
+    grid = u.grid
     rim = grid.boundary_ids
-    flux = grad_adjoint(grid, current.v1, current.v2).ravel()[rim]
+    m = cell_operator(grid, sigma0, 1.0)
+    c = c.values if isinstance(c, ScalarField) else c
+    j3 = -np.tile(np.broadcast_to(c, grid.cell_shape).ravel(), 3) * (m @ u.values.ravel())
+    flux = (m.T @ j3)[rim]
     return float(np.dot(f.values.ravel()[rim], flux)) * grid.cell_area
 
 
-def duality_gap(u: ScalarField, f: ScalarField, current: VectorField2,
-                a: ScalarField, sigma0: TensorField2) -> float:
-    """|F[u] + boundary integral of f (J.nu)| / max(F[u], tiny).
+def duality_gap(u: ScalarField, f: ScalarField, c, a: ScalarField,
+                sigma0: TensorField2) -> float:
+    """|F_h[u] + boundary integral of f (J.nu)| / max(F_h[u], tiny).
 
-    With J = -c sigma0 grad u, c = a / |grad u|_{sigma0} off the masked
-    cells, summation by parts makes the numerator
-    |sum_masked a |grad u|_{sigma0} |K| - sum_interior u (G^T J) |K||,
-    whose interior sum vanishes at an exact minimizer of the midpoint F.
+    The flux is `boundary_flux_integral` of the current J3 = -c M u.  For
+    c = a / rho_h off the masked cells (c = 0 on them), summation by parts
+    makes the numerator
+    |sum_masked a rho_h |K| - sum_interior u (M^T |K| J3)|, whose interior
+    sum vanishes at an exact minimizer of F_h; at the FEM truth with
+    a = c rho_h it is the CG residual.
     """
     fval = weighted_tv(u.values, a.values, sigma0)
-    flux = boundary_flux_integral(f, current)
+    flux = boundary_flux_integral(f, u, c, sigma0)
     return abs(fval + flux) / max(fval, 1e-300)
 
 
@@ -594,11 +623,12 @@ def minimality_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
 
 def recover_c(u_star: ScalarField, a: ScalarField, sigma0: TensorField2,
               delta_grad: float | None = None):
-    """Pointwise factor c = a / |grad u*|_{sigma0} off the degenerate set.
+    """Pointwise factor c = a / rho_h(u*) off the degenerate set.
 
-    Cells with |grad u*|_{sigma0} <= delta_grad or a <= delta_a are
-    masked out (value 0, flagged in mask_Z); delta_grad defaults to 1e-6
-    max |grad u*|_{sigma0}, and delta_a is 1e-8 max(a).  Returns
+    rho_h is the density of F_h (`tv_density`).  Cells with
+    rho_h(u*) <= delta_grad or a <= delta_a are masked out (value 0,
+    flagged in mask_Z); delta_grad defaults to 1e-6 max rho_h(u*), and
+    delta_a is 1e-8 max(a).  Returns
     (c_rec, mask_Z, diagnostics); diagnostics records both cutoffs and
     separates the two reasons for masking, including the zero-data cells
     that still carry gradient (the interface-like set the recovery never
@@ -652,7 +682,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, sigma0: TensorField
                         delta_grad: float, delta_a: float) -> list[dict]:
     """Label each 4-connected component of the degenerate set.
 
-    The component is flat where |grad u*|_{sigma0} <= delta_grad and
+    The component is flat where rho_h(u*) <= delta_grad and
     data-free where a <= delta_a: the cutoffs `recover_c` chose for the
     mask, in the norm of the functional's density (`tv_density`).
 
@@ -670,7 +700,7 @@ def classify_inclusions(u_star: ScalarField, a: ScalarField, sigma0: TensorField
       with data regular across the interface, which one measurement
       genuinely cannot decide.
 
-    The oscillation tolerance is 4 max(hx, hy) max|grad u*|_{sigma0}, the
+    The oscillation tolerance is 4 max(hx, hy) max rho_h(u*), the
     size of the discrete trace wiggle a smooth equipotential rim produces.
     """
     grid = u_star.grid
@@ -798,8 +828,7 @@ def reconstruct(problem: TVProblem, algorithm: str = "fixedpoint") -> ReconRepor
     labels = classify_inclusions(u_star, t.a, t.sigma0, mask_z,
                                  rec_diag["delta_grad"], rec_diag["delta_a"])
 
-    current = compute_current(u_star, c_rec, t.sigma0, dead=mask_z)
-    diagnostics["duality_gap"] = duality_gap(u_star, t.f, current, t.a, t.sigma0)
+    diagnostics["duality_gap"] = duality_gap(u_star, t.f, c_rec, t.a, t.sigma0)
 
     prov = t.provenance or {}
     if prov.get("c_true") is not None:

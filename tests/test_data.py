@@ -14,9 +14,10 @@ from acdii.data import (
     load_triplet,
     read_matching,
     save_triplet,
+    solve_truth,
     synthesize_triplet,
 )
-from acdii.fields import ScalarField, TensorField2, grad, tv_density
+from acdii.fields import ScalarField, TensorField2, grad, sym2_norm, tv_density
 from acdii.forward import InclusionSet, disk_cells
 from acdii.io import FieldFormatError, write_field_file
 from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
@@ -71,12 +72,25 @@ def test_current_is_divergence_free_in_weak_sense():
 
 
 def test_compute_a_consistent_with_current(bump33):
+    # compute_a of Ohm's current is c |grad u|_{sigma0}; synth's a = c rho_h
+    # adds the hourglass term to that norm, so it is never smaller
     grid = bump33.grid
     u = ScalarField(grid, np.asarray(bump33.provenance["u_true"]))
     c = np.asarray(bump33.provenance["c_true"])
     J = compute_current(u, c, bump33.sigma0)
     a2 = compute_a(J, bump33.sigma0)
-    assert np.allclose(a2.values, bump33.a.values, rtol=1e-12)
+    g1, g2 = grad(grid, u.values)
+    assert np.allclose(a2.values, c * sym2_norm(*bump33.sigma0.entries, g1, g2), rtol=1e-12)
+    assert np.all(a2.values <= bump33.a.values * (1.0 + 1e-12))
+    # with inclusions, a is compute_a of the truth current on them and
+    # c rho_h off them
+    incl = InclusionSet(grid, perfect=[disk_cells(grid, (0.3, 0.7), 0.12)],
+                        insulating=[disk_cells(grid, (0.7, 0.3), 0.1)])
+    u, J, a = solve_truth(c, bump33.sigma0, bump33.f, grid, incl)
+    on = incl.union_mask()
+    assert np.array_equal(a.values[on], compute_a(J, bump33.sigma0).values[on])
+    assert np.array_equal(a.values[~on], (c * tv_density(u.values, bump33.sigma0))[~on])
+    assert np.all(a.values[incl.perfect_mask()] > 0.0)
 
 
 def test_triplet_validation():

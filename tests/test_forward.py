@@ -449,25 +449,15 @@ def test_energy_and_h1_seminorm_known_values():
     assert energy(u, 1.0, sigma0) == pytest.approx(0.5, rel=1e-12)
 
 
-def _loop_energy(grid, u, c, sigma0, outside, perf=None, k=None):
-    """Plain-loop midpoint energy: (1/2) c |grad u|^2_sigma0 on the outside
-    cells plus (1/2k) |grad u|^2_sigma0 on the perfect ones."""
-    total = 0.0
-    for j in range(grid.ny - 1):
-        for i in range(grid.nx - 1):
-            g = np.array([
-                0.5 * ((u[j, i + 1] - u[j, i]) + (u[j + 1, i + 1] - u[j + 1, i])) / grid.hx,
-                0.5 * ((u[j + 1, i] - u[j, i]) + (u[j + 1, i + 1] - u[j, i + 1])) / grid.hy,
-            ])
-            m = np.array([[sigma0.s11[j, i], sigma0.s12[j, i]],
-                          [sigma0.s12[j, i], sigma0.s22[j, i]]])
-            for w, on in ((0.5 * c[j, i], outside), (0.5 / (k or 1.0), perf)):
-                if on is not None and on[j, i]:
-                    total += w * (g @ m @ g) * grid.hx * grid.hy
-    return total
+def _fem_energy(grid, u, cells, sigma0):
+    """(1/2) u^T K u of the loop-assembled Gauss stiffness for the cell factors `cells`."""
+    K = dense_stiffness(grid, cells, sigma0.s11, sigma0.s12, sigma0.s22)
+    return 0.5 * float(u.ravel() @ K @ u.ravel())
 
 
 def test_energy_matches_loop_oracle_with_penalized_disk():
+    # the energy is the FEM energy (1/2) u^T A u: c outside all inclusions,
+    # plus 1/k on the perfect components for the penalized one
     grid = Grid2D(15, 11, 0.07, 0.09)
     rng = np.random.default_rng(21)
     xc, yc = grid.cell_centers()
@@ -480,11 +470,12 @@ def test_energy_matches_loop_oracle_with_penalized_disk():
     perf = incl.perfect_mask()
     assert perf.any() and incl.insulating_mask().any()
     assert energy(u, c, sigma0) == pytest.approx(
-        _loop_energy(grid, u.values, c, sigma0, np.ones(grid.cell_shape, bool)), rel=1e-12)
+        _fem_energy(grid, u.values, c, sigma0), rel=1e-12)
     assert energy(u, c, sigma0, incl) == pytest.approx(
-        _loop_energy(grid, u.values, c, sigma0, outside), rel=1e-12)
+        _fem_energy(grid, u.values, np.where(outside, c, 0.0), sigma0), rel=1e-12)
+    penalized = np.where(outside, c, np.where(perf, 1e3, 0.0))
     assert energy(u, c, sigma0, incl, k=1e-3) == pytest.approx(
-        _loop_energy(grid, u.values, c, sigma0, outside, perf, 1e-3), rel=1e-12)
+        _fem_energy(grid, u.values, penalized, sigma0), rel=1e-12)
 
 
 def test_dirichlet_data_must_be_a_node_field_on_the_grid():

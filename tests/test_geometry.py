@@ -25,6 +25,7 @@ from acdii.fields import (
     nodes_of_cells,
     sample_cell_field,
     sym2_det,
+    tv_density,
 )
 from acdii.geometry import (
     area_minimality_audit,
@@ -99,7 +100,9 @@ def test_curvature_residual_is_the_mean_curvature_in_the_data_metric():
     g1, g2 = grad(g, u.values)
     w1 = (g22 * g1 - g12 * g2) / det
     w2 = (-g12 * g1 + g11 * g2) / det
-    norm = np.sqrt(w1 * g1 + w2 * g2)  # |g^{-1} grad u|_g
+    # |g^{-1} grad u|_g = |grad u|_{sigma0} / (a det(sigma0)^(1/2)), with the
+    # norm of grad u read as rho_h, the density of F_h that recover_c divides by
+    norm = tv_density(u.values, sigma0) / (a.values * np.sqrt(sym2_det(*sigma0.entries)))
     # the divergence is minus the adjoint of the cell gradient
     ref = -grad_adjoint(g, np.sqrt(det) * w1 / norm, np.sqrt(det) * w2 / norm)
     scale = float(np.max(np.abs(ref)))

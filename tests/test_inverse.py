@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from acdii import forward
-from acdii.data import AdmissibleTriplet, compute_a, compute_current, synthesize_triplet
+from acdii.data import AdmissibleTriplet, compute_current, solve_truth, synthesize_triplet
 from acdii.fields import (
     Grid2D,
     ScalarField,
     TensorField2,
     VectorField2,
+    cell_operator,
     grad,
     grad_adjoint,
     rel_l2,
@@ -45,8 +47,9 @@ from conftest import bump_problem, bump_triplet, make_grid, rotated_tensor
 
 
 def _loop_weighted_tv(u, a, sigma0, eps=0.0):
-    """Independent re-derivation: per-cell averaged one-sided differences,
-    sigma0-norm smoothed by eps, midpoint quadrature, plain Python loops."""
+    """Independent re-derivation: per-cell averaged one-sided differences in
+    the sigma0-norm plus the hourglass term (s11 hy^2 + s22 hx^2) / 12 of
+    the cell's twist, smoothed by eps, times the cell area; plain loops."""
     g = u.grid
     total = 0.0
     v = u.values
@@ -61,7 +64,9 @@ def _loop_weighted_tv(u, a, sigma0, eps=0.0):
                 ]
             )
             q = np.array([dx, dy])
-            total += a.values[j, i] * np.sqrt(q @ s @ q + eps * eps) * g.hx * g.hy
+            b = (v[j, i] - v[j, i + 1] - v[j + 1, i] + v[j + 1, i + 1]) / (g.hx * g.hy)
+            hg = (s[0, 0] * g.hy**2 + s[1, 1] * g.hx**2) / 12.0 * b * b
+            total += a.values[j, i] * np.sqrt(q @ s @ q + hg + eps * eps) * g.hx * g.hy
     return total
 
 
@@ -350,7 +355,7 @@ def test_primal_dual_cap_does_not_move_the_stop(bump33):
     ]
     u0, B0, i0 = runs[0]
     for u, B, info in runs:
-        assert info["converged"] is True and info["iterations"] == 660
+        assert info["converged"] is True and info["iterations"] == 264
         assert np.array_equal(u.values, u0.values)
         assert np.array_equal(B.v1, B0.v1) and np.array_equal(B.v2, B0.v2)
         assert info["gap_history"] == i0["gap_history"]
@@ -373,12 +378,15 @@ def test_primal_dual_default_steps_are_equivariant_under_affine_boundary_data():
 
 
 def test_primal_dual_stops_early_on_the_n65_bump():
-    # the relaxed step stops this run at 780; unrelaxed it takes 1,300, and
-    # with tau = sigma = 1/L 3,900
+    # with the Gershgorin step bound and the relaxed step the rule stops
+    # this run at its second checkpoint, 520 steps, with c at 4.9e-7; with
+    # the entrywise bound M (4/hx^2 + 4/hy^2), twice as large here, it
+    # would stop at the third
     rep = reconstruct(TVProblem(bump_triplet(65)), algorithm="primaldual")
     info = rep.diagnostics["primaldual"]
     assert info["converged"] is True
-    assert info["iterations"] <= 1040
+    assert info["iterations"] <= 520
+    assert rep.diagnostics["c_rel_linf_off_mask"] <= 1e-5
     assert info["pd_gap"] <= 1e-6
     assert rep.diagnostics["duality_gap"] <= 1e-8
 
@@ -387,11 +395,32 @@ def test_primal_dual_constant_boundary_data_gives_constant_potential():
     bump = bump_triplet(17)
     trip = _with_f(bump, np.full(bump.grid.shape, 0.7))
     u, B, info = minimize_tv_primal_dual(TVProblem(trip))
-    l2 = trip.sigma0.M * (4.0 / trip.grid.hx**2 + 4.0 / trip.grid.hy**2)
-    assert info["tau"] * info["sigma_step"] * l2 == pytest.approx(1.0, rel=1e-12)
+    assert info["tau"] * info["sigma_step"] * info["l2"] == pytest.approx(1.0, rel=1e-12)
     assert info["converged"] is True
     assert np.all(np.isfinite(u.values)) and np.max(np.abs(u.values - 0.7)) <= 1e-12
     assert np.all(np.isfinite(B.v1)) and np.all(np.isfinite(B.v2))
+
+
+@pytest.mark.parametrize("nx, ny, ly", [(17, 17, 1.0), (17, 13, 1.0), (33, 9, 3.0)],
+                         ids=["17x17", "17x13", "33x9-stretched"])
+def test_primal_dual_step_bound_is_at_least_the_operator_norm(nx, ny, ly):
+    # the recorded l2 must bound lambda_max(K1^T K1), or tau sigma l2 = 1
+    # would not be the step condition; on these grids it is within 1.5x of
+    # it and below the entrywise bound M (4/hx^2 + 4/hy^2); on the 33x9
+    # grid hy = 12 hx
+    grid = Grid2D(nx, ny, 1.0 / (nx - 1), ly / (ny - 1))
+    xc, yc = grid.cell_centers()
+    x, _ = grid.node_coords()
+    c = ScalarField(grid, 1.0 + 0.5 * np.exp(-((xc - 0.5) ** 2 + (yc - 0.5) ** 2) / 0.045),
+                    location="cell")
+    for sigma0 in (rotated_tensor(grid, np.pi / 6.0, 2.0, 1.0), _fiber_tensor(grid),
+                   TensorField2.constant(grid, 1.0, 0.0, 1.0)):
+        trip = synthesize_triplet(c, sigma0, ScalarField(grid, x), grid)
+        _, _, info = minimize_tv_primal_dual(TVProblem(trip, pd_iterations=1))
+        k1 = cell_operator(grid, sigma0, 1.0)
+        lam = eigsh((k1.T @ k1).tocsc(), k=1, which="LA", return_eigenvectors=False)[0]
+        assert lam <= info["l2"] <= 1.5 * lam
+        assert info["l2"] <= sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
 
 
 def test_primal_dual_recovers_linear_potential():
@@ -402,62 +431,93 @@ def test_primal_dual_recovers_linear_potential():
     assert info["pd_gap"] <= 1e-6
 
 
+def _twist(grid, vals):
+    """Per-cell hourglass amplitude (u_sw - u_se - u_nw + u_ne) / (hx hy)."""
+    return (vals[:-1, :-1] - vals[:-1, 1:] - vals[1:, :-1] + vals[1:, 1:]) / (grid.hx * grid.hy)
+
+
+def _twist_adjoint(grid, w):
+    """Transpose of `_twist`: sum_cells twist(u) w == sum_nodes u _twist_adjoint(w)."""
+    t = w / (grid.hx * grid.hy)
+    out = np.zeros(grid.shape)
+    out[:-1, :-1] += t
+    out[:-1, 1:] -= t
+    out[1:, :-1] -= t
+    out[1:, 1:] += t
+    return out
+
+
+def _dense_gershgorin(grid, apply_k, apply_kt):
+    """max row sum of |K^T K|, K^T K built column by column from unit vectors."""
+    cols = []
+    for i in range(grid.n_nodes):
+        e = np.zeros(grid.n_nodes)
+        e[i] = 1.0
+        cols.append(apply_kt(apply_k(e.reshape(grid.shape))).ravel())
+    return float(np.max(np.sum(np.abs(np.array(cols)), axis=0)))
+
+
 def _reference_primal_dual(problem, steps):
     """The primal-dual loop on array slices, one numpy call per term.
 
     Same iteration as `minimize_tv_primal_dual`, written with `grad` /
-    `grad_adjoint` and the Dirichlet values re-imposed after each primal
-    step: the primal step uhat, the projected dual step bhat from the
-    extrapolation 2 uhat - u, then (u, b) moved by 1.9 times the way to
-    (uhat, bhat).  B, the pairing and div B are taken from bhat; the gap's
-    primal term runs over the cells where a does not vanish.  It runs `steps`
-    iterations with a checkpoint every 4 max(nx, ny) of them, and has no
-    stopping rule of its own.
-    Returns (u, (B1, B2), histories).
+    `grad_adjoint`, the hourglass twist and its adjoint, and the Dirichlet
+    values re-imposed after each primal step: the primal step uhat, the
+    dual step bhat of three rows per cell from the extrapolation
+    2 uhat - u, projected onto the 3-D ball of radius a, then (u, b) moved
+    by 1.9 times the way to (uhat, bhat).  L^2 is the Gershgorin bound of
+    K^T K for the masked operator K, built here from those array
+    functions.  B, the pairing and the three-row div B are taken from
+    bhat; the gap's primal term runs over the cells where a does not
+    vanish.  It runs `steps` iterations with a checkpoint every
+    4 max(nx, ny) of them, and has no stopping rule of its own.
+    Returns (u, (B1, B2), histories, L^2).
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
-    l2 = sigma0.M * (4.0 / grid.hx**2 + 4.0 / grid.hy**2)
+    r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
+    hg = np.sqrt((sigma0.s11 * grid.hy**2 + sigma0.s22 * grid.hx**2) / 12.0)
+    active = ~void
+
+    def apply_k(vals):
+        g1, g2 = grad(grid, vals)
+        return (np.where(active, r11 * g1 + r12 * g2, 0.0),
+                np.where(active, r12 * g1 + r22 * g2, 0.0),
+                np.where(active, hg * _twist(grid, vals), 0.0))
+
+    def apply_kt(w):
+        w1, w2, w3 = (np.where(active, x, 0.0) for x in w)
+        return (grad_adjoint(grid, r11 * w1 + r12 * w2, r12 * w1 + r22 * w2)
+                + _twist_adjoint(grid, hg * w3))
+
+    l2 = _dense_gershgorin(grid, apply_k, apply_kt)
     fb = t.f.values.ravel()[grid.boundary_ids]
     omega = float(fb.max() - fb.min()) or 1.0
     tau, sig = omega / (4.0 * np.sqrt(l2)), 4.0 / (omega * np.sqrt(l2))
-    r11, r12, r22 = sym2_sqrt(sigma0.s11, sigma0.s12, sigma0.s22)
-    active = ~void
     a_active = np.where(active, a_hat, 0.0)
     system = assemble(1.0, Layout(sigma0, exclude_cells=void))
     uv = solve_dirichlet(system, t.f).values.copy()
-    fvals = t.f.values.ravel()[grid.boundary_ids]
     rho = 1.9
-    b1 = np.zeros(grid.cell_shape)
-    b2 = np.zeros(grid.cell_shape)
+    b = np.zeros((3,) + grid.cell_shape)
     hist = {"tv_history": [], "gap_history": [], "divergence_history": []}
     record_every = 4 * max(grid.nx, grid.ny)
     for it in range(steps):
-        q1 = r11 * b1 + r12 * b2
-        q2 = r12 * b1 + r22 * b2
-        u_hat = uv - tau * grad_adjoint(grid, q1, q2)
-        u_hat.ravel()[grid.boundary_ids] = fvals
-        g1, g2 = grad(grid, 2.0 * u_hat - uv)
-        bh1 = b1 + sig * np.where(active, r11 * g1 + r12 * g2, 0.0)
-        bh2 = b2 + sig * np.where(active, r12 * g1 + r22 * g2, 0.0)
-        nrm = np.hypot(bh1, bh2)
-        scale = np.where(nrm > a_hat, a_hat / np.maximum(nrm, 1e-300), 1.0)
-        bh1 *= scale
-        bh2 *= scale
+        u_hat = uv - tau * apply_kt(b)
+        u_hat.ravel()[grid.boundary_ids] = fb
+        bh = b + sig * np.array(apply_k(2.0 * u_hat - uv))
+        nrm = np.sqrt(np.sum(bh**2, axis=0))
+        bh *= np.where(nrm > a_hat, a_hat / np.maximum(nrm, 1e-300), 1.0)
         uv = uv + rho * (u_hat - uv)
-        b1 = b1 + rho * (bh1 - b1)
-        b2 = b2 + rho * (bh2 - b2)
-        qh1 = r11 * bh1 + r12 * bh2
-        qh2 = r12 * bh1 + r22 * bh2
+        b = b + rho * (bh - b)
         if (it + 1) % record_every == 0:
             hist["tv_history"].append(amax * weighted_tv(uv, a_hat, sigma0))
             primal = weighted_tv(uv, a_active, sigma0)
-            g1, g2 = grad(grid, uv)
-            pairing = float(np.sum(g1 * qh1 + g2 * qh2)) * grid.cell_area
+            pairing = float(np.sum(np.array(apply_k(uv)) * bh)) * grid.cell_area
             hist["gap_history"].append(abs(primal - pairing) / primal)
-            div = grad_adjoint(grid, amax * qh1, amax * qh2)[grid.interior_mask()]
+            div = amax * apply_kt(bh)[grid.interior_mask()]
             hist["divergence_history"].append(float(np.sqrt(np.mean(div**2))))
-    return uv, (amax * qh1, amax * qh2), hist
+    b1, b2 = amax * (r11 * bh[0] + r12 * bh[1]), amax * (r12 * bh[0] + r22 * bh[1])
+    return uv, (b1, b2), hist, l2
 
 
 def _pd_triplet(void_patch=False, zero_below=0.0):
@@ -501,7 +561,8 @@ def _array_rel(x, ref):
 def test_primal_dual_matches_reference_loop(void_patch, zero_below):
     problem = TVProblem(_pd_triplet(void_patch, zero_below))
     u, B, info = minimize_tv_primal_dual(problem)
-    u_ref, (b1_ref, b2_ref), hist = _reference_primal_dual(problem, info["iterations"])
+    u_ref, (b1_ref, b2_ref), hist, l2 = _reference_primal_dual(problem, info["iterations"])
+    assert info["l2"] == pytest.approx(l2, rel=1e-12)
     assert _array_rel(u.values, u_ref) <= 1e-12
     assert _array_rel(B.v1, b1_ref) <= 1e-12
     assert _array_rel(B.v2, b2_ref) <= 1e-12
@@ -621,20 +682,20 @@ def test_every_feasible_dual_field_bounds_the_functional(recon33, bump33):
 def test_duality_gap_small_at_solution_large_off_solution(bump33):
     grid = bump33.grid
     u_true = ScalarField(grid, np.asarray(bump33.provenance["u_true"]))
-    J = compute_current(u_true, np.asarray(bump33.provenance["c_true"]), bump33.sigma0)
-    gap = duality_gap(u_true, bump33.f, J, bump33.a, bump33.sigma0)
+    c_true = np.asarray(bump33.provenance["c_true"])
+    gap = duality_gap(u_true, bump33.f, c_true, bump33.a, bump33.sigma0)
     assert gap <= 1e-3
     x, y = grid.node_coords()
     bad = ScalarField(grid, u_true.values + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    assert duality_gap(bad, bump33.f, J, bump33.a, bump33.sigma0) > 0.05
+    assert duality_gap(bad, bump33.f, c_true, bump33.a, bump33.sigma0) > 0.05
 
 
 def test_primal_dual_minimizer_closes_the_duality_gap(bump33):
-    # at a minimizer of the midpoint F, G^T J vanishes on the interior
-    # nodes, so only the boundary rows (the flux) remain to balance F
+    # at a minimizer of F_h, M^T (|K| J3) vanishes on the interior nodes,
+    # so only the boundary rows (the flux) remain to balance F_h
     rep = reconstruct(TVProblem(bump33), algorithm="primaldual")
     assert rep.diagnostics["primaldual"]["converged"]
-    assert rep.diagnostics["duality_gap"] <= 1e-6
+    assert rep.diagnostics["duality_gap"] <= 1e-8
 
 
 def _fiber_tensor(grid):
@@ -649,16 +710,16 @@ def _fiber_tensor(grid):
 
 
 def test_duality_gap_at_truth_under_varying_sigma0():
-    gaps = []
+    # the stored truth is the FEM potential and a = c rho_h, so it is the
+    # exact minimizer of F_h: the gap is the CG residual, not a quadrature
+    # error that falls under refinement; the bump's constant sigma0 is the
+    # control
     for n in (33, 65):
-        grid, c, _, f = bump_problem(n)
-        sigma0 = _fiber_tensor(grid)
-        trip = synthesize_triplet(c, sigma0, f, grid)
-        u_true = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
-        J = compute_current(u_true, np.asarray(trip.provenance["c_true"]), sigma0)
-        gaps.append(duality_gap(u_true, f, J, trip.a, sigma0))
-    assert gaps[0] <= 1e-3
-    assert gaps[1] <= gaps[0] / 3.0
+        grid, c, bump_sigma0, f = bump_problem(n)
+        for sigma0 in (_fiber_tensor(grid), bump_sigma0):
+            trip = synthesize_triplet(c, sigma0, f, grid)
+            u_true = ScalarField(grid, np.asarray(trip.provenance["u_true"]))
+            assert duality_gap(u_true, f, c, trip.a, sigma0) <= 1e-8
 
 
 def test_fixedpoint_recovers_c_under_varying_sigma0():
@@ -672,13 +733,14 @@ def test_fixedpoint_recovers_c_under_varying_sigma0():
 
 
 def test_boundary_flux_integral_known_value():
-    # B = (1, 0) on the unit square: the east wall (f = 1, B.n = 1) alone
-    # contributes, so the weighted outflow of f = x is exactly 1
+    # u = -x and c = 1 give J = (1, 0) on the unit square: the east wall
+    # (f = 1, J.n = 1) alone contributes, so the weighted outflow of f = x
+    # is exactly 1
     g = make_grid(17)
     x, _ = g.node_coords()
     f = ScalarField(g, x)
-    J = VectorField2(g, np.ones(g.cell_shape), np.zeros(g.cell_shape))
-    assert boundary_flux_integral(f, J) == pytest.approx(1.0, rel=1e-12)
+    s = TensorField2.constant(g, 1.0, 0.0, 1.0)
+    assert boundary_flux_integral(f, ScalarField(g, -x), 1.0, s) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_recover_c_inverse_crime(recon33):
@@ -690,8 +752,7 @@ def test_recover_c_inverse_crime(recon33):
 
 def test_recovered_conductivity_regenerates_data(recon33, bump33):
     cfill = np.where(recon33.mask_z, 1.0, recon33.c_rec.values)
-    u2 = solve_dirichlet(assemble(cfill, Layout(bump33.sigma0)), bump33.f, tol=1e-12)
-    a2 = compute_a(compute_current(u2, cfill, bump33.sigma0), bump33.sigma0)
+    _, _, a2 = solve_truth(cfill, bump33.sigma0, bump33.f, bump33.grid)
     cells = ~recon33.mask_z
     d = a2.values[cells] - bump33.a.values[cells]
     rel = float(np.sqrt(np.sum(d * d)) / np.sqrt(np.sum(bump33.a.values[cells] ** 2)))
