@@ -36,7 +36,10 @@ is its exact minimizer for the data a = c rho_h.  Two functions of the
 node values of u give it: `tv_density`, its one per-cell density rho_h,
 and `weighted_tv`, its one sum.  The minimizers, the recovery and every
 audit evaluate F_h through them, and the forward Dirichlet energy sums
-c |K| rho_h^2.
+c |K| rho_h^2.  Their gradients apply M^T without storing M, from the
+cell differences that give rho_h: `tv_gradient`, the gradient of the
+smoothed F_h, and `energy_gradient`, the stiffness product A(c) u over
+all nodes, whose boundary rows are the Dirichlet reactions.
 
 `label_cells` numbers the 4-connected components of a boolean cell
 plane, which the inclusion checks and the inclusion classification
@@ -335,6 +338,48 @@ def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
 # -- the weighted-TV functional ------------------------------------------------
 
 
+def _density_terms(uvals, sigma0: TensorField2, eps):
+    """(rho, w1, w2, twist): `tv_density` with sigma0 grad u and the twist it read."""
+    g1, g2, twist = _cell_differences(sigma0.grid, uvals)
+    w1, w2 = sigma0.apply(g1, g2)
+    q = w1 * g1
+    g2 *= w2
+    q += g2
+    np.maximum(q, 0.0, out=q)
+    g1 = np.multiply(twist, twist, out=g1)
+    g1 *= sigma0.hourglass
+    q += g1
+    if eps:
+        q += eps * eps
+    return np.sqrt(q, out=q), w1, w2, twist
+
+
+def _rows_adjoint(sigma0: TensorField2, k, w1, w2, twist):
+    """|K| M^T (k M u) on nodes from w = sigma0 grad u and the twist of u.
+
+    The first two rows of M_K^T M_K give grad^T (sigma0 grad u), the
+    hourglass row `sigma0.hourglass` times the twist's own transpose.
+    Overwrites w1, w2 and twist.
+    """
+    grid = sigma0.grid
+    k = k * grid.cell_area
+    w1 *= k
+    w1 /= 2.0 * grid.hx
+    w2 *= k
+    w2 /= 2.0 * grid.hy
+    twist *= k
+    twist *= sigma0.hourglass
+    twist /= grid.hx * grid.hy
+    total = w1 + w2
+    w1 -= w2
+    out = np.zeros(grid.shape)
+    out[:-1, :-1] += twist - total
+    out[:-1, 1:] += w1 - twist
+    out[1:, :-1] -= w1 + twist
+    out[1:, 1:] += total + twist
+    return out
+
+
 def tv_density(uvals, sigma0: TensorField2, eps: float = 0.0):
     """Per-cell (rho_K^2 + eps^2)^(1/2) of node values u, on sigma0's grid.
 
@@ -343,19 +388,34 @@ def tv_density(uvals, sigma0: TensorField2, eps: float = 0.0):
     hourglass amplitude, so |K| rho_K^2 = u_K^T S_K u_K is the cell's
     bilinear element energy for sigma0.
     """
-    g1, g2, twist = _cell_differences(sigma0.grid, uvals)
-    w1, w2 = sigma0.apply(g1, g2)
-    # in place on the new arrays: every fixed-point step evaluates it twice
-    q = w1 * g1
-    w2 *= g2
-    q += w2
-    np.maximum(q, 0.0, out=q)
-    twist *= twist
-    twist *= sigma0.hourglass
-    q += twist
-    if eps:
-        q += eps * eps
-    return np.sqrt(q, out=q)
+    return _density_terms(uvals, sigma0, eps)[0]
+
+
+def tv_gradient(uvals, avals, sigma0: TensorField2, eps: float = 0.0):
+    """(rho, g): rho = `tv_density(u, sigma0, eps)` and the node array
+    g = |K| M^T ((a / rho) M u), the gradient of `weighted_tv(u, a, sigma0, eps)`.
+
+    M = `cell_operator` at weight 1, applied without storing it: the
+    cell differences that give rho give M u, and its transpose scatters
+    them back to the corners.  g is the stiffness product A(a / rho) u of
+    the factor a / rho on sigma0, over all nodes: the lagged-diffusivity
+    identity.  A cell with rho = 0 (possible only at eps = 0) adds
+    nothing.  `energy_gradient` is the same product for a given factor.
+    """
+    rho, w1, w2, twist = _density_terms(uvals, sigma0, eps)
+    k = np.divide(avals, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return rho, _rows_adjoint(sigma0, k, w1, w2, twist)
+
+
+def energy_gradient(uvals, c, sigma0: TensorField2):
+    """|K| M^T (c M u) on nodes, the stiffness product A(c) u over all nodes.
+
+    It is the gradient of the Dirichlet energy (1/2) sum c |K| rho_h^2;
+    its boundary rows are the Dirichlet reactions.  `c` is a cell array
+    or a number.
+    """
+    _, w1, w2, twist = _density_terms(uvals, sigma0, 0.0)
+    return _rows_adjoint(sigma0, np.broadcast_to(c, sigma0.grid.cell_shape), w1, w2, twist)
 
 
 def weighted_tv(uvals, avals, sigma0: TensorField2, eps: float = 0.0) -> float:

@@ -39,10 +39,10 @@ a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
 own tying and dropping of unknowns, damped Jacobi smoothing weighted by
 the Gershgorin bound of D^-1 A, and a dense Cholesky solve on the
 coarsest level.  Its CG iteration count stays roughly flat under
-refinement.  A refill may keep the coarse levels of an earlier system on
-the same layout and rebuild only the fine level; CG still solves the new
-matrix to its tolerance, only the preconditioner lags.  Every step has a
-fixed operation order, so repeated runs are bit-identical.
+refinement.  Every assembly builds its own hierarchy.  `cg_correction`
+runs a fixed number of the same CG iterations, with no tolerance, as the
+approximate inverse of a defect correction.  Every step has a fixed
+operation order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -361,29 +361,14 @@ class Multigrid:
 
     `matrix` has the pattern of `layout` (see `Layout`), whose
     prolongations the cycle uses; its diagonal is read at the layout's
-    fixed positions.  The hierarchy is every level >= 1 with its Jacobi
-    weights and the coarsest factor.  It is built from `matrix`, or taken
-    unchanged from `hierarchy`, an earlier `Multigrid` on the same
-    `Layout`.  Level 0 and its weights always come from `matrix`, so a
-    reused hierarchy lags only the preconditioner: the cycle is still
-    SPD, because the smoother contracts in the new energy norm and the
-    coarse correction is an SPD cycle of its own.
+    fixed positions.
     """
 
-    def __init__(self, matrix, layout: Layout, hierarchy: Multigrid | None = None):
-        if hierarchy is not None and hierarchy.layout is not layout:
-            raise AssemblyError("multigrid hierarchy was built on another layout")
-        self.layout = layout
+    def __init__(self, matrix, layout: Layout):
         self.levels = [matrix]
-        self.prolongations = prolongations = layout.prolongations
+        self.prolongations = layout.prolongations
         fine = matrix.data[layout.diagonal]
-        if hierarchy is not None and prolongations:
-            self.levels += hierarchy.levels[1:]
-            self.smoothers = [_jacobi(matrix, fine)] + hierarchy.smoothers[1:]
-            self.coarse_scale = hierarchy.coarse_scale
-            self.coarse_inverse_factor = hierarchy.coarse_inverse_factor
-            return
-        for p, pt in prolongations:
+        for p, pt in self.prolongations:
             self.levels.append((pt @ (self.levels[-1] @ p)).tocsr())
         diagonals = [fine] + [a.diagonal() for a in self.levels[1:-1]]
         self.smoothers = [_jacobi(a, d) for a, d in zip(self.levels[:-1], diagonals)]
@@ -397,16 +382,6 @@ class Multigrid:
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("coarsest multigrid operator is not positive definite") from exc
         self.coarse_inverse_factor = np.linalg.inv(factor)
-
-    def release_fine_level(self) -> Multigrid:
-        """Free level 0 and its weights; what is left can only seed a refill.
-
-        Passed as the `hierarchy` of the next refill on the same layout, it
-        keeps one fine level alive during that refill instead of two.
-        """
-        self.levels = [None] + self.levels[1:]
-        self.smoothers = [None] + self.smoothers[1:]
-        return self
 
     def __matmul__(self, x):
         return self.levels[0] @ x
@@ -527,22 +502,19 @@ class LinearSystem:
         return -(self.coupling @ boundary_values), lift
 
 
-def assemble(c, layout: Layout, hierarchy: Multigrid | None = None):
+def assemble(c, layout: Layout, grid: Grid2D | None = None):
     """Fill `layout` with the coefficient c * sigma0: the one product of its
-    stiffness map with c.
+    stiffness map with c, and the V-cycle built on it (see `Multigrid`).
 
     `c` is a cell array or a number and must be positive on every
-    contributing cell of the layout.  Passing an earlier system's `matrix`
-    on the same layout (or what its `release_fine_level` left) as
-    `hierarchy` keeps its coarse multigrid levels, so only the fine level
-    is rebuilt (see `Multigrid`); a hierarchy from another layout raises
-    AssemblyError.  `assemble(c, sigma0, grid)`, the problem without
-    inclusions, is the call form that `perfbench/test_perfbench.py` uses.
+    contributing cell of the layout.  `assemble(c, sigma0, grid)`, the
+    problem without inclusions, is the call form that
+    `perfbench/test_perfbench.py` uses; `grid` is read only there.
     """
     if isinstance(layout, TensorField2):
-        if not (isinstance(hierarchy, Grid2D) and hierarchy.same_layout(layout.grid)):
+        if not (isinstance(grid, Grid2D) and grid.same_layout(layout.grid)):
             raise AssemblyError("assemble(c, sigma0, grid) needs sigma0's grid")
-        layout, hierarchy = Layout(layout), None
+        layout = Layout(layout)
     grid = layout.grid
     c = np.asarray(c, dtype=np.float64)
     if c.shape == ():
@@ -560,7 +532,7 @@ def assemble(c, layout: Layout, hierarchy: Multigrid | None = None):
     fine = sparse.csr_matrix((data[:nnz], layout.indices, layout.indptr), shape=(m, m))
     coupling = sparse.csr_matrix((data[nnz:], layout.coupling_indices, layout.coupling_indptr),
                                  shape=(m, grid.boundary_ids.size))
-    return LinearSystem(layout, Multigrid(fine, layout, hierarchy), coupling)
+    return LinearSystem(layout, Multigrid(fine, layout), coupling)
 
 
 # -- conjugate gradients -------------------------------------------------------
@@ -574,13 +546,38 @@ def _dot(a, b):
     return float(np.sum(a * b))
 
 
+def _cg_steps(matrix: Multigrid, x, r):
+    """CG iterations on `matrix` preconditioned by its V-cycle, from x with
+    residual r = b - A x.
+
+    A generator: each iteration, one V-cycle and one product with the
+    matrix, updates x and r in place and yields.  It ends where p^T A p
+    is 0, which leaves no step to take: the residual has underflowed.
+    """
+    rz = None
+    while True:
+        z = matrix.vcycle(r)
+        rz_new = _dot(r, z)
+        p = z if rz is None else z + (rz_new / rz) * p
+        rz = rz_new
+        ap = matrix @ p
+        curvature = _dot(p, ap)
+        if curvature == 0.0:
+            return
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * ap
+        yield
+
+
 def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
     """CG on `matrix` preconditioned by its V-cycle.
 
     Stops when the relative residual |b - A x| / |b| meets tol and
     returns (x, relative residual, iterations).  A right-hand side whose
     norm is not finite, or a residual that is not, raises ConvergenceError
-    at once: no later step can make it finite again.
+    at once: no later step can make it finite again.  So does a
+    breakdown of `_cg_steps` short of tol.
     """
     x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
     bnorm = np.sqrt(_dot(b, b))
@@ -592,28 +589,33 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
     res = np.sqrt(_dot(r, r)) / bnorm
     if res <= tol:
         return x, res, 0
-    z = matrix.vcycle(r)
-    p = z.copy()
-    rz = _dot(r, z)
-    for it in range(1, max_iter + 1):
-        ap = matrix @ p
-        alpha = rz / _dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
+    it = 0
+    for it, _ in zip(range(1, max_iter + 1), _cg_steps(matrix, x, r)):
         res = np.sqrt(_dot(r, r)) / bnorm
         if res <= tol:
             return x, res, it
         if not np.isfinite(res):
             raise ConvergenceError(f"CG residual is not finite ({res}) at iteration {it}", res, it)
-        z = matrix.vcycle(r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    if it < max_iter:
+        raise ConvergenceError(f"CG broke down after {it} iterations (residual {res:.3e})", res, it)
     raise ConvergenceError(
         f"CG did not reach tol={tol} within {max_iter} iterations (residual {res:.3e})",
         residual=res,
         iterations=max_iter,
     )
+
+
+def cg_correction(matrix: Multigrid, r, iterations: int):
+    """x after `iterations` preconditioned CG iterations on A x = r from x = 0.
+
+    No tolerance: a fixed number of V-cycles and products with the
+    matrix, the approximate inverse of A that a defect correction
+    applies.  A breakdown of `_cg_steps` returns the x reached before it.
+    """
+    x = np.zeros_like(r)
+    for _ in zip(range(iterations), _cg_steps(matrix, x, r.copy())):
+        pass
+    return x
 
 
 def _boundary_values(grid: Grid2D, f: ScalarField) -> np.ndarray:

@@ -15,13 +15,14 @@ kept separate on purpose:
   the map Phi solves div(c_eff sigma0 grad u) = 0 with
   c_eff = a / (rho_h(u_prev)^2 + eps^2)^(1/2), which is the exact
   stationarity of the smoothed F_h, since |K| rho_K^2 is the element
-  energy the solve assembles; each stage iterates it under type-II
+  energy the solve assembles.  Each step applies Phi as a defect
+  correction: the gradient of F_eps, taken matrix-free
+  (`fields.tv_gradient`), corrected by two CG iterations on one
+  operator assembled per stage.  Each stage iterates it under type-II
   Anderson mixing over the last five steps (restarted at every stage,
   reset to the plain step Phi(u) whenever the residual Phi(u) - u grows
-  or the mixing system is singular), which reaches the same fixed point
-  as the plain iteration in fewer solves; the multigrid coarse levels of
-  those solves are rebuilt once per stage and only the fine level at
-  every step;
+  or the mixing system is singular), which needs only that approximate
+  inverse and stops where the gradient vanishes;
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
   min_u max_b <M u, b> over the per-cell balls |b_K| <= a_K in R^3, the
   three rows of M per cell, with a step bound L^2 that is the Gershgorin
@@ -59,15 +60,17 @@ from .fields import (
     TensorField2,
     VectorField2,
     cell_operator,
+    energy_gradient,
     label_cells,
     nodes_of_cells,
     rel_l2,
     sym2_apply,
     sym2_sqrt,
     tv_density,
+    tv_gradient,
     weighted_tv,
 )
-from .forward import Layout, _dot, assemble, solve_dirichlet
+from .forward import Layout, _dot, _fill_isolated, assemble, cg_correction, solve_dirichlet
 from .geometry import weighted_perimeter
 from .schema import InputError, Key, validate
 
@@ -91,8 +94,10 @@ class TVProblem:
     """Configuration for the TV minimizers.
 
     fp_tol and max_inner stop each eps-stage of the fixed point (see
-    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`) and
-    the CG tolerance of both minimizers (`forward.CG_TOL`) are fixed.
+    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`), the CG
+    iterations of its step (`_CORRECTION_ITERATIONS`) and the CG
+    tolerance of both minimizers' initial solves (`forward.CG_TOL`) are
+    fixed.
     pd_iterations caps the primal-dual steps; their sizes follow from f
     and the operator, and the checkpoints of its stopping rule from the grid
     (see `minimize_tv_primal_dual`).  Cells where a vanishes are left
@@ -212,40 +217,58 @@ class _Anderson:
         return u + r
 
 
+# CG iterations of the fixed point's correction, each one V-cycle of the
+# stage operator.  At default settings they converge every stage on the
+# bump at n = 17 / 33 / 65 / 129 and on the fiber sigma0 at n = 33 / 65 /
+# 129; two stationary V-cycles run the fiber sigma0's last stage out of
+# steps at n = 129.
+_CORRECTION_ITERATIONS = 2
+
+
 def minimize_tv_fixedpoint(problem: TVProblem):
     """Anderson-accelerated lagged-diffusivity minimization with eps-continuation.
 
-    The map Phi(u) is one lagged-diffusivity step: assemble with
-    c_eff = a / (rho_h(u)^2 + eps^2)^(1/2) and solve, warm
-    started at u.  Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k)
-    with `_Anderson`, restarted at the stage, and ends with Phi(u_k) at
-    the first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= tol or
-    after max_inner steps.  Only the last stage, whose potential is
-    returned, uses tol = fp_tol; the stages before it only warm-start it
-    and stop at the looser tol = max(sqrt(fp_tol), fp_tol) (inexact
-    continuation, Hale, Yin & Zhang 2008).  Each step refills the matrix
-    on one layout; its multigrid coarse levels are built at a stage's
-    first step and kept for the stage, whose coefficient barely moves (CG
-    still meets `forward.CG_TOL`).  A step's fine level is released before
-    the next refill.
+    The lagged-diffusivity map Phi(u) solves A(c_eff) v = 0 on the free
+    nodes with v = f on the boundary, c_eff = a / rho_eps(u) and
+    rho_eps = (rho_h^2 + eps^2)^(1/2); its fixed points are the
+    stationary points of F_eps[u] = sum_K a_K |K| rho_eps,K(u), since
+    A(c_eff(u)) u is the gradient of F_eps (`fields.tv_gradient`).  The
+    step applies Phi as a defect correction:
+    Phi(u) = u - B grad F_eps(u) on the free nodes, the gradient taken
+    matrix-free from the cell differences, and B the approximate inverse
+    of `_CORRECTION_ITERATIONS` CG iterations (`forward.cg_correction`)
+    on the stage operator A_s = A(c_eff(u_0)), assembled with its
+    multigrid hierarchy once per stage from the stage's first iterate
+    u_0.  Anderson mixing needs no exact inverse, and the fixed point of
+    this map is still where the gradient vanishes.  Nodes with no
+    stiffness get the neighbor-mean fill of the solves.
+
+    Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k) with
+    `_Anderson`, restarted at the stage, and ends with Phi(u_k) at the
+    first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= tol or after
+    max_inner steps.  Only the last stage, whose potential is returned,
+    uses tol = fp_tol; the stages before it only warm-start it and stop
+    at the looser tol = max(sqrt(fp_tol), fp_tol) (inexact continuation,
+    Hale, Yin & Zhang 2008).
 
     Returns (u, info).  info records, per stage, the smoothed functional
-    of each Phi(u_k) (in absolute units), the inner and CG iteration
-    counts, its stopping tolerance (`tol`), the last relative change,
-    whether it met that tol (`converged`), the number of Anderson
+    F_eps of each iterate u_k (in absolute units, from the rho_eps of its
+    gradient), the inner iteration count, the V-cycles of its corrections
+    (`vcycles`), its stopping tolerance (`tol`), the last relative
+    change, whether it met that tol (`converged`), the number of Anderson
     safeguard resets (`restarts`), and whether that functional never rose
-    beyond round-off from one Phi(u_k) to the next (`monotone`).  A mixed
+    beyond round-off from one u_k to the next (`monotone`).  A mixed
     iterate carries no descent guarantee, so on hard data (noise,
     inclusions) a stage can rise slightly; that is flagged in
-    `nonmonotone_flag`, not fatal.  The run's CG total also counts the
-    initial solve.
+    `nonmonotone_flag`, not fatal.  `total_cg_iterations` counts the CG
+    iterations of the initial solve, the one solve to a tolerance.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
     t = problem.triplet
     # eps lives in rho_h units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
-    # a -> alpha a (the effective coefficient just rescales, which CG
-    # relative tolerances and the multigrid cycle cannot see).
+    # a -> alpha a (the effective coefficient just rescales, which the CG
+    # correction and the multigrid cycle cannot see).
     schedule = _eps_schedule(sigma0)
 
     layout = Layout(sigma0, exclude_cells=void)
@@ -255,6 +278,13 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     total_cg = system.cg_iterations
     system = None
     mixer = _Anderson(grid.shape)
+    # the node of each reduced unknown (this layout ties no nodes) and the
+    # free nodes with no unknown
+    free = layout.free_nodes
+    unknown = layout.node_kept[free]
+    nodes = np.empty(layout.n_unknowns, dtype=np.int64)
+    nodes[unknown[unknown >= 0]] = free[unknown >= 0]
+    isolated = free[unknown < 0]
 
     stages = []
     flagged = False
@@ -264,25 +294,25 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         tol = problem.fp_tol if stage == len(schedule) else warm_tol
         mixer.reset()
         hist = []
-        cg = 0
-        # a stage's first step builds the coarse levels; later ones keep them
-        hierarchy = None
         for inner in range(1, problem.max_inner + 1):
-            weight = tv_density(uvals, sigma0, eps_hat)
-            c_eff = np.where(~void, a_hat / weight, 1.0)
-            system = assemble(c_eff, layout, hierarchy)
-            phi = solve_dirichlet(system, t.f, x0=uvals).values
-            cg += system.cg_iterations
-            # only the coarse levels outlive the step, so a refill holds one fine level
-            hierarchy, system = system.matrix.release_fine_level(), None
+            rho, gradient = tv_gradient(uvals, a_hat, sigma0, eps_hat)
+            hist.append(amax * float(np.sum(a_hat * rho)) * grid.cell_area)
+            if inner == 1:
+                operator = assemble(np.where(~void, a_hat / rho, 1.0), layout).matrix
+            phi = uvals.copy()
+            phi.ravel()[nodes] -= cg_correction(operator, gradient.ravel()[nodes],
+                                                _CORRECTION_ITERATIONS)
+            if isolated.size:
+                phi.ravel()[isolated] = np.nan
+                phi = _fill_isolated(grid, phi)
             rel = _masked_rel_change(phi, uvals)
-            hist.append(amax * weighted_tv(phi, a_hat, sigma0, eps_hat))
             if rel <= tol or inner == problem.max_inner:
                 uvals = phi
                 break
             uvals = mixer.step(uvals, phi - uvals)
+        # the stage's hierarchy goes before the next stage builds its own
+        operator = None
         total_inner += inner
-        total_cg += cg
         drops = np.diff(np.asarray(hist))
         monotone = bool(np.all(drops <= 1e-10 * (1.0 + abs(hist[0]))))
         if not monotone:
@@ -291,7 +321,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             {
                 "eps": eps_hat,
                 "inner_iterations": inner,
-                "cg_iterations": cg,
+                "vcycles": inner * _CORRECTION_ITERATIONS,
                 "tol": tol,
                 "converged": rel <= tol,
                 "final_rel_change": rel,
@@ -534,20 +564,18 @@ def boundary_flux_integral(f: ScalarField, u: ScalarField, c, sigma0: TensorFiel
 
     The current has three rows per cell, J3 = -c M u with M =
     `cell_operator` at weight 1, and c a cell array or field (0 on the
-    cells it leaves out).  The node array M^T (|K| J3) is the discrete
-    -div J of the bilinear element: its interior rows are minus the
-    gradient of F_h at u when c = a / rho_h, and its boundary rows are
-    the Dirichlet reactions, the outward flux.  The integral is f dotted
-    with those boundary rows.  (The curvature audit reads the physical
-    two-row current instead: `geometry.curvature_residual`.)
+    cells it leaves out).  The node array M^T (|K| J3) =
+    -`energy_gradient(u, c)` is the discrete -div J of the bilinear
+    element: its interior rows are minus the gradient of F_h at u when
+    c = a / rho_h, and its boundary rows are the Dirichlet reactions, the
+    outward flux.  The integral is f dotted with those boundary rows.
+    (The curvature audit reads the physical two-row current instead:
+    `geometry.curvature_residual`.)
     """
-    grid = u.grid
-    rim = grid.boundary_ids
-    m = cell_operator(grid, sigma0, 1.0)
+    rim = u.grid.boundary_ids
     c = c.values if isinstance(c, ScalarField) else c
-    j3 = -np.tile(np.broadcast_to(c, grid.cell_shape).ravel(), 3) * (m @ u.values.ravel())
-    flux = (m.T @ j3)[rim]
-    return float(np.dot(f.values.ravel()[rim], flux)) * grid.cell_area
+    flux = -energy_gradient(u.values, c, sigma0).ravel()[rim]
+    return float(np.dot(f.values.ravel()[rim], flux))
 
 
 def duality_gap(u: ScalarField, f: ScalarField, c, a: ScalarField,

@@ -13,6 +13,7 @@ from acdii.fields import (
     TensorField2,
     grad,
     cell_operator,
+    energy_gradient,
     grad_adjoint,
     label_cells,
     sample_cell_field,
@@ -21,6 +22,7 @@ from acdii.fields import (
     sym2_inv,
     sym2_sqrt,
     tv_density,
+    tv_gradient,
 )
 from conftest import make_grid, rotated_tensor
 
@@ -128,6 +130,39 @@ def test_cell_operator_gradient_rows_are_tensor_times_grad(nx, ny, hx, hy, seed)
     ref = grad_adjoint(grid, *sym2_apply(*t, w1, w2)).ravel()
     out = k.T @ np.concatenate([w1.ravel(), w2.ravel()])
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    nx=st.integers(3, 30),
+    ny=st.integers(3, 30),
+    hx=st.floats(1e-3, 10.0),
+    hy=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_free_gradients_are_the_stored_operator_products(nx, ny, hx, hy, seed):
+    # energy_gradient is |K| M^T (c M u) with the stored M at weight 1 on
+    # every node, the boundary rows too, for a factor c that vanishes on
+    # some cells; tv_gradient is the same product at c = a / rho_eps
+    grid = Grid2D(nx, ny, hx, hy)
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, np.pi, grid.cell_shape)
+    d1, d2 = rng.uniform(0.1, 10.0, (2,) + grid.cell_shape)
+    ct, sn = np.cos(angle), np.sin(angle)
+    sigma0 = TensorField2(grid, d1 * ct * ct + d2 * sn * sn, (d1 - d2) * sn * ct,
+                          d1 * sn * sn + d2 * ct * ct)
+    u = rng.standard_normal(grid.shape)
+    c = np.where(rng.uniform(size=grid.cell_shape) < 0.2, 0.0,
+                 rng.uniform(0.1, 10.0, grid.cell_shape))
+    m = cell_operator(grid, sigma0, 1.0)
+    ref = m.T @ (np.tile(c.ravel(), 3) * (m @ u.ravel())) * grid.cell_area
+    got = energy_gradient(u, c, sigma0).ravel()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+    eps = rng.uniform(0.01, 1.0)
+    rho, gradient = tv_gradient(u, c, sigma0, eps)
+    assert np.array_equal(rho, tv_density(u, sigma0, eps))
+    ref = energy_gradient(u, c / rho, sigma0)
+    assert np.max(np.abs(gradient - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300)
 
 
 def test_cell_operator_hourglass_row_sees_what_grad_does_not():

@@ -25,6 +25,7 @@ from acdii.inverse import (
     TVConfigError,
     TVProblem,
     _ANDERSON_DEPTH,
+    _CORRECTION_ITERATIONS,
     _EPS_STAGES,
     _Anderson,
     _PD_CHECK,
@@ -142,12 +143,14 @@ def test_fixedpoint_stages_report_cg_work_and_convergence():
     for st in stages:
         assert st["converged"] == (st["final_rel_change"] <= st["tol"])
         assert st["converged"] or st["inner_iterations"] == problem.max_inner
-        assert st["cg_iterations"] > 0
+        # every step's correction is a fixed number of CG iterations, one V-cycle each
+        assert st["vcycles"] == _CORRECTION_ITERATIONS * st["inner_iterations"]
+        assert len(st["smoothed_history"]) == st["inner_iterations"]
     assert all(st["converged"] and st["inner_iterations"] == 1 for st in stages[:-1])
     assert not stages[-1]["converged"]
     assert stages[-1]["inner_iterations"] == problem.max_inner
-    # the run total also counts the initial cold solve
-    assert info["total_cg_iterations"] > sum(st["cg_iterations"] for st in stages)
+    # the run's one CG solve to a tolerance is the initial cold solve
+    assert info["total_cg_iterations"] > 0
 
 
 @pytest.mark.parametrize("fp_tol", [1e-10, 1e-6, 2.0])
@@ -167,14 +170,13 @@ def test_fixedpoint_warm_start_stages_stop_at_sqrt_fp_tol(fp_tol):
 
 def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     # count the multigrid hierarchies built: one for the initial solve and
-    # one per stage, whose later steps refill only the fine level
+    # one per stage, whose operator every step of the stage reuses
     builds = []
 
     class CountingMultigrid(forward.Multigrid):
-        def __init__(self, matrix, layout, hierarchy=None):
-            if hierarchy is None:
-                builds.append(matrix.shape)
-            super().__init__(matrix, layout, hierarchy)
+        def __init__(self, matrix, layout):
+            builds.append(matrix.shape)
+            super().__init__(matrix, layout)
 
     monkeypatch.setattr(forward, "Multigrid", CountingMultigrid)
     problem = TVProblem(bump33)
@@ -185,13 +187,17 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     # half of the 8 x 50 budget, which the unmixed lagged iteration uses
     # up here without meeting fp_tol in any stage
     assert info["total_inner_iterations"] <= 200
-    # u is a fixed point: one more lagged step at the final eps barely moves it
+    assert _lagged_step_change(problem, u) <= 10.0 * problem.fp_tol
+
+
+def _lagged_step_change(problem, u):
+    """rel_l2(u, Phi(u)), Phi the lagged-diffusivity step at the final eps solved by CG."""
     grid, sigma0, _, a_hat, void = _normalized_data(problem)
     eps = _eps_schedule(sigma0)[-1]
     weight = tv_density(u.values, sigma0, eps)
     system = assemble(np.where(~void, a_hat / weight, 1.0), Layout(sigma0, exclude_cells=void))
-    step = solve_dirichlet(system, bump33.f, x0=u.values)
-    assert rel_l2(u.values, step.values) <= 10.0 * problem.fp_tol
+    step = solve_dirichlet(system, problem.triplet.f, x0=u.values, tol=1e-13)
+    return rel_l2(u.values, step.values)
 
 
 def test_anderson_mixing_solves_affine_map_exactly():
@@ -722,9 +728,20 @@ def test_duality_gap_at_truth_under_varying_sigma0():
             assert duality_gap(u_true, f, c, trip.a, sigma0) <= 1e-8
 
 
+def test_fixedpoint_returns_a_fixed_point_under_varying_sigma0():
+    # the step applies only an approximate inverse of the stage operator,
+    # but its fixed point is where the gradient of F_eps vanishes: the
+    # exact lagged step from u barely moves it (9.5e-11 at fp_tol 1e-10)
+    grid, c, _, f = bump_problem(33)
+    problem = TVProblem(synthesize_triplet(c, _fiber_tensor(grid), f, grid))
+    u, info = minimize_tv_fixedpoint(problem)
+    assert all(st["converged"] for st in info["stages"])
+    assert _lagged_step_change(problem, u) <= 10.0 * problem.fp_tol
+
+
 def test_fixedpoint_recovers_c_under_varying_sigma0():
     # the fiber sigma0 at n = 65: every stage meets its tol and c comes
-    # back to 6.0e-5 off the mask (the bound is about 3x that)
+    # back to 6.4e-5 off the mask (the bound is about 3x that)
     grid, c, _, f = bump_problem(65)
     trip = synthesize_triplet(c, _fiber_tensor(grid), f, grid)
     report = reconstruct(TVProblem(trip))
