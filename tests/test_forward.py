@@ -675,6 +675,42 @@ def test_vcycle_is_symmetric(kind):
     assert u @ bu > 0.0 and v @ bv > 0.0
 
 
+def _refilled_case(kind, nx, ny):
+    """A second coefficient assembled on a reused layout, and its case."""
+    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
+    first = assemble(c, Layout(sigma0, incl, excl))
+    c2 = c * (1.5 + np.cos(3.0 * grid.cell_centers()[0]))
+    system = assemble(c2, first.layout)
+    mg = system.matrix
+    # the layout's prolongation hierarchy is shared; every level is rebuilt
+    assert mg.prolongations is first.matrix.prolongations
+    assert all(a is not b for a, b in zip(mg.levels, first.matrix.levels))
+    assert abs(mg.levels[0] - first.matrix.levels[0]).max() > 0.1 * abs(mg.levels[0]).max()
+    return system, (c2, sigma0, grid, incl, excl, f)
+
+
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_vcycle_on_a_reused_hierarchy_is_symmetric_and_positive(kind):
+    # the whole operator, densely: a smoother or coarse level left from the
+    # first coefficient passes random-vector checks but makes the cycle indefinite
+    mg = _refilled_case(kind, 33, 27)[0].matrix
+    cycle = np.column_stack([mg.vcycle(e) for e in np.eye(mg.levels[0].shape[0])])
+    assert np.abs(cycle - cycle.T).max() <= 1e-13 * np.abs(cycle).max()
+    assert np.linalg.eigvalsh(cycle).min() > 0.0
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_cg_on_a_reused_hierarchy_matches_sparse_direct_solve(kind, nx, ny):
+    system, (c2, sigma0, grid, incl, excl, f) = _refilled_case(kind, nx, ny)
+    b, _ = system.rhs(f.ravel()[grid.boundary_ids])
+    x, res, _ = _pcg(system.matrix, b, 1e-12, 1000)
+    ref, to_rhs = coo_reduced_system(c2, sigma0, grid, incl, excl)
+    direct = spsolve(ref.tocsc(), to_rhs @ f.ravel()[grid.boundary_ids])
+    assert res <= 1e-12
+    assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_cg_correction_is_a_fixed_number_of_pcg_iterations(kind):
     c, sigma0, grid, incl, excl, f = _layout_case(kind, 33, 27)
