@@ -39,7 +39,9 @@ audit evaluate F_h through them, and the forward Dirichlet energy sums
 c |K| rho_h^2.  Their gradients apply M^T without storing M, from the
 cell differences that give rho_h: `tv_gradient`, the gradient of the
 smoothed F_h, and `energy_gradient`, the stiffness product A(c) u over
-all nodes, whose boundary rows are the Dirichlet reactions.
+all nodes, whose boundary rows are the Dirichlet reactions.  The
+smoothed F_h's Hessian is a per-cell element array (`tv_hessian`), in
+the layout of the element stiffness (`element_stiffness`).
 
 `label_cells` numbers the 4-connected components of a boolean cell
 plane, which the inclusion checks and the inclusion classification
@@ -303,6 +305,20 @@ def grad_adjoint(grid: Grid2D, w1, w2):
     return out
 
 
+def _cell_rows(grid: Grid2D, sigma0: TensorField2, weight):
+    """The rows of `cell_operator` by corner: rows[p] = (first, second,
+    hourglass) row value of corner p (sw, se, nw, ne), each a flat cell array."""
+    # numpy scalars: a square that overflows is inf, which CG reports, not an OverflowError
+    hx, hy = np.float64(grid.hx), np.float64(grid.hy)
+    d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * hx)
+    d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * hy)
+    twist = np.array([1.0, -1.0, -1.0, 1.0]) / (hx * hy)
+    weight = np.broadcast_to(weight, grid.cell_shape)
+    t11, t12, t22 = ((weight * r).ravel() for r in sym2_sqrt(*sigma0.entries))
+    h = (weight * np.sqrt(sigma0.hourglass)).ravel()
+    return [(t11 * d1[p] + t12 * d2[p], t12 * d1[p] + t22 * d2[p], h * twist[p]) for p in range(4)]
+
+
 def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
     """CSR matrix M of the bilinear cell: three rows per cell.
 
@@ -321,15 +337,7 @@ def cell_operator(grid: Grid2D, sigma0: TensorField2, weight):
     rows, cols = np.indices(grid.cell_shape, dtype=np.int32)
     sw = (rows * grid.nx + cols).ravel()
     corners = np.stack([sw, sw + 1, sw + grid.nx, sw + grid.nx + 1], axis=1)
-    # numpy scalars: a square that overflows is inf, which CG reports, not an OverflowError
-    hx, hy = np.float64(grid.hx), np.float64(grid.hy)
-    d1 = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * hx)
-    d2 = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * hy)
-    twist = np.array([1.0, -1.0, -1.0, 1.0]) / (hx * hy)
-    weight = np.broadcast_to(weight, grid.cell_shape)
-    t11, t12, t22 = ((weight * r).reshape(-1, 1) for r in sym2_sqrt(*sigma0.entries))
-    h = (weight * np.sqrt(sigma0.hourglass)).reshape(-1, 1)
-    data = np.concatenate([t11 * d1 + t12 * d2, t12 * d1 + t22 * d2, h * twist]).ravel()
+    data = np.stack(_cell_rows(grid, sigma0, weight), axis=2).ravel()
     indices = np.concatenate([corners, corners, corners]).ravel()
     indptr = np.arange(0, 12 * ncells + 1, 4, dtype=np.int32)
     return sparse.csr_matrix((data, indices, indptr), shape=(3 * ncells, grid.n_nodes))
@@ -405,6 +413,54 @@ def tv_gradient(uvals, avals, sigma0: TensorField2, eps: float = 0.0):
     rho, w1, w2, twist = _density_terms(uvals, sigma0, eps)
     k = np.divide(avals, rho, out=np.zeros_like(rho), where=rho > 0.0)
     return rho, _rows_adjoint(sigma0, k, w1, w2, twist)
+
+
+# the ten distinct entries of a symmetric 4x4 cell matrix, as pairs of the
+# sw, se, nw, ne corners: the order of the rows of every element array
+CORNER_PAIRS = ((0, 0), (1, 1), (3, 3), (2, 2), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
+
+def element_stiffness(sigma0: TensorField2):
+    """(10, ny-1, nx-1) entries of every cell's element stiffness S_K for sigma0.
+
+    Row i is S_K[p, q] = sum_r M_rp M_rq for the i-th pair (p, q) of
+    `CORNER_PAIRS`, M_K the cell's three rows of `cell_operator` at
+    weight |K|^(1/2).
+    """
+    grid = sigma0.grid
+    rows = _cell_rows(grid, sigma0, np.sqrt(grid.cell_area))
+    out = np.empty((len(CORNER_PAIRS), grid.cell_shape[0] * grid.cell_shape[1]))
+    for s, (p, q) in zip(out, CORNER_PAIRS):
+        np.multiply(rows[p][0], rows[q][0], out=s)
+        s += rows[p][1] * rows[q][1]
+        s += rows[p][2] * rows[q][2]
+    return out.reshape((len(CORNER_PAIRS),) + grid.cell_shape)
+
+
+def tv_hessian(uvals, avals, sigma0: TensorField2, eps: float):
+    """The per-cell Hessian of `weighted_tv(u, a, sigma0, eps)` for eps > 0.
+
+    E_K = k_K (S_K - |K| v_K v_K^T / rho_K^2) with rho = `tv_density(u,
+    sigma0, eps)`, k = a / rho, S_K the element stiffness and v_K =
+    M_K^T M_K u the corner values that `tv_gradient` scatters (M at
+    weight 1): the lagged element minus a rank-one term.  It is positive
+    semidefinite with the null space of S_K, since |M_K u| < rho_K.
+    Returns E in the layout of `element_stiffness`.
+    """
+    grid = sigma0.grid
+    rho, w1, w2, twist = _density_terms(uvals, sigma0, eps)
+    w1 /= 2.0 * grid.hx
+    w2 /= 2.0 * grid.hy
+    twist *= sigma0.hourglass
+    twist /= grid.hx * grid.hy
+    corners = (twist - w1 - w2, w1 - w2 - twist, w2 - w1 - twist, w1 + w2 + twist)
+    k = avals / rho
+    rank = k * grid.cell_area / (rho * rho)
+    out = element_stiffness(sigma0)
+    for e, (p, q) in zip(out, CORNER_PAIRS):
+        e *= k
+        e -= rank * corners[p] * corners[q]
+    return out
 
 
 def energy_gradient(uvals, c, sigma0: TensorField2):

@@ -23,16 +23,16 @@ Assembly has a fixed pattern.  A `Layout(sigma0, inclusions,
 exclude_cells)` (the grid of sigma0, the contributing cells and the
 perfect components) fixes once the dof maps, the CSR patterns of the
 reduced matrix and of its Dirichlet coupling, the multigrid
-prolongations, and the stiffness map: a sparse matrix from the cell
-factor c to the stored values of both patterns.  Only c changes between
-refills, so every `assemble(c, layout)` is one sparse product of the map
-with c.  The map and both patterns come from one list of (entry, cell,
-weight) terms, one per corner pair and orientation of every contributing
-cell, ordered by one stable sort of the entry keys.  Each entry therefore
-sums its terms in the order they were written, and an off-diagonal pair
-writes its two mirror entries' terms side by side with one weight, so
-mirror entries add the same terms in the same order and the matrix is
-exactly symmetric.
+prolongations, and the stiffness map: a 0/1 sparse matrix from the ten
+distinct entries of every cell's symmetric element matrix to the stored
+values of both patterns.  Every `assemble` is one sparse product of the
+map with the elements: c S_K for a factor c, or given ones (the fixed
+point's Hessian).  The map and both patterns come from one list of
+(entry, element entry) terms, one per corner pair and orientation of
+every contributing cell, ordered by one stable sort of the entry keys,
+so each entry sums its terms in the order they were written and mirror
+entries add the same terms in the same order: the matrix is exactly
+symmetric.
 
 Every reduced system is solved by conjugate gradients preconditioned with
 a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
@@ -40,21 +40,23 @@ own tying and dropping of unknowns, damped Jacobi smoothing weighted by
 the Gershgorin bound of D^-1 A, and a dense Cholesky solve on the
 coarsest level.  Its CG iteration count stays roughly flat under
 refinement.  Every assembly builds its own hierarchy.  `cg_correction`
-runs a fixed number of the same CG iterations, with no tolerance, as the
-approximate inverse of a defect correction.  Every step has a fixed
-operation order, so repeated runs are bit-identical.
+runs the same CG iterations from zero to a forcing term under a cap, the
+inexact solve of a Newton step.  Every step has a fixed operation order,
+so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .fields import (
+    CORNER_PAIRS,
     Grid2D,
     ScalarField,
     TensorField2,
-    cell_operator,
+    element_stiffness,
     label_cells,
     nodes_of_cells,
     tv_density,
@@ -179,8 +181,6 @@ class InclusionSet:
 # (row, column) step of each corner's node from the cell's (j, i) node, in
 # the sw, se, nw, ne order of a cell's nonzeros in `cell_operator`
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# The ten distinct entries of the symmetric 4x4 cell matrix, as corner pairs.
-_CORNER_PAIRS = ((0, 0), (1, 1), (3, 3), (2, 2), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 
 def _pattern(keys, n_rows, n_cols):
@@ -189,22 +189,20 @@ def _pattern(keys, n_rows, n_cols):
     return (keys % n_cols).astype(np.int32), indptr
 
 
-def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boundary):
+def _stiffness(grid: Grid2D, contributing, node_kept, boundary):
     """The CSR patterns of the reduced matrix and of its Dirichlet coupling,
     the positions of the matrix diagonal and the stiffness map.
 
     `node_kept` maps a node to its reduced unknown (-1 if it has none)
     and `boundary` to its Dirichlet index (-1 if it is not on the rim).
-    Every contributing cell K writes one term (entry key, cell, weight)
-    per corner pair (p, q) and orientation, weighted by its element
-    stiffness sum_r M_rp M_rq, M the cell's three rows of `cell_operator`
-    with weight |K|^(1/2).  With m unknowns and nb Dirichlet nodes the
-    key of a matrix entry is row * m + column, that of a coupling entry
-    m^2 + row * nb + Dirichlet index, and that of a term whose row node
-    has no unknown -1.  An off-diagonal pair writes both orientations
-    side by side with one weight.  One stable sort of the keys groups the
-    terms by entry, in the order they were written, so mirror entries add
-    the same terms in the same order.  Returns
+    Every contributing cell K writes one term (entry key, element entry
+    i * cells + K) per corner pair i of `CORNER_PAIRS` and orientation,
+    an off-diagonal pair both orientations side by side.  With m unknowns
+    and nb Dirichlet nodes the key of a matrix entry is row * m + column,
+    that of a coupling entry m^2 + row * nb + Dirichlet index, and that
+    of a term whose row node has no unknown -1.  One stable sort of the
+    keys groups the terms by entry, in the order they were written, so
+    mirror entries add the same terms in the same order.  Returns
     ((indices, indptr) of the matrix, (indices, indptr) of the coupling,
     the diagonal positions, the map).
     """
@@ -213,14 +211,10 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
     base = cells + cells // np.int32(grid.nx - 1)  # node (j, i) of cell (j, i)
     corner = [base + np.int32(dy * grid.nx + dx) for dy, dx in _CORNERS]
     unknown = [node_kept[p].astype(np.int64) for p in corner]
-    # the 3x4 block of M of every contributing cell, by corner, row and cell
-    block = cell_operator(grid, sigma0, np.sqrt(grid.cell_area)).data.reshape(3, -1, 4)
-    block = np.ascontiguousarray(block[:, cells].transpose(2, 0, 1))
     keys = np.empty(16 * cells.size, dtype=np.int64)
     terms = np.empty(keys.size, dtype=np.int32)
-    weights = np.empty(keys.size)
     start = 0
-    for a, b in _CORNER_PAIRS:
+    for i, (a, b) in enumerate(CORNER_PAIRS):
         ends = ((a, b),) if a == b else ((a, b), (b, a))
         stop = start + len(ends) * cells.size
         for k, (r, q) in enumerate(ends):
@@ -228,12 +222,10 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
             key = np.where(col >= 0, row * m + col, m * m + row * nb + boundary[corner[q]])
             key[row < 0] = -1
             keys[start + k:stop:len(ends)] = key
-        terms[start:stop] = np.repeat(cells, len(ends))
-        p, q = block[a], block[b]
-        weights[start:stop] = np.repeat(p[0] * q[0] + p[1] * q[1] + p[2] * q[2], len(ends))
+        terms[start:stop] = np.repeat(cells + np.int32(i * contributing.size), len(ends))
         start = stop
     # freeing each array once used keeps the build's peak below twice what the layout keeps
-    del unknown, corner, block, p, q
+    del unknown, corner
     order = np.argsort(keys, kind="stable")
     keys.sort()
     first = int(np.searchsorted(keys, 0))  # the dead terms sort first
@@ -245,12 +237,10 @@ def _stiffness(grid: Grid2D, sigma0: TensorField2, contributing, node_kept, boun
     nnz = int(np.searchsorted(entries, m * m))
     diagonal = np.searchsorted(entries[:nnz], np.arange(m) * (m + 1)).astype(np.int32)
     patterns = _pattern(entries[:nnz], m, m), _pattern(entries[nnz:] - m * m, m, nb)
-    shape = (entries.size, contributing.size)
+    shape = (entries.size, len(CORNER_PAIRS) * contributing.size)
     del entries
     order = order[first:]
-    data = weights[order]
-    del weights
-    stiffness = sparse.csr_matrix((data, terms[order], indptr), shape=shape)
+    stiffness = sparse.csr_matrix((np.ones(order.size), terms[order], indptr), shape=shape)
     return patterns + (diagonal, stiffness)
 
 
@@ -350,6 +340,13 @@ def _jacobi(a, diag):
     return (4.0 / (3.0 * bound)) / diag
 
 
+def _matvec(a, x, out):
+    """out = a @ x for a CSR matrix, bit for bit, into a preallocated out."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    return out
+
+
 class Multigrid:
     """A reduced SPD matrix with its Galerkin V(1,1)-cycle preconditioner.
 
@@ -361,7 +358,7 @@ class Multigrid:
 
     `matrix` has the pattern of `layout` (see `Layout`), whose
     prolongations the cycle uses; its diagonal is read at the layout's
-    fixed positions.
+    fixed positions.  The cycle works in per-level vectors made here.
     """
 
     def __init__(self, matrix, layout: Layout):
@@ -382,28 +379,43 @@ class Multigrid:
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("coarsest multigrid operator is not positive definite") from exc
         self.coarse_inverse_factor = np.linalg.inv(factor)
+        # per level: the restricted residual below the finest, and the
+        # smoothed iterate, the prolonged iterate and a temporary
+        self._restricted = [np.empty(a.shape[0]) for a in self.levels[1:]]
+        self._work = [np.empty((3, a.shape[0])) for a in self.levels]
 
     def __matmul__(self, x):
         return self.levels[0] @ x
 
-    def vcycle(self, r: np.ndarray) -> np.ndarray:
-        """One V(1,1)-cycle from a zero guess: the preconditioned residual."""
-        residuals, smoothed = [r], []
-        for a, jac, (_, pt) in zip(self.levels, self.smoothers, self.prolongations):
-            x = jac * residuals[-1]
-            smoothed.append(x)
-            residuals.append(pt @ (residuals[-1] - a @ x))
+    def vcycle(self, r: np.ndarray, out=None) -> np.ndarray:
+        """One V(1,1)-cycle from a zero guess: the preconditioned residual,
+        in `out` or a new array."""
+        out = np.empty_like(r) if out is None else out
+        residuals = [r] + self._restricted
+        for level, (a, jac, (_, pt)) in enumerate(zip(self.levels, self.smoothers,
+                                                      self.prolongations)):
+            x, _, t = self._work[level]
+            np.multiply(jac, r, out=x)
+            np.subtract(r, _matvec(a, x, t), out=t)
+            r = _matvec(pt, t, residuals[level + 1])
         li = self.coarse_inverse_factor
-        e = self.coarse_scale * (li.T @ (li @ residuals[-1]))
+        _, y, e = self._work[-1]
+        e = e if self.smoothers else out
+        np.dot(li.T, np.dot(li, r, out=y), out=e)
+        e *= self.coarse_scale
         for level in reversed(range(len(self.smoothers))):
             a, jac = self.levels[level], self.smoothers[level]
-            x = smoothed[level] + self.prolongations[level][0] @ e
-            e = x + jac * (residuals[level] - a @ x)
-        return e
+            smoothed, x, t = self._work[level]
+            _matvec(self.prolongations[level][0], e, x)
+            x += smoothed
+            np.subtract(residuals[level], _matvec(a, x, t), out=t)
+            t *= jac
+            e = np.add(t, x, out=out if level == 0 else t)
+        return out
 
 
 class Layout:
-    """What a reduced system keeps across refills of the cell factor c.
+    """What a reduced system keeps across refills of its cell elements.
 
     `Layout(sigma0, inclusions, exclude_cells)` is the one description of
     a problem's structure: the grid is sigma0's, and the contributing
@@ -416,14 +428,12 @@ class Layout:
     `indptr`, with the positions of its diagonal in `diagonal`) and of its
     coupling to the Dirichlet nodes, and the multigrid prolongations.
 
-    `stiffness` maps c to the values of both patterns: a CSR matrix with
-    one row per stored entry (the matrix's, then the coupling's) and one
-    column per cell, holding each contributing cell's element stiffness
-    for sigma0 (sum_r M_rp M_rq over its `cell_operator` rows) for that
-    entry's corner pairs.  Every assembly on the layout is the one product
-    `stiffness @ c`.  Its rows are one term list sorted stably by entry
-    (see `_stiffness`), so mirror entries add the same terms in the same
-    order and the matrix is exactly symmetric.
+    `stiffness` maps element matrices to the values of both patterns: a
+    0/1 CSR matrix with one row per stored entry (the matrix's, then the
+    coupling's) and one column per (corner pair, cell), the ten distinct
+    entries of each cell's symmetric 4x4 element in `CORNER_PAIRS` order
+    (see `_stiffness`), for sigma0's element stiffness S_K
+    (`fields.element_stiffness`) times c or for given element matrices.
     """
 
     def __init__(self, sigma0: TensorField2, inclusions: InclusionSet | None = None,
@@ -471,7 +481,8 @@ class Layout:
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
         matrix, coupling, self.diagonal, self.stiffness = _stiffness(
-            grid, sigma0, contributing, node_kept, boundary)
+            grid, contributing, node_kept, boundary)
+        self.sigma0 = sigma0
         self.indices, self.indptr = matrix
         self.coupling_indices, self.coupling_indptr = coupling
         self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
@@ -504,12 +515,17 @@ class LinearSystem:
 
 def assemble(c, layout: Layout, grid: Grid2D | None = None):
     """Fill `layout` with the coefficient c * sigma0: the one product of its
-    stiffness map with c, and the V-cycle built on it (see `Multigrid`).
+    stiffness map with the elements c S_K, and the V-cycle built on it
+    (see `Multigrid`).
 
     `c` is a cell array or a number and must be positive on every
-    contributing cell of the layout.  `assemble(c, sigma0, grid)`, the
-    problem without inclusions, is the call form that
-    `perfbench/test_perfbench.py` uses; `grid` is read only there.
+    contributing cell of the layout.  An array of shape (10, ny-1, nx-1)
+    is taken as the element matrices themselves, in the layout of
+    `fields.element_stiffness` (for one, `fields.tv_hessian`); they must
+    be symmetric positive semidefinite with the null space of S_K.
+    `assemble(c, sigma0, grid)`, the problem without inclusions, is the
+    call form that `perfbench/test_perfbench.py` uses; `grid` is read
+    only there.
     """
     if isinstance(layout, TensorField2):
         if not (isinstance(grid, Grid2D) and grid.same_layout(layout.grid)):
@@ -517,17 +533,23 @@ def assemble(c, layout: Layout, grid: Grid2D | None = None):
         layout = Layout(layout)
     grid = layout.grid
     c = np.asarray(c, dtype=np.float64)
-    if c.shape == ():
-        c = np.full(grid.cell_shape, float(c))
-    if c.shape != grid.cell_shape:
-        raise AssemblyError(f"conductivity factor has shape {c.shape}, expected {grid.cell_shape}")
-    bad = layout.contributing & ~(c > 0.0)
-    if bad.any():
-        raise AssemblyError(
-            f"conductivity must be positive outside inclusions; {int(bad.sum())} violating cell(s)"
-        )
+    if c.shape == (len(CORNER_PAIRS),) + grid.cell_shape:
+        elements = c
+    else:
+        if c.shape == ():
+            c = np.full(grid.cell_shape, float(c))
+        if c.shape != grid.cell_shape:
+            raise AssemblyError(
+                f"conductivity factor has shape {c.shape}, expected {grid.cell_shape}")
+        bad = layout.contributing & ~(c > 0.0)
+        if bad.any():
+            raise AssemblyError(
+                f"conductivity must be positive outside inclusions; {int(bad.sum())} violating cell(s)"
+            )
+        elements = element_stiffness(layout.sigma0)
+        elements *= c
 
-    data = layout.stiffness @ c.ravel()
+    data = layout.stiffness @ elements.ravel()
     m, nnz = layout.n_unknowns, layout.indices.size
     fine = sparse.csr_matrix((data[:nnz], layout.indices, layout.indptr), shape=(m, m))
     coupling = sparse.csr_matrix((data[nnz:], layout.coupling_indices, layout.coupling_indptr),
@@ -541,9 +563,9 @@ def assemble(c, layout: Layout, grid: Grid2D | None = None):
 CG_TOL = 1e-10
 
 
-def _dot(a, b):
+def _dot(a, b, out=None):
     # pairwise np.sum keeps a fixed summation order: bit-identical reruns
-    return float(np.sum(a * b))
+    return float(np.sum(np.multiply(a, b, out=out)))
 
 
 def _cg_steps(matrix: Multigrid, x, r):
@@ -553,20 +575,26 @@ def _cg_steps(matrix: Multigrid, x, r):
     A generator: each iteration, one V-cycle and one product with the
     matrix, updates x and r in place and yields.  It ends where p^T A p
     is 0, which leaves no step to take: the residual has underflowed.
+    Its vectors are made once, before the first iteration.
     """
-    rz = None
+    z, ap, tmp = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    rz = p = None
     while True:
-        z = matrix.vcycle(r)
-        rz_new = _dot(r, z)
-        p = z if rz is None else z + (rz_new / rz) * p
+        matrix.vcycle(r, out=z)
+        rz_new = _dot(r, z, tmp)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
-        ap = matrix @ p
-        curvature = _dot(p, ap)
+        _matvec(matrix.levels[0], p, ap)
+        curvature = _dot(p, ap, tmp)
         if curvature == 0.0:
             return
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
         yield
 
 
@@ -605,17 +633,24 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
     )
 
 
-def cg_correction(matrix: Multigrid, r, iterations: int):
-    """x after `iterations` preconditioned CG iterations on A x = r from x = 0.
+def cg_correction(matrix: Multigrid, r, forcing: float, cap: int):
+    """(x, iterations, met): preconditioned CG on A x = r from x = 0 until
+    |r - A x| <= forcing |r|, a constant forcing term (Eisenstat & Walker
+    1996), or `cap` iterations.
 
-    No tolerance: a fixed number of V-cycles and products with the
-    matrix, the approximate inverse of A that a defect correction
-    applies.  A breakdown of `_cg_steps` returns the x reached before it.
+    `met` is False when the cap, or a breakdown of `_cg_steps`, ends it
+    short of the forcing; x, the iterate reached, is still a descent
+    direction for r.
     """
-    x = np.zeros_like(r)
-    for _ in zip(range(iterations), _cg_steps(matrix, x, r.copy())):
-        pass
-    return x
+    rnorm = np.sqrt(_dot(r, r))
+    x, res, target, its = np.zeros_like(r), r.copy(), forcing * rnorm, 0
+    met = bool(rnorm <= target)  # a zero right-hand side
+    if not met:
+        for its, _ in zip(range(1, cap + 1), _cg_steps(matrix, x, res)):
+            if np.sqrt(_dot(res, res)) <= target:
+                met = True
+                break
+    return x, its, met
 
 
 def _boundary_values(grid: Grid2D, f: ScalarField) -> np.ndarray:

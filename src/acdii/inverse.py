@@ -11,18 +11,15 @@ its density `fields.tv_density`), and the factor follows pointwise as
 c = a / rho_h(u*).  Two independent minimizers of F_h are provided and
 kept separate on purpose:
 
-- a lagged-diffusivity fixed point with an eps-continuation schedule:
-  the map Phi solves div(c_eff sigma0 grad u) = 0 with
-  c_eff = a / (rho_h(u_prev)^2 + eps^2)^(1/2), which is the exact
-  stationarity of the smoothed F_h, since |K| rho_K^2 is the element
-  energy the solve assembles.  Each step applies Phi as a defect
-  correction: the gradient of F_eps, taken matrix-free
-  (`fields.tv_gradient`), corrected by two CG iterations on one
-  operator assembled per stage.  Each stage iterates it under type-II
-  Anderson mixing over the last five steps (restarted at every stage,
-  reset to the plain step Phi(u) whenever the residual Phi(u) - u grows
-  or the mixing system is singular), which needs only that approximate
-  inverse and stops where the gradient vanishes;
+- a Newton-chord minimization of the smoothed F_eps with an
+  eps-continuation schedule, whose limit is the lagged-diffusivity fixed
+  point div(c_eff sigma0 grad u) = 0, c_eff = a / (rho_h(u)^2 +
+  eps^2)^(1/2): the exact stationarity of F_eps, since |K| rho_K^2 is
+  the element energy (Vogel & Oman 1996).  Each stage assembles the
+  Hessian of F_eps once, at its first iterate; each step solves it
+  inexactly by CG against the matrix-free gradient
+  (`fields.tv_gradient`) and is accepted by Armijo backtracking on F_eps
+  (Chan, Golub & Mulet 1999 on Newton for TV);
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
   min_u max_b <M u, b> over the per-cell balls |b_K| <= a_K in R^3, the
   three rows of M per cell, with a step bound L^2 that is the Gershgorin
@@ -68,6 +65,7 @@ from .fields import (
     sym2_sqrt,
     tv_density,
     tv_gradient,
+    tv_hessian,
     weighted_tv,
 )
 from .forward import Layout, _dot, _fill_isolated, assemble, cg_correction, solve_dirichlet
@@ -94,10 +92,10 @@ class TVProblem:
     """Configuration for the TV minimizers.
 
     fp_tol and max_inner stop each eps-stage of the fixed point (see
-    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`), the CG
-    iterations of its step (`_CORRECTION_ITERATIONS`) and the CG
-    tolerance of both minimizers' initial solves (`forward.CG_TOL`) are
-    fixed.
+    `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`), the
+    forcing, cap and line search of its Newton steps (`_FORCING`,
+    `_CG_CAP`, `_ARMIJO`, `_SLACK`, `_MAX_CUTS`) and the CG tolerance of
+    both minimizers' initial solves (`forward.CG_TOL`) are fixed.
     pd_iterations caps the primal-dual steps; their sizes follow from f
     and the operator, and the checkpoints of its stopping rule from the grid
     (see `minimize_tv_primal_dual`).  Cells where a vanishes are left
@@ -153,131 +151,63 @@ def _masked_rel_change(new, old):
     return rel_l2(old, new)
 
 
-# history depth m of the Anderson mixing: differences of the last m steps
-_ANDERSON_DEPTH = 5
-
-
-class _Anderson:
-    """Type-II Anderson mixing of one eps-stage (Walker & Ni 2011).
-
-    `step(u, r)` takes the iterate u_k and its residual r_k = Phi(u_k) - u_k
-    and returns u_{k+1} = u_k + r_k - (dU + dR) gamma, where the rows of
-    dU and dR are the differences of the last _ANDERSON_DEPTH iterates and
-    residuals and gamma solves the Gram system (dR^T dR) gamma = dR^T r_k.
-    The plain step u_k + r_k = Phi(u_k) is taken, with the history
-    cleared, at the first step and whenever |r_k| > |r_{k-1}| or the Gram
-    system is singular or yields a non-finite gamma; `restarts` counts
-    these last two resets.  The Gram matrix is kept across the steps of
-    a stage: a step refreshes only the row and column of the difference
-    it overwrites.  Inner products use the pairwise `_dot`, so a rerun
-    repeats every step bit for bit.
-    """
-
-    def __init__(self, shape):
-        self.du = np.empty((_ANDERSON_DEPTH,) + shape)
-        self.dr = np.empty((_ANDERSON_DEPTH,) + shape)
-        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
-        self.reset()
-
-    def reset(self):
-        """Start a new stage: no history, no restarts."""
-        self.pushed = 0  # difference rows stored since the last reset, round-robin
-        self.restarts = 0
-        self._last = None  # (u, r, |r|) of the previous step
-
-    def step(self, u, r):
-        rnorm = np.sqrt(_dot(r, r))
-        last, self._last = self._last, (u, r, rnorm)
-        if last is None:
-            return u + r
-        if rnorm > last[2]:
-            return self._restart(u, r)
-        row = self.pushed % _ANDERSON_DEPTH
-        np.subtract(u, last[0], out=self.du[row])
-        np.subtract(r, last[1], out=self.dr[row])
-        self.pushed += 1
-        k = min(self.pushed, _ANDERSON_DEPTH)
-        for j in range(k):
-            self.gram[row, j] = self.gram[j, row] = _dot(self.dr[row], self.dr[j])
-        rhs = np.array([_dot(self.dr[i], r) for i in range(k)])
-        try:
-            gamma = np.linalg.solve(self.gram[:k, :k], rhs)
-        except np.linalg.LinAlgError:
-            return self._restart(u, r)
-        if not np.all(np.isfinite(gamma)):
-            return self._restart(u, r)
-        out = u + r
-        for i in range(k):
-            out -= gamma[i] * (self.du[i] + self.dr[i])
-        return out
-
-    def _restart(self, u, r):
-        self.pushed = 0
-        self.restarts += 1
-        return u + r
-
-
-# CG iterations of the fixed point's correction, each one V-cycle of the
-# stage operator.  At default settings they converge every stage on the
-# bump at n = 17 / 33 / 65 / 129 and on the fiber sigma0 at n = 33 / 65 /
-# 129; two stationary V-cycles run the fiber sigma0's last stage out of
-# steps at n = 129.
-_CORRECTION_ITERATIONS = 2
+# the Newton step's CG stops at _FORCING times |gradient| or _CG_CAP
+# iterations; Armijo backtracking asks for _ARMIJO times the predicted
+# decrease, less the round-off slack _SLACK (1 + |F_eps|) that the
+# monotone flag allows, in at most _MAX_CUTS halvings
+_FORCING = 0.5
+_CG_CAP = 40
+_ARMIJO = 1e-4
+_SLACK = 1e-10
+_MAX_CUTS = 40
 
 
 def minimize_tv_fixedpoint(problem: TVProblem):
-    """Anderson-accelerated lagged-diffusivity minimization with eps-continuation.
+    """Newton-chord minimization of the smoothed F_h with eps-continuation.
 
-    The lagged-diffusivity map Phi(u) solves A(c_eff) v = 0 on the free
-    nodes with v = f on the boundary, c_eff = a / rho_eps(u) and
-    rho_eps = (rho_h^2 + eps^2)^(1/2); its fixed points are the
-    stationary points of F_eps[u] = sum_K a_K |K| rho_eps,K(u), since
-    A(c_eff(u)) u is the gradient of F_eps (`fields.tv_gradient`).  The
-    step applies Phi as a defect correction:
-    Phi(u) = u - B grad F_eps(u) on the free nodes, the gradient taken
-    matrix-free from the cell differences, and B the approximate inverse
-    of `_CORRECTION_ITERATIONS` CG iterations (`forward.cg_correction`)
-    on the stage operator A_s = A(c_eff(u_0)), assembled with its
-    multigrid hierarchy once per stage from the stage's first iterate
-    u_0.  Anderson mixing needs no exact inverse, and the fixed point of
-    this map is still where the gradient vanishes.  Nodes with no
-    stiffness get the neighbor-mean fill of the solves.
+    Each eps-stage minimizes F_eps[u] = sum_K a_K |K| rho_eps,K(u),
+    rho_eps = (rho_h^2 + eps^2)^(1/2), over u = f on the boundary; its
+    stationary point is the lagged-diffusivity fixed point, since
+    A(a / rho_eps(u)) u is the gradient of F_eps (`fields.tv_gradient`).
+    The stage assembles the Hessian H of F_eps at its first iterate
+    (`fields.tv_hessian`) with its multigrid hierarchy, once.  Each step
+    takes the gradient g matrix-free, solves H s = g by CG from zero to
+    the forcing _FORCING |g| under the cap _CG_CAP
+    (`forward.cg_correction`), and accepts u - t s, t = 1, 1/2, ..., by
+    Armijo backtracking on F_eps with the round-off slack
+    _SLACK (1 + |F_eps|).  Nodes with no stiffness get the neighbor-mean
+    fill of the solves.
 
-    Each eps-stage iterates u_{k+1} = mix(u_k, Phi(u_k) - u_k) with
-    `_Anderson`, restarted at the stage, and ends with Phi(u_k) at the
-    first relative change |Phi(u_k) - u_k| / |Phi(u_k)| <= tol or after
-    max_inner steps.  Only the last stage, whose potential is returned,
-    uses tol = fp_tol; the stages before it only warm-start it and stop
-    at the looser tol = max(sqrt(fp_tol), fp_tol) (inexact continuation,
-    Hale, Yin & Zhang 2008).
+    A stage ends at the first step whose full relative change
+    |s| / |u - s| is <= tol, which it takes, after max_inner steps, or
+    when no step length down to 2^-_MAX_CUTS decreases F_eps.  Only the
+    last stage, whose potential is returned, uses tol = fp_tol; the
+    warm-start stages before it stop at max(sqrt(fp_tol), fp_tol)
+    (inexact continuation, Hale, Yin & Zhang 2008).
 
-    Returns (u, info).  info records, per stage, the smoothed functional
-    F_eps of each iterate u_k (in absolute units, from the rho_eps of its
-    gradient), the inner iteration count, the V-cycles of its corrections
-    (`vcycles`), its stopping tolerance (`tol`), the last relative
-    change, whether it met that tol (`converged`), the number of Anderson
-    safeguard resets (`restarts`), and whether that functional never rose
-    beyond round-off from one u_k to the next (`monotone`).  A mixed
-    iterate carries no descent guarantee, so on hard data (noise,
-    inclusions) a stage can rise slightly; that is flagged in
-    `nonmonotone_flag`, not fatal.  `total_cg_iterations` counts the CG
-    iterations of the initial solve, the one solve to a tolerance.
+    Returns (u, info).  info records, per stage, F_eps of each iterate
+    (`smoothed_history`, absolute units), the steps (`inner_iterations`),
+    the CG iterations, one V-cycle each (`vcycles`), the steps whose CG
+    hit the cap (`cap_hits`), the line-search halvings (`cuts`), `tol`,
+    the last full relative change, whether it met tol (`converged`), and
+    whether F_eps never rose beyond the slack (`monotone`; any rise sets
+    `nonmonotone_flag`).  `total_cg_iterations` counts the initial
+    solve's CG iterations, the one solve to a tolerance.
     """
     grid, sigma0, amax, a_hat, void = _normalized_data(problem)
-    t = problem.triplet
+    triplet = problem.triplet
     # eps lives in rho_h units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
-    # a -> alpha a (the effective coefficient just rescales, which the CG
-    # correction and the multigrid cycle cannot see).
+    # a -> alpha a (the gradient and the Hessian just rescale, which the
+    # forcing stop, the multigrid cycle and the line search cannot see).
     schedule = _eps_schedule(sigma0)
 
     layout = Layout(sigma0, exclude_cells=void)
     system = assemble(1.0, layout)
-    u = solve_dirichlet(system, t.f)
+    u = solve_dirichlet(system, triplet.f)
     uvals = u.values.copy()
     total_cg = system.cg_iterations
     system = None
-    mixer = _Anderson(grid.shape)
     # the node of each reduced unknown (this layout ties no nodes) and the
     # free nodes with no unknown
     free = layout.free_nodes
@@ -286,47 +216,68 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     nodes[unknown[unknown >= 0]] = free[unknown >= 0]
     isolated = free[unknown < 0]
 
+    def tv(rho):  # F_eps of a_hat from its density
+        return float(np.sum(a_hat * rho)) * grid.cell_area
+
     stages = []
     flagged = False
     total_inner = 0
     warm_tol = max(float(np.sqrt(problem.fp_tol)), problem.fp_tol)
     for stage, eps_hat in enumerate(schedule, 1):
         tol = problem.fp_tol if stage == len(schedule) else warm_tol
-        mixer.reset()
-        hist = []
+        values, vcycles, cap_hits, cuts = [], 0, 0, 0
         for inner in range(1, problem.max_inner + 1):
             rho, gradient = tv_gradient(uvals, a_hat, sigma0, eps_hat)
-            hist.append(amax * float(np.sum(a_hat * rho)) * grid.cell_area)
+            value = tv(rho)
+            values.append(value)
             if inner == 1:
-                operator = assemble(np.where(~void, a_hat / rho, 1.0), layout).matrix
-            phi = uvals.copy()
-            phi.ravel()[nodes] -= cg_correction(operator, gradient.ravel()[nodes],
-                                                _CORRECTION_ITERATIONS)
+                hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout).matrix
+            g = gradient.ravel()[nodes]
+            s, its, met = cg_correction(hessian, g, _FORCING, _CG_CAP)
+            vcycles += its
+            cap_hits += not met
+            full = uvals.copy()
+            full.ravel()[nodes] -= s
             if isolated.size:
-                phi.ravel()[isolated] = np.nan
-                phi = _fill_isolated(grid, phi)
-            rel = _masked_rel_change(phi, uvals)
-            if rel <= tol or inner == problem.max_inner:
-                uvals = phi
+                full.ravel()[isolated] = np.nan
+                full = _fill_isolated(grid, full)
+            rel = _masked_rel_change(full, uvals)
+            if rel <= tol:
+                uvals = full
                 break
-            uvals = mixer.step(uvals, phi - uvals)
+            # sufficient decrease along -s, whose slope is -g.s < 0
+            decrease = _ARMIJO * _dot(g, s)
+            ceiling = value + _SLACK * (1.0 + abs(value))
+            step, trial = full - uvals, full
+            for halvings in range(_MAX_CUTS + 1):
+                t = 0.5**halvings
+                if halvings:
+                    trial = uvals + t * step
+                if tv(tv_density(trial, sigma0, eps_hat)) <= ceiling - t * decrease:
+                    break
+            else:
+                cuts += _MAX_CUTS
+                break
+            cuts += halvings
+            uvals = trial
         # the stage's hierarchy goes before the next stage builds its own
-        operator = None
+        hessian = None
         total_inner += inner
-        drops = np.diff(np.asarray(hist))
-        monotone = bool(np.all(drops <= 1e-10 * (1.0 + abs(hist[0]))))
+        drops = np.diff(np.asarray(values))
+        monotone = bool(np.all(drops <= _SLACK * (1.0 + abs(values[0]))))
         if not monotone:
             flagged = True
         stages.append(
             {
                 "eps": eps_hat,
                 "inner_iterations": inner,
-                "vcycles": inner * _CORRECTION_ITERATIONS,
+                "vcycles": vcycles,
+                "cap_hits": cap_hits,
+                "cuts": cuts,
                 "tol": tol,
                 "converged": rel <= tol,
                 "final_rel_change": rel,
-                "restarts": mixer.restarts,
-                "smoothed_history": hist,
+                "smoothed_history": [amax * v for v in values],
                 "monotone": monotone,
             }
         )
@@ -337,7 +288,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
         "total_inner_iterations": total_inner,
         "total_cg_iterations": total_cg,
         "nonmonotone_flag": flagged,
-        "tv_final": weighted_tv(uvals, t.a.values, sigma0),
+        "tv_final": weighted_tv(uvals, triplet.a.values, sigma0),
     }
     return ScalarField(grid, uvals, location="node"), info
 

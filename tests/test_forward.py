@@ -19,9 +19,12 @@ from acdii.fields import (
     ScalarField,
     TensorField2,
     cell_operator,
+    element_stiffness,
     grad,
     nodes_of_cells,
+    tv_density,
     tv_gradient,
+    tv_hessian,
 )
 from acdii.forward import (
     AssemblyError,
@@ -586,25 +589,90 @@ def _layout_case(kind, nx, ny, k=1e-6):
     return c, sigma0, grid, inclusions, exclude, f
 
 
+def _perturbed_case(kind, nx, ny):
+    """(layout, sigma0, a, u, nodes): a perturbed potential on one layout
+    kind, a vanishing off the layout's cells; nodes[i] is the node of
+    reduced unknown i."""
+    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
+    layout = Layout(sigma0, incl, excl)
+    a = np.where(layout.contributing, c, 0.0)
+    u = f + 0.1 * np.random.default_rng(3).standard_normal(grid.shape)
+    u.ravel()[grid.boundary_ids] = f.ravel()[grid.boundary_ids]
+    unknown = layout.node_kept[layout.free_nodes]
+    nodes = layout.free_nodes[unknown >= 0][np.argsort(unknown[unknown >= 0])]
+    return layout, sigma0, a, u, nodes
+
+
 @pytest.mark.parametrize("nx, ny", _SIZES)
 @pytest.mark.parametrize("kind", ["plain", "excluded", "varying", "rim"])
 def test_matrix_free_tv_gradient_is_the_assembled_lagged_operator(kind, nx, ny):
     # on the free nodes the gradient of F_eps is A(a / rho_eps) u plus the
     # coupling applied to f, the residual of the lagged system at u; a
     # vanishes on the deleted cells, which the gradient therefore skips
-    c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
-    layout = Layout(sigma0, incl, excl)
-    a = np.where(layout.contributing, c, 0.0)
-    u = f + 0.1 * np.random.default_rng(3).standard_normal(grid.shape)
-    u.ravel()[grid.boundary_ids] = f.ravel()[grid.boundary_ids]
+    layout, sigma0, a, u, nodes = _perturbed_case(kind, nx, ny)
     rho, gradient = tv_gradient(u, a, sigma0, 0.05)
     system = assemble(np.where(layout.contributing, a / rho, 1.0), layout)
-    unknown = layout.node_kept[layout.free_nodes]
-    nodes = layout.free_nodes[unknown >= 0][np.argsort(unknown[unknown >= 0])]
-    ref = system.matrix @ u.ravel()[nodes] + system.coupling @ f.ravel()[grid.boundary_ids]
+    boundary = u.ravel()[layout.grid.boundary_ids]
+    ref = system.matrix @ u.ravel()[nodes] + system.coupling @ boundary
     assert np.abs(gradient.ravel()[nodes] - ref).max() <= 1e-13 * np.abs(ref).max()
     # free nodes with no unknown touch no contributing cell
+    unknown = layout.node_kept[layout.free_nodes]
     assert not gradient.ravel()[layout.free_nodes[unknown < 0]].any()
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", ["plain", "excluded", "varying", "rim"])
+def test_assembled_tv_hessian_is_the_derivative_of_the_gradient(kind, nx, ny):
+    # H v against the central difference of the matrix-free gradient along
+    # a random v on the free nodes: the difference's h^2 term is about
+    # 4e-9 of |H v| at this h, the lagged operator alone misses by O(1)
+    layout, sigma0, a, u, nodes = _perturbed_case(kind, nx, ny)
+    eps = 0.05
+    hessian = assemble(tv_hessian(u, a, sigma0, eps), layout).matrix
+    v = np.random.default_rng(8).standard_normal(nodes.size)
+    h = 1e-6
+    shifted = []
+    for sign in (1.0, -1.0):
+        w = u.copy()
+        w.ravel()[nodes] += sign * h * v
+        shifted.append(tv_gradient(w, a, sigma0, eps)[1].ravel()[nodes])
+    hv = hessian @ v
+    err = np.abs(hv - (shifted[0] - shifted[1]) / (2.0 * h)).max() / np.abs(hv).max()
+    assert err <= 1e-7
+
+
+@pytest.mark.parametrize("kind", ["plain", "excluded", "varying", "rim"])
+def test_assembled_tv_hessian_is_symmetric_positive_definite(kind):
+    # exactly symmetric, as every map fill is, and positive definite on the
+    # free nodes although each element loses a rank-one term of its lagged
+    # element; at a small eps the rank-one term is nearly the whole element
+    layout, sigma0, a, u, _ = _perturbed_case(kind, 17, 13)
+    for eps in (0.05, 1e-4):
+        hessian = assemble(tv_hessian(u, a, sigma0, eps), layout).matrix.levels[0]
+        assert (hessian != hessian.T).nnz == 0
+        assert np.linalg.eigvalsh(hessian.toarray()).min() > 0.0
+        lagged = assemble(np.where(layout.contributing, a / tv_density(u, sigma0, eps), 1.0),
+                          layout).matrix.levels[0]
+        # the lagged operator less a positive semidefinite sum of rank-one terms
+        assert np.linalg.eigvalsh((lagged - hessian).toarray()).min() >= -1e-12 * abs(lagged).max()
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_map_fill_is_the_weighted_term_sum_bit_for_bit(n):
+    # the 0/1 map times the elements c S_K sums, entry by entry, the same
+    # products c S_K in the same order as a map whose terms carry S_K and
+    # multiply c: the matrices are the same bytes
+    grid, c, sigma0, _ = bump_problem(n)
+    layout = Layout(sigma0)
+    stiffness = layout.stiffness
+    assert np.all(stiffness.data == 1.0)
+    weighted = sparse.csr_matrix((element_stiffness(sigma0).ravel()[stiffness.indices],
+                                  stiffness.indices % c.values.size, stiffness.indptr))
+    data = weighted @ c.values.ravel()
+    system = assemble(c.values, layout)
+    nnz = layout.indices.size
+    assert np.array_equal(system.matrix.levels[0].data, data[:nnz])
+    assert np.array_equal(system.coupling.data, data[nnz:])
 
 
 @pytest.mark.parametrize("nx, ny", _SIZES)
@@ -675,6 +743,39 @@ def test_vcycle_is_symmetric(kind):
     assert u @ bu > 0.0 and v @ bv > 0.0
 
 
+def _reference_vcycle(mg, r):
+    """The V(1,1)-cycle written with plain products, one new array each."""
+    residuals, smoothed = [r], []
+    for a, jac, (_, pt) in zip(mg.levels, mg.smoothers, mg.prolongations):
+        x = jac * residuals[-1]
+        smoothed.append(x)
+        residuals.append(pt @ (residuals[-1] - a @ x))
+    li = mg.coarse_inverse_factor
+    e = mg.coarse_scale * (li.T @ (li @ residuals[-1]))
+    for level in reversed(range(len(mg.smoothers))):
+        a, jac = mg.levels[level], mg.smoothers[level]
+        x = smoothed[level] + mg.prolongations[level][0] @ e
+        e = x + jac * (residuals[level] - a @ x)
+    return e
+
+
+@pytest.mark.parametrize("kind", _LAYOUTS)
+def test_vcycle_in_work_vectors_is_the_plain_cycle_bit_for_bit(kind):
+    # the same operations in the same order, so the same bytes, call after
+    # call through the same work vectors; a one-level system too
+    c, sigma0, grid, incl, excl, _ = _layout_case(kind, 33, 27)
+    small = bump_problem(9)
+    rng = np.random.default_rng(9)
+    for mg in (assemble(c, Layout(sigma0, incl, excl)).matrix,
+               assemble(small[1].values, Layout(small[2])).matrix):
+        out = np.empty(mg.levels[0].shape[0])
+        for _ in range(3):
+            r = rng.standard_normal(out.size)
+            want = _reference_vcycle(mg, r)
+            assert np.array_equal(mg.vcycle(r), want)
+            assert mg.vcycle(r, out=out) is out and np.array_equal(out, want)
+
+
 def _refilled_case(kind, nx, ny):
     """A second coefficient assembled on a reused layout, and its case."""
     c, sigma0, grid, incl, excl, f = _layout_case(kind, nx, ny)
@@ -713,6 +814,8 @@ def test_cg_on_a_reused_hierarchy_matches_sparse_direct_solve(kind, nx, ny):
 
 @pytest.mark.parametrize("kind", _LAYOUTS)
 def test_cg_correction_is_a_fixed_number_of_pcg_iterations(kind):
+    # the correction stops at the first iteration whose residual meets the
+    # forcing, or at the cap
     c, sigma0, grid, incl, excl, f = _layout_case(kind, 33, 27)
     system = assemble(c, Layout(sigma0, incl, excl))
     mg = system.matrix
@@ -723,18 +826,32 @@ def test_cg_correction_is_a_fixed_number_of_pcg_iterations(kind):
     x, r = np.zeros_like(b), b.copy()
     z = mg.vcycle(r)
     p, rz = z.copy(), r @ z
-    for k in range(1, 4):
+    iterates = []
+    for _ in range(12):
         ap = mg @ p
         alpha = rz / (p @ ap)
         x, r = x + alpha * p, r - alpha * ap
-        assert np.abs(cg_correction(mg, b, k) - x).max() <= 1e-10 * np.abs(x).max()
+        iterates.append((x, np.linalg.norm(r)))
         z = mg.vcycle(r)
         p, rz = z + (r @ z) / rz * p, r @ z
+    for forcing in (0.5, 1e-2, 1e-4):
+        k = next(k for k, (_, res) in enumerate(iterates, 1) if res <= forcing * np.linalg.norm(b))
+        got, its, met = cg_correction(mg, b, forcing, 100)
+        assert its == k and met
+        assert np.abs(got - iterates[k - 1][0]).max() <= 1e-10 * np.abs(got).max()
+        # one iteration short of it, the cap ends the correction unmet
+        got, its, met = cg_correction(mg, b, forcing, k - 1)
+        assert its == k - 1 and not met
+        if k > 1:
+            assert np.abs(got - iterates[k - 2][0]).max() <= 1e-10 * np.abs(got).max()
+    # a zero right-hand side meets any forcing at once
+    assert cg_correction(mg, 0.0 * b, 0.5, 10)[1:] == (0, True)
     # a residual whose curvature p^T A p underflows to 0 takes no step;
     # a solve to a tolerance reports the breakdown
     stiff = assemble(1e12 * c, Layout(sigma0, incl, excl)).matrix
     tiny = np.full_like(b, 1e-159)
-    assert not cg_correction(stiff, tiny, 2).any()
+    got, its, met = cg_correction(stiff, tiny, 0.5, 2)
+    assert not got.any() and its == 0 and not met
     with pytest.raises(ConvergenceError, match="broke down") as exc:
         _pcg(stiff, tiny, 1e-10, 100)
     assert exc.value.iterations == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from acdii import forward
+from acdii import forward, inverse
 from acdii.data import AdmissibleTriplet, compute_current, solve_truth, synthesize_triplet
 from acdii.fields import (
     Grid2D,
@@ -20,14 +20,18 @@ from acdii.fields import (
     tv_density,
     weighted_tv,
 )
-from acdii.forward import InclusionSet, Layout, _dot, assemble, disk_cells, solve_dirichlet
+from acdii.forward import (
+    InclusionSet,
+    Layout,
+    assemble,
+    cg_correction,
+    disk_cells,
+    solve_dirichlet,
+)
 from acdii.inverse import (
     TVConfigError,
     TVProblem,
-    _ANDERSON_DEPTH,
-    _CORRECTION_ITERATIONS,
     _EPS_STAGES,
-    _Anderson,
     _PD_CHECK,
     _PD_TOL,
     _eps_schedule,
@@ -133,20 +137,31 @@ def test_fixedpoint_recovers_linear_potential():
     assert not info["nonmonotone_flag"]
 
 
-def test_fixedpoint_stages_report_cg_work_and_convergence():
-    # at n = 17, fp_tol 1e-5 and five inner iterations per stage every
-    # warm-start stage meets its loose tol (3.2e-3) in one step, and the
-    # last stage runs out of steps short of fp_tol
-    problem = TVProblem(bump_triplet(17), fp_tol=1e-5, max_inner=5)
+def test_fixedpoint_stages_report_cg_work_and_convergence(monkeypatch):
+    # at n = 17, fp_tol 1e-8 and three steps per stage the last stage runs
+    # out of steps short of fp_tol (its third step changes u by 1.3e-7)
+    calls = []
+
+    def counted(matrix, r, forcing, cap):
+        x, its, met = cg_correction(matrix, r, forcing, cap)
+        calls.append((its, met))
+        return x, its, met
+
+    monkeypatch.setattr(inverse, "cg_correction", counted)
+    problem = TVProblem(bump_triplet(17), fp_tol=1e-8, max_inner=3)
     _, info = minimize_tv_fixedpoint(problem)
     stages = info["stages"]
     for st in stages:
         assert st["converged"] == (st["final_rel_change"] <= st["tol"])
         assert st["converged"] or st["inner_iterations"] == problem.max_inner
-        # every step's correction is a fixed number of CG iterations, one V-cycle each
-        assert st["vcycles"] == _CORRECTION_ITERATIONS * st["inner_iterations"]
-        assert len(st["smoothed_history"]) == st["inner_iterations"]
-    assert all(st["converged"] and st["inner_iterations"] == 1 for st in stages[:-1])
+        # one CG solve per step; its iterations, one V-cycle each, are counted
+        steps = calls[:st["inner_iterations"]]
+        del calls[:st["inner_iterations"]]
+        assert len(steps) == st["inner_iterations"] == len(st["smoothed_history"])
+        assert st["vcycles"] == sum(its for its, _ in steps) >= st["inner_iterations"]
+        assert st["cap_hits"] == sum(not met for _, met in steps)
+        assert st["monotone"] and st["cuts"] >= 0
+    assert not calls
     assert not stages[-1]["converged"]
     assert stages[-1]["inner_iterations"] == problem.max_inner
     # the run's one CG solve to a tolerance is the initial cold solve
@@ -184,10 +199,10 @@ def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
     assert len(builds) == 1 + _EPS_STAGES
     assert info["total_inner_iterations"] > _EPS_STAGES
     assert all(st["converged"] for st in info["stages"])
-    # half of the 8 x 50 budget, which the unmixed lagged iteration uses
-    # up here without meeting fp_tol in any stage
-    assert info["total_inner_iterations"] <= 200
-    assert _lagged_step_change(problem, u) <= 10.0 * problem.fp_tol
+    # Newton-chord steps: 29 here, where the Anderson-mixed defect
+    # correction took 137 and the unmixed lagged iteration ran out of 8 x 50
+    assert info["total_inner_iterations"] <= 60
+    assert _lagged_step_change(problem, u) <= 0.1 * problem.fp_tol
 
 
 def _lagged_step_change(problem, u):
@@ -198,87 +213,6 @@ def _lagged_step_change(problem, u):
     system = assemble(np.where(~void, a_hat / weight, 1.0), Layout(sigma0, exclude_cells=void))
     step = solve_dirichlet(system, problem.triplet.f, x0=u.values, tol=1e-13)
     return rel_l2(u.values, step.values)
-
-
-def test_anderson_mixing_solves_affine_map_exactly():
-    # on an affine contraction of R^4, type-II mixing with full history is
-    # GMRES in disguise: the residual vanishes after dim + 1 steps
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    A = q @ np.diag([0.8, -0.6, 0.3, 0.1]) @ q.T
-    b = rng.standard_normal(4)
-    mixer = _Anderson((2, 2))
-    u = np.zeros((2, 2))
-    for _ in range(5):
-        u = mixer.step(u, (A @ u.ravel() + b).reshape(2, 2) - u)
-    assert mixer.restarts == 0
-    assert np.max(np.abs(u.ravel() - np.linalg.solve(np.eye(4) - A, b))) <= 1e-12
-
-
-def _anderson_full_gram_oracle(steps):
-    """Type-II mixing that recomputes the whole Gram matrix every step."""
-    du, dr, out, last = [None] * _ANDERSON_DEPTH, [None] * _ANDERSON_DEPTH, [], None
-    pushed = 0
-    for u, r in steps:
-        rnorm = np.sqrt(_dot(r, r))
-        if last is None or rnorm > last[2]:
-            pushed, last = 0, (u, r, rnorm)
-            out.append(u + r)
-            continue
-        row = pushed % _ANDERSON_DEPTH
-        du[row], dr[row] = u - last[0], r - last[1]
-        last = (u, r, rnorm)
-        pushed += 1
-        k = min(pushed, _ANDERSON_DEPTH)
-        gram = np.array([[_dot(dr[i], dr[j]) for j in range(k)] for i in range(k)])
-        gamma = np.linalg.solve(gram, np.array([_dot(dr[i], r) for i in range(k)]))
-        mixed = u + r
-        for i in range(k):
-            mixed -= gamma[i] * (du[i] + dr[i])
-        out.append(mixed)
-    return out
-
-
-def test_anderson_kept_gram_matches_full_recomputation_bit_for_bit():
-    # 14 steps wrap the round-robin history twice; the residual norm falls
-    # at every step but step 9, whose growth clears the history
-    rng = np.random.default_rng(11)
-    norms = [0.8**k for k in range(14)]
-    norms[9] = 2.0
-    steps = []
-    for norm in norms:
-        r = rng.standard_normal((7, 6))
-        steps.append((rng.standard_normal((7, 6)), norm / np.linalg.norm(r) * r))
-    mixer = _Anderson((7, 6))
-    got = [mixer.step(u, r) for u, r in steps]
-    assert mixer.restarts == 1 and mixer.pushed == 4
-    want = _anderson_full_gram_oracle(steps)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_anderson_singular_gram_takes_plain_step():
-    mixer = _Anderson((3,))
-    u0, u1, r = np.zeros(3), np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.25])
-    assert np.array_equal(mixer.step(u0, r), u0 + r)
-    # the same residual again: the one difference row is zero, the 1x1
-    # Gram matrix is singular, and the plain step is taken
-    assert np.array_equal(mixer.step(u1, r.copy()), u1 + r)
-    assert mixer.restarts == 1 and mixer.pushed == 0
-
-
-def test_anderson_growing_residual_clears_history():
-    mixer = _Anderson((3,))
-    mixer.step(np.zeros(3), np.array([1.0, -2.0, 0.5]))
-    r1 = np.array([0.5, -1.0, 0.0])
-    mixed = mixer.step(np.ones(3), r1)
-    assert mixer.pushed == 1 and not np.array_equal(mixed, np.ones(3) + r1)
-    # a larger residual, not collinear with the stored difference: the
-    # Gram system would be regular, but the history is cleared instead
-    u2, r2 = np.full(3, 2.0), np.array([0.0, 3.0, 3.0])
-    assert np.array_equal(mixer.step(u2, r2), u2 + r2)
-    assert mixer.restarts == 1 and mixer.pushed == 0
-    mixer.reset()
-    assert mixer.restarts == 0
 
 
 def _checkpoint_spacing(trip):
@@ -729,24 +663,38 @@ def test_duality_gap_at_truth_under_varying_sigma0():
 
 
 def test_fixedpoint_returns_a_fixed_point_under_varying_sigma0():
-    # the step applies only an approximate inverse of the stage operator,
-    # but its fixed point is where the gradient of F_eps vanishes: the
-    # exact lagged step from u barely moves it (9.5e-11 at fp_tol 1e-10)
+    # the Newton step solves with the Hessian of the stage's first iterate
+    # only, but its fixed point is where the gradient of F_eps vanishes: the
+    # exact lagged step from u barely moves it (3.0e-12 at fp_tol 1e-10)
     grid, c, _, f = bump_problem(33)
     problem = TVProblem(synthesize_triplet(c, _fiber_tensor(grid), f, grid))
     u, info = minimize_tv_fixedpoint(problem)
     assert all(st["converged"] for st in info["stages"])
-    assert _lagged_step_change(problem, u) <= 10.0 * problem.fp_tol
+    assert _lagged_step_change(problem, u) <= 0.1 * problem.fp_tol
 
 
 def test_fixedpoint_recovers_c_under_varying_sigma0():
     # the fiber sigma0 at n = 65: every stage meets its tol and c comes
-    # back to 6.4e-5 off the mask (the bound is about 3x that)
+    # back to 1.48e-5 off the mask, under the 2e-5 the Newton item targets
+    # (the defect-correction fixed point stopped at 6.4e-5)
     grid, c, _, f = bump_problem(65)
     trip = synthesize_triplet(c, _fiber_tensor(grid), f, grid)
     report = reconstruct(TVProblem(trip))
     assert all(st["converged"] for st in report.diagnostics["fixedpoint"]["stages"])
-    assert report.diagnostics["c_rel_linf_off_mask"] <= 2e-4
+    assert report.diagnostics["c_rel_linf_off_mask"] <= 2e-5
+
+
+def test_fixedpoint_descends_on_noisy_data():
+    # 1% noise at n = 33: the line search keeps F_eps monotone in every
+    # stage (2 halvings in all), each stage meets its tol, u stays finite
+    grid, c, sigma0, f = bump_problem(33)
+    trip = synthesize_triplet(c, sigma0, f, grid, noise_level=0.01, seed=3)
+    u, info = minimize_tv_fixedpoint(TVProblem(trip))
+    assert not info["nonmonotone_flag"]
+    for st in info["stages"]:
+        assert st["monotone"] and st["converged"]
+        assert np.all(np.diff(st["smoothed_history"]) <= 1e-10 * (1.0 + st["smoothed_history"][0]))
+    assert np.isfinite(u.values).all()
 
 
 def test_boundary_flux_integral_known_value():
