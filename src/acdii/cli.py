@@ -271,17 +271,24 @@ def _say(args, line: str) -> None:
         print(line)
 
 
-def _pd_status(info: dict) -> str:
-    """The stopping outcome of a primal-dual `recon.json` block, in words."""
-    if info["converged"]:
-        return (
-            f"primal-dual converged after {info['iterations']} of "
-            f"{info['max_iterations']} iterations"
-        )
-    return (
-        f"primal-dual stopped unconverged at {info['iterations']} iterations "
-        f"(gap {info['pd_gap']:.3e}, div B rms {info['dual_divergence_rms']:.3e})"
-    )
+def _status(diagnostics: dict) -> list[str]:
+    """How each minimizer of a `recon.json` diagnostics block stopped, in words."""
+    out = []
+    if "fixedpoint" in diagnostics:
+        stages = diagnostics["fixedpoint"]["stages"]
+        short = [f"stage {k}: {st['inner_iterations']} steps, change {st['final_rel_change']:.3e} "
+                 f"above tol {st['tol']:.3e}, {st['cuts']} halvings"
+                 for k, st in enumerate(stages, 1) if not st["converged"]]
+        out.append(f"fixed point stopped unconverged in {len(short)} of {len(stages)} stages "
+                   f"({'; '.join(short)})" if short else
+                   f"fixed point converged in all {len(stages)} stages")
+    if "primaldual" in diagnostics:
+        info = diagnostics["primaldual"]
+        out.append(f"primal-dual converged after {info['iterations']} of "
+                   f"{info['max_iterations']} iterations" if info["converged"] else
+                   f"primal-dual stopped unconverged at {info['iterations']} iterations "
+                   f"(gap {info['pd_gap']:.3e}, div B rms {info['dual_divergence_rms']:.3e})")
+    return out
 
 
 # -- commands ---------------------------------------------------------------------
@@ -378,9 +385,8 @@ def cmd_invert(cfg, args, chash) -> int:
     }
     _write_json(out / "recon.json", doc)
     gap = report.diagnostics.get("duality_gap", float("nan"))
-    summary = f"invert: duality gap {gap:.3e}, masked cells {int(report.mask_z.sum())}"
-    if "primaldual" in report.diagnostics:
-        summary += ", " + _pd_status(report.diagnostics["primaldual"])
+    summary = ", ".join([f"invert: duality gap {gap:.3e}",
+                         f"masked cells {int(report.mask_z.sum())}"] + _status(report.diagnostics))
     _say(args, f"{summary} -> {out}")
     return 0
 
@@ -555,8 +561,8 @@ def cmd_report(cfg, args, chash) -> int:
         try:
             if "duality_gap" in diag:
                 _say(args, f"recovery duality gap: {diag['duality_gap']:.3e}")
-            if "primaldual" in diag:
-                _say(args, _pd_status(diag["primaldual"]))
+            for line in _status(diag):
+                _say(args, line)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{rdir / 'recon.json'}: malformed diagnostics ({exc!r})") from exc
     return 0

@@ -207,7 +207,8 @@ class TensorField2:
         self.s22 = s22.copy()
         # numpy scalars, as in `cell_operator`: a square beyond the floats is inf, not an error
         hx, hy = np.float64(grid.hx), np.float64(grid.hy)
-        self.hourglass = (s11 * hy**2 + s22 * hx**2) / 12.0
+        with np.errstate(over="ignore"):  # nor is its product with s11 or s22 beyond them
+            self.hourglass = (s11 * hy**2 + s22 * hx**2) / 12.0
         for arr in (self.s11, self.s12, self.s22, self.hourglass):
             arr.setflags(write=False)
 

@@ -39,10 +39,12 @@ a Galerkin V(1,1)-cycle: bilinear prolongation composed with the system's
 own tying and dropping of unknowns, damped Jacobi smoothing weighted by
 the Gershgorin bound of D^-1 A, and a dense Cholesky solve on the
 coarsest level.  Its CG iteration count stays roughly flat under
-refinement.  Every assembly builds its own hierarchy.  `cg_correction`
-runs the same CG iterations from zero to a forcing term under a cap, the
-inexact solve of a Newton step.  Every step has a fixed operation order,
-so repeated runs are bit-identical.
+refinement.  Every assembly builds its own hierarchy.  Every CG starts
+from zero and runs one stop loop (`_cg`): to a tolerance in a solve, to a
+forcing term under a cap in `cg_correction`, the inexact solve of a
+Newton step.  The layout alone maps node arrays to reduced unknowns and
+back (`Layout.gather`, `Layout.expand`).  Every step has a fixed
+operation order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -350,11 +352,11 @@ def _matvec(a, x, out):
 class Multigrid:
     """A reduced SPD matrix with its Galerkin V(1,1)-cycle preconditioner.
 
-    `levels[0]` is the matrix and `matrix @ x` multiplies by it; each
-    coarser level is P^T A P.  Smoothing is damped Jacobi with weight
-    4 / (3 g), g the Gershgorin bound of D^-1 A on that level, so the
-    smoother contracts in the energy norm and the symmetric cycle is an
-    SPD preconditioner.  The coarsest level is solved by dense Cholesky.
+    `levels[0]` is the matrix; each coarser level is P^T A P.  Smoothing
+    is damped Jacobi with weight 4 / (3 g), g the Gershgorin bound of
+    D^-1 A on that level, so the smoother contracts in the energy norm and
+    the symmetric cycle is an SPD preconditioner.  The coarsest level is
+    solved by dense Cholesky.
 
     `matrix` has the pattern of `layout` (see `Layout`), whose
     prolongations the cycle uses; its diagonal is read at the layout's
@@ -383,9 +385,6 @@ class Multigrid:
         # smoothed iterate, the prolonged iterate and a temporary
         self._restricted = [np.empty(a.shape[0]) for a in self.levels[1:]]
         self._work = [np.empty((3, a.shape[0])) for a in self.levels]
-
-    def __matmul__(self, x):
-        return self.levels[0] @ x
 
     def vcycle(self, r: np.ndarray, out=None) -> np.ndarray:
         """One V(1,1)-cycle from a zero guess: the preconditioned residual,
@@ -423,10 +422,11 @@ class Layout:
     Dirichlet nodes are eliminated by lifting, each perfect component is
     aggregated to one unknown, and unknowns with no stiffness (nodes fully
     surrounded by deleted cells) are dropped and later filled by neighbor
-    averaging.  The layout holds those dof maps with the node count of
-    each dof, the int32 CSR patterns of the reduced matrix (`indices`,
-    `indptr`, with the positions of its diagonal in `diagonal`) and of its
-    coupling to the Dirichlet nodes, and the multigrid prolongations.
+    averaging.  The layout holds those dof maps, with `gather` and
+    `expand` between node arrays and unknowns, the int32 CSR patterns of
+    the reduced matrix (`indices`, `indptr`, with the positions of its
+    diagonal in `diagonal`) and of its coupling to the Dirichlet nodes,
+    and the multigrid prolongations.
 
     `stiffness` maps element matrices to the values of both patterns: a
     0/1 CSR matrix with one row per stored entry (the matrix's, then the
@@ -464,8 +464,6 @@ class Layout:
         ndof += singles.size
         self.node_dof = node_dof
         self.free_nodes = np.flatnonzero(free)
-        # nodes per dof: a tied component's warm start is the mean of its nodes
-        self.tie_counts = np.bincount(node_dof[self.free_nodes], minlength=ndof)
 
         # an unknown has stiffness iff a contributing cell touches one of its nodes
         stiff = np.zeros(ndof, dtype=bool)
@@ -477,6 +475,9 @@ class Layout:
         kept = np.full(ndof, -1, dtype=np.int32)
         kept[self.keep] = np.arange(m)
         self.node_kept = node_kept = np.where(node_dof >= 0, kept[node_dof], -1).astype(np.int32)
+        # the node each unknown reads in `gather`: one node of a tied component
+        self.unknown_nodes = np.empty(m, dtype=np.int64)
+        self.unknown_nodes[node_kept[node_kept >= 0]] = np.flatnonzero(node_kept >= 0)
         boundary = np.full(n, -1, dtype=np.int32)
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
@@ -486,6 +487,25 @@ class Layout:
         self.indices, self.indptr = matrix
         self.coupling_indices, self.coupling_indptr = coupling
         self.prolongations = _prolongations(grid.shape, node_dof, ndof, self.keep)
+
+    def gather(self, values) -> np.ndarray:
+        """The reduced vector of a node array: each unknown's entry at its
+        node.  A tied component's nodes all carry its value in an array of
+        `expand`; a node-wise gradient gathers so only where nothing is tied.
+        """
+        return np.ravel(values)[self.unknown_nodes]
+
+    def expand(self, x, lift) -> np.ndarray:
+        """The node array of reduced unknowns x: the Dirichlet data on the
+        rim, read from the node array `lift` (as `LinearSystem.rhs` returns
+        it), each unknown's value on its nodes, and on the free nodes with no
+        unknown, which no contributing cell touches, the neighbor-mean fill.
+        """
+        grid = self.grid
+        u = np.where(self.node_kept >= 0, x[self.node_kept], np.nan)
+        u[grid.boundary_ids] = np.ravel(lift)[grid.boundary_ids]
+        u = u.reshape(grid.shape)
+        return _fill_isolated(grid, u) if (self.node_kept[self.free_nodes] < 0).any() else u
 
 
 class LinearSystem:
@@ -498,16 +518,14 @@ class LinearSystem:
     """
 
     def __init__(self, layout: Layout, matrix: Multigrid, coupling):
-        self.grid = layout.grid
         self.layout = layout
         self.matrix = matrix
         self.coupling = coupling
-        self.n_unknowns = layout.n_unknowns
         self.cg_iterations = None
         self.cg_residual = None
 
     def rhs(self, boundary_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
+        grid = self.layout.grid
         lift = np.zeros(grid.n_nodes)
         lift[grid.boundary_ids] = boundary_values
         return -(self.coupling @ boundary_values), lift
@@ -598,32 +616,35 @@ def _cg_steps(matrix: Multigrid, x, r):
         yield
 
 
-def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
-    """CG on `matrix` preconditioned by its V-cycle.
-
-    Stops when the relative residual |b - A x| / |b| meets tol and
-    returns (x, relative residual, iterations).  A right-hand side whose
-    norm is not finite, or a residual that is not, raises ConvergenceError
-    at once: no later step can make it finite again.  So does a
-    breakdown of `_cg_steps` short of tol.
+def _cg(matrix: Multigrid, b, tol, cap):
+    """(x, relative residual, iterations) of CG on A x = b from x = 0 until
+    |b - A x| / |b| <= tol, `cap` iterations, a breakdown of `_cg_steps` or
+    the first residual that is not finite (no later step makes it finite);
+    a zero b has residual 0 at once, a b whose norm is not finite NaN.
     """
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
+    x, r, its = np.zeros_like(b), b.copy(), 0
     bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    if not np.isfinite(bnorm):
-        raise ConvergenceError(f"CG right-hand side norm is not finite ({bnorm})", np.nan, 0)
-    r = b - matrix @ x if x0 is not None else b.copy()
-    res = np.sqrt(_dot(r, r)) / bnorm
+    # x = 0 solves a zero b, and nothing solves a b whose norm is not finite
+    res = 0.0 if bnorm == 0.0 else 1.0 if np.isfinite(bnorm) else np.nan
+    if res > tol:
+        for its, _ in zip(range(1, cap + 1), _cg_steps(matrix, x, r)):
+            res = np.sqrt(_dot(r, r)) / bnorm
+            if res <= tol or not np.isfinite(res):
+                break
+    return x, res, its
+
+
+def _pcg(matrix: Multigrid, b, tol, max_iter):
+    """(x, relative residual, iterations) of CG on `matrix` preconditioned
+    by its V-cycle (`_cg`) once the residual meets tol; a right-hand side or
+    residual that is not finite, a breakdown or the cap raises ConvergenceError.
+    """
+    x, res, it = _cg(matrix, b, tol, max_iter)
     if res <= tol:
-        return x, res, 0
-    it = 0
-    for it, _ in zip(range(1, max_iter + 1), _cg_steps(matrix, x, r)):
-        res = np.sqrt(_dot(r, r)) / bnorm
-        if res <= tol:
-            return x, res, it
-        if not np.isfinite(res):
-            raise ConvergenceError(f"CG residual is not finite ({res}) at iteration {it}", res, it)
+        return x, res, it
+    if not np.isfinite(res):
+        where = f"at iteration {it}" if it else "from the right-hand side"
+        raise ConvergenceError(f"CG residual is not finite ({res}) {where}", res, it)
     if it < max_iter:
         raise ConvergenceError(f"CG broke down after {it} iterations (residual {res:.3e})", res, it)
     raise ConvergenceError(
@@ -636,21 +657,14 @@ def _pcg(matrix: Multigrid, b, tol, max_iter, x0=None):
 def cg_correction(matrix: Multigrid, r, forcing: float, cap: int):
     """(x, iterations, met): preconditioned CG on A x = r from x = 0 until
     |r - A x| <= forcing |r|, a constant forcing term (Eisenstat & Walker
-    1996), or `cap` iterations.
+    1996), or `cap` iterations (`_cg`).
 
-    `met` is False when the cap, or a breakdown of `_cg_steps`, ends it
-    short of the forcing; x, the iterate reached, is still a descent
-    direction for r.
+    `met` is False when the cap, a breakdown of `_cg_steps` or a residual
+    that is not finite ends it short of the forcing; after the cap or a
+    breakdown x, the iterate reached, is still a descent direction for r.
     """
-    rnorm = np.sqrt(_dot(r, r))
-    x, res, target, its = np.zeros_like(r), r.copy(), forcing * rnorm, 0
-    met = bool(rnorm <= target)  # a zero right-hand side
-    if not met:
-        for its, _ in zip(range(1, cap + 1), _cg_steps(matrix, x, res)):
-            if np.sqrt(_dot(res, res)) <= target:
-                met = True
-                break
-    return x, its, met
+    x, res, its = _cg(matrix, r, forcing, cap)
+    return x, its, bool(res <= forcing)
 
 
 def _boundary_values(grid: Grid2D, f: ScalarField) -> np.ndarray:
@@ -659,68 +673,42 @@ def _boundary_values(grid: Grid2D, f: ScalarField) -> np.ndarray:
     return f.values.ravel()[grid.boundary_ids]
 
 
-def _shift_sum(values, valid):
-    """Sum and count of finite 4-neighbors, for NaN fill."""
-    s = np.zeros_like(values)
-    cnt = np.zeros(values.shape)
-    vv = np.where(valid, values, 0.0)
-    s[1:, :] += vv[:-1, :]
-    cnt[1:, :] += valid[:-1, :]
-    s[:-1, :] += vv[1:, :]
-    cnt[:-1, :] += valid[1:, :]
-    s[:, 1:] += vv[:, :-1]
-    cnt[:, 1:] += valid[:, :-1]
-    s[:, :-1] += vv[:, 1:]
-    cnt[:, :-1] += valid[:, 1:]
-    return s, cnt
-
-
 def _fill_isolated(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """Replace NaNs by iterated neighbor means (deterministic)."""
     out = values.copy()
     for _ in range(grid.nx + grid.ny):
-        need = ~np.isfinite(out)
-        if not need.any():
-            return out
         have = np.isfinite(out)
-        s, cnt = _shift_sum(out, have)
-        ok = need & (cnt > 0)
+        if have.all():
+            return out
+        # sum and count of the finite 4-neighbors
+        s, cnt = np.zeros_like(out), np.zeros(out.shape)
+        vv = np.where(have, out, 0.0)
+        s[1:, :] += vv[:-1, :]
+        cnt[1:, :] += have[:-1, :]
+        s[:-1, :] += vv[1:, :]
+        cnt[:-1, :] += have[1:, :]
+        s[:, 1:] += vv[:, :-1]
+        cnt[:, 1:] += have[:, :-1]
+        s[:, :-1] += vv[:, 1:]
+        cnt[:, :-1] += have[:, 1:]
+        ok = ~have & (cnt > 0)
         out[ok] = s[ok] / cnt[ok]
     raise AssemblyError("could not fill isolated nodes from neighbors")
 
 
-def solve_dirichlet(system: LinearSystem, f, tol: float = CG_TOL, max_iter=None, x0=None):
-    """Solve the reduced system for Dirichlet data f.
+def solve_dirichlet(system: LinearSystem, f, tol: float = CG_TOL):
+    """Solve the reduced system for Dirichlet data f by CG from zero.
 
     f is a node ScalarField on the system's grid; only its boundary
-    values are read.  Returns a node ScalarField carrying exactly f on
-    boundary_ids; nodes cut off from all stiffness (interiors of
-    insulating regions) get the deterministic neighbor-mean fill.
+    values are read.  Returns the node ScalarField of `Layout.expand`:
+    exactly f on boundary_ids, and on nodes cut off from all stiffness
+    (interiors of insulating regions) the deterministic neighbor-mean fill.
     """
-    grid = system.grid
-    vals = _boundary_values(grid, f)
-    b, lift = system.rhs(vals)
-    if max_iter is None:
-        max_iter = max(10 * system.n_unknowns, 50)
     layout = system.layout
-    guess = None
-    if x0 is not None:
-        x0v = np.asarray(x0, dtype=np.float64)
-        # a tied component starts from the mean of its nodes' guesses
-        nodes = layout.free_nodes
-        sums = np.bincount(layout.node_dof[nodes], weights=x0v.ravel()[nodes],
-                           minlength=layout.tie_counts.size)
-        guess = (sums / layout.tie_counts)[layout.keep]
-    x, system.cg_residual, system.cg_iterations = _pcg(system.matrix, b, tol, max_iter, x0=guess)
-
-    u = lift
-    unknown = layout.node_kept[layout.free_nodes]
-    # the nodes of a dropped dof have no stiffness and get the neighbor-mean fill
-    u[layout.free_nodes] = np.where(unknown >= 0, x[unknown], np.nan)
-    u = u.reshape(grid.shape)
-    if layout.n_unknowns < layout.tie_counts.size:
-        u = _fill_isolated(grid, u)
-    return ScalarField(grid, u, location="node")
+    b, lift = system.rhs(_boundary_values(layout.grid, f))
+    x, system.cg_residual, system.cg_iterations = _pcg(
+        system.matrix, b, tol, max(10 * layout.n_unknowns, 50))
+    return ScalarField(layout.grid, layout.expand(x, lift), location="node")
 
 
 def solve_penalized(ks, c, sigma0: TensorField2, f, inclusions: InclusionSet,

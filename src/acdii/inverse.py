@@ -68,7 +68,7 @@ from .fields import (
     tv_hessian,
     weighted_tv,
 )
-from .forward import Layout, _dot, _fill_isolated, assemble, cg_correction, solve_dirichlet
+from .forward import Layout, _dot, _matvec, assemble, cg_correction, solve_dirichlet
 from .geometry import weighted_perimeter
 from .schema import InputError, Key, validate
 
@@ -175,8 +175,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     the forcing _FORCING |g| under the cap _CG_CAP
     (`forward.cg_correction`), and accepts u - t s, t = 1, 1/2, ..., by
     Armijo backtracking on F_eps with the round-off slack
-    _SLACK (1 + |F_eps|).  Nodes with no stiffness get the neighbor-mean
-    fill of the solves.
+    _SLACK (1 + |F_eps|).  The new iterate is expanded from the unknowns
+    as the solves' potentials are (`forward.Layout.expand`): nodes with no
+    stiffness get the neighbor-mean fill.
 
     A stage ends at the first step whose full relative change
     |s| / |u - s| is <= tol, which it takes, after max_inner steps, or
@@ -204,17 +205,9 @@ def minimize_tv_fixedpoint(problem: TVProblem):
 
     layout = Layout(sigma0, exclude_cells=void)
     system = assemble(1.0, layout)
-    u = solve_dirichlet(system, triplet.f)
-    uvals = u.values.copy()
+    uvals = solve_dirichlet(system, triplet.f).values.copy()
     total_cg = system.cg_iterations
     system = None
-    # the node of each reduced unknown (this layout ties no nodes) and the
-    # free nodes with no unknown
-    free = layout.free_nodes
-    unknown = layout.node_kept[free]
-    nodes = np.empty(layout.n_unknowns, dtype=np.int64)
-    nodes[unknown[unknown >= 0]] = free[unknown >= 0]
-    isolated = free[unknown < 0]
 
     def tv(rho):  # F_eps of a_hat from its density
         return float(np.sum(a_hat * rho)) * grid.cell_area
@@ -232,15 +225,12 @@ def minimize_tv_fixedpoint(problem: TVProblem):
             values.append(value)
             if inner == 1:
                 hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout).matrix
-            g = gradient.ravel()[nodes]
+            # this layout ties no nodes, so the gradient gathers as u does
+            g = layout.gather(gradient)
             s, its, met = cg_correction(hessian, g, _FORCING, _CG_CAP)
             vcycles += its
             cap_hits += not met
-            full = uvals.copy()
-            full.ravel()[nodes] -= s
-            if isolated.size:
-                full.ravel()[isolated] = np.nan
-                full = _fill_isolated(grid, full)
+            full = layout.expand(layout.gather(uvals) - s, uvals)
             rel = _masked_rel_change(full, uvals)
             if rel <= tol:
                 uvals = full
@@ -430,10 +420,10 @@ def minimize_tv_primal_dual(problem: TVProblem):
 
     system = assemble(1.0, Layout(sigma0, exclude_cells=void))
     u = solve_dirichlet(system, t.f).values.ravel().copy()
-    ubar = np.empty_like(u)
+    ubar, step = np.empty_like(u), np.empty_like(u)
     b = np.zeros((3, a_hat.size))
     b_flat = b.reshape(-1)
-    bhat = np.zeros_like(b)
+    bhat, kubar = np.zeros_like(b), np.empty(b.size)
     bhat_flat = bhat.reshape(-1)
     square = np.empty_like(b)
     scale = np.empty(a_hat.size)
@@ -461,10 +451,10 @@ def minimize_tv_primal_dual(problem: TVProblem):
     converged = False
     for it in range(iters):
         # primal step uhat = u - step, extrapolation ubar = 2 uhat - u
-        step = kt_op @ b_flat
+        _matvec(kt_op, b_flat, step)
         np.subtract(u, step, out=ubar)
         ubar -= step
-        np.add(b_flat, k_op @ ubar, out=bhat_flat)
+        np.add(b_flat, _matvec(k_op, ubar, kubar), out=bhat_flat)
         # scale a / max(|bhat|, a): exactly 1 inside the ball, a / |bhat| outside
         np.multiply(bhat, bhat, out=square)
         np.add(square[0], square[1], out=scale)

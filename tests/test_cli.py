@@ -159,6 +159,31 @@ def test_invert_and_report_flag_unconverged_primal_dual(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_invert_and_report_flag_unconverged_fixed_point_stages(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _base_config(out)
+    path = _write(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--quiet"]) == 0
+    cfg["input"] = {"triplet": str(out), "results": str(out)}
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["invert", "--config", path]) == 0
+    assert ", fixed point converged in all 8 stages -> " in capsys.readouterr().out
+    cfg["inverse"]["max_inner"] = 2
+    path = _write(tmp_path, cfg)
+    assert main(["invert", "--config", path]) == 0
+    stages = json.loads((out / "recon.json").read_text())["diagnostics"]["fixedpoint"]["stages"]
+    short = [f"stage {k}: 2 steps, change {st['final_rel_change']:.3e} above tol "
+             f"{st['tol']:.3e}, {st['cuts']} halvings"
+             for k, st in enumerate(stages, 1) if not st["converged"]]
+    assert short
+    flag = (f"fixed point stopped unconverged in {len(short)} of 8 stages "
+            f"({'; '.join(short)})")
+    assert flag in capsys.readouterr().out
+    assert main(["report", "--config", path]) == 0
+    assert flag in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "diagnostics",
     ['{"primaldual": {"iterations": 5}}', '{"duality_gap": "small"}'],

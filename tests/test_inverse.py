@@ -14,6 +14,7 @@ from acdii.fields import (
     cell_operator,
     grad,
     grad_adjoint,
+    nodes_of_cells,
     rel_l2,
     sym2_det,
     sym2_sqrt,
@@ -211,7 +212,7 @@ def _lagged_step_change(problem, u):
     eps = _eps_schedule(sigma0)[-1]
     weight = tv_density(u.values, sigma0, eps)
     system = assemble(np.where(~void, a_hat / weight, 1.0), Layout(sigma0, exclude_cells=void))
-    step = solve_dirichlet(system, problem.triplet.f, x0=u.values, tol=1e-13)
+    step = solve_dirichlet(system, problem.triplet.f, tol=1e-13)
     return rel_l2(u.values, step.values)
 
 
@@ -746,6 +747,40 @@ def test_gradient_aligns_with_transported_current(recon33, bump33):
     norms = np.hypot(g1, g2) * np.hypot(w1, w2)
     ang = np.arccos(np.clip(dot[sel] / np.maximum(norms[sel], 1e-300), -1.0, 1.0))
     assert float(np.max(ang)) <= 1e-2
+
+
+def test_fixedpoint_fills_nodes_without_stiffness_as_the_solves_do():
+    # the interior nodes of the insulating disk touch no cell where a is
+    # positive, so no unknown: the fixed point's potential carries there the
+    # neighbor-mean fill of the other nodes that `solve_dirichlet` gives
+    grid, c, sigma0, f = bump_problem(33)
+    incl = InclusionSet(grid, perfect=[disk_cells(grid, (0.3, 0.7), 0.1)],
+                        insulating=[disk_cells(grid, (0.7, 0.3), 0.08)])
+    trip = synthesize_triplet(c, sigma0, f, grid, inclusions=incl)
+    u, info = minimize_tv_fixedpoint(TVProblem(trip))
+    assert info["stages"][-1]["converged"]
+    cut_off = grid.interior_mask() & ~nodes_of_cells(trip.a.values > 0)
+    assert cut_off.sum() == 12
+    assert np.array_equal(u.values, _loop_fill(u.values, cut_off))
+
+
+def _loop_fill(values, holes):
+    """Independent neighbor-mean fill with plain loops: each sweep gives
+    every hole with a known 4-neighbor the mean of its known ones, summed
+    in the order j - 1, j + 1, i - 1, i + 1."""
+    out, todo = values.copy(), set(zip(*np.nonzero(holes)))
+    while todo:
+        sweep = {}
+        for j, i in todo:
+            known = [(q, p) for q, p in ((j - 1, i), (j + 1, i), (j, i - 1), (j, i + 1))
+                     if 0 <= q < out.shape[0] and 0 <= p < out.shape[1] and (q, p) not in todo]
+            if known:
+                sweep[j, i] = sum(out[q, p] for q, p in known) / len(known)
+        assert sweep
+        for node, value in sweep.items():
+            out[node] = value
+            todo.discard(node)
+    return out
 
 
 def test_insulating_component_fully_masked_and_labeled():
