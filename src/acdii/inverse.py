@@ -170,8 +170,10 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     stationary point is the lagged-diffusivity fixed point, since
     A(a / rho_eps(u)) u is the gradient of F_eps (`fields.tv_gradient`).
     The stage assembles the Hessian H of F_eps at its first iterate
-    (`fields.tv_hessian`) with its multigrid hierarchy, once.  Each step
-    takes the gradient g matrix-free, solves H s = g by CG from zero to
+    (`fields.tv_hessian`) with its line-relaxation multigrid hierarchy
+    (`forward.LineMultigrid`), and again at the iterate after every step
+    whose line search cut, where the old H stopped modelling F_eps.  Each
+    step takes the gradient g matrix-free, solves H s = g by CG from zero to
     the forcing _FORCING |g| under the cap _CG_CAP
     (`forward.cg_correction`), and accepts u - t s, t = 1, 1/2, ..., by
     Armijo backtracking on F_eps with the round-off slack
@@ -189,7 +191,8 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     Returns (u, info).  info records, per stage, F_eps of each iterate
     (`smoothed_history`, absolute units), the steps (`inner_iterations`),
     the CG iterations, one V-cycle each (`vcycles`), the steps whose CG
-    hit the cap (`cap_hits`), the line-search halvings (`cuts`), `tol`,
+    hit the cap (`cap_hits`), the line-search halvings (`cuts`), the
+    Hessians assembled after a cut (`refreshes`), `tol`,
     the last full relative change, whether it met tol (`converged`), and
     whether F_eps never rose beyond the slack (`monotone`; any rise sets
     `nonmonotone_flag`).  `total_cg_iterations` counts the initial
@@ -218,13 +221,19 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     warm_tol = max(float(np.sqrt(problem.fp_tol)), problem.fp_tol)
     for stage, eps_hat in enumerate(schedule, 1):
         tol = problem.fp_tol if stage == len(schedule) else warm_tol
-        values, vcycles, cap_hits, cuts = [], 0, 0, 0
+        values, vcycles, cap_hits, cuts, refreshes = [], 0, 0, 0, 0
+        hessian, halvings = None, 0
         for inner in range(1, problem.max_inner + 1):
             rho, gradient = tv_gradient(uvals, a_hat, sigma0, eps_hat)
             value = tv(rho)
             values.append(value)
-            if inner == 1:
-                hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout).matrix
+            # the stage's first step assembles the Hessian, and a step after
+            # a cut assembles it again at its iterate, the old one freed first
+            if hessian is None or halvings:
+                refreshes += hessian is not None
+                hessian = None
+                hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout,
+                                   lines=True).matrix
             # this layout ties no nodes, so the gradient gathers as u does
             g = layout.gather(gradient)
             s, its, met = cg_correction(hessian, g, _FORCING, _CG_CAP)
@@ -264,6 +273,7 @@ def minimize_tv_fixedpoint(problem: TVProblem):
                 "vcycles": vcycles,
                 "cap_hits": cap_hits,
                 "cuts": cuts,
+                "refreshes": refreshes,
                 "tol": tol,
                 "converged": rel <= tol,
                 "final_rel_change": rel,

@@ -32,6 +32,7 @@ from acdii.forward import (
     InclusionSet,
     Layout,
     _COARSEST,
+    _LINE_DAMPING,
     _coarse_index,
     _pcg,
     assemble,
@@ -770,6 +771,76 @@ def test_vcycle_in_work_vectors_is_the_plain_cycle_bit_for_bit(kind):
             want = _reference_vcycle(mg, r)
             assert np.array_equal(mg.vcycle(r), want)
             assert mg.vcycle(r, out=out) is out and np.array_equal(out, want)
+
+
+def _hessian_cycle(kind, nx, ny, eps):
+    """The line-relaxation hierarchy of the Hessian of F_eps at a perturbed
+    potential on one layout kind, and its layout."""
+    layout, sigma0, a, u, _ = _perturbed_case(kind, nx, ny)
+    return assemble(tv_hessian(u, a, sigma0, eps), layout, lines=True).matrix, layout
+
+
+_LINE_LAYOUTS = ("plain", "excluded", "varying", "rim")
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-4])
+@pytest.mark.parametrize("kind", _LINE_LAYOUTS)
+def test_line_cycle_is_symmetric_and_positive(kind, eps):
+    # the whole operator, densely: y- then x-lines before the coarse
+    # correction and x- then y-lines after it make the cycle its own adjoint
+    mg, _ = _hessian_cycle(kind, 33, 27, eps)
+    assert len(mg.levels) >= 3
+    cycle = np.column_stack([mg.vcycle(e) for e in np.eye(mg.levels[0].shape[0])])
+    assert np.abs(cycle - cycle.T).max() <= 1e-13 * np.abs(cycle).max()
+    assert np.linalg.eigvalsh(cycle).min() > 0.0
+
+
+@pytest.mark.parametrize("kind", _LINE_LAYOUTS)
+def test_line_cycle_is_bit_identical_between_reruns(kind):
+    # a hierarchy rebuilt on a new layout gives the same bytes, and so do
+    # calls that alternate with another hierarchy on the same layout,
+    # whose lines share their work arrays
+    layout, sigma0, a, u, _ = _perturbed_case(kind, 33, 27)
+    first, other = (assemble(tv_hessian(v, a, sigma0, 1e-4), layout, lines=True).matrix
+                    for v in (u, u + 0.3 * u * u))
+    again, _ = _hessian_cycle(kind, 33, 27, 1e-4)
+    rng = np.random.default_rng(4)
+    out = np.empty(first.levels[0].shape[0])
+    for _ in range(3):
+        r = rng.standard_normal(out.size)
+        want = first.vcycle(r)
+        other.vcycle(rng.standard_normal(out.size))
+        assert np.array_equal(again.vcycle(r), want)
+        assert first.vcycle(r, out=out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("nx, ny", _SIZES)
+@pytest.mark.parametrize("kind", _LINE_LAYOUTS)
+def test_line_solve_is_the_dense_solve_of_the_line_blocks(kind, nx, ny):
+    # on every level and axis, omega T^-1 r with T the entries of the level
+    # matrix between unknowns of one grid column (y-lines) or row (x-lines):
+    # the finest lines have 11, 15, 12, 16, 25 and 31 nodes, padded to
+    # 15, 15, 15, 31, 31 and 31, and deleted cells break them
+    mg, layout = _hessian_cycle(kind, nx, ny, 1e-4)
+    rng = np.random.default_rng(6)
+    for a, pair, (shape, nodes) in zip(mg.levels, mg.smoothers, layout.level_nodes):
+        j, i = np.divmod(nodes, shape[1])
+        dense = a.toarray()
+        for lines, along in zip(pair, (i, j)):
+            block = np.where(along[:, None] == along[None, :], dense, 0.0)
+            r = rng.standard_normal(nodes.size)
+            want = _LINE_DAMPING * np.linalg.solve(block, r)
+            got = lines(r, np.empty_like(r))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_line_cycle_needs_one_node_per_unknown():
+    c, sigma0, grid, incl, excl, _ = _layout_case("tied+insulating", 17, 13)
+    layout = Layout(sigma0, incl, excl)
+    with pytest.raises(AssemblyError, match="ties nodes"):
+        assemble(c, layout, lines=True)
+    # the point-Jacobi cycle takes the same layout
+    assert len(assemble(c, layout).matrix.levels) >= 2
 
 
 def _refilled_case(kind, nx, ny):

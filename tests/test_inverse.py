@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from acdii import forward, inverse
+from acdii import inverse
 from acdii.data import AdmissibleTriplet, compute_current, solve_truth, synthesize_triplet
 from acdii.fields import (
     Grid2D,
@@ -19,11 +19,13 @@ from acdii.fields import (
     sym2_det,
     sym2_sqrt,
     tv_density,
+    tv_hessian,
     weighted_tv,
 )
 from acdii.forward import (
     InclusionSet,
     Layout,
+    _pcg,
     assemble,
     cg_correction,
     disk_cells,
@@ -139,8 +141,8 @@ def test_fixedpoint_recovers_linear_potential():
 
 
 def test_fixedpoint_stages_report_cg_work_and_convergence(monkeypatch):
-    # at n = 17, fp_tol 1e-8 and three steps per stage the last stage runs
-    # out of steps short of fp_tol (its third step changes u by 1.3e-7)
+    # at n = 17, fp_tol 1e-12 and three steps per stage the last stage runs
+    # out of steps short of fp_tol (its third step changes u by 2.3e-11)
     calls = []
 
     def counted(matrix, r, forcing, cap):
@@ -149,7 +151,7 @@ def test_fixedpoint_stages_report_cg_work_and_convergence(monkeypatch):
         return x, its, met
 
     monkeypatch.setattr(inverse, "cg_correction", counted)
-    problem = TVProblem(bump_triplet(17), fp_tol=1e-8, max_inner=3)
+    problem = TVProblem(bump_triplet(17), fp_tol=1e-12, max_inner=3)
     _, info = minimize_tv_fixedpoint(problem)
     stages = info["stages"]
     for st in stages:
@@ -162,6 +164,8 @@ def test_fixedpoint_stages_report_cg_work_and_convergence(monkeypatch):
         assert st["vcycles"] == sum(its for its, _ in steps) >= st["inner_iterations"]
         assert st["cap_hits"] == sum(not met for _, met in steps)
         assert st["monotone"] and st["cuts"] >= 0
+        # a refresh follows a step that cut
+        assert 0 <= st["refreshes"] <= min(st["cuts"], st["inner_iterations"] - 1)
     assert not calls
     assert not stages[-1]["converged"]
     assert stages[-1]["inner_iterations"] == problem.max_inner
@@ -184,26 +188,71 @@ def test_fixedpoint_warm_start_stages_stop_at_sqrt_fp_tol(fp_tol):
         assert st["converged"] == (st["final_rel_change"] <= st["tol"])
 
 
-def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
-    # count the multigrid hierarchies built: one for the initial solve and
-    # one per stage, whose operator every step of the stage reuses
+def _counted_assemblies(monkeypatch):
+    """The `lines` flag of every assembly the fixed point makes, in order."""
     builds = []
 
-    class CountingMultigrid(forward.Multigrid):
-        def __init__(self, matrix, layout):
-            builds.append(matrix.shape)
-            super().__init__(matrix, layout)
+    def counted(c, layout, grid=None, lines=False):
+        builds.append(lines)
+        return assemble(c, layout, grid, lines)
 
-    monkeypatch.setattr(forward, "Multigrid", CountingMultigrid)
+    monkeypatch.setattr(inverse, "assemble", counted)
+    return builds
+
+
+def test_accelerated_fixedpoint_converges_every_stage(bump33, monkeypatch):
+    # one point-Jacobi hierarchy for the initial solve and one line
+    # hierarchy per stage, whose Hessian every step of the stage reuses:
+    # on noiseless data no step cuts, so none is refreshed
+    builds = _counted_assemblies(monkeypatch)
     problem = TVProblem(bump33)
     u, info = minimize_tv_fixedpoint(problem)
-    assert len(builds) == 1 + _EPS_STAGES
+    assert builds == [False] + [True] * _EPS_STAGES
     assert info["total_inner_iterations"] > _EPS_STAGES
     assert all(st["converged"] for st in info["stages"])
-    # Newton-chord steps: 29 here, where the Anderson-mixed defect
-    # correction took 137 and the unmixed lagged iteration ran out of 8 x 50
-    assert info["total_inner_iterations"] <= 60
+    assert all(st["cuts"] == st["refreshes"] == 0 for st in info["stages"])
+    # Newton-chord steps on the line cycle: 18 here, each one CG iteration;
+    # 29 steps and 131 CG iterations on the point-Jacobi cycle, 137 steps
+    # of the Anderson-mixed defect correction before them
+    assert info["total_inner_iterations"] <= 18
+    assert sum(st["vcycles"] for st in info["stages"]) == info["total_inner_iterations"]
     assert _lagged_step_change(problem, u) <= 0.1 * problem.fp_tol
+
+
+def test_fixedpoint_refreshes_the_hessian_after_a_cut(monkeypatch):
+    # 5% noise at n = 33: the stage's first Hessian stops modelling F_eps,
+    # and the line search cuts; the step after a cut assembles the Hessian
+    # at its iterate, and every stage converges (153 steps, 11 cuts, 10
+    # refreshes; 445 steps, 501 cuts and the last stage out of steps
+    # without the refresh)
+    builds = _counted_assemblies(monkeypatch)
+    grid, c, sigma0, f = bump_problem(33)
+    trip = synthesize_triplet(c, sigma0, f, grid, noise_level=0.05, seed=3)
+    _, info = minimize_tv_fixedpoint(TVProblem(trip))
+    stages = info["stages"]
+    assert all(st["converged"] and st["monotone"] for st in stages)
+    refreshes = sum(st["refreshes"] for st in stages)
+    assert 0 < refreshes <= sum(st["cuts"] for st in stages)
+    assert builds == [False] + [True] * (_EPS_STAGES + refreshes)
+    assert info["total_inner_iterations"] <= 160
+
+
+def test_line_cycle_pcg_on_the_last_eps_hessian_grows_slowly():
+    # PCG to 1e-6 from a seeded right-hand side on the Hessian of F_eps at
+    # the last eps and the stored truth takes 5 / 7 / 10 iterations at
+    # n = 33 / 65 / 129 (88 / 177 / 339 on the point-Jacobi cycle, 2x per
+    # refinement), so the bound is 1.5x per refinement
+    counts = []
+    for n in (33, 65, 129):
+        trip = bump_triplet(n)
+        _, sigma0, _, a_hat, void = _normalized_data(TVProblem(trip))
+        layout = Layout(sigma0, exclude_cells=void)
+        u = np.asarray(trip.provenance["u_true"])
+        hessian = assemble(tv_hessian(u, a_hat, sigma0, _eps_schedule(sigma0)[-1]), layout,
+                           lines=True).matrix
+        b = np.random.default_rng(0).standard_normal(layout.n_unknowns)
+        counts.append(_pcg(hessian, b, 1e-6, 1000)[2])
+    assert all(later <= 1.5 * earlier for earlier, later in zip(counts, counts[1:]))
 
 
 def _lagged_step_change(problem, u):
