@@ -15,11 +15,13 @@ kept separate on purpose:
   eps-continuation schedule, whose limit is the lagged-diffusivity fixed
   point div(c_eff sigma0 grad u) = 0, c_eff = a / (rho_h(u)^2 +
   eps^2)^(1/2): the exact stationarity of F_eps, since |K| rho_K^2 is
-  the element energy (Vogel & Oman 1996).  Each stage assembles the
-  Hessian of F_eps once, at its first iterate; each step solves it
-  inexactly by CG against the matrix-free gradient
-  (`fields.tv_gradient`) and is accepted by Armijo backtracking on F_eps
-  (Chan, Golub & Mulet 1999 on Newton for TV);
+  the element energy (Vogel & Oman 1996).  The continuation is nested:
+  only its last stage runs on the data's grid, and each stage before it
+  one grid coarser, on 2x2-averaged data.  Each stage assembles the
+  Hessian of F_eps at its first iterate and again after a step that cut
+  or slowed down; each step solves it inexactly by CG against the
+  matrix-free gradient (`fields.tv_gradient`) and is accepted by Armijo
+  backtracking on F_eps (Chan, Golub & Mulet 1999 on Newton for TV);
 - a primal-dual (Chambolle-Pock type) saddle-point scheme on
   min_u max_b <M u, b> over the per-cell balls |b_K| <= a_K in R^3, the
   three rows of M per cell, with a step bound L^2 that is the Gershgorin
@@ -53,6 +55,7 @@ import numpy as np
 
 from .data import AdmissibleTriplet
 from .fields import (
+    Grid2D,
     ScalarField,
     TensorField2,
     VectorField2,
@@ -93,9 +96,10 @@ class TVProblem:
 
     fp_tol and max_inner stop each eps-stage of the fixed point (see
     `minimize_tv_fixedpoint`); its eps schedule (`_eps_schedule`), the
-    forcing, cap and line search of its Newton steps (`_FORCING`,
-    `_CG_CAP`, `_ARMIJO`, `_SLACK`, `_MAX_CUTS`) and the CG tolerance of
-    both minimizers' initial solves (`forward.CG_TOL`) are fixed.
+    floor of its nested grids (`_NEST_FLOOR`), the forcing, cap and line
+    search of its Newton steps (`_FORCING`, `_CG_CAP`, `_ARMIJO`,
+    `_SLACK`, `_MAX_CUTS`) and the CG tolerance of both minimizers'
+    initial solves (`forward.CG_TOL`) are fixed.
     pd_iterations caps the primal-dual steps; their sizes follow from f
     and the operator, and the checkpoints of its stopping rule from the grid
     (see `minimize_tv_primal_dual`).  Cells where a vanishes are left
@@ -162,24 +166,173 @@ _SLACK = 1e-10
 _MAX_CUTS = 40
 
 
+# the nested start: every eps-stage before the last runs one grid coarser
+# than the stage after it, down to grids of _NEST_FLOOR nodes per side
+_NEST_FLOOR = 33
+
+
+def _coarsened(sigma0: TensorField2, a_hat, f):
+    """The problem on the grid of every other node, or None where that grid
+    does not exist (an odd cell count) or falls below _NEST_FLOOR nodes.
+
+    a is averaged over the 2x2 cells of each coarse cell, sigma0 entrywise
+    over the same blocks (an average of SPD matrices is SPD), and f is
+    injected: (sigma0, a_hat, f) on the coarse grid.
+    """
+    grid = sigma0.grid
+    cy, cx = grid.cell_shape
+    if cx % 2 or cy % 2 or min(cx, cy) // 2 + 1 < _NEST_FLOOR:
+        return None
+    coarse = Grid2D(cx // 2 + 1, cy // 2 + 1, 2.0 * grid.hx, 2.0 * grid.hy)
+
+    def average(v):
+        return 0.25 * (v[0::2, 0::2] + v[0::2, 1::2] + v[1::2, 0::2] + v[1::2, 1::2])
+
+    return (TensorField2(coarse, *(average(s) for s in sigma0.entries)), average(a_hat),
+            ScalarField(coarse, f.values[::2, ::2]))
+
+
+def _prolonged(uc, f: ScalarField):
+    """The bilinear interpolant of the coarse node array uc on f's grid, with
+    f on the rim."""
+    u = np.empty(f.grid.shape)
+    u[::2, ::2] = uc
+    u[::2, 1::2] = 0.5 * (uc[:, :-1] + uc[:, 1:])
+    u[1::2, :] = 0.5 * (u[:-1:2, :] + u[2::2, :])
+    rim = f.grid.boundary_ids
+    u.ravel()[rim] = f.values.ravel()[rim]
+    return u
+
+
+def _stage(uvals, a_hat, sigma0: TensorField2, layout: Layout, eps_hat: float, tol: float,
+           max_inner: int):
+    """One eps-stage of `minimize_tv_fixedpoint` from the node array uvals on
+    sigma0's grid: (its last iterate, its record).  The record's
+    `smoothed_history` is F_eps in the units of a_hat."""
+    grid = sigma0.grid
+
+    def tv(rho):  # F_eps of a_hat from its density
+        return float(np.sum(a_hat * rho)) * grid.cell_area
+
+    values, vcycles, cap_hits, cuts, refreshes = [], 0, 0, 0, 0
+    hessian, halvings, rel, last = None, 0, np.inf, np.inf
+    for inner in range(1, max_inner + 1):
+        rho, gradient = tv_gradient(uvals, a_hat, sigma0, eps_hat)
+        value = tv(rho)
+        values.append(value)
+        # the stage's first step assembles the Hessian; a step after a cut, or
+        # after a slow step whose change exceeds half the one before it,
+        # assembles it again at its iterate, the old one freed first
+        if hessian is None or halvings or rel > 0.5 * last:
+            refreshes += hessian is not None
+            hessian = None
+            hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout,
+                               lines=True).matrix
+        # this layout ties no nodes, so the gradient gathers as u does
+        g = layout.gather(gradient)
+        s, its, met = cg_correction(hessian, g, _FORCING, _CG_CAP)
+        vcycles += its
+        cap_hits += not met
+        full = layout.expand(layout.gather(uvals) - s, uvals)
+        last, rel = rel, _masked_rel_change(full, uvals)
+        if rel <= tol:
+            uvals = full
+            break
+        # sufficient decrease along -s, whose slope is -g.s < 0
+        decrease = _ARMIJO * _dot(g, s)
+        ceiling = value + _SLACK * (1.0 + abs(value))
+        step, trial = full - uvals, full
+        for halvings in range(_MAX_CUTS + 1):
+            t = 0.5**halvings
+            if halvings:
+                trial = uvals + t * step
+            if tv(tv_density(trial, sigma0, eps_hat)) <= ceiling - t * decrease:
+                break
+        else:
+            cuts += _MAX_CUTS
+            break
+        cuts += halvings
+        uvals = trial
+    drops = np.diff(np.asarray(values))
+    record = {
+        "eps": eps_hat,
+        "nx": grid.nx,
+        "ny": grid.ny,
+        "inner_iterations": inner,
+        "vcycles": vcycles,
+        "cap_hits": cap_hits,
+        "cuts": cuts,
+        "refreshes": refreshes,
+        "tol": tol,
+        "converged": rel <= tol,
+        "final_rel_change": rel,
+        "smoothed_history": values,
+        "monotone": bool(np.all(drops <= _SLACK * (1.0 + abs(values[0])))),
+    }
+    return uvals, record
+
+
+def _continuation(sigma0: TensorField2, a_hat, f: ScalarField, schedule, max_inner: int):
+    """Run the eps-stages of `schedule`, (eps, tol) pairs, ending on sigma0's
+    grid: (u, the stage records in order, the CG iterations of the initial
+    solve).
+
+    The stages before the last run nested on `_coarsened` data, and the
+    last one starts from their potential, `_prolonged`.  Where there is no
+    coarser grid, or only one stage, every stage runs here from the
+    harmonic start, the potential of sigma0 with the data f.
+    """
+    coarse = _coarsened(sigma0, a_hat, f) if len(schedule) > 1 else None
+    if coarse is None:
+        layout = Layout(sigma0, exclude_cells=a_hat <= 0.0)
+        system = assemble(1.0, layout)
+        uvals = solve_dirichlet(system, f).values.copy()
+        initial_cg, stages = system.cg_iterations, []
+        system = None
+    else:
+        uc, stages, initial_cg = _continuation(*coarse, schedule[:-1], max_inner)
+        uvals, schedule = _prolonged(uc, f), schedule[-1:]
+        layout = Layout(sigma0, exclude_cells=a_hat <= 0.0)
+    for eps_hat, tol in schedule:
+        uvals, record = _stage(uvals, a_hat, sigma0, layout, eps_hat, tol, max_inner)
+        stages.append(record)
+    return uvals, stages, initial_cg
+
+
 def minimize_tv_fixedpoint(problem: TVProblem):
-    """Newton-chord minimization of the smoothed F_h with eps-continuation.
+    """Newton-chord minimization of the smoothed F_h with nested eps-continuation.
 
     Each eps-stage minimizes F_eps[u] = sum_K a_K |K| rho_eps,K(u),
     rho_eps = (rho_h^2 + eps^2)^(1/2), over u = f on the boundary; its
     stationary point is the lagged-diffusivity fixed point, since
     A(a / rho_eps(u)) u is the gradient of F_eps (`fields.tv_gradient`).
-    The stage assembles the Hessian H of F_eps at its first iterate
+
+    Only the last stage has to resolve the minimizer on the data's grid;
+    the stages before it carry the iterate forward.  So the last stage runs
+    on the data's grid and each earlier stage one grid coarser, down to
+    _NEST_FLOOR nodes per side (`_coarsened`: a averaged over 2x2 cells,
+    sigma0 entrywise over them, f injected).  Each grid's first stage
+    starts from the bilinear interpolant of the coarser grid's potential
+    with f on the rim (`_prolonged`).  The coarsest grid, one with an odd
+    cell count or one whose next grid would fall below the floor, starts
+    from the harmonic potential of sigma0 (an n = 129 run takes stages 1-6
+    at n = 33, 7 at n = 65 and 8 at n = 129; n <= 33 runs every stage on
+    its own grid).  Every grid runs the data grid's eps schedule, since
+    the averaged sigma0 has another lower bound m.
+
+    A stage assembles the Hessian H of F_eps at its first iterate
     (`fields.tv_hessian`) with its line-relaxation multigrid hierarchy
     (`forward.LineMultigrid`), and again at the iterate after every step
-    whose line search cut, where the old H stopped modelling F_eps.  Each
-    step takes the gradient g matrix-free, solves H s = g by CG from zero to
-    the forcing _FORCING |g| under the cap _CG_CAP
-    (`forward.cg_correction`), and accepts u - t s, t = 1, 1/2, ..., by
-    Armijo backtracking on F_eps with the round-off slack
-    _SLACK (1 + |F_eps|).  The new iterate is expanded from the unknowns
-    as the solves' potentials are (`forward.Layout.expand`): nodes with no
-    stiffness get the neighbor-mean fill.
+    whose line search cut, where the old H stopped modelling F_eps, and
+    after every slow step, whose relative change exceeds half the step's
+    before it (the Newton-chord refresh of Kelley 2003).  Each step takes
+    the gradient g matrix-free, solves H s = g by CG from zero to the
+    forcing _FORCING |g| under the cap _CG_CAP (`forward.cg_correction`),
+    and accepts u - t s, t = 1, 1/2, ..., by Armijo backtracking on F_eps
+    with the round-off slack _SLACK (1 + |F_eps|).  The new iterate is
+    expanded from the unknowns as the solves' potentials are
+    (`forward.Layout.expand`): nodes with no stiffness get the
+    neighbor-mean fill.
 
     A stage ends at the first step whose full relative change
     |s| / |u - s| is <= tol, which it takes, after max_inner steps, or
@@ -188,109 +341,41 @@ def minimize_tv_fixedpoint(problem: TVProblem):
     warm-start stages before it stop at max(sqrt(fp_tol), fp_tol)
     (inexact continuation, Hale, Yin & Zhang 2008).
 
-    Returns (u, info).  info records, per stage, F_eps of each iterate
+    Returns (u, info).  info records, per stage, the node counts of the
+    grid it ran on (`nx`, `ny`), F_eps of each iterate on that grid
     (`smoothed_history`, absolute units), the steps (`inner_iterations`),
     the CG iterations, one V-cycle each (`vcycles`), the steps whose CG
     hit the cap (`cap_hits`), the line-search halvings (`cuts`), the
-    Hessians assembled after a cut (`refreshes`), `tol`,
+    Hessians assembled after a cut or a slow step (`refreshes`), `tol`,
     the last full relative change, whether it met tol (`converged`), and
     whether F_eps never rose beyond the slack (`monotone`; any rise sets
-    `nonmonotone_flag`).  `total_cg_iterations` counts the initial
-    solve's CG iterations, the one solve to a tolerance.
+    `nonmonotone_flag`).  `total_inner_iterations` counts the steps of
+    the stages of every grid, and `total_cg_iterations` the CG
+    iterations of the initial solve, the one solve to a tolerance, which
+    runs on the coarsest grid.
     """
-    grid, sigma0, amax, a_hat, void = _normalized_data(problem)
+    _, sigma0, amax, a_hat, _ = _normalized_data(problem)
     triplet = problem.triplet
     # eps lives in rho_h units, so it is untouched by the
     # normalization of a; that keeps the whole iteration identical under
     # a -> alpha a (the gradient and the Hessian just rescale, which the
     # forcing stop, the multigrid cycle and the line search cannot see).
     schedule = _eps_schedule(sigma0)
-
-    layout = Layout(sigma0, exclude_cells=void)
-    system = assemble(1.0, layout)
-    uvals = solve_dirichlet(system, triplet.f).values.copy()
-    total_cg = system.cg_iterations
-    system = None
-
-    def tv(rho):  # F_eps of a_hat from its density
-        return float(np.sum(a_hat * rho)) * grid.cell_area
-
-    stages = []
-    flagged = False
-    total_inner = 0
     warm_tol = max(float(np.sqrt(problem.fp_tol)), problem.fp_tol)
-    for stage, eps_hat in enumerate(schedule, 1):
-        tol = problem.fp_tol if stage == len(schedule) else warm_tol
-        values, vcycles, cap_hits, cuts, refreshes = [], 0, 0, 0, 0
-        hessian, halvings = None, 0
-        for inner in range(1, problem.max_inner + 1):
-            rho, gradient = tv_gradient(uvals, a_hat, sigma0, eps_hat)
-            value = tv(rho)
-            values.append(value)
-            # the stage's first step assembles the Hessian, and a step after
-            # a cut assembles it again at its iterate, the old one freed first
-            if hessian is None or halvings:
-                refreshes += hessian is not None
-                hessian = None
-                hessian = assemble(tv_hessian(uvals, a_hat, sigma0, eps_hat), layout,
-                                   lines=True).matrix
-            # this layout ties no nodes, so the gradient gathers as u does
-            g = layout.gather(gradient)
-            s, its, met = cg_correction(hessian, g, _FORCING, _CG_CAP)
-            vcycles += its
-            cap_hits += not met
-            full = layout.expand(layout.gather(uvals) - s, uvals)
-            rel = _masked_rel_change(full, uvals)
-            if rel <= tol:
-                uvals = full
-                break
-            # sufficient decrease along -s, whose slope is -g.s < 0
-            decrease = _ARMIJO * _dot(g, s)
-            ceiling = value + _SLACK * (1.0 + abs(value))
-            step, trial = full - uvals, full
-            for halvings in range(_MAX_CUTS + 1):
-                t = 0.5**halvings
-                if halvings:
-                    trial = uvals + t * step
-                if tv(tv_density(trial, sigma0, eps_hat)) <= ceiling - t * decrease:
-                    break
-            else:
-                cuts += _MAX_CUTS
-                break
-            cuts += halvings
-            uvals = trial
-        # the stage's hierarchy goes before the next stage builds its own
-        hessian = None
-        total_inner += inner
-        drops = np.diff(np.asarray(values))
-        monotone = bool(np.all(drops <= _SLACK * (1.0 + abs(values[0]))))
-        if not monotone:
-            flagged = True
-        stages.append(
-            {
-                "eps": eps_hat,
-                "inner_iterations": inner,
-                "vcycles": vcycles,
-                "cap_hits": cap_hits,
-                "cuts": cuts,
-                "refreshes": refreshes,
-                "tol": tol,
-                "converged": rel <= tol,
-                "final_rel_change": rel,
-                "smoothed_history": [amax * v for v in values],
-                "monotone": monotone,
-            }
-        )
-
+    tols = [warm_tol] * (len(schedule) - 1) + [problem.fp_tol]
+    uvals, stages, initial_cg = _continuation(sigma0, a_hat, triplet.f,
+                                              list(zip(schedule, tols)), problem.max_inner)
+    for st in stages:
+        st["smoothed_history"] = [amax * v for v in st["smoothed_history"]]
     info = {
         "algorithm": "fixedpoint",
         "stages": stages,
-        "total_inner_iterations": total_inner,
-        "total_cg_iterations": total_cg,
-        "nonmonotone_flag": flagged,
+        "total_inner_iterations": sum(st["inner_iterations"] for st in stages),
+        "total_cg_iterations": initial_cg,
+        "nonmonotone_flag": not all(st["monotone"] for st in stages),
         "tv_final": weighted_tv(uvals, triplet.a.values, sigma0),
     }
-    return ScalarField(grid, uvals, location="node"), info
+    return ScalarField(triplet.grid, uvals, location="node"), info
 
 
 # tolerance of the primal-dual stopping rule, on the relative gap and on
@@ -732,28 +817,26 @@ def coarea_audit(u: ScalarField, a: ScalarField, sigma0: TensorField2,
                  n_levels: int = 200) -> dict:
     """Compare F[u] with the level-set reconstruction of its coarea form.
 
-    The level integral is a trapezoid rule over n_levels equispaced
-    levels spanning the range of u, weighting each level-curve segment
-    by a (sigma0 nu . nu)^(1/2) with nu the curve normal.  The extreme
-    levels carry half weight and typically contribute nothing (the set
-    {u > umax} is empty), so the endpoint bias is one interior sample.
+    The level integral is the midpoint rule over the range of u cut into
+    n_levels equal parts, at the levels umin + (j + 1/2) delta, weighting
+    each level-curve segment by a (sigma0 nu . nu)^(1/2) with nu the
+    curve normal.  No level sits at an extreme of u, whose level set is a
+    rim edge or a point, so the discrepancy measures u's discretization:
+    it falls about 4x per refinement of the bump, where a trapezoid rule
+    read 0.5 / n_levels at every grid.
     """
     umin = float(np.min(u.values))
     umax = float(np.max(u.values))
     tv = weighted_tv(u.values, a.values, sigma0)
-    if umax <= umin or n_levels < 2:
+    if umax <= umin or n_levels < 1:
         return {
             "tv": tv,
             "level_integral": 0.0,
             "rel_discrepancy": abs(tv) / max(abs(tv), 1e-300),
         }
-    delta = (umax - umin) / (n_levels - 1)
-    levels = [umin + j * delta for j in range(n_levels)]
-    perims = weighted_perimeter(u, levels, a, sigma0)
-    weights = np.full(n_levels, delta)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    integral = float(np.dot(weights, perims))
+    delta = (umax - umin) / n_levels
+    levels = [umin + (j + 0.5) * delta for j in range(n_levels)]
+    integral = delta * float(np.sum(weighted_perimeter(u, levels, a, sigma0)))
     return {
         "tv": tv,
         "level_integral": integral,
