@@ -404,7 +404,8 @@ def cmd_verify(cfg, args, chash) -> int:
         u = read_matching(u_path, grid, location="node")
         u_source = "recon"
     elif triplet.provenance.get("u_true") is not None:
-        u_path = Path(triplet_dir) / "u_true"
+        u_path = Path(triplet_dir) / read_json(Path(triplet_dir) / "triplet.json",
+                                               DataError)["files"]["u_true"]
         u = ScalarField(grid, triplet.provenance["u_true"], location="node")
         u_source = "provenance"
     else:

@@ -48,7 +48,9 @@ coarsest level.  Two smoothers share that hierarchy:
   grad u stalls the point smoother at small eps.  Each sweep solves every
   grid line's tridiagonal block at once by cyclic reduction.
 
-Every assembly builds its own hierarchy.  Every CG starts from zero and
+Every assembly builds its own hierarchy, and every level's smoother is
+read from that level's matrix alone: its diagonal, and for the lines its
+couplings along the grid lines.  Every CG starts from zero and
 runs one stop loop (`_cg`): to a tolerance in a solve, to a forcing term
 under a cap in `cg_correction`, the inexact solve of a Newton step.  The
 layout alone maps node arrays to reduced unknowns and back
@@ -202,7 +204,7 @@ def _pattern(keys, n_rows, n_cols):
 
 def _stiffness(grid: Grid2D, contributing, node_kept, boundary):
     """The CSR patterns of the reduced matrix and of its Dirichlet coupling,
-    the positions of the matrix diagonal and the stiffness map.
+    and the stiffness map.
 
     `node_kept` maps a node to its reduced unknown (-1 if it has none)
     and `boundary` to its Dirichlet index (-1 if it is not on the rim).
@@ -215,7 +217,7 @@ def _stiffness(grid: Grid2D, contributing, node_kept, boundary):
     keys groups the terms by entry, in the order they were written, so
     mirror entries add the same terms in the same order.  Returns
     ((indices, indptr) of the matrix, (indices, indptr) of the coupling,
-    the diagonal positions, the map).
+    the map).
     """
     m, nb = int(node_kept.max()) + 1, grid.boundary_ids.size
     cells = np.flatnonzero(contributing).astype(np.int32)
@@ -246,13 +248,12 @@ def _stiffness(grid: Grid2D, contributing, node_kept, boundary):
     indptr = np.empty(entries.size + 1, dtype=np.int32)
     indptr[:-1], indptr[-1] = np.flatnonzero(head), head.size
     nnz = int(np.searchsorted(entries, m * m))
-    diagonal = np.searchsorted(entries[:nnz], np.arange(m) * (m + 1)).astype(np.int32)
     patterns = _pattern(entries[:nnz], m, m), _pattern(entries[nnz:] - m * m, m, nb)
     shape = (entries.size, len(CORNER_PAIRS) * contributing.size)
     del entries
     order = order[first:]
     stiffness = sparse.csr_matrix((np.ones(order.size), terms[order], indptr), shape=shape)
-    return patterns + (diagonal, stiffness)
+    return patterns + (stiffness,)
 
 
 # -- multigrid transfers -------------------------------------------------------
@@ -348,8 +349,9 @@ def _prolongations(shape, node_dof, ndof, keep):
     return out, grids
 
 
-def _jacobi(a, diag):
+def _jacobi(a):
     """Damped Jacobi weights 4 / (3 g) / diag, g the Gershgorin bound of D^-1 a."""
+    diag = a.diagonal()
     magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
     bound = float(np.max((magnitudes @ np.ones(a.shape[1])) / diag))
     return (4.0 / (3.0 * bound)) / diag
@@ -375,8 +377,9 @@ class Multigrid:
     eps it is not, which `LineMultigrid` is for.
 
     `matrix` has the pattern of `layout` (see `Layout`), whose
-    prolongations the cycle uses; its diagonal is read at the layout's
-    fixed positions.  The cycle works in per-level vectors made here.
+    prolongations the cycle uses.  Every level's smoother is read from
+    that level's own matrix.  The cycle works in per-level vectors made
+    here.
     """
 
     def __init__(self, matrix, layout: Layout):
@@ -402,9 +405,7 @@ class Multigrid:
 
     def _smoothers(self, layout):
         """The Jacobi weights of every level above the coarsest."""
-        diagonals = [self.levels[0].data[layout.diagonal]]
-        diagonals += [a.diagonal() for a in self.levels[1:-1]]
-        return [_jacobi(a, d) for a, d in zip(self.levels[:-1], diagonals)]
+        return [_jacobi(a) for a in self.levels[:-1]]
 
     def _presmooth(self, level, r, x, t):
         """x = S r, the smoother from a zero guess, and t = r - A x."""
@@ -447,107 +448,37 @@ class Multigrid:
 _LINE_DAMPING = 0.8
 
 
-class _LineGeometry:
-    """The lines of one level: what its `_Lines` keep across refills.
-
-    The level's unknowns sit on the nodes of its grid, one each.  The
-    box they span is padded to (2^k - 1) x (2^l - 1) nodes and bordered
-    by a row and a column of zeros on each side.  A y-line is a column
-    of the box, an x-line a row.  Each axis keeps its lines as the
-    columns of its own array (`boxes`: the box, and the transposed box in
-    the same work array), so that a reduction runs along whole rows;
-    `places` holds each unknown's place in the two.
-
-    `pairs` holds, for each axis, the unknowns whose next node along
-    their line has an unknown too, with that unknown or, on the finest
-    level, with their entry's fixed offset in the layout's pattern
-    (`pattern`: indptr, indices and the diagonal's offsets).  A pair that
-    no contributing cell joins has no entry there and is left out; a
-    coarse level samples its Galerkin product, which reads one as 0.
-
-    `boxes` and the temporary of a solve are views of `work`, flat
-    arrays that every level and axis of a layout share, or of new ones
-    where `work` is None or too small: a solve fills them before it
-    reads them.
-    """
-
-    def __init__(self, shape, nodes, work=None, pattern=None):
-        j, i = np.divmod(nodes, shape[1])
-        j, i = j - j.min(), i - i.min()
-        ly, lx = (2 ** int(v.max() + 1).bit_length() - 1 for v in (j, i))
-        size = (ly + 2) * (lx + 2)
-        half = max((ly + 1) // 2 * lx, (lx + 1) // 2 * ly)
-        if work is None or work[0].size < size or work[1].size < half:
-            work = np.empty(size), np.empty(half)
-        self.work = work
-        self.boxes = (work[0][:size].reshape(ly + 2, lx + 2),
-                      work[0][:size].reshape(lx + 2, ly + 2))
-        place = (j + 1) * (lx + 2) + i + 1
-        self.places = (place, (i + 1) * (ly + 2) + j + 1)
-        index = np.full(size, -1, dtype=np.int32)
-        index[place] = np.arange(nodes.size, dtype=np.int32)
-        self.pairs = []
-        # the next node of a y-line is one bordered row on, of an x-line one column
-        for step in (lx + 2, 1):
-            other = index[place + step]
-            first = np.flatnonzero(other >= 0).astype(np.int32)
-            other = other[first]
-            if pattern is not None:
-                indptr, indices, _ = pattern
-                offsets = np.empty(first.size, dtype=indices.dtype)
-                _sparsetools.csr_sample_offsets(nodes.size, nodes.size, indptr, indices,
-                                                first.size, first, other, offsets)
-                stored = offsets >= 0
-                first, other = first[stored], offsets[stored]
-            self.pairs.append((first, other))
-        self.diagonal = None if pattern is None else pattern[2]
-
-    def planes(self, a):
-        """The (3, bordered box) planes of the level matrix a: its diagonal,
-        1 where no unknown is, and each unknown's coupling to the next
-        node of its y-line and of its x-line, 0 where there is none."""
-        place = self.places[0]
-        planes = np.zeros((3,) + self.boxes[0].shape)
-        planes[0] = 1.0
-        flat = planes.reshape(3, -1)
-        flat[0, place] = a.diagonal() if self.diagonal is None else a.data[self.diagonal]
-        for plane, (first, other) in zip(flat[1:], self.pairs):
-            if self.diagonal is None:
-                values = np.empty(first.size)
-                _sparsetools.csr_sample_values(a.shape[0], a.shape[1], a.indptr, a.indices,
-                                               a.data, first.size, first, other, values)
-            else:
-                values = a.data[other]
-            plane[place[first]] = values
-        return planes
-
-
 class _Lines:
     """omega T^-1 for T the line blocks of one level's matrix along one axis.
 
-    The block of a line (`_LineGeometry`) is the principal submatrix of
-    the level matrix on its unknowns, which is tridiagonal, with an
+    The level's unknowns sit on the nodes of its grid, one each.  The box
+    they span is padded to (2^k - 1) x (2^l - 1) nodes and bordered by a
+    row and a column of zeros on each side; a y-line is a column of the
+    box, an x-line a row.  The block of a line is the principal submatrix
+    of the level matrix on its unknowns, which is tridiagonal, with an
     identity row on every node of the line that has no unknown, so a
     line breaks where unknowns are dropped.  All lines are solved at once
-    by cyclic reduction (Hockney 1965), in place in the bordered box, with
-    T / omega eliminated here, once.  Reduction k works on every 2^k-th
-    node of the lines: it eliminates the odd ones and keeps the even
-    ones, and the back substitution fills the odd ones from their two
-    neighbors, the border's zeros at the ends.  Row e of a reduction
-    stores 1 / T_ee and its couplings to rows e - 1 and e + 1 scaled by
-    it; the kept rows' elimination weights are these same couplings, so
-    every reduced system stays symmetric.
+    by cyclic reduction (Hockney 1965), in place in the bordered box,
+    whose columns the lines are (`box`: the box, or for x-lines the
+    transposed box in the same array), so that a reduction runs along
+    whole rows; T / omega is eliminated here, once.  Reduction k works on
+    every 2^k-th node of the lines: it eliminates the odd ones and keeps
+    the even ones, and the back substitution fills the odd ones from
+    their two neighbors, the border's zeros at the ends.  Row e of a
+    reduction stores 1 / T_ee and its couplings to rows e - 1 and e + 1
+    scaled by it; the kept rows' elimination weights are these same
+    couplings, so every reduced system stays symmetric.
     """
 
-    def __init__(self, planes, geometry: _LineGeometry, axis):
-        self.box, self.place = geometry.boxes[axis], geometry.places[axis]
-        diag, upper = planes[0], planes[1 + axis]
-        if axis == 1:
-            diag, upper = diag.T, upper.T
-        # upper[l] couples node l of a line to node l + 1
-        diag = np.ascontiguousarray(diag[1:-1, 1:-1]) / _LINE_DAMPING
-        upper = np.ascontiguousarray(upper[1:-1, 1:-1]) / _LINE_DAMPING
-        lines, tmp = self.box[:, 1:-1], geometry.work[1]
+    def __init__(self, diag, upper, box, place, tmp):
+        """`diag` and `upper` hold T's diagonal and the coupling of node l
+        of a line to node l + 1, one line per column; `place` is each
+        unknown's place in the flat `box`, and `tmp` a temporary that a
+        solve fills before it reads it."""
+        self.box, self.place = box, place
+        diag = np.divide(diag, _LINE_DAMPING, order="C")
+        upper = np.divide(upper, _LINE_DAMPING, order="C")
+        lines = box[:, 1:-1]
         # per reduction: its nodes of the lines (a view of the box), the
         # factors of its eliminated rows and the temporary they fill
         self.steps = []
@@ -561,6 +492,42 @@ class _Lines:
                 break
             diag = diag[1::2] - upper[:-1:2] * self.steps[-1][3][:-1] - upper[1::2] * lower[1:]
             upper = -lower[1:] * upper[2::2]
+
+    @classmethod
+    def pair(cls, a, shape, nodes):
+        """The (y-lines, x-lines) of the level matrix a, whose unknowns sit
+        on the nodes `nodes` of a grid of `shape`, one each.
+
+        Both read the planes of the bordered box: a's diagonal, 1 where no
+        unknown is, and each unknown's coupling to the next node of its
+        y-line and of its x-line, sampled from a, 0 where that node has no
+        unknown or a has no entry there (no contributing cell joins the
+        two).  They share one box and one temporary.
+        """
+        j, i = np.divmod(nodes, shape[1])
+        j, i = j - j.min(), i - i.min()
+        ly, lx = (2 ** int(v.max() + 1).bit_length() - 1 for v in (j, i))
+        place = (j + 1) * (lx + 2) + i + 1
+        planes = np.zeros((3, ly + 2, lx + 2))
+        planes[0] = 1.0
+        flat = planes.reshape(3, -1)
+        flat[0, place] = a.diagonal()
+        index = np.full(flat.shape[1], -1, dtype=np.int32)
+        index[place] = np.arange(nodes.size, dtype=np.int32)
+        # the next node of a y-line is one bordered row on, of an x-line one column
+        for plane, step in zip(flat[1:], (lx + 2, 1)):
+            other = index[place + step]
+            first = np.flatnonzero(other >= 0).astype(np.int32)
+            values = np.empty(first.size)
+            _sparsetools.csr_sample_values(a.shape[0], a.shape[1], a.indptr, a.indices, a.data,
+                                           first.size, first, other[first], values)
+            plane[place[first]] = values
+        inner = planes[:, 1:-1, 1:-1]
+        box = np.empty(flat.shape[1])
+        tmp = np.empty(max((ly + 1) // 2 * lx, (lx + 1) // 2 * ly))
+        return (cls(inner[0], inner[1], box.reshape(ly + 2, lx + 2), place, tmp),
+                cls(inner[0].T, inner[2].T, box.reshape(lx + 2, ly + 2),
+                    (i + 1) * (ly + 2) + j + 1, tmp))
 
     def __call__(self, r, out):
         """omega T^-1 r into `out`, which may be r."""
@@ -600,17 +567,18 @@ class LineMultigrid(Multigrid):
     five Jacobi cycles (2.4 against 0.42 ms at n = 129, 7.8 against 1.7 ms
     at n = 257).
 
-    The lines need one node per unknown on every level, so a layout that
-    ties nodes raises AssemblyError.
+    Each level's lines are read from its own matrix at every fill
+    (`_Lines.pair`).  They need one node per unknown on every level, so
+    a layout that ties nodes raises AssemblyError.
     """
 
     def _smoothers(self, layout):
         """The (y-lines, x-lines) pair of every level above the coarsest."""
-        out = []
-        for a, geometry in zip(self.levels, layout.lines()):
-            planes = geometry.planes(a)
-            out.append((_Lines(planes, geometry, 0), _Lines(planes, geometry, 1)))
-        return out
+        if layout.perfect:
+            raise AssemblyError("line relaxation needs one node per unknown; "
+                                "the layout ties nodes")
+        return [_Lines.pair(a, shape, nodes)
+                for a, (shape, nodes) in zip(self.levels[:-1], layout.level_nodes)]
 
     def _presmooth(self, level, r, x, t):
         a, (ylines, xlines) = self.levels[level], self.smoothers[level]
@@ -638,12 +606,11 @@ class Layout:
     surrounded by deleted cells) are dropped and later filled by neighbor
     averaging.  The layout holds those dof maps, with `gather` and
     `expand` between node arrays and unknowns, the int32 CSR patterns of
-    the reduced matrix (`indices`, `indptr`, with the positions of its
-    diagonal in `diagonal`) and of its coupling to the Dirichlet nodes,
-    the multigrid prolongations, with the grid shape of every level and
-    the node of each of its unknowns (`level_nodes`, finest first), and,
-    made at the first `LineMultigrid` on it, the lines of every level
-    (`lines`).
+    the reduced matrix (`indices`, `indptr`) and of its coupling to the
+    Dirichlet nodes, and the multigrid prolongations, with the grid shape
+    of every level and the node of each of its unknowns (`level_nodes`,
+    finest first).  It keeps nothing of a fill: every smoother is read
+    from its level's matrix when the matrix is assembled.
 
     `stiffness` maps element matrices to the values of both patterns: a
     0/1 CSR matrix with one row per stored entry (the matrix's, then the
@@ -698,30 +665,13 @@ class Layout:
         boundary = np.full(n, -1, dtype=np.int32)
         boundary[grid.boundary_ids] = np.arange(grid.boundary_ids.size)
 
-        matrix, coupling, self.diagonal, self.stiffness = _stiffness(
+        matrix, coupling, self.stiffness = _stiffness(
             grid, contributing, node_kept, boundary)
         self.sigma0 = sigma0
         self.indices, self.indptr = matrix
         self.coupling_indices, self.coupling_indptr = coupling
         self.prolongations, coarse = _prolongations(grid.shape, node_dof, ndof, self.keep)
         self.level_nodes = [(grid.shape, self.unknown_nodes)] + coarse
-        self._lines = None
-
-    def lines(self) -> list:
-        """The `_LineGeometry` of every level above the coarsest, made at
-        the first call, all on the finest level's work arrays.  Lines need
-        one node per unknown, so a layout that ties nodes raises
-        AssemblyError."""
-        if self._lines is None:
-            if self.perfect:
-                raise AssemblyError("line relaxation needs one node per unknown; "
-                                    "the layout ties nodes")
-            self._lines, work = [], None
-            pattern = (self.indptr, self.indices, self.diagonal)
-            for shape, nodes in self.level_nodes[:len(self.prolongations)]:
-                self._lines.append(_LineGeometry(shape, nodes, work, pattern))
-                work, pattern = self._lines[0].work, None
-        return self._lines
 
     def gather(self, values) -> np.ndarray:
         """The reduced vector of a node array: each unknown's entry at its

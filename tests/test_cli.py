@@ -268,24 +268,28 @@ def test_verify_fails_on_corrupted_potential(tmp_path, capsys):
     assert "minimality: FAIL" in capsys.readouterr().out
 
 
-def test_verify_rejects_a_potential_without_the_boundary_data(tmp_path, capsys):
-    # a constant u_star does not carry f = x on the rim, so no audit of it
-    # describes the triplet's problem: exit 2 naming the file
+@pytest.mark.parametrize("stored", ["u_star.field", "u_true.field"])
+def test_verify_rejects_a_potential_without_the_boundary_data(tmp_path, capsys, stored):
+    # a potential 1e-3 off f = x at one rim node does not carry the
+    # triplet's Dirichlet data, so no audit of it describes the triplet's
+    # problem: exit 2 with one JSON line naming the file that holds it, the
+    # recon's u_star or, with no input.recon, the triplet's stored u_true
     out = tmp_path / "out"
     cfg = _base_config(out)
-    path = _write(tmp_path, cfg)
-    assert main(["synth", "--config", path]) == 0
-    flat_dir = tmp_path / "flat"
-    flat_dir.mkdir()
-    grid = read_field_file(out / "f.field").grid
-    from acdii.fields import ScalarField
-
-    write_field_file(ScalarField(grid, np.full(grid.shape, 0.25)), flat_dir / "u_star.field")
-    cfg["input"] = {"triplet": str(out), "recon": str(flat_dir)}
+    assert main(["synth", "--config", _write(tmp_path, cfg)]) == 0
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    u = read_field_file(out / "u_true.field")
+    values = u.values.copy()
+    values[0, 3] += 1e-3
+    write_field_file(ScalarField(u.grid, values), bad / stored)
+    cfg["input"] = ({"triplet": str(out), "recon": str(bad)} if stored == "u_star.field"
+                    else {"triplet": str(bad)})
     path = _write(tmp_path, cfg)
     capsys.readouterr()
     assert main(["verify", "--config", path, "--quiet"]) == 2
-    assert str(flat_dir / "u_star.field") in _single_error(capsys)
+    named = _single_error(capsys).split(": boundary values differ")[0]
+    assert named == str(bad / stored) and Path(named).exists()
     assert not (out / "audits.json").exists()
 
 

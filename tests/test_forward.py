@@ -798,8 +798,8 @@ def test_line_cycle_is_symmetric_and_positive(kind, eps):
 @pytest.mark.parametrize("kind", _LINE_LAYOUTS)
 def test_line_cycle_is_bit_identical_between_reruns(kind):
     # a hierarchy rebuilt on a new layout gives the same bytes, and so do
-    # calls that alternate with another hierarchy on the same layout,
-    # whose lines share their work arrays
+    # calls that alternate with another hierarchy on the same layout: two
+    # hierarchies on one layout do not interfere
     layout, sigma0, a, u, _ = _perturbed_case(kind, 33, 27)
     first, other = (assemble(tv_hessian(v, a, sigma0, 1e-4), layout, lines=True).matrix
                     for v in (u, u + 0.3 * u * u))
@@ -820,18 +820,23 @@ def test_line_solve_is_the_dense_solve_of_the_line_blocks(kind, nx, ny):
     # on every level and axis, omega T^-1 r with T the entries of the level
     # matrix between unknowns of one grid column (y-lines) or row (x-lines):
     # the finest lines have 11, 15, 12, 16, 25 and 31 nodes, padded to
-    # 15, 15, 15, 31, 31 and 31, and deleted cells break them
-    mg, layout = _hessian_cycle(kind, nx, ny, 1e-4)
+    # 15, 15, 15, 31, 31 and 31, and deleted cells break them.  A second
+    # Hessian (another u and eps) refills the same layout: its lines must
+    # solve its own blocks, and the first fill's must still solve theirs
+    layout, sigma0, a, u, _ = _perturbed_case(kind, nx, ny)
+    hierarchies = [assemble(tv_hessian(v, a, sigma0, eps), layout, lines=True).matrix
+                   for v, eps in ((u, 1e-4), (u + 0.3 * u * u, 0.1))]
     rng = np.random.default_rng(6)
-    for a, pair, (shape, nodes) in zip(mg.levels, mg.smoothers, layout.level_nodes):
-        j, i = np.divmod(nodes, shape[1])
-        dense = a.toarray()
-        for lines, along in zip(pair, (i, j)):
-            block = np.where(along[:, None] == along[None, :], dense, 0.0)
-            r = rng.standard_normal(nodes.size)
-            want = _LINE_DAMPING * np.linalg.solve(block, r)
-            got = lines(r, np.empty_like(r))
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for mg in hierarchies:
+        for level, pair, (shape, nodes) in zip(mg.levels, mg.smoothers, layout.level_nodes):
+            j, i = np.divmod(nodes, shape[1])
+            dense = level.toarray()
+            for lines, along in zip(pair, (i, j)):
+                block = np.where(along[:, None] == along[None, :], dense, 0.0)
+                r = rng.standard_normal(nodes.size)
+                want = _LINE_DAMPING * np.linalg.solve(block, r)
+                got = lines(r, np.empty_like(r))
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_line_cycle_needs_one_node_per_unknown():
